@@ -51,9 +51,11 @@ GATED_KEYS = (
     "e5_exact_explore_conflicts_2",
     "e10_sample_walks_groups_2",
     "e10_sample_walks_groups_4",
-    # The chaos-hardening overhead pair (PR 6): gating *both* sides keeps
-    # the integrity rails' cost in band — if only the guarded key ever
-    # slowed, the no-fault overhead grew.
+    # The chaos-hardening overhead pair (PR 6): one checksummed
+    # socket-worker campaign with a failpoint armed (guarded) and with
+    # none (unguarded).  Gating *both* sides keeps the socket path's cost
+    # in band — if only the guarded key ever slowed, the no-fault
+    # overhead grew.
     "e15_chaos_guarded_seconds",
     "e15_chaos_unguarded_seconds",
     # The admission+deadline no-load overhead (PR 7): a guarded/unguarded

@@ -28,19 +28,16 @@ vs the PR 3 fork fan-out, which re-spawned worker processes on every
 batch (``worker_pool_overhead`` in the report).
 
 PR 5 additions (always recorded): ``outcome_compression`` runs one
-fat-answer-set campaign over a real socket worker twice — with the
-compression/interning capabilities negotiated and with them declined —
-and records the shipped result-payload bytes each way plus the
-compression ratio; ``straggler_relief`` runs a fixed draw range over a
+fat-answer-set campaign over a real socket worker and records its wall
+clock, the raw vs shipped result-payload bytes and their ratio; ``straggler_relief`` runs a fixed draw range over a
 two-worker fleet with one induced 25x straggler, with and without
 speculative re-lease, and records the wall-clock win.
 
 PR 6 additions (always recorded): ``scenario_chaos_overhead`` times the
-identical socket-worker campaign with the robustness rails on (``crc``
-frame integrity negotiated, a failpoint armed but never hit) and off
-(``crc`` declined, empty failpoint registry) — the no-fault cost of the
-chaos-hardening, pinned under 5% and gated by the regression check
-(both keys are size-stable, so they sit in ``GATED_KEYS``).
+identical socket-worker campaign with a failpoint armed but never hit
+and with the failpoint registry empty (frames are checksummed either
+way) — pinned under 5% and gated by the regression check (both keys
+are size-stable, so they sit in ``GATED_KEYS``).
 
 PR 7 additions (always recorded): ``scenario_admission`` times the
 identical socket-worker campaign with the overload rails on (admission
@@ -63,10 +60,10 @@ the speedup at 40 groups carries an absolute floor in
 
 PR 9 additions (always recorded): ``scenario_metrics_overhead`` times
 the identical socket-worker campaign with the telemetry layer live
-(registry mutators hot, the ``metrics`` capability negotiated so worker
-snapshots ride result frames) and with ``REPRO_METRICS=0`` (every
-mutator reduced to an env check, capability withheld) — the no-load
-cost of fleet-wide observability, gated absolutely at < 5%.
+(registry mutators hot, worker snapshots riding result frames) and with
+``REPRO_METRICS=0`` (every mutator reduced to an env check, no
+snapshots attached) — the no-load cost of fleet-wide observability,
+gated absolutely at < 5%.
 
 PR 10 additions (always recorded): ``scenario_cache`` drives the query
 service's result cache — a bypass recompute vs a cache hit for the
@@ -538,15 +535,15 @@ def scenario_pool_overhead(quick: bool) -> dict:
 
 
 def scenario_compression(quick: bool) -> dict:
-    """Outcome-stream compression: shipped bytes with and without (E13).
+    """Outcome-stream shipping over a real socket worker (E13).
 
     One fat-answer-set campaign (many clean rows, whole-row query — the
     regime where outcome shipping dominates cheap draws, see ``e12_*``
     vs ``cpu_count`` in ``BENCH_PR4.json``) runs over a real socket
-    worker twice: once with the zlib+interning capabilities negotiated,
-    once with them declined (the PR 4 wire format).  Estimates are
-    asserted byte-identical; the difference is purely how many bytes the
-    result stream shipped.
+    worker, whose result frames are always interned and, above the
+    protocol's threshold, zlib-compressed.  Records the wall clock and
+    the result payload bytes before compression (raw) and as shipped
+    (wire), and asserts the estimates equal a serial run's.
     """
     import random as _random
 
@@ -562,16 +559,10 @@ def scenario_compression(quick: bool) -> dict:
         seed=51,
     )
     query = parse_cq("Q(x, y, z) :- R(x, y, z)")
-    server = WorkerServer()
-    server.start()
-    out = {}
-    frequencies = {}
-    try:
-        for label, compress in (("compressed", True), ("uncompressed", False)):
-            coordinator = Coordinator.connect(
-                [f"127.0.0.1:{server.port}"], compress=compress, shard_size=20
-            )
-            backend = workload.load_into(create_backend("sqlite"))
+
+    def run(coordinator=None):
+        backend = workload.load_into(create_backend("sqlite"))
+        try:
             sampler = KeyRepairSampler(
                 backend,
                 workload.schema,
@@ -580,26 +571,36 @@ def scenario_compression(quick: bool) -> dict:
                 rng=_random.Random(9),
                 coordinator=coordinator,
             )
-            start = time.perf_counter()
-            report = sampler.run(query, runs=runs)
-            out[f"e13_outcome_shipping_{label}_seconds"] = (
-                time.perf_counter() - start
-            )
-            stats = coordinator.transport_report()
-            out[f"e13_result_payload_bytes_{label}"] = stats["payload_wire_bytes"]
-            out[f"e13_frames_compressed_{label}"] = stats["compressed_frames"]
-            frequencies[label] = report.frequencies
-            coordinator.close()
+            return sampler.run(query, runs=runs).frequencies
+        finally:
             backend.close()
+
+    serial = run()
+    server = WorkerServer()
+    server.start()
+    try:
+        coordinator = Coordinator.connect(
+            [f"127.0.0.1:{server.port}"], shard_size=20
+        )
+        try:
+            start = time.perf_counter()
+            shipped = run(coordinator)
+            seconds = time.perf_counter() - start
+            stats = coordinator.transport_report()
+        finally:
+            coordinator.close()
     finally:
         server.shutdown()
-    assert frequencies["compressed"] == frequencies["uncompressed"], (
-        "compression changed the estimates"
-    )
-    raw = out["e13_result_payload_bytes_uncompressed"]
-    shipped = out["e13_result_payload_bytes_compressed"]
-    out["e13_shipped_bytes_ratio"] = round(raw / shipped, 2) if shipped else None
-    return out
+    assert shipped == serial, "shipping outcomes changed the estimates"
+    raw = stats["payload_raw_bytes"]
+    wire = stats["payload_wire_bytes"]
+    return {
+        "e13_outcome_shipping_seconds": seconds,
+        "e13_payload_raw_bytes": raw,
+        "e13_payload_wire_bytes": wire,
+        "e13_frames_compressed": stats["compressed_frames"],
+        "e13_shipped_bytes_ratio": round(raw / wire, 2) if wire else None,
+    }
 
 
 def scenario_straggler(quick: bool) -> dict:
@@ -683,22 +684,20 @@ def scenario_straggler(quick: bool) -> dict:
 def scenario_chaos_overhead(repeat: int) -> dict:
     """No-fault cost of the robustness rails (E15).
 
-    The identical socket-worker campaign runs two ways: *guarded* — the
-    production default, with the ``crc`` frame-integrity capability
-    negotiated (header + blob CRC32 on every frame) and a failpoint
-    armed but never hit, so every check pays its registry lookup — and
-    *unguarded*, with ``crc`` declined and the failpoint registry empty
-    (the PR 5 wire format).  Estimates are asserted byte-identical; the
-    wall-clock delta is the pure cost of the integrity rails.  The
-    parameters are identical under ``--quick`` and a full run, so both
-    timing keys are gated by ``check_regression.py``; the committed
-    full-mode report pins the overhead under 5%.
+    The identical socket-worker campaign runs two ways: *guarded*, with
+    a failpoint armed but never hit, so every check pays its registry
+    lookup, and *unguarded*, with the failpoint registry empty.  Both
+    legs ship checksummed frames (header + blob CRC32 are always on).
+    Estimates are asserted byte-identical; the wall-clock delta is the
+    pure cost of the armed failpoint registry.  The parameters are
+    identical under ``--quick`` and a full run, so both timing keys are
+    gated by ``check_regression.py``; the committed full-mode report
+    pins the overhead under 5%.
     """
     import random as _random
 
     from repro.distributed import Coordinator, WorkerServer
     from repro.distributed.chaos import clear_failpoints, set_failpoint
-    from repro.distributed.transport import SocketTransport
     from repro.sql import KeyRepairSampler, SamplerPolicy
 
     runs = 60
@@ -711,11 +710,10 @@ def scenario_chaos_overhead(repeat: int) -> dict:
     out = {}
     frequencies = {}
 
-    def run_once(guarded):
-        transport = SocketTransport.parse(
-            f"127.0.0.1:{server.port}", integrity=guarded
+    def run_once():
+        coordinator = Coordinator.connect(
+            [f"127.0.0.1:{server.port}"], shard_size=10
         )
-        coordinator = Coordinator([transport], shard_size=10)
         backend = workload.load_into(create_backend("sqlite"))
         sampler = KeyRepairSampler(
             backend,
@@ -734,7 +732,7 @@ def scenario_chaos_overhead(repeat: int) -> dict:
     try:
         # One untimed pass builds the worker's warm campaign context, so
         # neither timed leg pays the one-off chain construction.
-        run_once(True)
+        run_once()
         for label, guarded in (("guarded", True), ("unguarded", False)):
             if guarded:
                 set_failpoint("worker.mid_shard", hit=10**9)
@@ -744,14 +742,14 @@ def scenario_chaos_overhead(repeat: int) -> dict:
             # key pins, so never time with fewer than 5 repetitions
             # (still well under a second per leg).
             out[f"e15_chaos_{label}_seconds"] = _timed(
-                lambda: frequencies.__setitem__(label, run_once(guarded)),
+                lambda: frequencies.__setitem__(label, run_once()),
                 max(repeat, 5),
             )
     finally:
         clear_failpoints()
         server.shutdown()
     assert frequencies["guarded"] == frequencies["unguarded"], (
-        "the integrity rails changed the estimates"
+        "the armed failpoint registry changed the estimates"
     )
     unguarded_seconds = out["e15_chaos_unguarded_seconds"]
     out["e15_chaos_overhead_fraction"] = (
@@ -768,8 +766,8 @@ def scenario_admission(repeat: int) -> dict:
     The identical socket-worker campaign runs two ways: *guarded* —
     every query passes through an :class:`AdmissionController` ticket
     (quota + token-bucket accounting) and carries a generous
-    :class:`Deadline` end to end (coordinator dispatch, wire frames via
-    the negotiated ``deadline`` capability, worker shard executor) —
+    :class:`Deadline` end to end (coordinator dispatch, the ``deadline``
+    field of every run frame, worker shard executor) —
     and *unguarded*, with no admission and no deadline (the PR 6 hot
     path).  Estimates are asserted byte-identical; the wall-clock delta
     is the pure cost of the admission+deadline rails, recorded as
@@ -855,10 +853,10 @@ def scenario_metrics_overhead(repeat: int) -> dict:
 
     The identical socket-worker campaign runs two ways: *instrumented*
     — the default, with every counter/gauge/histogram hot-path update
-    live and the ``metrics`` capability negotiated (worker snapshots
-    riding result frames) — and *disabled* via ``REPRO_METRICS=0``,
-    which turns every mutator into a cheap env check and keeps the
-    capability out of the hello.  Estimates are asserted byte-identical;
+    live and worker snapshots riding result frames — and *disabled* via
+    ``REPRO_METRICS=0``, which turns every mutator into a cheap env
+    check and, since the in-process worker shares the environment,
+    attaches no snapshots.  Estimates are asserted byte-identical;
     the wall-clock delta is the pure cost of instrumentation, recorded
     as ``scenario_metrics_overhead`` and gated absolutely at < 5%.
     """
@@ -1246,9 +1244,10 @@ def main() -> int:
     compression = report["outcome_compression"]
     print(
         "  E13 result payloads: "
-        f"{compression['e13_result_payload_bytes_uncompressed']} B raw vs "
-        f"{compression['e13_result_payload_bytes_compressed']} B shipped "
-        f"({compression['e13_shipped_bytes_ratio']}x smaller)"
+        f"{compression['e13_payload_raw_bytes']} B raw vs "
+        f"{compression['e13_payload_wire_bytes']} B shipped "
+        f"({compression['e13_shipped_bytes_ratio']}x smaller) in "
+        f"{compression['e13_outcome_shipping_seconds'] * 1000:.0f} ms"
     )
     straggler = report["straggler_relief"]
     print(

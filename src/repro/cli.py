@@ -356,7 +356,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             worker_addresses=tuple(worker_addresses),
             workers=args.workers,
             lease_timeout=args.lease_timeout,
-            compress=False if args.no_compress else None,
             default_deadline=args.default_deadline,
             max_deadline=args.max_deadline,
             drain_timeout=args.drain_timeout,
@@ -460,13 +459,6 @@ def _add_distribution(parser: argparse.ArgumentParser) -> None:
         "repeatable",
     )
     parser.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="do not negotiate outcome-stream compression/interning with "
-        "remote workers (the frames then stay byte-compatible with "
-        "pre-compression workers; REPRO_COMPRESS=0 sets the same default)",
-    )
-    parser.add_argument(
         "--lease-timeout",
         type=float,
         default=None,
@@ -538,11 +530,9 @@ def _deadline_from(args: argparse.Namespace):
 def _build_coordinator(args: argparse.Namespace):
     """The coordinator implied by the CLI's distribution flags.
 
-    Built here (not inside the samplers) so ``--no-compress`` threads
-    through :meth:`Coordinator.from_options`'s ``compress`` parameter
-    instead of mutating process-global state.  Returns ``None`` for the
-    serial path; the caller owns (and must close) a returned
-    coordinator.
+    Built here (not inside the samplers) so ``--lease-timeout`` and
+    ``--context-timeout`` reach it.  Returns ``None`` for the serial
+    path; the caller owns (and must close) a returned coordinator.
     """
     from repro.distributed import Coordinator
 
@@ -554,7 +544,6 @@ def _build_coordinator(args: argparse.Namespace):
         processes=getattr(args, "processes", None),
         workers=args.workers,
         worker_addresses=args.worker or (),
-        compress=False if args.no_compress else None,
         context_timeout=args.context_timeout,
         **kwargs,
     )
@@ -792,11 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="shard lease timeout for the service's coordinators",
-    )
-    p.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="do not negotiate outcome-stream compression with workers",
     )
     p.add_argument(
         "--cache-size",

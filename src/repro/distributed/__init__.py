@@ -22,10 +22,9 @@ and one machine — without giving up determinism:
   (:class:`ReconnectPolicy`), checkpoint quarantine — keeps those
   estimates byte-identical under a hostile network;
 - deadlines (:class:`repro.service.deadline.Deadline`) propagate from
-  the caller through the coordinator into the wire protocol's
-  ``deadline`` capability, so workers abandon shards whose budget has
-  expired and campaigns return honest best-effort results instead of
-  running past their time budget.
+  the caller through the coordinator onto every ``run`` frame, so
+  workers abandon shards whose budget has expired and campaigns return
+  honest best-effort results instead of running past their time budget.
 
 See the README's "Distributed sampling service", "Running as a
 service", and "Failure semantics" sections for deployment and protocol
@@ -54,7 +53,6 @@ from repro.distributed.lease import (
 )
 from repro.distributed.pool import LocalPoolTransport
 from repro.distributed.protocol import (
-    CAPABILITIES,
     FrameIntegrityError,
     ProtocolError,
     WorkerError,
@@ -75,7 +73,6 @@ from repro.distributed.worker import (
 )
 
 __all__ = [
-    "CAPABILITIES",
     "ChaosProxy",
     "ChaosTransport",
     "Coordinator",

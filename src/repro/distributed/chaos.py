@@ -41,11 +41,12 @@ import logging
 import os
 import random
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.distributed.protocol import FRAME_PREFIX
 
 log = logging.getLogger(__name__)
 
@@ -286,8 +287,6 @@ class FaultStream:
 # The chaos socket proxy
 # ----------------------------------------------------------------------
 
-_FRAME_HEADER = struct.Struct("!4sII")
-
 
 class ChaosProxy:
     """A frame-aware TCP proxy injecting a :class:`FaultPlan`'s faults.
@@ -396,10 +395,10 @@ class ChaosProxy:
     def _read_frame(self, source: socket.socket) -> Optional[bytes]:
         """One whole protocol frame off *source* (None on EOF/teardown)."""
         try:
-            prefix = self._recv_exact(source, _FRAME_HEADER.size)
+            prefix = self._recv_exact(source, FRAME_PREFIX.size)
             if prefix is None:
                 return None
-            _magic, header_len, blob_len = _FRAME_HEADER.unpack(prefix)
+            _magic, header_len, blob_len = FRAME_PREFIX.unpack(prefix)
             body = self._recv_exact(source, header_len + blob_len)
             if body is None:
                 return None
@@ -436,8 +435,8 @@ class ChaosProxy:
                     # Flip one bit past the fixed prefix: the header JSON
                     # or the blob — CRC/parse validation must catch it.
                     mutable = bytearray(frame)
-                    span = len(mutable) - _FRAME_HEADER.size
-                    offset = _FRAME_HEADER.size + stream.randrange(max(span, 1))
+                    span = len(mutable) - FRAME_PREFIX.size
+                    offset = FRAME_PREFIX.size + stream.randrange(max(span, 1))
                     mutable[offset] ^= 1 << stream.randrange(8)
                     sink.sendall(bytes(mutable))
                 elif fault == "truncate":

@@ -5,7 +5,7 @@ Every message is one *frame*:
 ====================  =======================================================
 bytes                 meaning
 ====================  =======================================================
-``4``                 magic ``b"RPW1"`` (protocol version 1)
+``4``                 magic ``b"RPW2"`` (protocol version 2)
 ``4``                 header length ``H`` (big-endian unsigned)
 ``4``                 blob length ``B`` (big-endian unsigned)
 ``H``                 UTF-8 JSON header — always an object with a ``"type"``
@@ -18,8 +18,8 @@ Control flow lives in the JSON header so a frame is inspectable without
 unpickling; bulk payloads (facts, schemas, answer sets) ride the pickle
 blob.  Message types:
 
-- ``hello`` / ``welcome`` — connection handshake (worker name, protocol
-  version, capability list; mismatched versions are refused loudly);
+- ``hello`` / ``welcome`` — connection handshake (campaign tag, worker
+  name, protocol version);
 - ``context`` / ``context_ok`` — ship a :class:`ShardContext` once per
   worker; the worker builds and caches the warm sampling runtime;
 - ``run`` — execute draws ``[start, start + count)`` of a context;
@@ -37,67 +37,53 @@ blob.  Message types:
   serve loop (the frame-level twin of SIGTERM, used by the supervisor);
 - ``shutdown`` — ask the worker process to exit its serve loop.
 
-Campaign tagging
-----------------
-A worker serves many coordinator connections concurrently, each driving
-its own campaign.  Frames that belong to a campaign (``context``/``run``
-requests and the ``heartbeat``/``result``/``error`` frames answering
-them) carry a ``"campaign"`` header field — the coordinator's campaign
-id, echoed back by the worker — so either side can attribute any frame
-without decoding its blob, and a transport can assert that the result it
-receives answers the request it sent.
+Frame features
+--------------
+The coordinator and its workers are one deployment, so version 2 has no
+optional features and nothing to negotiate.  Every frame carries:
 
-Capabilities
-------------
-The handshake negotiates optional frame features: ``hello`` and
-``welcome`` both carry a ``"caps"`` list, and a peer only uses a feature
-the *other* side advertised.  A PR 4 peer sends no ``caps`` at all, so
-every negotiated feature silently downgrades to the version-1 frame
-layout — old workers and old coordinators interoperate with new ones
-byte-compatibly.  Current capabilities:
+- a header checksum ``"hcrc"``: the CRC32 of the canonical header JSON
+  with the ``"hcrc"`` value itself set to ``0``;
+- when it has a blob, a blob checksum ``"crc"``: the CRC32 of the blob
+  *as shipped* (after compression).  A frame without ``hcrc``, a blob
+  without ``crc``, or a ``crc`` without a blob raises
+  :class:`FrameIntegrityError` — the last two catch a corrupted blob
+  length in the fixed prefix, which no checksum covers.  So a bit
+  flipped anywhere in a frame is a transient fault (drop the
+  connection, re-lease the shard), never a pickle traceback or a
+  silently re-routed ``start``/``count``;
+- zlib compression (level 1) of any pickle blob of at least
+  :data:`COMPRESS_THRESHOLD` bytes, marked ``"enc": "zlib"`` with the
+  raw size in ``"raw"``; compression that does not shrink the blob is
+  discarded.
 
-- ``"zlib"`` — the sender may zlib-compress a frame's pickle blob when
-  it exceeds :data:`COMPRESS_THRESHOLD`; such frames carry
-  ``"enc": "zlib"`` (and the raw size in ``"raw"``) in the header.  The
-  compression level comes from ``REPRO_COMPRESS_LEVEL`` (default 1:
-  measured on the interned outcome streams this protocol actually
-  ships, zlib level 1 recovers nearly all of level 6's ratio at a
-  fraction of the CPU — see ``scenario_compression`` in the benchmark
-  suite);
-- ``"arrow"`` — bulk payloads whose shape is columnar (interned answer
-  sets, fact-dominated shard contexts) may ship as Arrow IPC record
-  batches (``"enc": "arrow"``, see :mod:`repro.distributed.arrowipc`)
-  instead of pickle.  Advertised only when ``pyarrow`` is importable;
-  payloads the codec cannot represent losslessly fall back to the
-  pickle (+zlib) path bit-identically, so the capability never changes
-  what a payload *decodes to* — only how it travels;
-- ``"intern"`` — result payloads may dictionary-encode repeated answer
-  sets (:func:`intern_outcomes`), shipping each distinct answer set
-  once plus a code stream;
-- ``"campaign"`` — the peer understands (and echoes) campaign tags;
-- ``"crc"`` — frames carrying a blob also carry ``"crc"``, the CRC32 of
-  the blob *as shipped* (after compression), in the header.  The
-  receiver verifies it before touching the bytes; a mismatch raises
-  :class:`FrameIntegrityError` — a transient fault (drop the
-  connection, re-lease the shard) rather than a pickle traceback deep
-  in the payload;
-- ``"deadline"`` — ``run`` frames may carry a ``"deadline"`` header
-  field holding the shard's *remaining* wall-clock budget in seconds
-  (remaining, not absolute: monotonic clocks do not survive a socket).
-  The worker rebuilds a local deadline from it and abandons the shard
-  with a ``deadline_expired`` error once the budget is gone instead of
-  computing draws the coordinator will never merge.  ``error`` frames
-  in turn may carry ``"retriable"``, ``"retry_after"`` (seconds, for
-  backpressure rejections), ``"deadline_expired"``, and ``"draining"``
-  flags so the coordinator can distinguish back-off-and-retry from
-  re-lease-elsewhere from give-up;
-- ``"metrics"`` — the worker may attach a cumulative telemetry snapshot
-  (its ``ocqa_worker_*`` registry, see :mod:`repro.obs.metrics`) to
-  ``result`` payloads, and a compact gauge snapshot to ``heartbeat``
-  headers, so the parent's ``/metrics`` endpoint shows fleet-wide
-  counters without a second scrape path.  A coordinator only offers it
-  while telemetry is enabled (``REPRO_METRICS``); when either side
-  stays silent, frames are bit-identical to a non-metrics build.
+On top of the frame layer:
+
+- frames that belong to a campaign (``context``/``run``/``ping``/
+  ``drain`` requests and every frame answering them) carry a
+  ``"campaign"`` header field — the coordinator's campaign id, echoed
+  back by the worker — so a worker serving many coordinators keeps
+  their heartbeats and results apart, and a transport asserts that each
+  reply answers its own campaign;
+- a ``run`` frame whose shard has a deadline carries ``"deadline"``,
+  the *remaining* wall-clock budget in seconds (remaining, not
+  absolute: monotonic clocks do not survive a socket).  The worker
+  abandons the shard with a ``deadline_expired`` error once the budget
+  is gone.  ``error`` frames may carry ``"retriable"``,
+  ``"retry_after"`` (seconds, for backpressure rejections),
+  ``"deadline_expired"``, and ``"draining"`` so the coordinator can
+  tell back-off-and-retry from re-lease-elsewhere from give-up;
+- ``result`` bodies are ``{"outcomes_interned": ..., "cache_stats":
+  ...}``: answer sets are dictionary-encoded (:func:`intern_outcomes`)
+  so each distinct one ships once;
+- while the worker's own telemetry is on (``REPRO_METRICS``), it
+  attaches its cumulative ``ocqa_worker_*`` snapshot (see
+  :mod:`repro.obs.metrics`) to ``result`` bodies (``"metrics"``) and a
+  snapshot to ``heartbeat`` headers; a parent whose telemetry is off
+  ignores them.
+
+A peer speaking another version (e.g. a version-1 ``RPW1`` build) is
+refused by its magic with a :class:`ProtocolError` naming both versions.
 
 Pickle is trusted here by design: the coordinator and its workers are
 one deployment (same codebase, same operator), exactly like the stdlib
@@ -108,7 +94,6 @@ a worker port to untrusted networks.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import socket
 import struct
@@ -116,62 +101,27 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.distributed import arrowipc
+#: Protocol magic + version; bumped on any frame-layout change.
+MAGIC = b"RPW2"
 
-#: Protocol magic + version; bumped on any frame-layout change.  The
-#: capability-negotiated features above deliberately do *not* bump it:
-#: a frame sent without them is bit-identical to version 1.
-MAGIC = b"RPW1"
-
-#: Frame features this build can speak (negotiated via hello/welcome).
-#: ``"arrow"`` appears only when pyarrow is importable, so a peer never
-#: negotiates an encoding this process cannot decode.
-CAPABILITIES = (("arrow",) if arrowipc.available() else ()) + (
-    "campaign",
-    "crc",
-    "deadline",
-    "intern",
-    "metrics",
-    "zlib",
-)
-
-_HEADER = struct.Struct("!4sII")
+#: The fixed frame prefix: magic, header length, blob length.
+FRAME_PREFIX = struct.Struct("!4sII")
 
 #: Hard cap on a single frame's payload (header + blob), as a guard
 #: against a corrupt or foreign byte stream being read as a length.
 MAX_FRAME_BYTES = 1 << 30
 
-#: Pickle blobs at or above this size are zlib-compressed when the peer
-#: advertised the ``"zlib"`` capability.  Below it the CPU cost outweighs
-#: the shipping win on a LAN: profiling the protocol's actual small
-#: frames (headers, heartbeats, sub-8K result bodies) showed deflate
-#: overhead without a meaningful byte win, so the threshold sits well
-#: above the old 2048.
+#: Pickle blobs at or above this size are zlib-compressed.  Below it the
+#: CPU cost outweighs the shipping win on a LAN: profiling the
+#: protocol's actual small frames (headers, heartbeats, sub-8K result
+#: bodies) showed deflate overhead without a meaningful byte win.
 COMPRESS_THRESHOLD = 8192
 
-#: Default zlib level when ``REPRO_COMPRESS_LEVEL`` is unset.  Level 1
-#: keeps ~90% of level 6's ratio on interned outcome streams at a small
-#: fraction of the CPU (the streams are dictionary-coded already, so
-#: deeper match searching buys almost nothing).
-DEFAULT_COMPRESS_LEVEL = 1
-
-
-def compress_level() -> int:
-    """The zlib level frames compress at (``REPRO_COMPRESS_LEVEL``).
-
-    Read per call so tests and operators can retune a live process;
-    out-of-range or unparsable values fall back to the default.
-    """
-    raw = os.environ.get("REPRO_COMPRESS_LEVEL")
-    if raw is None:
-        return DEFAULT_COMPRESS_LEVEL
-    try:
-        level = int(raw)
-    except ValueError:
-        return DEFAULT_COMPRESS_LEVEL
-    if not -1 <= level <= 9:
-        return DEFAULT_COMPRESS_LEVEL
-    return level
+#: zlib level for compressed blobs.  Level 1 keeps ~90% of level 6's
+#: ratio on interned outcome streams at a small fraction of the CPU (the
+#: streams are dictionary-coded already, so deeper match searching buys
+#: almost nothing).
+COMPRESS_LEVEL = 1
 
 
 class ProtocolError(RuntimeError):
@@ -184,10 +134,11 @@ class ConnectionClosed(ProtocolError):
 
 
 class FrameIntegrityError(ProtocolError):
-    """A frame failed its negotiated CRC32 check — the blob's (``crc``)
-    or the header's (``hcrc``) — meaning bytes were corrupted in flight.
-    A transient fault: the transports treat it exactly like a dropped
-    connection — re-lease and reconnect — never as a payload error."""
+    """A frame failed its integrity checks — its header does not decode
+    or fails its CRC32 (``hcrc``), or its blob fails or lacks its CRC32
+    (``crc``) — meaning bytes were corrupted in flight.  A transient
+    fault: the transports treat it exactly like a dropped connection —
+    re-lease and reconnect — never as a payload error."""
 
 
 @dataclass
@@ -205,109 +156,53 @@ class FrameStats:
     payload_raw: int = 0
     payload_wire: int = 0
     compressed: bool = False
-    arrow: bool = False
 
 
-def negotiated_caps(header: dict) -> frozenset:
-    """The capability set a peer advertised in its hello/welcome frame,
-    intersected with ours (a feature needs both ends)."""
-    peer = header.get("caps") or ()
-    if not isinstance(peer, (list, tuple)):
-        return frozenset()
-    return frozenset(peer) & frozenset(CAPABILITIES)
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
-def encode_frame(
-    header: dict,
-    payload: Any = None,
-    *,
-    compress: bool = False,
-    threshold: int = COMPRESS_THRESHOLD,
-    crc: bool = False,
-    arrow: bool = False,
-) -> bytes:
+def encode_frame(header: dict, payload: Any = None) -> bytes:
     """Serialize one frame (header JSON + optional pickled *payload*).
 
-    See :func:`encode_frame_ex` for the byte-accounting variant and the
-    compression/integrity semantics.
+    See :func:`encode_frame_ex` for the byte-accounting variant.
     """
-    return encode_frame_ex(
-        header, payload, compress=compress, threshold=threshold, crc=crc,
-        arrow=arrow,
-    )[0]
+    return encode_frame_ex(header, payload)[0]
 
 
-def encode_frame_ex(
-    header: dict,
-    payload: Any = None,
-    *,
-    compress: bool = False,
-    threshold: int = COMPRESS_THRESHOLD,
-    crc: bool = False,
-    arrow: bool = False,
-) -> Tuple[bytes, FrameStats]:
+def encode_frame_ex(header: dict, payload: Any = None) -> Tuple[bytes, FrameStats]:
     """Serialize one frame; returns ``(bytes, stats)``.
 
-    With *arrow*, a payload the Arrow codec can represent losslessly
-    (see :mod:`repro.distributed.arrowipc`) ships as an Arrow IPC
-    stream under ``"enc": "arrow"`` instead of pickle — only do this
-    when the peer advertised the ``"arrow"`` capability.  Payloads the
-    codec refuses fall through to the pickle (+zlib) path below,
-    bit-identically to a connection that never negotiated arrow.
-
-    With *compress*, a pickle blob of at least *threshold* bytes is
-    zlib-compressed (at :func:`compress_level`) and the header gains
-    ``"enc": "zlib"`` plus the raw size under ``"raw"`` — only do this
-    when the peer advertised the ``"zlib"`` capability.  Compression
-    that does not shrink the blob is discarded, so a compressed frame
-    is never larger than the plain one.
-
-    With *crc*, a frame carrying a blob also carries the blob's CRC32
-    (of the bytes as shipped, i.e. after compression) under ``"crc"`` in
-    the header, and every frame carries a header checksum under
-    ``"hcrc"``: the CRC32 of the canonical header JSON with the
-    ``"hcrc"`` value itself set to ``0``.  A bit flipped anywhere in the
-    frame past the fixed prefix is then detected — in the header (which
-    could otherwise silently alter a shard's ``start``/``count``) as
-    well as in the blob.  Only do this when the peer advertised the
-    ``"crc"`` capability; without it the frame stays bit-identical to
-    version 1.
+    A pickle blob of at least :data:`COMPRESS_THRESHOLD` bytes is
+    zlib-compressed when that shrinks it.  The header gains the blob's
+    ``"crc"`` (when there is a blob) and then its own ``"hcrc"``.
     """
     blob = b""
     raw_len = 0
     compressed = False
-    arrow_encoded = False
-    if payload is not None and arrow:
-        candidate = arrowipc.encode_payload(payload)
-        if candidate is not None:
-            blob = candidate
-            raw_len = len(blob)
-            header = {**header, "enc": "arrow"}
-            arrow_encoded = True
-    if payload is not None and not arrow_encoded:
+    if payload is not None:
         blob = pickle.dumps(payload)
         raw_len = len(blob)
-        if compress and raw_len >= threshold:
-            candidate = zlib.compress(blob, compress_level())
+        if raw_len >= COMPRESS_THRESHOLD:
+            candidate = zlib.compress(blob, COMPRESS_LEVEL)
             if len(candidate) < raw_len:
                 blob = candidate
                 header = {**header, "enc": "zlib", "raw": raw_len}
                 compressed = True
-    if crc and blob:
         header = {**header, "crc": zlib.crc32(blob)}
-    if crc:
-        probe = {**header, "hcrc": 0}
-        canonical = json.dumps(probe, separators=(",", ":")).encode("utf-8")
-        probe["hcrc"] = zlib.crc32(canonical)
-        header = probe
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    frame = _HEADER.pack(MAGIC, len(header_bytes), len(blob)) + header_bytes + blob
+    header = {**header, "hcrc": 0}
+    header["hcrc"] = zlib.crc32(_canonical(header))
+    header_bytes = _canonical(header)
+    frame = (
+        FRAME_PREFIX.pack(MAGIC, len(header_bytes), len(blob))
+        + header_bytes
+        + blob
+    )
     return frame, FrameStats(
         frame_bytes=len(frame),
         payload_raw=raw_len,
         payload_wire=len(blob),
         compressed=compressed,
-        arrow=arrow_encoded,
     )
 
 
@@ -327,19 +222,11 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def send_message(
-    sock: socket.socket,
-    header: dict,
-    payload: Any = None,
-    *,
-    compress: bool = False,
-    crc: bool = False,
-    arrow: bool = False,
+    sock: socket.socket, header: dict, payload: Any = None
 ) -> FrameStats:
     """Send one frame over *sock* (blocking, complete); returns its
     :class:`FrameStats` for byte accounting."""
-    frame, stats = encode_frame_ex(
-        header, payload, compress=compress, crc=crc, arrow=arrow
-    )
+    frame, stats = encode_frame_ex(header, payload)
     sock.sendall(frame)
     return stats
 
@@ -353,106 +240,91 @@ def recv_message(sock: socket.socket) -> Tuple[dict, Any]:
     return header, payload
 
 
+def _bad_magic(magic: bytes) -> ProtocolError:
+    if magic[:3] == MAGIC[:3]:
+        theirs = magic.decode("ascii", "replace")
+        ours = MAGIC.decode("ascii")
+        return ProtocolError(
+            f"peer speaks wire protocol {theirs}, this build speaks {ours}; "
+            "upgrade the coordinator and its workers together"
+        )
+    return ProtocolError(f"bad frame magic {magic!r}; peer is not a repro worker")
+
+
 def recv_message_ex(sock: socket.socket) -> Tuple[dict, Any, FrameStats]:
     """Receive one frame; returns ``(header, payload, stats)``.
 
     *payload* is ``None`` when the frame carried no blob.  Compressed
     frames (``"enc": "zlib"`` in the header) are transparently inflated.
-    Raises :class:`ConnectionClosed` on EOF and :class:`ProtocolError`
-    on a malformed frame; ``socket.timeout`` propagates to the caller
-    (the transports turn it into lease-expiry handling).
+    Raises :class:`ConnectionClosed` on EOF, :class:`FrameIntegrityError`
+    on a frame corrupted past the prefix and :class:`ProtocolError` on
+    any other malformed frame; ``socket.timeout`` propagates to the
+    caller (the transports turn it into lease-expiry handling).  Once
+    the blob's CRC holds, its bytes are exactly what the sender
+    produced, so decoding them is not guarded further.
     """
-    magic, header_len, blob_len = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    magic, header_len, blob_len = FRAME_PREFIX.unpack(
+        _recv_exact(sock, FRAME_PREFIX.size)
+    )
     if magic != MAGIC:
-        raise ProtocolError(
-            f"bad frame magic {magic!r}; peer is not a repro worker "
-            f"(or speaks an incompatible protocol version)"
-        )
+        raise _bad_magic(magic)
     if header_len + blob_len > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {header_len + blob_len} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap; refusing to read it"
         )
+    # Every version-2 sender writes a JSON object carrying its hcrc, so a
+    # header that does not decode to one was corrupted in flight.
     try:
         header = json.loads(_recv_exact(sock, header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame header: {exc}") from exc
+        raise FrameIntegrityError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
-        raise ProtocolError(f"frame header is not a typed object: {header!r}")
-    if "hcrc" in header:
-        expected_hcrc = header["hcrc"]
-        probe = dict(header)  # wire order preserved by json.loads
-        probe["hcrc"] = 0
-        canonical = json.dumps(probe, separators=(",", ":")).encode("utf-8")
-        if (
-            not isinstance(expected_hcrc, int)
-            or zlib.crc32(canonical) != expected_hcrc
-        ):
-            raise FrameIntegrityError(
-                "frame header failed its CRC32 check; bytes were corrupted "
-                "in flight"
-            )
+        raise FrameIntegrityError(f"frame header is not an object: {header!r}")
+    expected_hcrc = header.get("hcrc")
+    probe = dict(header)  # wire order preserved by json.loads
+    probe["hcrc"] = 0
+    if (
+        not isinstance(expected_hcrc, int)
+        or zlib.crc32(_canonical(probe)) != expected_hcrc
+    ):
+        raise FrameIntegrityError(
+            "frame header failed its CRC32 check (hcrc missing or wrong); "
+            "bytes were corrupted in flight"
+        )
     if "type" not in header:
         raise ProtocolError(f"frame header is not a typed object: {header!r}")
+    expected_crc = header.get("crc")
+    if (expected_crc is None) != (blob_len == 0):
+        raise FrameIntegrityError(
+            f"frame blob length {blob_len} disagrees with its checksum "
+            f"{expected_crc!r}; the frame prefix was corrupted in flight"
+        )
     payload = None
     raw_len = 0
     compressed = False
-    arrow_encoded = False
     if blob_len:
         blob = _recv_exact(sock, blob_len)
-        expected_crc = header.get("crc")
-        if expected_crc is not None:
-            actual_crc = zlib.crc32(blob)
-            if actual_crc != expected_crc:
-                raise FrameIntegrityError(
-                    f"frame blob failed its CRC32 check (expected "
-                    f"{expected_crc}, got {actual_crc}); bytes were "
-                    "corrupted in flight"
-                )
+        actual_crc = zlib.crc32(blob)
+        if actual_crc != expected_crc:
+            raise FrameIntegrityError(
+                f"frame blob failed its CRC32 check (expected "
+                f"{expected_crc}, got {actual_crc}); bytes were "
+                "corrupted in flight"
+            )
         encoding = header.get("enc")
-        if encoding == "arrow":
-            if not arrowipc.available():
-                raise ProtocolError(
-                    "frame blob is arrow-encoded but pyarrow is not "
-                    "installed; the peer negotiated a capability we do "
-                    "not speak"
-                )
-            raw_len = len(blob)
-            arrow_encoded = True
-            try:
-                payload = arrowipc.decode_payload(blob)
-            except Exception as exc:
-                raise ProtocolError(
-                    f"undecodable arrow frame blob: {exc}"
-                ) from exc
-        else:
-            if encoding == "zlib":
-                try:
-                    blob = zlib.decompress(blob)
-                except zlib.error as exc:
-                    raise ProtocolError(
-                        f"corrupt zlib frame blob: {exc}"
-                    ) from exc
-                compressed = True
-            elif encoding is not None:
-                raise ProtocolError(
-                    f"frame blob uses unknown encoding {encoding!r}; the "
-                    "peer negotiated a capability we do not speak"
-                )
-            raw_len = len(blob)
-            try:
-                payload = pickle.loads(blob)
-            except Exception as exc:
-                # Without the crc capability, corruption lands here;
-                # surface it as a protocol (transient) fault, never a
-                # raw pickle one.
-                raise ProtocolError(f"undecodable frame blob: {exc}") from exc
+        if encoding == "zlib":
+            blob = zlib.decompress(blob)
+            compressed = True
+        elif encoding is not None:
+            raise ProtocolError(f"frame blob uses unknown encoding {encoding!r}")
+        raw_len = len(blob)
+        payload = pickle.loads(blob)
     stats = FrameStats(
-        frame_bytes=_HEADER.size + header_len + blob_len,
+        frame_bytes=FRAME_PREFIX.size + header_len + blob_len,
         payload_raw=raw_len,
         payload_wire=blob_len,
         compressed=compressed,
-        arrow=arrow_encoded,
     )
     return header, payload, stats
 
@@ -514,7 +386,7 @@ class WorkerError(RuntimeError):
     overload rejections where the *same* worker will accept the shard
     shortly — ``retry_after`` is its suggested back-off in seconds.
     ``deadline_expired`` marks a shard the worker abandoned because its
-    negotiated deadline had already passed.
+    deadline had already passed.
     """
 
     def __init__(

@@ -15,11 +15,10 @@ operations — ship a context, run a shard, close.  Implementations:
   local process over a pipe (the fork-fan-out replacement).
 
 Each socket transport is one *connection* to a (possibly shared)
-worker: it tags its frames with the owning coordinator's campaign id,
-verifies the worker's echoes, and negotiates the compression/interning
-capabilities on its hello — so several coordinators can interleave
-heartbeats and results through one multiplexing worker without
-confusing each other's campaigns.
+worker: it tags its frames with the owning coordinator's campaign id
+and verifies the worker's echoes — so several coordinators can
+interleave heartbeats and results through one multiplexing worker
+without confusing each other's campaigns.
 
 Transport failures (:class:`WorkerUnavailable`) are *retryable*: the
 shard is re-leased to another worker and, because draws are
@@ -31,17 +30,15 @@ same way anywhere.
 
 from __future__ import annotations
 
-import os
 import socket
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.distributed.protocol import (
-    CAPABILITIES,
     ConnectionClosed,
     FrameIntegrityError,
     ProtocolError,
     WorkerError,
-    negotiated_caps,
+    recv_message,
     recv_message_ex,
     restore_outcomes,
     send_message,
@@ -62,31 +59,14 @@ _CONTEXT_SHIPS = obs_metrics.REGISTRY.counter(
 
 
 def _record_pushed_metrics(worker: str, snapshot: Any) -> None:
-    """Keep the latest telemetry snapshot a worker pushed (``metrics``
-    capability).  Keyed by worker name — cumulative per worker, exactly
-    the ``_WORKER_CACHE_STATS`` discipline — so re-pushes never double
-    count and campaigns need no discard protocol."""
-    if isinstance(snapshot, dict) and snapshot:
+    """Keep the latest telemetry snapshot a worker pushed.  Keyed by
+    worker name — cumulative per worker, exactly the
+    ``_WORKER_CACHE_STATS`` discipline — so re-pushes never double count
+    and campaigns need no discard protocol.  Dropped while this
+    process's own telemetry is off (``REPRO_METRICS=0``), like every
+    other registry update."""
+    if isinstance(snapshot, dict) and snapshot and obs_metrics.metrics_enabled():
         obs_metrics.REGISTRY.record_remote(f"worker:{worker}", snapshot)
-
-
-def compression_enabled_default() -> bool:
-    """Whether new socket transports offer the compression capabilities.
-
-    On by default; ``REPRO_COMPRESS=0`` (or the CLI's ``--no-compress``)
-    turns the *offer* off — the wire format then stays byte-identical to
-    a PR 4 coordinator's.  Either peer declining is enough, so this
-    never needs to match across the deployment.
-    """
-    return os.environ.get("REPRO_COMPRESS", "1") not in ("0", "false", "no")
-
-
-def integrity_enabled_default() -> bool:
-    """Whether new socket transports offer the ``crc`` frame-integrity
-    capability.  On by default (the no-fault overhead is one CRC32 per
-    blob; see ``scenario_chaos_overhead``); ``REPRO_CRC=0`` turns the
-    offer off, downgrading frames to the un-checksummed layout."""
-    return os.environ.get("REPRO_CRC", "1") not in ("0", "false", "no")
 
 
 class WorkerUnavailable(RuntimeError):
@@ -185,12 +165,9 @@ class SocketTransport(WorkerTransport):
     liveness and only declares the worker dead after *timeout* seconds
     of silence.
 
-    The hello frame advertises this build's capabilities and the
-    welcome's reply fixes the negotiated set (``peer_caps``): against a
-    PR 4 worker everything downgrades to the uncompressed, untagged
-    version-1 frames.  Shipped-byte counters accumulate in
-    :attr:`stats` (``payload_raw_bytes`` vs ``payload_wire_bytes`` is
-    the compression win; see ``BENCH_PR5.json``).
+    Shipped-byte counters accumulate in :attr:`stats`
+    (``payload_raw_bytes`` vs ``payload_wire_bytes`` is the compression
+    win; see ``BENCH_PR5.json``).
     """
 
     def __init__(
@@ -200,20 +177,12 @@ class SocketTransport(WorkerTransport):
         *,
         name: Optional[str] = None,
         connect_timeout: float = 10.0,
-        compress: Optional[bool] = None,
-        integrity: Optional[bool] = None,
         context_timeout: Optional[float] = None,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.name = name or f"{host}:{port}"
         self.connect_timeout = connect_timeout
-        self.compress = (
-            compression_enabled_default() if compress is None else compress
-        )
-        self.integrity = (
-            integrity_enabled_default() if integrity is None else integrity
-        )
         #: Receive timeout while awaiting a ``context_ok``.  ``None``
         #: derives it from the lease timeout the caller passes through
         #: (see :meth:`ensure_context`); set explicitly when context
@@ -221,7 +190,6 @@ class SocketTransport(WorkerTransport):
         self.context_timeout = context_timeout
         self._sock: Optional[socket.socket] = None
         self._shipped: set = set()
-        self.peer_caps: frozenset = frozenset()
         #: Cumulative byte accounting across the transport's lifetime.
         self.stats: Dict[str, int] = {
             "frames_sent": 0,
@@ -231,7 +199,6 @@ class SocketTransport(WorkerTransport):
             "payload_raw_bytes": 0,
             "payload_wire_bytes": 0,
             "compressed_frames": 0,
-            "arrow_frames": 0,
             "integrity_faults": 0,
             "reconnects": 0,
             "stale_frames": 0,
@@ -251,16 +218,9 @@ class SocketTransport(WorkerTransport):
     # Connection management
     # ------------------------------------------------------------------
     def _send(self, sock: socket.socket, header: dict, payload: Any = None) -> None:
-        if self.campaign_id is not None and "campaign" in self.peer_caps:
+        if self.campaign_id is not None:
             header = {**header, "campaign": self.campaign_id}
-        frame = send_message(
-            sock,
-            header,
-            payload,
-            compress="zlib" in self.peer_caps,
-            crc="crc" in self.peer_caps,
-            arrow="arrow" in self.peer_caps,
-        )
+        frame = send_message(sock, header, payload)
         self.stats["frames_sent"] += 1
         self.stats["bytes_sent"] += frame.frame_bytes
 
@@ -279,8 +239,6 @@ class SocketTransport(WorkerTransport):
         self.stats["payload_wire_bytes"] += frame.payload_wire
         if frame.compressed:
             self.stats["compressed_frames"] += 1
-        if frame.arrow:
-            self.stats["arrow_frames"] += 1
         return header, payload
 
     def _connection(self) -> socket.socket:
@@ -292,38 +250,16 @@ class SocketTransport(WorkerTransport):
             )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             hello: Dict[str, Any] = {"type": "hello"}
-            caps = ["campaign"]
-            if self.integrity:
-                caps.append("crc")
-            if self.compress:
-                # Arrow rides the same payload-shrinking knob as
-                # zlib/intern; CAPABILITIES filters it out when pyarrow
-                # is absent.
-                caps.extend(("intern", "zlib", "arrow"))
-            if obs_metrics.metrics_enabled():
-                # Only offered while telemetry is on: a worker never
-                # attaches snapshots a parent will not read, and with
-                # REPRO_METRICS=0 frames stay bit-identical to a
-                # non-metrics build.
-                caps.append("metrics")
-            hello["caps"] = [cap for cap in CAPABILITIES if cap in caps]
             if self.campaign_id is not None:
                 hello["campaign"] = self.campaign_id
             send_message(sock, hello)
             sock.settimeout(self.connect_timeout)
-            header, _ = recv_message_ex(sock)[:2]
+            header, _ = recv_message(sock)
             if header.get("type") != "welcome":
                 raise ProtocolError(
                     f"worker {self.name} answered the hello with "
                     f"{header.get('type')!r}"
                 )
-            self.peer_caps = negotiated_caps(header)
-            if not self.compress:
-                self.peer_caps -= {"zlib", "intern", "arrow"}
-            if not self.integrity:
-                self.peer_caps -= {"crc"}
-            if not obs_metrics.metrics_enabled():
-                self.peer_caps -= {"metrics"}
         except (OSError, ProtocolError) as exc:
             self._drop()
             raise WorkerUnavailable(
@@ -341,7 +277,6 @@ class SocketTransport(WorkerTransport):
                 pass
         self._sock = None
         self._shipped.clear()
-        self.peer_caps = frozenset()
         self.alive = False
 
     # ------------------------------------------------------------------
@@ -429,12 +364,7 @@ class SocketTransport(WorkerTransport):
             or (kind == "context_ok" and expect != "context_ok")
             or (
                 kind == "result"
-                and (
-                    expect != "result"
-                    # A legacy result without a shard tag matches the
-                    # request in flight (the pre-chaos behavior).
-                    or header.get("shard", shard_id) != shard_id
-                )
+                and (expect != "result" or header.get("shard") != shard_id)
             )
         )
         if stale:
@@ -442,14 +372,10 @@ class SocketTransport(WorkerTransport):
         return stale
 
     def _check_campaign(self, header: dict) -> None:
-        """A frame tagged for a different campaign means the worker is
-        confusing its multiplexed connections — fail loudly."""
+        """A frame not tagged with this transport's campaign means the
+        worker is confusing its multiplexed connections — fail loudly."""
         tag = header.get("campaign")
-        if (
-            tag is not None
-            and self.campaign_id is not None
-            and tag != self.campaign_id
-        ):
+        if self.campaign_id is not None and tag != self.campaign_id:
             raise ProtocolError(
                 f"worker {self.name} answered campaign {self.campaign_id!r} "
                 f"with a frame for campaign {tag!r}"
@@ -475,7 +401,7 @@ class SocketTransport(WorkerTransport):
                     "start": start,
                     "count": count,
                 }
-                if deadline is not None and "deadline" in self.peer_caps:
+                if deadline is not None:
                     # Ship the *remaining* budget, not the absolute
                     # point: monotonic clocks do not survive a socket.
                     request["deadline"] = round(deadline.remaining(), 6)
@@ -523,16 +449,8 @@ class SocketTransport(WorkerTransport):
                             ),
                         )
                     if kind == "result":
-                        if isinstance(payload, dict):
-                            _record_pushed_metrics(
-                                self.name, payload.get("metrics")
-                            )
-                        if "outcomes_interned" in payload:
-                            outcomes = restore_outcomes(
-                                payload["outcomes_interned"]
-                            )
-                        else:
-                            outcomes = payload["outcomes"]
+                        _record_pushed_metrics(self.name, payload.get("metrics"))
+                        outcomes = restore_outcomes(payload["outcomes_interned"])
                         return outcomes, payload.get("cache_stats", {})
                     raise ProtocolError(
                         f"unexpected {kind!r} frame while awaiting a result"
@@ -621,4 +539,3 @@ class SocketTransport(WorkerTransport):
                 pass
             self._sock = None
         self._shipped.clear()
-        self.peer_caps = frozenset()

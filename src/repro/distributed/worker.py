@@ -52,20 +52,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.campaign import SamplingCampaign, draw_rng
 from repro.core.errors import FailingSequenceError
 from repro.distributed.chaos import FailpointError, failpoint
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.service.deadline import Deadline, DeadlineExpired
 from repro.distributed.protocol import (
-    CAPABILITIES,
     MAGIC,
     ConnectionClosed,
     FrameIntegrityError,
     ProtocolError,
     intern_outcomes,
-    negotiated_caps,
     recv_message,
     send_message,
 )
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.service.deadline import Deadline, DeadlineExpired
 
 log = logging.getLogger("repro.distributed.worker")
 
@@ -83,10 +81,11 @@ FATAL_EXCEPTIONS: Tuple[type, ...] = (
 DEFAULT_CONTEXT_LIMIT = 8
 
 #: Shard-executor telemetry lives in :data:`repro.obs.metrics.WORKER_REGISTRY`
-#: — the registry a worker pushes to its parent (``metrics`` capability)
-#: and serves on its ``--metrics-port`` sidecar.  Keeping it out of the
-#: default registry means an in-process worker (tests, local fleets) is
-#: counted exactly once on the parent's ``/metrics``: via the push.
+#: — the registry a worker pushes to its parent (on result and heartbeat
+#: frames) and serves on its ``--metrics-port`` sidecar.  Keeping it out
+#: of the default registry means an in-process worker (tests, local
+#: fleets) is counted exactly once on the parent's ``/metrics``: via the
+#: push.
 _W_SHARDS = obs_metrics.WORKER_REGISTRY.counter(
     "ocqa_worker_shards_total", "Shards executed by this worker process."
 )
@@ -508,11 +507,10 @@ class _Heartbeat:
 class WorkerServer:
     """A socket-serving worker multiplexing many coordinator connections.
 
-    Each accepted connection gets its own thread (and its own negotiated
-    capability set), all sharing one :class:`ShardExecutor` — so a single
-    ``ocqa worker`` process serves several coordinators/campaigns
-    concurrently, with warm contexts shared across connections by
-    content id.
+    Each accepted connection gets its own thread, all sharing one
+    :class:`ShardExecutor` — so a single ``ocqa worker`` process serves
+    several coordinators/campaigns concurrently, with warm contexts
+    shared across connections by content id.
     """
 
     def __init__(
@@ -715,9 +713,6 @@ class WorkerServer:
         #: driving stays anchored in the executor's cache until the
         #: connection moves to another campaign or closes.
         owner = f"conn-{id(conn)}"
-        #: Negotiated per connection by the hello frame; empty (the PR 4
-        #: wire format) until then.
-        caps = frozenset()
 
         def send(header: dict, payload: Any = None) -> None:
             # Sends must never inherit the 1s shutdown-poll timeout the
@@ -725,14 +720,7 @@ class WorkerServer:
             # may legitimately take longer than that to transmit.
             with send_lock:
                 conn.settimeout(None)
-                send_message(
-                    conn,
-                    header,
-                    payload,
-                    compress="zlib" in caps,
-                    crc="crc" in caps,
-                    arrow="arrow" in caps,
-                )
+                send_message(conn, header, payload)
 
         frames_served = 0
         try:
@@ -767,10 +755,8 @@ class WorkerServer:
                     )
                     return
                 frames_served += 1
-                if header["type"] == "hello":
-                    caps = negotiated_caps(header)
                 try:
-                    if not self._handle(header, payload, send, caps, owner):
+                    if not self._handle(header, payload, send, owner):
                         return
                 except FailpointError as exc:
                     # Injected crash (e.g. after-result-before-ack): die
@@ -785,9 +771,8 @@ class WorkerServer:
                     return
                 except (ProtocolError, KeyError, TypeError) as exc:
                     # A request frame that parsed but is structurally
-                    # wrong (corrupted-in-flight header on a legacy
-                    # connection, missing/mistyped fields): malformed,
-                    # not a campaign error — drop the connection silently
+                    # wrong (missing/mistyped fields): malformed, not a
+                    # campaign error — drop the connection silently
                     # so the coordinator re-leases, exactly like an
                     # undecodable frame above.
                     self._record_fault("malformed_frames")
@@ -807,7 +792,6 @@ class WorkerServer:
         header: dict,
         payload: Any,
         send: Callable[..., None],
-        caps: frozenset,
         owner: str = "",
     ) -> bool:
         kind = header["type"]
@@ -816,7 +800,7 @@ class WorkerServer:
         campaign = header.get("campaign")
 
         def tagged(reply: dict) -> dict:
-            if campaign is not None and "campaign" in caps:
+            if campaign is not None:
                 reply["campaign"] = campaign
             return reply
 
@@ -826,7 +810,6 @@ class WorkerServer:
                     "type": "welcome",
                     "name": self.name,
                     "magic": MAGIC.decode("ascii"),
-                    "caps": list(CAPABILITIES),
                 }
             )
             return True
@@ -895,10 +878,9 @@ class WorkerServer:
                 # failing the shard.
                 send(tagged({"type": "need_context", "context": context_id}))
                 return True
-            # The shard's remaining wall-clock budget, negotiated via the
-            # "deadline" capability.  A non-positive budget is an
-            # already-expired deadline: the executor abandons the shard
-            # before computing a single draw.
+            # The shard's remaining wall-clock budget.  A non-positive
+            # budget is an already-expired deadline: the executor
+            # abandons the shard before computing a single draw.
             budget = header.get("deadline")
             deadline: Optional[Deadline] = None
             if budget is not None:
@@ -927,7 +909,7 @@ class WorkerServer:
                 return True
             try:
                 heartbeat = tagged({"type": "heartbeat", "shard": shard_id})
-                if "metrics" in caps and obs_metrics.metrics_enabled():
+                if obs_metrics.metrics_enabled():
                     # A cumulative snapshot rides every heartbeat, so a
                     # parent scraped mid-shard shows live fleet counters.
                     # Keep-latest on the parent makes re-sends harmless.
@@ -978,21 +960,11 @@ class WorkerServer:
                 # computed but never sent.  Re-leasing recomputes them
                 # byte-identically.
                 failpoint("worker.after_result")
-                body: Dict[str, Any]
-                if "intern" in caps:
-                    body = {
-                        "outcomes_interned": intern_outcomes(outcomes),
-                        "cache_stats": worker_cache_stats(),
-                    }
-                else:
-                    body = {
-                        "outcomes": outcomes,
-                        "cache_stats": worker_cache_stats(),
-                    }
-                if "metrics" in caps and obs_metrics.metrics_enabled():
-                    # Attached only when the coordinator advertised the
-                    # capability: a non-advertising peer's result frames
-                    # stay bit-identical to a non-metrics build.
+                body: Dict[str, Any] = {
+                    "outcomes_interned": intern_outcomes(outcomes),
+                    "cache_stats": worker_cache_stats(),
+                }
+                if obs_metrics.metrics_enabled():
                     body["metrics"] = worker_metrics_snapshot()
                 send(
                     tagged(

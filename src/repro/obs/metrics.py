@@ -4,7 +4,7 @@ The fleet needs one vocabulary for "how is it going": counters, gauges
 and fixed-bucket histograms, optionally labelled, rendered in the
 Prometheus text format (``GET /metrics`` on ``ocqa serve``, the worker
 ``--metrics-port`` sidecar) and shipped worker->parent inside result
-and heartbeat frames under the negotiated ``metrics`` capability.
+and heartbeat frames.
 
 Design points:
 
@@ -451,8 +451,8 @@ class MetricsRegistry:
     def snapshot(self, prefix: Optional[str] = None) -> Dict[str, Any]:
         """JSON-safe cumulative snapshot of local metrics (no remotes).
 
-        This is the wire format pushed under the ``metrics`` capability
-        and consumed by :meth:`record_remote` on the other side.
+        This is the wire format workers push on result and heartbeat
+        frames, consumed by :meth:`record_remote` on the other side.
         """
         self._run_collectors()
         with self._lock:

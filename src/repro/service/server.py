@@ -152,7 +152,6 @@ class QueryService:
         worker_addresses: Sequence[str] = (),
         workers: Optional[int] = None,
         lease_timeout: Optional[float] = None,
-        compress: Optional[bool] = None,
         default_deadline: float = DEFAULT_QUERY_DEADLINE,
         max_deadline: float = 300.0,
         drain_timeout: float = 30.0,
@@ -177,7 +176,6 @@ class QueryService:
         self.worker_addresses = tuple(worker_addresses)
         self.workers = workers
         self.lease_timeout = lease_timeout
-        self.compress = compress
         self.default_deadline = default_deadline
         self.max_deadline = max_deadline
         self.drain_timeout = drain_timeout
@@ -415,7 +413,6 @@ class QueryService:
         coordinator = Coordinator.from_options(
             workers=self.workers,
             worker_addresses=self.worker_addresses,
-            compress=self.compress,
             **({"lease_timeout": self.lease_timeout}
                if self.lease_timeout is not None else {}),
         )
@@ -859,8 +856,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._respond(200, self.service.status())
         elif self.path == "/metrics":
             # The parent registry merges the service's own series with
-            # the worker snapshots pushed over the ``metrics`` capability
-            # — one scrape covers the whole fleet this service drives.
+            # the worker snapshots pushed on result/heartbeat frames —
+            # one scrape covers the whole fleet this service drives.
             self._respond_text(200, obs_metrics.REGISTRY.render())
         elif self.path == "/healthz":
             self._respond(

@@ -161,8 +161,8 @@ class TestChaosSoak:
         assert not report["inline_fallback"], (
             f"campaign degraded to inline under {plan.describe()}: {report}"
         )
-        # CRC integrity (negotiated by default) turned the bit flips into
-        # transient reconnects, never pickle-level failures.
+        # Frame checksums turned the bit flips into transient
+        # reconnects, never pickle-level failures.
         if proxy.injected.get("corrupt"):
             assert report["releases"] > 0
 

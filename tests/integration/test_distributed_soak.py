@@ -228,39 +228,26 @@ class TestChurn:
         assert churned.runs == serial.runs
 
 
-class TestCompressionInterop:
-    def test_compressed_and_uncompressed_campaigns_agree(self):
-        """The capability downgrade end to end: the same worker serves a
-        compressing and a non-compressing coordinator; identical
-        estimates, and the compressing connection ships fewer payload
-        bytes than it would raw."""
+class TestFatOutcomeShipping:
+    def test_matches_serial(self):
+        """A fat-answer-set campaign over a real worker: estimates equal
+        the serial run's, and its interned result stream ships
+        compressed, in fewer bytes than it pickles to."""
         server = WorkerServer()
         server.start()
         try:
-            address = f"127.0.0.1:{server.port}"
             serial = _run_campaign(CAMPAIGN_FAT)
-            compressed = Coordinator.connect([address], compress=True, shard_size=15)
-            plain = Coordinator.connect([address], compress=False, shard_size=15)
+            coordinator = Coordinator.connect(
+                [f"127.0.0.1:{server.port}"], shard_size=15
+            )
             try:
-                with_compression = _run_campaign(CAMPAIGN_FAT, coordinator=compressed)
-                without = _run_campaign(CAMPAIGN_FAT, coordinator=plain)
-                compressed_stats = compressed.transport_report()
-                plain_stats = plain.transport_report()
+                distributed = _run_campaign(CAMPAIGN_FAT, coordinator=coordinator)
+                stats = coordinator.transport_report()
             finally:
-                compressed.close()
-                plain.close()
+                coordinator.close()
         finally:
             server.shutdown()
-        assert with_compression.frequencies == serial.frequencies
-        assert without.frequencies == serial.frequencies
-        # The plain connection negotiated nothing: raw == wire.
-        assert plain_stats["payload_wire_bytes"] == plain_stats["payload_raw_bytes"]
-        assert plain_stats["compressed_frames"] == 0
-        # The compressing connection interns + compresses result streams:
-        # strictly fewer wire bytes for the same outcome stream, and
-        # compression really engaged.
-        assert compressed_stats["compressed_frames"] > 0
-        assert (
-            compressed_stats["payload_wire_bytes"]
-            < plain_stats["payload_wire_bytes"]
-        )
+        assert distributed.frequencies == serial.frequencies
+        assert distributed.runs == serial.runs
+        assert stats["compressed_frames"] > 0
+        assert stats["payload_wire_bytes"] < stats["payload_raw_bytes"]

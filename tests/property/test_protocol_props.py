@@ -1,30 +1,28 @@
 """Property tests for the distributed wire protocol.
 
-The frames carry campaign tags, optional zlib compression, and interned
-outcome tables — all negotiated by capability, all of which must be
-lossless and must degrade to the PR 4 version-1 frame layout against a
-peer that advertised nothing.  Hypothesis drives random headers,
-payloads, and outcome streams through the real encoder/decoder (over a
-real socket pair) and through a reimplementation of the *legacy* strict
-decoder, pinning the downgrade contract bit for bit.
+Version-2 frames always carry header and blob checksums, zlib-compress
+blobs above :data:`COMPRESS_THRESHOLD`, and ship interned outcome
+tables.  Hypothesis drives random headers, payloads, and outcome
+streams through the real encoder/decoder (over a real socket pair):
+every frame must round-trip losslessly on either side of the
+compression threshold, and any single flipped bit past the fixed prefix
+must surface as a :class:`FrameIntegrityError`.
 """
 
-import json
 import pickle
 import socket
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import arrowipc
 from repro.distributed.protocol import (
-    CAPABILITIES,
+    COMPRESS_THRESHOLD,
+    FRAME_PREFIX,
+    FrameIntegrityError,
     encode_frame,
     encode_frame_ex,
     intern_outcomes,
-    negotiated_caps,
     recv_message_ex,
     restore_outcomes,
 )
@@ -97,21 +95,19 @@ def _over_socket(frame: bytes):
         right.close()
 
 
-def _legacy_decode(frame: bytes):
-    """The PR 4 decoder, verbatim: no ``enc`` handling whatsoever.
+#: Frame-layer bookkeeping the encoder adds to the caller's header.
+FRAME_FIELDS = {"crc", "hcrc", "enc", "raw"}
 
-    An old worker/coordinator ran exactly this logic, so any frame a new
-    peer sends after a downgrade negotiation must decode through it.
-    """
-    prefix = struct.Struct("!4sII")
-    magic, header_len, blob_len = prefix.unpack(frame[: prefix.size])
-    assert magic == b"RPW1"
-    header = json.loads(frame[prefix.size : prefix.size + header_len])
-    assert isinstance(header, dict) and "type" in header
-    blob = frame[prefix.size + header_len :]
-    assert len(blob) == blob_len
-    payload = pickle.loads(blob) if blob_len else None
-    return header, payload
+
+def _caller_fields(received: dict) -> dict:
+    return {k: v for k, v in received.items() if k not in FRAME_FIELDS}
+
+
+#: Compressible padding that puts a payload's pickle within a few bytes
+#: of the compression threshold, on either side of it.
+threshold_padding = st.integers(
+    min_value=COMPRESS_THRESHOLD - 256, max_value=COMPRESS_THRESHOLD + 256
+).map(lambda size: b"x" * size)
 
 
 class TestFrameRoundtrip:
@@ -120,57 +116,45 @@ class TestFrameRoundtrip:
     def test_plain_roundtrip(self, header, payload):
         frame = encode_frame(header, payload)
         received, received_payload, stats = _over_socket(frame)
-        assert received == header
+        assert _caller_fields(received) == header
         assert received_payload == payload
         assert not stats.compressed
 
-    @given(header=headers, payload=payloads)
+    @given(header=headers, payload=payloads, padding=threshold_padding)
     @settings(max_examples=60, deadline=None)
-    def test_compressed_roundtrip(self, header, payload):
-        # threshold=0: force the compression decision on every payload.
-        frame, sent = encode_frame_ex(header, payload, compress=True, threshold=0)
+    def test_compressed_roundtrip(self, header, payload, padding):
+        # The padding lands the pickle on either side of the threshold,
+        # so the compression decision goes both ways.
+        payload = (payload, padding)
+        frame, sent = encode_frame_ex(header, payload)
         received, received_payload, stats = _over_socket(frame)
         assert received_payload == payload
+        assert _caller_fields(received) == header
+        assert sent.compressed == (sent.payload_raw >= COMPRESS_THRESHOLD)
         assert stats.compressed == sent.compressed
-        # The original header survives under the encoding bookkeeping.
-        for key, value in header.items():
-            assert received[key] == value
         if sent.compressed:
             assert received["enc"] == "zlib"
             assert received["raw"] == sent.payload_raw
-        # Opportunistic compression never grows the blob.
-        assert sent.payload_wire <= sent.payload_raw
-
-    @given(header=headers, payload=payloads)
-    @settings(max_examples=60, deadline=None)
-    def test_downgrade_frames_decode_through_the_legacy_decoder(
-        self, header, payload
-    ):
-        # Capability negotiation against a PR 4 peer: it advertises no
-        # caps, so we send with compress=False — and the resulting bytes
-        # must decode through the old strict decoder unchanged.
-        legacy_peer_caps = negotiated_caps({"type": "welcome"})
-        assert legacy_peer_caps == frozenset()
-        frame = encode_frame(header, payload, compress="zlib" in legacy_peer_caps)
-        legacy_header, legacy_payload = _legacy_decode(frame)
-        assert legacy_header == header
-        assert legacy_payload == payload
+            assert sent.payload_wire < sent.payload_raw
+        else:
+            assert sent.payload_wire == sent.payload_raw
 
     @given(
         header=headers,
         payload=payloads,
-        peer_caps=st.lists(
-            st.sampled_from(sorted(CAPABILITIES) + ["future-cap"]), max_size=4
-        ),
+        padding=st.one_of(st.just(b""), threshold_padding),
+        position=st.floats(min_value=0, max_value=1, exclude_max=True),
+        bit=st.integers(min_value=0, max_value=7),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_any_negotiation_outcome_roundtrips(self, header, payload, peer_caps):
-        caps = negotiated_caps({"type": "welcome", "caps": peer_caps})
-        frame = encode_frame(header, payload, compress="zlib" in caps)
-        received, received_payload, _stats = _over_socket(frame)
-        assert received_payload == payload
-        for key, value in header.items():
-            assert received[key] == value
+    @settings(max_examples=200, deadline=None)
+    def test_any_flipped_bit_raises_integrity_error(
+        self, header, payload, padding, position, bit
+    ):
+        frame = bytearray(encode_frame(header, (payload, padding)))
+        offset = FRAME_PREFIX.size + int(position * (len(frame) - FRAME_PREFIX.size))
+        frame[offset] ^= 1 << bit
+        with pytest.raises(FrameIntegrityError):
+            _over_socket(bytes(frame))
 
 
 class TestInterningProperties:
@@ -202,76 +186,10 @@ class TestInterningProperties:
     @given(outcomes=outcomes_strategy)
     @settings(max_examples=60, deadline=None)
     def test_interned_campaign_result_frame_roundtrips_compressed(self, outcomes):
-        # The full new-worker result path: interned + compressed + tagged.
+        # The full worker result path: interned + checksummed + tagged.
         header = {"type": "result", "shard": 7, "campaign": "c42"}
         payload = {"outcomes_interned": intern_outcomes(outcomes), "cache_stats": {}}
-        frame = encode_frame(header, payload, compress=True)
+        frame = encode_frame(header, payload)
         received, received_payload, _stats = _over_socket(frame)
         assert received["campaign"] == "c42"
         assert restore_outcomes(received_payload["outcomes_interned"]) == outcomes
-
-
-# ----------------------------------------------------------------------
-# The arrow capability
-# ----------------------------------------------------------------------
-
-#: Interned-table shapes the arrow codec ships: frozensets of
-#: uniform-arity, all-string answer tuples.
-@st.composite
-def columnar_outcome_streams(draw):
-    arity = draw(st.integers(min_value=1, max_value=3))
-    tuples = st.tuples(*[st.text(max_size=6)] * arity)
-    return draw(st.lists(st.frozensets(tuples, max_size=5), max_size=25))
-
-
-class TestArrowCapability:
-    """``arrow`` must be invisible in *values*: a payload decodes to the
-    same thing whether it traveled as Arrow IPC or as pickle, and any
-    payload the codec refuses produces bytes identical to a connection
-    that never negotiated arrow at all."""
-
-    def test_capability_is_advertised_exactly_when_pyarrow_imports(self):
-        assert ("arrow" in CAPABILITIES) == arrowipc.available()
-
-    @given(header=headers, payload=payloads)
-    @settings(max_examples=60, deadline=None)
-    def test_refused_payloads_downgrade_bit_identically(self, header, payload):
-        # The generic payload strategy never produces a columnar shape,
-        # so the arrow flag must be a no-op — byte for byte.
-        with_arrow, stats = encode_frame_ex(header, payload, arrow=True)
-        without, _ = encode_frame_ex(header, payload, arrow=False)
-        assert with_arrow == without
-        assert not stats.arrow
-        legacy_header, legacy_payload = _legacy_decode(with_arrow)
-        assert legacy_header == header
-        assert legacy_payload == payload
-
-    @pytest.mark.skipif(
-        not arrowipc.available(), reason="arrow encoding needs pyarrow"
-    )
-    @given(outcomes=columnar_outcome_streams())
-    @settings(max_examples=60, deadline=None)
-    def test_arrow_result_bodies_roundtrip(self, outcomes):
-        header = {"type": "result", "shard": 3, "campaign": "c7"}
-        payload = {
-            "outcomes_interned": intern_outcomes(outcomes),
-            "cache_stats": {"violations": {"hits": 4, "misses": 1}},
-        }
-        frame, sent = encode_frame_ex(header, payload, arrow=True, crc=True)
-        assert sent.arrow
-        received, received_payload, stats = _over_socket(frame)
-        assert stats.arrow
-        assert received["enc"] == "arrow"
-        assert received_payload == payload
-        assert restore_outcomes(received_payload["outcomes_interned"]) == outcomes
-
-    @pytest.mark.skipif(
-        not arrowipc.available(), reason="arrow encoding needs pyarrow"
-    )
-    @given(outcomes=columnar_outcome_streams())
-    @settings(max_examples=60, deadline=None)
-    def test_codec_roundtrip_is_identity_on_interned_tables(self, outcomes):
-        interned = intern_outcomes(outcomes)
-        blob = arrowipc.encode_payload(interned)
-        assert blob is not None
-        assert arrowipc.decode_payload(blob) == interned

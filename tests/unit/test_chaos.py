@@ -340,7 +340,7 @@ class TestWorkerServerFaultAccounting:
         try:
             sock = socket.create_connection((server.host, server.port), timeout=5)
             try:
-                send_message(sock, {"type": "hello", "caps": ["campaign"]})
+                send_message(sock, {"type": "hello"})
                 sock.settimeout(5)
                 header, _ = recv_message(sock)
                 assert header["type"] == "welcome"

@@ -2,21 +2,29 @@
 framing, lease tables, shard contexts, and the draw-indexed substreams
 they all rest on."""
 
+import json
 import pickle
 import socket
 import threading
+import time
+import zlib
 
 import pytest
 
 from repro.campaign import SamplingCampaign, draw_rng
+from repro.diagnostics import reset_fault_stats
 from repro.distributed import (
     DistributedSamplingError,
     InlineTransport,
     LeaseTable,
     ShardContext,
+    SocketTransport,
+    WorkerServer,
+    WorkerUnavailable,
 )
 from repro.distributed.protocol import (
-    CAPABILITIES,
+    FRAME_PREFIX,
+    MAGIC,
     ConnectionClosed,
     FrameIntegrityError,
     ProtocolError,
@@ -24,7 +32,6 @@ from repro.distributed.protocol import (
     encode_frame,
     encode_frame_ex,
     intern_outcomes,
-    negotiated_caps,
     recv_message,
     recv_message_ex,
     restore_outcomes,
@@ -42,6 +49,19 @@ def _socket_pair():
     return client, conn
 
 
+def _raw_frame(header: dict, blob: bytes = b"", magic: bytes = MAGIC) -> bytes:
+    """A frame assembled by hand, with exactly the header fields given."""
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return FRAME_PREFIX.pack(magic, len(header_bytes), len(blob)) + header_bytes + blob
+
+
+def _with_hcrc(header: dict) -> dict:
+    """*header* plus the header checksum a real sender would add."""
+    probe = {**header, "hcrc": 0}
+    probe["hcrc"] = zlib.crc32(json.dumps(probe, separators=(",", ":")).encode())
+    return probe
+
+
 class TestProtocolFraming:
     def test_roundtrip_header_and_payload(self):
         client, conn = _socket_pair()
@@ -49,7 +69,7 @@ class TestProtocolFraming:
             payload = {"outcomes": [frozenset({("a",)}), None], "n": 2}
             send_message(client, {"type": "result", "shard": 3}, payload)
             header, received = recv_message(conn)
-            assert header == {"type": "result", "shard": 3}
+            assert header.items() >= {"type": "result", "shard": 3}.items()
             assert received == payload
         finally:
             client.close()
@@ -104,9 +124,7 @@ class TestCompressedFrames:
         client, conn = _socket_pair()
         try:
             payload = {"outcomes": [("repeat", "me")] * 5000}
-            frame, stats = encode_frame_ex(
-                {"type": "result", "shard": 1}, payload, compress=True
-            )
+            frame, stats = encode_frame_ex({"type": "result", "shard": 1}, payload)
             assert stats.compressed
             assert stats.payload_wire < stats.payload_raw
             client.sendall(frame)
@@ -120,7 +138,7 @@ class TestCompressedFrames:
             conn.close()
 
     def test_small_payload_stays_plain(self):
-        frame, stats = encode_frame_ex({"type": "result"}, {"n": 1}, compress=True)
+        frame, stats = encode_frame_ex({"type": "result"}, {"n": 1})
         assert not stats.compressed
         assert b"zlib" not in frame[:64]
 
@@ -128,24 +146,24 @@ class TestCompressedFrames:
         import os as _os
 
         noise = _os.urandom(64_000)
-        _frame, stats = encode_frame_ex({"type": "x"}, noise, compress=True)
+        _frame, stats = encode_frame_ex({"type": "x"}, noise)
         assert not stats.compressed
         assert stats.payload_wire == stats.payload_raw
 
-    def test_uncompressed_frames_are_bit_identical_to_v1(self):
-        # The capability downgrade contract: without compress, the frame
-        # bytes are exactly what a PR 4 peer would produce and parse.
+    def test_small_frames_are_plain_json_and_pickle(self):
+        # Below the threshold the blob is the bare pickle and the header
+        # is the caller's fields plus the two checksums.
         header = {"type": "result", "shard": 2}
         payload = {"outcomes": [None, ((),)]}
         plain = encode_frame(header, payload)
-        import json as _json
-        import pickle as _pickle
-        import struct as _struct
-
-        magic, hlen, blen = _struct.Struct("!4sII").unpack(plain[:12])
-        assert magic == b"RPW1"
-        assert _json.loads(plain[12 : 12 + hlen]) == header
-        assert _pickle.loads(plain[12 + hlen :]) == payload
+        magic, hlen, blen = FRAME_PREFIX.unpack(plain[: FRAME_PREFIX.size])
+        assert magic == b"RPW2"
+        body = plain[FRAME_PREFIX.size :]
+        wire_header = json.loads(body[:hlen])
+        blob = body[hlen:]
+        assert len(blob) == blen
+        assert wire_header == _with_hcrc({**header, "crc": zlib.crc32(blob)})
+        assert pickle.loads(blob) == payload
 
     def test_unknown_encoding_rejected(self):
         client, conn = _socket_pair()
@@ -163,7 +181,7 @@ class TestFrameIntegrity:
         client, conn = _socket_pair()
         try:
             payload = {"outcomes": [frozenset({("a",)}), None]}
-            send_message(client, {"type": "result", "shard": 1}, payload, crc=True)
+            send_message(client, {"type": "result", "shard": 1}, payload)
             header, received = recv_message(conn)
             assert "crc" in header
             assert received == payload
@@ -174,9 +192,7 @@ class TestFrameIntegrity:
     def test_corrupted_blob_raises_integrity_error_not_pickle(self):
         client, conn = _socket_pair()
         try:
-            frame = bytearray(
-                encode_frame({"type": "result"}, {"outcomes": [1, 2, 3]}, crc=True)
-            )
+            frame = bytearray(encode_frame({"type": "result"}, {"outcomes": [1, 2, 3]}))
             frame[-1] ^= 0xFF  # flip bits deep in the pickle blob
             client.sendall(bytes(frame))
             with pytest.raises(FrameIntegrityError):
@@ -186,14 +202,15 @@ class TestFrameIntegrity:
             conn.close()
 
     def test_corrupted_blob_without_crc_is_protocol_error_not_pickle(self):
-        # Even a legacy (non-crc) peer's corruption surfaces as a
-        # transient ProtocolError, never a raw UnpicklingError.
+        # A blob that arrives without a checksum is refused before it is
+        # unpickled: a transient FrameIntegrityError, never a raw
+        # UnpicklingError.
         client, conn = _socket_pair()
         try:
-            frame = bytearray(encode_frame({"type": "result"}, {"n": [1, 2]}))
-            frame[-3] ^= 0x5A
-            client.sendall(bytes(frame))
-            with pytest.raises(ProtocolError, match="undecodable frame blob"):
+            blob = bytearray(pickle.dumps({"n": [1, 2]}))
+            blob[-3] ^= 0x5A
+            client.sendall(_raw_frame(_with_hcrc({"type": "result"}), bytes(blob)))
+            with pytest.raises(FrameIntegrityError, match="disagrees"):
                 recv_message(conn)
         finally:
             client.close()
@@ -203,9 +220,7 @@ class TestFrameIntegrity:
         client, conn = _socket_pair()
         try:
             payload = {"outcomes": [("repeat", "me")] * 5000}
-            frame, stats = encode_frame_ex(
-                {"type": "result"}, payload, compress=True, crc=True
-            )
+            frame, stats = encode_frame_ex({"type": "result"}, payload)
             assert stats.compressed
             client.sendall(frame)
             header, received = recv_message(conn)
@@ -215,19 +230,38 @@ class TestFrameIntegrity:
             client.close()
             conn.close()
 
-    def test_frames_without_crc_stay_bit_identical(self):
-        # The downgrade contract extends to crc: not negotiating it
-        # yields byte-for-byte the version-1 frame.
-        header = {"type": "result", "shard": 2}
-        payload = {"outcomes": [None]}
-        assert encode_frame(header, payload) == encode_frame(
-            header, payload, crc=False
-        )
-        assert b'"crc"' not in encode_frame(header, payload)
-
     def test_headerless_blob_frames_carry_no_crc(self):
-        frame = encode_frame({"type": "ping"}, None, crc=True)
+        frame = encode_frame({"type": "ping"}, None)
         assert b'"crc"' not in frame
+        assert b'"hcrc"' in frame
+
+    def test_zeroed_blob_length_raises_integrity_error(self):
+        # The fixed prefix sits outside both checksums.  A blob length
+        # zeroed in flight must not decode as a blobless frame (a context
+        # frame would then build from ``None`` and fail fatally): the
+        # header's ``crc`` without a blob gives the corruption away.
+        client, conn = _socket_pair()
+        try:
+            frame = encode_frame({"type": "context"}, {"facts": [1, 2, 3]})
+            size = FRAME_PREFIX.size
+            magic, header_len, _blob_len = FRAME_PREFIX.unpack(frame[:size])
+            header = frame[size : size + header_len]
+            client.sendall(FRAME_PREFIX.pack(magic, header_len, 0) + header)
+            with pytest.raises(FrameIntegrityError):
+                recv_message(conn)
+        finally:
+            client.close()
+            conn.close()
+
+    def test_header_without_hcrc_raises_integrity_error(self):
+        client, conn = _socket_pair()
+        try:
+            client.sendall(_raw_frame({"type": "ping"}))
+            with pytest.raises(FrameIntegrityError, match="hcrc"):
+                recv_message(conn)
+        finally:
+            client.close()
+            conn.close()
 
     def test_corrupted_header_field_raises_integrity_error(self):
         # A flipped digit in the header would silently re-route a shard
@@ -235,9 +269,7 @@ class TestFrameIntegrity:
         # when the corrupted header is still valid JSON.
         client, conn = _socket_pair()
         try:
-            frame = encode_frame(
-                {"type": "result", "shard": 41}, {"outcomes": [None]}, crc=True
-            )
+            frame = encode_frame({"type": "result", "shard": 41}, {"outcomes": [None]})
             assert b'"shard":41' in frame
             client.sendall(frame.replace(b'"shard":41', b'"shard":47'))
             with pytest.raises(FrameIntegrityError):
@@ -247,15 +279,52 @@ class TestFrameIntegrity:
             conn.close()
 
 
-class TestCapabilityNegotiation:
-    def test_intersection_with_our_caps(self):
-        assert negotiated_caps({"caps": ["zlib", "future-cap"]}) == {"zlib"}
-        assert negotiated_caps({"caps": list(CAPABILITIES)}) == set(CAPABILITIES)
+class TestVersionRefusal:
+    """Version 2 speaks to version 2 only: a version-1 peer is refused by
+    its magic, loudly on the coordinator side and as a counted malformed
+    frame on the worker side."""
 
-    def test_missing_or_malformed_caps_mean_v1_peer(self):
-        assert negotiated_caps({}) == frozenset()
-        assert negotiated_caps({"caps": None}) == frozenset()
-        assert negotiated_caps({"caps": "zlib"}) == frozenset()
+    def test_worker_drops_a_version_1_hello(self):
+        server = WorkerServer()
+        thread = server.start()
+        try:
+            address = (server.host, server.port)
+            with socket.create_connection(address, timeout=5) as sock:
+                sock.sendall(_raw_frame({"type": "hello"}, magic=b"RPW1"))
+                try:
+                    reply = sock.recv(4096)
+                except ConnectionResetError:  # closed with the hello unread
+                    reply = b""
+                assert reply == b""
+            deadline = time.monotonic() + 5
+            while not server.fault_counts and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert server.fault_counts == {"malformed_frames": 1}
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            reset_fault_stats()
+
+    def test_transport_refuses_a_version_1_worker_naming_both_versions(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def version_1_worker():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)  # the hello
+                conn.sendall(_raw_frame({"type": "welcome"}, magic=b"RPW1"))
+
+        thread = threading.Thread(target=version_1_worker, daemon=True)
+        thread.start()
+        transport = SocketTransport(*listener.getsockname())
+        try:
+            with pytest.raises(WorkerUnavailable, match="RPW1.*RPW2"):
+                transport.ensure_context(ShardContext.create("chain", {}))
+        finally:
+            transport.close()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class TestInterning:

@@ -7,6 +7,9 @@ stay consistent mid-write."""
 
 import json
 import os
+import re
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -173,6 +176,74 @@ class TestRegistry:
         assert parsed["t"] == [({}, 42.0)]
         registry.remove_collector(publish)
         registry.remove_collector(broken)
+
+
+# ----------------------------------------------------------------------
+# The kill switch on the receiving end of a socket worker
+# ----------------------------------------------------------------------
+class TestKillSwitchOverTheWire:
+    def test_disabled_parent_ignores_socket_worker_snapshots(self, monkeypatch):
+        """A socket worker attaches its telemetry snapshot whenever its
+        *own* telemetry is on; a parent running with REPRO_METRICS=0 must
+        not merge it."""
+        from repro import UniformGenerator
+        from repro.distributed import Coordinator, ShardContext
+        from repro.queries import parse_cq
+        from repro.workloads import key_conflict_workload
+
+        workload = key_conflict_workload(
+            clean_rows=2, conflict_groups=2, group_size=2, arity=2, seed=4
+        )
+        context = ShardContext.create(
+            "chain",
+            {
+                "facts": tuple(workload.database),
+                "generator": UniformGenerator(workload.constraints),
+                "query": parse_cq("Q(x) :- R(x, y)"),
+                "candidate": None,
+                "allow_failing": False,
+                "seed": 3,
+                "stream_key": "root",
+            },
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {
+            **os.environ,
+            "REPRO_METRICS": "1",
+            "PYTHONPATH": os.path.abspath(src),
+        }
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            announce = worker.stdout.readline()
+            match = re.search(r"listening on (127\.0\.0\.1:\d+)", announce)
+            assert match, "the worker did not announce its address"
+            address = match.group(1)
+            source = f"worker:{address}"
+
+            def run_campaign():
+                coordinator = Coordinator.connect([address], shard_size=10)
+                try:
+                    coordinator.run_range(context, 0, 20)
+                finally:
+                    coordinator.close()
+
+            monkeypatch.setenv("REPRO_METRICS", "0")
+            run_campaign()
+            assert source not in obs_metrics.REGISTRY.remote_sources()
+            # The same worker's snapshots do merge once the parent's
+            # telemetry is back on, so the check above is not vacuous.
+            monkeypatch.delenv("REPRO_METRICS")
+            run_campaign()
+            assert source in obs_metrics.REGISTRY.remote_sources()
+            obs_metrics.REGISTRY.discard_remote(source)
+        finally:
+            worker.terminate()
+            worker.wait(timeout=30)
 
 
 # ----------------------------------------------------------------------
