@@ -6,9 +6,8 @@ Executes the hot-path experiments —
 exploration), ``bench_e5_exact_scaling.py`` (exact exploration scaling),
 ``bench_e10_sequence_length.py`` (``Sample`` walks, reported per step)
 and ``bench_e11_sql_sampler.py`` (the SQL sampling campaign, per draw,
-in both the legacy fresh-chain-per-draw mode and the incremental
-chain-reusing mode) — first as a pytest pass over the benchmark files
-themselves, then as directly timed scenarios, and writes the results to
+over warm per-group chains) — first as a pytest pass over the benchmark
+files themselves, then as directly timed scenarios, and writes the results to
 a JSON file (default ``BENCH_PR10.json`` in the repository root) so
 subsequent PRs can compare against this PR's numbers.  When
 ``BENCH_PR9.json`` is present its scenario timings are folded in as the
@@ -23,9 +22,7 @@ workloads (``adaptive_draws`` in the report).
 PR 4 additions: ``--workers N`` records the distributed-sampling
 scaling curve (``e12_local_pool_workers_*``: one E11-style campaign
 sharded over a persistent local worker pool of 1..N processes, against
-the serial baseline) and the per-batch overhead of the persistent pool
-vs the PR 3 fork fan-out, which re-spawned worker processes on every
-batch (``worker_pool_overhead`` in the report).
+the serial baseline).
 
 PR 5 additions (always recorded): ``outcome_compression`` runs one
 fat-answer-set campaign over a real socket worker and records its wall
@@ -228,14 +225,12 @@ def scenario_e10(repeat: int, quick: bool = False) -> dict:
 
 
 def scenario_e11(repeat: int, quick: bool = False, backend_name: str = "sqlite") -> dict:
-    """One SQL sampling campaign, legacy vs incremental, per backend.
+    """One SQL sampling campaign per backend (``incremental``).
 
-    ``legacy`` rebuilds each conflict group's repairing chain on every
-    draw (the PR-1 behaviour, via ``reuse_chains=False``); ``incremental``
-    keeps one chain per group for the whole campaign and batches the
-    draws group by group over it.  Scenario keys carry the backend name
-    for non-sqlite runs so per-backend trajectories accumulate alongside
-    the sqlite baseline.
+    The sampler keeps one chain per conflict group for the whole
+    campaign and batches the draws group by group over it.  Scenario
+    keys carry the backend name for non-sqlite runs so per-backend
+    trajectories accumulate alongside the sqlite baseline.
     """
     runs = 10 if quick else 40
     groups = 40 if quick else 150
@@ -245,27 +240,25 @@ def scenario_e11(repeat: int, quick: bool = False, backend_name: str = "sqlite")
     )
     query = parse_cq("Q(x) :- R(x, y, z)")
     suffix = "" if backend_name == "sqlite" else f"_{backend_name}"
-    out = {}
-    for label, reuse in (("legacy", False), ("incremental", True)):
-        backend = workload.load_into(create_backend(backend_name))
-        sampler = KeyRepairSampler(
-            backend,
-            workload.schema,
-            [workload.key_spec],
-            policy=SamplerPolicy.OPERATIONAL_UNIFORM,
-            rng=random.Random(5),
-            reuse_chains=reuse,
-        )
+    backend = workload.load_into(create_backend(backend_name))
+    sampler = KeyRepairSampler(
+        backend,
+        workload.schema,
+        [workload.key_spec],
+        policy=SamplerPolicy.OPERATIONAL_UNIFORM,
+        rng=random.Random(5),
+    )
 
-        def run():
-            report = sampler.run(query, runs=runs)
-            assert report.runs == runs
+    def run():
+        report = sampler.run(query, runs=runs)
+        assert report.runs == runs
 
-        seconds = _timed(run, repeat)
-        out[f"e11_sql_sampler_{label}{suffix}"] = seconds
-        out[f"e11_seconds_per_draw_{label}{suffix}"] = seconds / runs
-        backend.close()
-    return out
+    seconds = _timed(run, repeat)
+    backend.close()
+    return {
+        f"e11_sql_sampler_incremental{suffix}": seconds,
+        f"e11_seconds_per_draw_incremental{suffix}": seconds / runs,
+    }
 
 
 def scenario_columnar(repeat: int) -> dict:
@@ -307,7 +300,6 @@ def scenario_columnar(repeat: int) -> dict:
                 [workload.key_spec],
                 policy=SamplerPolicy.OPERATIONAL_UNIFORM,
                 rng=random.Random(5),
-                reuse_chains=True,
             )
 
             def run_once(label=label, columnar_on=columnar_on, sampler=sampler):
@@ -420,9 +412,7 @@ def scenario_workers(repeat: int, quick: bool, max_workers: int) -> dict:
     configuration (asserted here), so the curve measures pure execution
     scaling, not sampling noise.  Interpret it against the recorded
     ``cpu_count``: on a single-core container the curve can only show
-    the coordination overhead floor (each point still byte-identical),
-    while the hardware-independent persistent-pool win is recorded
-    separately in ``worker_pool_overhead``.
+    the coordination overhead floor (each point still byte-identical).
     """
     from repro.sql import KeyRepairSampler, SamplerPolicy
 
@@ -465,73 +455,6 @@ def scenario_workers(repeat: int, quick: bool, max_workers: int) -> dict:
         out[label] = seconds
         out[f"{label}_per_draw"] = seconds / runs
     return out
-
-
-def scenario_pool_overhead(quick: bool) -> dict:
-    """Persistent-pool vs PR 3 fork fan-out, per batch.
-
-    The PR 3 path (``sample_many(..., processes=2)``) forked a fresh
-    worker pool for *every* batch of walks; the persistent
-    ``LocalPoolTransport`` pool forks once per campaign and keeps warm
-    chains/caches across batches.  Both run the same number of walk
-    batches over the same chain; the difference is pure per-batch spawn
-    and re-warm-up overhead.
-    """
-    from repro.campaign import SamplingCampaign
-    from repro.core.sampling import sample_many
-    from repro.distributed import Coordinator, LocalPoolTransport
-    from repro.distributed.worker import ShardContext
-
-    batches = 6 if quick else 12
-    batch_size = 20 if quick else 40
-    workload = key_conflict_workload(
-        clean_rows=0, conflict_groups=6, group_size=2, arity=2, seed=33
-    )
-    generator = UniformGenerator(workload.constraints)
-    chain = generator.chain(workload.database)
-    query = parse_cq("Q(x) :- R(x, y)")
-
-    start = time.perf_counter()
-    rng = random.Random(1)
-    for _ in range(batches):
-        sample_many(chain, batch_size, rng, processes=2)
-    fork_seconds = time.perf_counter() - start
-
-    campaign = SamplingCampaign(seed=5)
-    context = ShardContext.create(
-        "chain",
-        {
-            "facts": tuple(workload.database),
-            "generator": generator,
-            "query": query,
-            "candidate": None,
-            "allow_failing": False,
-            "seed": campaign.seed,
-            "stream_key": "root",
-        },
-    )
-    coordinator = Coordinator(
-        LocalPoolTransport.spawn(2), shard_size=max(1, batch_size // 2)
-    )
-    try:
-        start = time.perf_counter()
-        for index in range(batches):
-            coordinator.run_range(context, index * batch_size, batch_size)
-        pool_seconds = time.perf_counter() - start
-    finally:
-        coordinator.close()
-
-    return {
-        "batches": batches,
-        "batch_size": batch_size,
-        "fork_fanout_seconds_per_batch": fork_seconds / batches,
-        "persistent_pool_seconds_per_batch": pool_seconds / batches,
-        "persistent_pool_speedup_per_batch": round(
-            fork_seconds / pool_seconds, 2
-        )
-        if pool_seconds > 0
-        else None,
-    }
 
 
 def scenario_compression(quick: bool) -> dict:
@@ -1091,8 +1014,7 @@ def main() -> int:
         default=None,
         metavar="N",
         help="record the local-pool scaling curve (serial + pools of "
-        "1..N persistent workers) and the per-batch overhead vs the "
-        "PR 3 fork fan-out",
+        "1..N persistent workers)",
     )
     args = parser.parse_args()
     if args.quick:
@@ -1188,15 +1110,6 @@ def main() -> int:
         "speedup_vs_pr9": speedup_vs_pr9,
         "peak_rss_kb": peak_rss_kb,
     }
-    if "e11_seconds_per_draw_legacy" in scenarios:
-        report["e11_per_draw_speedup"] = round(
-            scenarios["e11_seconds_per_draw_legacy"]
-            / scenarios["e11_seconds_per_draw_incremental"],
-            2,
-        )
-    if args.workers:
-        print("timing persistent-pool vs fork fan-out per-batch overhead ...", flush=True)
-        report["worker_pool_overhead"] = scenario_pool_overhead(args.quick)
     if args.adaptive:
         print(f"recording adaptive draw counts ({args.backend}) ...", flush=True)
         report["adaptive_draws"] = scenario_adaptive(args.quick, args.backend)
@@ -1210,8 +1123,6 @@ def main() -> int:
         if key.endswith(("_fraction", "_overhead", "_speedup")):
             continue  # a ratio, not a wall clock
         print(f"  {key}: {value * 1000:.2f} ms")
-    if "e11_per_draw_speedup" in report:
-        print(f"  E11 per-draw speedup: {report['e11_per_draw_speedup']}x")
     if "e12_columnar_groups_40_speedup" in scenarios:
         print(
             "  E12 columnar draw engine: "
@@ -1220,15 +1131,6 @@ def main() -> int:
             "columnar at 40 groups "
             f"({scenarios['e12_columnar_groups_40_speedup']}x), "
             f"{scenarios['e12_columnar_groups_80_speedup']}x at 80"
-        )
-    if "worker_pool_overhead" in report:
-        overhead = report["worker_pool_overhead"]
-        print(
-            "  per-batch: fork fan-out "
-            f"{overhead['fork_fanout_seconds_per_batch'] * 1000:.2f} ms vs "
-            "persistent pool "
-            f"{overhead['persistent_pool_seconds_per_batch'] * 1000:.2f} ms "
-            f"({overhead['persistent_pool_speedup_per_batch']}x)"
         )
     if "adaptive_draws" in report:
         adaptive = report["adaptive_draws"]

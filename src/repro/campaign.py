@@ -13,35 +13,30 @@ A :class:`SamplingCampaign`
 
 - **owns the warm chains**: one repairing chain per conflict group /
   component, cached across draws *and* across ``run()`` calls;
-- **owns per-group RNG streams**: each group draws from its own
-  deterministic stream (seeded from the campaign seed and the group
-  key), so draw sequences are independent of batch boundaries — the
-  property that makes checkpoint/resume reproduce uninterrupted runs
-  bit for bit;
-- **owns draw-indexed substreams**: draw *i* of group *g* additionally
-  has its own derived RNG (:meth:`SamplingCampaign.rng_at`), seeded from
-  the campaign seed, the group key, and the draw index.  Because a
-  substream draw depends on nothing but ``(seed, group, index)``, any
-  draw range can be computed anywhere — a remote worker, a local pool
-  process, or the parent — and produce byte-identical results; this is
-  the determinism contract behind :mod:`repro.distributed` (and what
-  lets a shard be re-leased from a dead worker without skewing a single
-  draw).  The campaign's :attr:`~SamplingCampaign.draw_cursor` assigns
-  the global draw indices and is checkpointed with the tallies;
-- **checkpoints to disk** (pickle, atomic replace): chains, RNG states,
-  and partial tallies, guarded by a schema/constraint *fingerprint* so
-  stale or mismatched checkpoints are rejected loudly
+- **owns draw-indexed substreams**: draw *i* of group *g* has its own
+  RNG (:meth:`SamplingCampaign.rng_at`), seeded from the campaign seed,
+  the group key, and the draw index — the campaign's only source of
+  randomness.  Because a draw depends on nothing but
+  ``(seed, group, index)``, draw sequences are independent of batch
+  boundaries (so checkpoint/resume reproduces uninterrupted runs bit
+  for bit), and any draw range can be computed anywhere — a remote
+  worker, a local pool process, or the parent — with byte-identical
+  results; this is the determinism contract behind
+  :mod:`repro.distributed` (and what lets a shard be re-leased from a
+  dead worker without skewing a single draw).  The campaign's
+  :attr:`~SamplingCampaign.draw_cursor` assigns the global draw indices
+  and is checkpointed with the tallies;
+- **checkpoints to disk** (pickle, atomic replace): chains, the draw
+  cursor, and partial tallies, guarded by a schema/constraint
+  *fingerprint* so stale or mismatched checkpoints are rejected loudly
   (:class:`CheckpointMismatchError`) instead of silently skewing CP
   estimates;
 - **shards draws across workers** through :mod:`repro.distributed`: the
   samplers and estimators accept ``workers=N`` (a persistent local
-  worker pool — the :class:`repro.distributed.LocalPoolTransport`
-  replacement for the old per-batch fork fan-out) and
+  worker pool, :class:`repro.distributed.LocalPoolTransport`) and
   ``worker_addresses`` (remote ``ocqa worker`` processes).  Because
   draws are substream-indexed, sharded campaigns are draw-for-draw
   identical to serial ones, whatever the worker count or failures;
-  (:func:`repro.core.sampling.sample_many`'s fork fan-out remains for
-  the standalone walk API);
 - **supports adaptive stopping**: with ``adaptive=True`` the estimation
   loop draws in geometric batches and stops as soon as the
   empirical-Bernstein rule (:mod:`repro.analysis.bernstein`) certifies
@@ -198,7 +193,7 @@ def _key_str(key: Any) -> str:
     Collection parts are length-prefixed before joining, so the encoding
     is injective even when member strings contain the separator — two
     distinct conflict groups can never alias one warm chain / RNG
-    stream.
+    substream.
     """
     if isinstance(key, str):
         return key
@@ -336,7 +331,6 @@ class SamplingCampaign:
         fingerprint: str = "",
         seed: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        processes: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         adaptive: bool = False,
     ) -> None:
@@ -344,15 +338,12 @@ class SamplingCampaign:
             seed = (rng or random.Random()).getrandbits(64)
         self.fingerprint = fingerprint
         self.seed = seed
-        self.processes = processes
         self.checkpoint_path = checkpoint_path
         self.adaptive = adaptive
         self._chains: Dict[str, RepairingChain] = {}
-        self._rngs: Dict[str, random.Random] = {}
         #: Next global draw index to hand out (see :meth:`claim_draws`).
-        #: Like the RNG streams, the cursor only ever advances — a fresh
-        #: estimation on a warm campaign continues the substreams rather
-        #: than replaying them.
+        #: The cursor only ever advances — a fresh estimation on a warm
+        #: campaign continues the substreams rather than replaying them.
         self.draw_cursor = 0
         self.counts: Dict[Tuple, int] = {}
         self.draws_done = 0
@@ -366,7 +357,7 @@ class SamplingCampaign:
         #: Whether the last estimation finished (reached its target or an
         #: adaptive stop).  A finished campaign's next :meth:`estimate`
         #: starts fresh tallies — while keeping the warm chains and the
-        #: advanced RNG streams, which is what "sharing warm chains
+        #: advanced draw cursor, which is what "sharing warm chains
         #: across campaigns" means.  An unfinished one (interrupted via
         #: ``max_draws`` or restored mid-run from a checkpoint) resumes.
         self.estimation_complete = True
@@ -392,33 +383,17 @@ class SamplingCampaign:
             )
 
     # ------------------------------------------------------------------
-    # Warm chains + per-group RNG streams
+    # Warm chains + draw-indexed substreams
     # ------------------------------------------------------------------
-    def rng_for(self, key: Any) -> random.Random:
-        """The deterministic *sequential* RNG stream owned by group *key*.
-
-        Kept for external callers with genuinely sequential needs; the
-        samplers and estimators draw from :meth:`rng_at` substreams
-        instead — drawing campaign randomness from this stream would
-        reintroduce order-dependence and break the serial == distributed
-        byte-identity contract.
-        """
-        ks = _key_str(key)
-        rng = self._rngs.get(ks)
-        if rng is None:
-            rng = random.Random(f"{self.seed}:{ks}")
-            self._rngs[ks] = rng
-        return rng
-
     def rng_at(self, key: Any, index: int) -> random.Random:
         """The independent RNG substream of draw *index* for group *key*.
 
-        Unlike :meth:`rng_for`'s sequential streams, a substream is a
-        pure function of ``(seed, key, index)``: computing draw 40 does
-        not require having computed draws 0–39 first.  The samplers draw
-        every repair from substreams, which is what makes a draw range
-        shippable to any worker (:mod:`repro.distributed`) — or
-        re-shippable after a worker death — with byte-identical results.
+        A substream is a pure function of ``(seed, key, index)``:
+        computing draw 40 does not require having computed draws 0–39
+        first.  The samplers draw every repair from substreams, which is
+        what makes a draw range shippable to any worker
+        (:mod:`repro.distributed`) — or re-shippable after a worker
+        death — with byte-identical results.
         """
         return draw_rng(self.seed, key, index)
 
@@ -445,8 +420,9 @@ class SamplingCampaign:
         return chain
 
     def prune_chains(self, live_keys: Iterable[Any]) -> None:
-        """Drop chains whose groups no longer exist (RNG streams are kept
-        so a regenerated group resumes its stream deterministically)."""
+        """Drop chains whose groups no longer exist (a regenerated group
+        rebuilds its chain; its draws stay the same pure function of
+        ``(seed, group, index)``)."""
         keep = {_key_str(key) for key in live_keys}
         for stale in [ks for ks in self._chains if ks not in keep]:
             del self._chains[stale]
@@ -626,7 +602,7 @@ class SamplingCampaign:
         )
 
     def reset_tallies(self) -> None:
-        """Start a fresh estimation (warm chains and RNG streams kept)."""
+        """Start a fresh estimation (warm chains and draw cursor kept)."""
         self.counts = {}
         self.draws_done = 0
         self.valid_draws = 0
@@ -643,7 +619,7 @@ class SamplingCampaign:
         Chains are included best-effort: a chain whose generator cannot
         pickle (e.g. closure-based) is dropped from the payload — the
         resumed campaign rebuilds it cold, with identical draw sequences
-        (the RNG streams, not the chain caches, determine the draws).
+        (the substreams, not the chain caches, determine the draws).
 
         Durability ladder: the payload is written to a pid-tagged temp
         file, fsynced, and atomically renamed over *path* — so a crash
@@ -664,7 +640,6 @@ class SamplingCampaign:
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint,
             "seed": self.seed,
-            "rng_states": {ks: rng.getstate() for ks, rng in self._rngs.items()},
             "draw_cursor": self.draw_cursor,
             "counts": dict(self.counts),
             "draws_done": self.draws_done,
@@ -733,7 +708,6 @@ class SamplingCampaign:
         cls,
         path: str,
         fingerprint: Optional[str] = None,
-        processes: Optional[int] = None,
         adaptive: bool = False,
         checkpoint_path: Optional[str] = None,
     ) -> "SamplingCampaign":
@@ -797,7 +771,6 @@ class SamplingCampaign:
         campaign = cls(
             fingerprint=payload.get("fingerprint", ""),
             seed=payload["seed"],
-            processes=processes,
             checkpoint_path=checkpoint_path or path,
             adaptive=adaptive,
         )
@@ -809,10 +782,6 @@ class SamplingCampaign:
         campaign._estimation_key = payload.get("estimation_key")
         campaign.estimation_complete = payload.get("estimation_complete", True)
         campaign._chains = dict(payload.get("chains", {}))
-        for ks, state in payload.get("rng_states", {}).items():
-            rng = random.Random()
-            rng.setstate(state)
-            campaign._rngs[ks] = rng
         return campaign
 
     @classmethod
@@ -821,7 +790,6 @@ class SamplingCampaign:
         checkpoint_path: Optional[str],
         fingerprint: str,
         rng: Optional[random.Random] = None,
-        processes: Optional[int] = None,
         adaptive: bool = False,
     ) -> "SamplingCampaign":
         """Resume from *checkpoint_path* if it exists, else start fresh
@@ -840,7 +808,6 @@ class SamplingCampaign:
                 return cls.resume(
                     checkpoint_path,
                     fingerprint,
-                    processes=processes,
                     adaptive=adaptive,
                 )
             except CheckpointCorruptError:
@@ -848,7 +815,6 @@ class SamplingCampaign:
         return cls(
             fingerprint=fingerprint,
             rng=rng,
-            processes=processes,
             checkpoint_path=checkpoint_path,
             adaptive=adaptive,
         )

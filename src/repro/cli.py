@@ -156,7 +156,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     finally:
         if coordinator is not None:
             coordinator.close()
-    for candidate, estimate in sorted(estimates.items(), key=lambda kv: -kv[1]):
+    # Ties break on the candidate: answer sets iterate in hash order,
+    # which changes from process to process.
+    for candidate, estimate in sorted(
+        estimates.items(), key=lambda kv: (-kv[1], repr(kv[0]))
+    ):
         print(f"{candidate}  ~CP = {estimate:.4f}")
     rule = "empirical-Bernstein adaptive" if args.adaptive else "Hoeffding"
     print(
@@ -324,6 +328,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.cache_size < 0:
         raise SystemExit(f"--cache-size must be >= 0, got {args.cache_size}")
+    if args.workers is not None and args.workers < 0:
+        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
     if args.cache_ttl is not None and args.cache_ttl <= 0:
         raise SystemExit(
             f"--cache-ttl must be positive seconds, got {args.cache_ttl}"
@@ -488,15 +494,18 @@ def _add_distribution(parser: argparse.ArgumentParser) -> None:
 
 
 def _validate_distribution(args: argparse.Namespace) -> None:
-    """Reject nonsensical timing flags before they become a hang.
+    """Reject nonsensical distribution flags before they become a hang.
 
-    A non-positive timeout or deadline would disable the very waits it
+    A negative ``--workers`` names no pool (``0`` means none).  A
+    non-positive timeout or deadline would disable the very waits it
     is supposed to bound, and a deadline shorter than an *explicit*
     lease timeout means a lost worker could not be detected before the
     budget is gone.  When only ``--deadline`` is given, the lease
     timeout is clamped down to it instead (socket waits then respect
     the budget automatically).
     """
+    if args.workers is not None and args.workers < 0:
+        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
     for flag in ("lease_timeout", "context_timeout", "deadline"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
@@ -541,7 +550,6 @@ def _build_coordinator(args: argparse.Namespace):
     if args.lease_timeout is not None:
         kwargs["lease_timeout"] = args.lease_timeout
     return Coordinator.from_options(
-        processes=getattr(args, "processes", None),
         workers=args.workers,
         worker_addresses=args.worker or (),
         context_timeout=args.context_timeout,
@@ -630,12 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         help="campaign checkpoint file (resume warm chains across runs)",
-    )
-    p.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="legacy alias for --workers (a persistent local pool)",
     )
     _add_distribution(p)
     p.set_defaults(fn=_cmd_sql_sample)

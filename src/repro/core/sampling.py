@@ -17,13 +17,12 @@ additive guarantee is the best efficiently attainable kind.
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chain import ChainGenerator, RepairingChain
 from repro.core.errors import FailingSequenceError, InvalidGeneratorError
@@ -129,89 +128,18 @@ def sample_many(
     chain: RepairingChain,
     walks: int,
     rng: Optional[random.Random] = None,
-    processes: Optional[int] = None,
 ) -> List[Walk]:
     """Run *walks* independent ``Sample`` walks over one shared chain.
 
-    This is the batched driver behind :func:`approximate_cp`,
-    :func:`approximate_oca` and :func:`estimate_sequence_lengths`.
+    This is the batched driver behind :func:`estimate_sequence_lengths`.
     Sharing one chain (hence one engine) amortizes the expensive parts
     across walks: transition distributions are memoized per state, and
     violation deltas per ``(database, op)``, so the states near the root
-    that every walk traverses are computed once.
-
-    With *processes* > 1 the batch is fanned across worker processes
-    (fork start method); each worker runs its share of walks with an
-    independent RNG seeded from *rng*, so results are still i.i.d. draws
-    from the same walk distribution (though not bit-identical to the
-    serial order).  Falls back to the serial path when the platform has
-    no fork support or the chain cannot be shipped to workers.
-    """
-    return list(_walk_stream(chain, walks, rng, processes))
-
-
-def _walk_stream(
-    chain: RepairingChain,
-    walks: int,
-    rng: Optional[random.Random],
-    processes: Optional[int],
-) -> Iterator[Walk]:
-    """Lazy serial walks / eager parallel batch behind :func:`sample_many`.
-
-    The serial path yields walk-by-walk so consumers that abort on the
-    first failing walk (:func:`approximate_cp` with the default
-    ``allow_failing=False``) fail fast instead of paying for the whole
-    batch; the parallel path is inherently batched.
+    that every walk traverses are computed once.  Parallel draws go
+    through :mod:`repro.distributed` (``workers=`` on the estimators).
     """
     rng = rng or random.Random()
-    if processes and processes > 1 and walks > 1:
-        parallel = _sample_many_parallel(chain, walks, rng, processes)
-        if parallel is not None:
-            yield from parallel
-            return
-    for _ in range(walks):
-        yield sample_walk(chain, rng)
-
-
-def _sample_walks_job(args: Tuple[RepairingChain, int, int]) -> List[Walk]:
-    chain, seed, count = args
-    rng = random.Random(seed)
-    return [sample_walk(chain, rng) for _ in range(count)]
-
-
-def _sample_many_parallel(
-    chain: RepairingChain, walks: int, rng: random.Random, processes: int
-) -> Optional[List[Walk]]:
-    try:
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-    except (ImportError, ValueError):
-        return None
-    # Probe shippability up front (FunctionGenerator closures etc. are
-    # not picklable); chain caches pickle as empty, so this is cheap.
-    # Keeping the probe separate from the map means errors raised *by
-    # the walks themselves* propagate instead of being silently retried
-    # on the serial path.
-    try:
-        pickle.dumps(chain)
-    except Exception:
-        return None
-    processes = min(processes, walks)
-    base, extra = divmod(walks, processes)
-    jobs = [
-        (chain, rng.getrandbits(64), base + (1 if i < extra else 0))
-        for i in range(processes)
-    ]
-    jobs = [job for job in jobs if job[2] > 0]
-    try:
-        pool = context.Pool(len(jobs))
-    except OSError:
-        # Sandboxes without working fork fall back to the serial path.
-        return None
-    with pool:
-        parts = pool.map(_sample_walks_job, jobs)
-    return [walk for part in parts for walk in part]
+    return [sample_walk(chain, rng) for _ in range(walks)]
 
 
 def sample_once(
@@ -267,52 +195,6 @@ class ApproximationResult:
         return self.estimate
 
 
-def _estimation_campaign(
-    campaign,
-    adaptive: Optional[bool],
-    processes: Optional[int],
-    rng: Optional[random.Random] = None,
-):
-    """The campaign an estimator runs through (building one if needed).
-
-    A private (per-call) campaign seeds from the caller's *rng*, so a
-    seeded estimator call is deterministic end to end — the property the
-    draw-indexed substreams (hence distributed byte-identity) build on.
-
-    Local import: :mod:`repro.campaign` provides the unified estimation
-    loop (warm chains, checkpointing, adaptive stopping) on top of this
-    module's walk primitives.
-    """
-    from repro.campaign import SamplingCampaign
-
-    if campaign is None:
-        return (
-            SamplingCampaign(rng=rng, adaptive=bool(adaptive), processes=processes),
-            True,
-        )
-    return campaign, False
-
-
-def _estimator_coordinator(
-    processes: Optional[int],
-    workers: Optional[int],
-    worker_addresses: Sequence[str],
-    coordinator,
-):
-    """The (coordinator, owned) pair for an estimator call.
-
-    An explicit *coordinator* is reused as-is (and not closed here);
-    otherwise :meth:`repro.distributed.Coordinator.from_options` decides
-    — ``None`` means the serial path.
-    """
-    if coordinator is not None:
-        return coordinator, False
-    from repro.distributed import Coordinator
-
-    built = Coordinator.from_options(processes, workers, worker_addresses)
-    return built, built is not None
-
-
 def _chain_key(
     generator: ChainGenerator, database: Database, private: bool
 ) -> str:
@@ -336,58 +218,117 @@ def _chain_key(
     )
 
 
-def _chain_shard_context(
+def chain_outcomes_for_range(
+    chain: RepairingChain,
+    query: AnyQuery,
+    candidate: Optional[Tuple[Term, ...]],
+    allow_failing: bool,
+    seed: Any,
+    stream_key: str,
+    start: int,
+    count: int,
+) -> List[Any]:
+    """Outcomes of the estimators' walks ``[start, start + count)``.
+
+    Walk ``i`` draws from the ``(seed, stream_key, i)`` substream
+    (:func:`repro.campaign.draw_rng`) and nothing else, so any range can
+    be computed by any process.  The serial estimators and a worker's
+    chain runtime (:mod:`repro.distributed.worker`) both run exactly
+    this function, which is why serial and distributed runs are
+    byte-identical.  An outcome is the walk's answer set — with a
+    *candidate*, ``((),)`` if the candidate is an answer and ``()`` if
+    not — or ``None`` for a failing walk discarded under
+    *allow_failing*.
+    """
+    from repro.campaign import draw_rng
+
+    outcomes: List[Any] = []
+    for index in range(start, start + count):
+        walk = sample_walk(chain, draw_rng(seed, stream_key, index))
+        if not _accept_walk(walk, allow_failing):
+            outcomes.append(None)
+        elif candidate is None:
+            outcomes.append(query.answers(walk.result))
+        else:
+            outcomes.append(((),) if query.holds(walk.result, candidate) else ())
+    return outcomes
+
+
+def _run_chain_campaign(
     database: Database,
     generator: ChainGenerator,
     query: AnyQuery,
     candidate: Optional[Tuple[Term, ...]],
+    epsilon: float,
+    delta: float,
+    rng: Optional[random.Random],
     allow_failing: bool,
-    seed,
-    stream_key: str,
-):
-    """A distributed shard context for the core chain estimators."""
-    from repro.distributed import ShardContext
-
-    return ShardContext.create(
-        "chain",
-        {
-            "facts": tuple(database),
-            "generator": generator,
-            "query": query,
-            "candidate": candidate,
-            "allow_failing": allow_failing,
-            "seed": seed,
-            "stream_key": stream_key,
-        },
-    )
-
-
-def _substream_draw(
+    adaptive: Optional[bool],
     campaign,
-    chain: RepairingChain,
-    stream_key: str,
-    allow_failing: bool,
-    per_walk,
+    workers: Optional[int],
+    worker_addresses: Sequence[str],
+    coordinator,
+    deadline,
+    stop_target: Optional[Tuple],
 ):
-    """The serial draw function over draw-indexed substreams.
+    """The campaign driver behind :func:`approximate_cp` and
+    :func:`approximate_oca`.
 
-    Walk ``i`` uses the campaign's ``(seed, stream_key, i)`` substream —
-    exactly what a remote worker computes for the same index, which is
-    why serial and distributed runs are byte-identical.
+    Without a *campaign*, a private one seeds from the caller's *rng*,
+    so a seeded call is deterministic end to end.  An explicit
+    *coordinator* is used as-is (and not closed here); otherwise
+    :meth:`repro.distributed.Coordinator.from_options` builds one from
+    *workers* / *worker_addresses* for this call, or returns ``None``
+    for the serial path.  Either way the draws are
+    :func:`chain_outcomes_for_range` over the campaign's substreams.
     """
+    from repro.campaign import SamplingCampaign
+    from repro.distributed import Coordinator, ShardContext
 
-    def draw(batch: int):
-        start = campaign.claim_draws(batch)
-        outcomes = []
-        for index in range(start, start + batch):
-            walk = sample_walk(chain, campaign.rng_at(stream_key, index))
-            if not _accept_walk(walk, allow_failing):
-                outcomes.append(None)
-            else:
-                outcomes.append(per_walk(walk))
-        return outcomes
+    private = campaign is None
+    if private:
+        campaign = SamplingCampaign(rng=rng, adaptive=bool(adaptive))
+    stream_key = _chain_key(generator, database, private)
+    chain = campaign.chain(stream_key, lambda: generator.chain(database))
+    owns_coordinator = coordinator is None
+    if owns_coordinator:
+        coordinator = Coordinator.from_options(workers, worker_addresses)
+    try:
+        if coordinator is None:
 
-    return draw
+            def draw(batch: int):
+                return chain_outcomes_for_range(
+                    chain, query, candidate, allow_failing,
+                    campaign.seed, stream_key, campaign.claim_draws(batch), batch,
+                )
+
+        else:
+            context = ShardContext.create(
+                "chain",
+                {
+                    "facts": tuple(database),
+                    "generator": generator,
+                    "query": query,
+                    "candidate": candidate,
+                    "allow_failing": allow_failing,
+                    "seed": campaign.seed,
+                    "stream_key": stream_key,
+                },
+            )
+
+            def draw(batch: int):
+                return coordinator.run_range(
+                    context, campaign.claim_draws(batch), batch,
+                    deadline=deadline,
+                )
+
+        return campaign.estimate(
+            draw, epsilon=epsilon, delta=delta, adaptive=adaptive,
+            stop_target=stop_target, deadline=deadline,
+        )
+    finally:
+        if owns_coordinator and coordinator is not None:
+            coordinator.close()
 
 
 def approximate_cp(
@@ -399,7 +340,6 @@ def approximate_cp(
     delta: float = 0.1,
     rng: Optional[random.Random] = None,
     allow_failing: bool = False,
-    processes: Optional[int] = None,
     adaptive: Optional[bool] = None,
     campaign=None,
     workers: Optional[int] = None,
@@ -432,47 +372,16 @@ def approximate_cp(
 
     Every walk draws from the campaign's draw-indexed RNG substreams, so
     a seeded call is deterministic and shardable: pass ``workers=N`` for
-    a persistent local worker pool (``processes`` is the legacy alias),
-    ``worker_addresses`` for remote ``ocqa worker`` processes, or an
-    explicit *coordinator* — the estimate is byte-identical in every
-    configuration, including after mid-shard worker deaths.
+    a persistent local worker pool, ``worker_addresses`` for remote
+    ``ocqa worker`` processes, or an explicit *coordinator* — the
+    estimate is byte-identical in every configuration, including after
+    mid-shard worker deaths.
     """
-    rng = rng or random.Random()
-    campaign, private = _estimation_campaign(campaign, adaptive, processes, rng)
-    stream_key = _chain_key(generator, database, private)
-    chain = campaign.chain(stream_key, lambda: generator.chain(database))
-    target = tuple(candidate)
-    coordinator, owns_coordinator = _estimator_coordinator(
-        processes, workers, worker_addresses, coordinator
+    result = _run_chain_campaign(
+        database, generator, query, tuple(candidate), epsilon, delta, rng,
+        allow_failing, adaptive, campaign, workers, worker_addresses,
+        coordinator, deadline, stop_target=(),
     )
-    try:
-        if coordinator is not None:
-            context = _chain_shard_context(
-                database, generator, query, target, allow_failing,
-                campaign.seed, stream_key,
-            )
-
-            def draw(batch: int):
-                return coordinator.run_range(
-                    context, campaign.claim_draws(batch), batch,
-                    deadline=deadline,
-                )
-
-        else:
-            draw = _substream_draw(
-                campaign,
-                chain,
-                stream_key,
-                allow_failing,
-                lambda walk: ((),) if query.holds(walk.result, target) else (),
-            )
-        result = campaign.estimate(
-            draw, epsilon=epsilon, delta=delta, adaptive=adaptive,
-            stop_target=(), deadline=deadline,
-        )
-    finally:
-        if owns_coordinator:
-            coordinator.close()
     return ApproximationResult(
         estimate=result.frequencies.get((), 0.0),
         epsilon=epsilon,
@@ -491,7 +400,6 @@ def approximate_oca(
     delta: float = 0.1,
     rng: Optional[random.Random] = None,
     allow_failing: bool = False,
-    processes: Optional[int] = None,
     adaptive: Optional[bool] = None,
     campaign=None,
     workers: Optional[int] = None,
@@ -516,41 +424,11 @@ def approximate_oca(
     *coordinator* shard them with byte-identical results (see
     :mod:`repro.distributed`).
     """
-    rng = rng or random.Random()
-    campaign, private = _estimation_campaign(campaign, adaptive, processes, rng)
-    stream_key = _chain_key(generator, database, private)
-    chain = campaign.chain(stream_key, lambda: generator.chain(database))
-    coordinator, owns_coordinator = _estimator_coordinator(
-        processes, workers, worker_addresses, coordinator
+    result = _run_chain_campaign(
+        database, generator, query, None, epsilon, delta, rng,
+        allow_failing, adaptive, campaign, workers, worker_addresses,
+        coordinator, deadline, stop_target=None,
     )
-    try:
-        if coordinator is not None:
-            context = _chain_shard_context(
-                database, generator, query, None, allow_failing,
-                campaign.seed, stream_key,
-            )
-
-            def draw(batch: int):
-                return coordinator.run_range(
-                    context, campaign.claim_draws(batch), batch,
-                    deadline=deadline,
-                )
-
-        else:
-            draw = _substream_draw(
-                campaign,
-                chain,
-                stream_key,
-                allow_failing,
-                lambda walk: query.answers(walk.result),
-            )
-        result = campaign.estimate(
-            draw, epsilon=epsilon, delta=delta, adaptive=adaptive,
-            deadline=deadline,
-        )
-    finally:
-        if owns_coordinator:
-            coordinator.close()
     if not result.valid:
         return {}
     return dict(result.frequencies)
@@ -561,8 +439,7 @@ def estimate_sequence_lengths(
     generator: ChainGenerator,
     walks: int = 50,
     rng: Optional[random.Random] = None,
-    processes: Optional[int] = None,
 ) -> List[int]:
     """Lengths of sampled repairing sequences (Proposition 2 experiments)."""
     chain = generator.chain(database)
-    return [walk.length for walk in sample_many(chain, walks, rng, processes)]
+    return [walk.length for walk in sample_many(chain, walks, rng)]

@@ -6,7 +6,7 @@ and one machine — without giving up determinism:
 - :class:`Coordinator` cuts a campaign's draw budget into leased shards
   and dispatches them over :class:`WorkerTransport` implementations;
 - :class:`~repro.distributed.pool.LocalPoolTransport` runs persistent
-  local worker processes (the fork-fan-out replacement);
+  local worker processes (the only local parallel fan-out);
 - :class:`~repro.distributed.transport.SocketTransport` reaches
   ``ocqa worker --listen host:port`` processes on other machines over a
   small length-prefixed JSON/pickle protocol with heartbeats and lease

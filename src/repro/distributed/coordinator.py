@@ -227,13 +227,6 @@ class Coordinator:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def local_pool(cls, workers: int, **kwargs) -> "Coordinator":
-        """A coordinator over *workers* persistent local processes."""
-        from repro.distributed.pool import LocalPoolTransport
-
-        return cls(LocalPoolTransport.spawn(workers), **kwargs)
-
-    @classmethod
     def connect(
         cls,
         addresses: Sequence[str],
@@ -252,7 +245,6 @@ class Coordinator:
     @classmethod
     def from_options(
         cls,
-        processes: Optional[int] = None,
         workers: Optional[int] = None,
         worker_addresses: Sequence[str] = (),
         context_timeout: Optional[float] = None,
@@ -260,28 +252,21 @@ class Coordinator:
     ) -> Optional["Coordinator"]:
         """The coordinator implied by the samplers'/estimators' options.
 
-        The one place the option precedence lives: ``workers`` wins over
-        the legacy ``processes`` alias (which means a pool only when
-        ``> 1`` — ``--processes 1`` historically meant serial, while
-        ``workers=1`` is an explicit one-process pool);
-        ``worker_addresses`` adds remote ``host:port`` workers.  Returns
-        ``None`` when nothing asks for distribution (the serial path).
+        ``workers=N`` starts a persistent local pool of *N* processes
+        (``0`` or ``None``: none); ``worker_addresses`` adds remote
+        ``host:port`` workers.  Returns ``None`` when nothing asks for
+        distribution (the serial path).
         """
         from repro.distributed.pool import LocalPoolTransport
 
-        pool = (
-            workers
-            if workers is not None
-            else (processes if processes and processes > 1 else None)
-        )
-        if not pool and not worker_addresses:
+        if not workers and not worker_addresses:
             return None
         transports: List[WorkerTransport] = [
             SocketTransport.parse(address, context_timeout=context_timeout)
             for address in worker_addresses
         ]
-        if pool:
-            transports.extend(LocalPoolTransport.spawn(pool))
+        if workers:
+            transports.extend(LocalPoolTransport.spawn(workers))
         return cls(transports, **kwargs)
 
     # ------------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""Persistent local worker pool (the fork fan-out, made resident).
+"""Persistent local worker pool: the one local parallel fan-out.
 
-PR 1's ``sample_many`` fanned batches across a fresh ``fork`` pool on
-*every* batch: each batch paid process spawn, chain re-pickling, and
-cold caches.  A :class:`LocalPoolTransport` instead forks one worker
-process per slot **once per campaign** and keeps it serving shards over
-a pipe — warm chains, warm violation indexes, warm memo caches — which
-is exactly the "per-group persistent worker pools" item from the
-roadmap.  The processes run
+A :class:`LocalPoolTransport` forks one worker process per slot **once
+per campaign** and keeps it serving shards over a pipe — warm chains,
+warm violation indexes, warm memo caches — so a batch pays neither
+process spawn nor cold caches.  The processes run
 :func:`repro.distributed.worker.pool_worker_main`, the same
 :class:`~repro.distributed.worker.ShardExecutor` as the socket service,
 so local-pool, remote, and inline execution are byte-identical.

@@ -42,8 +42,11 @@ Frame features
 The coordinator and its workers are one deployment, so version 2 has no
 optional features and nothing to negotiate.  Every frame carries:
 
-- a header checksum ``"hcrc"``: the CRC32 of the canonical header JSON
-  with the ``"hcrc"`` value itself set to ``0``;
+- a header checksum ``"hcrc"``, always the last header field: the CRC32
+  of the canonical header JSON with the ``"hcrc"`` value itself set to
+  ``0``.  The receiver checks it against the header bytes *as shipped*,
+  so a flip that still decodes to the same header (an escape's hex
+  digit changing case, say) is caught too;
 - when it has a blob, a blob checksum ``"crc"``: the CRC32 of the blob
   *as shipped* (after compression).  A frame without ``hcrc``, a blob
   without ``crc``, or a ``crc`` without a blob raises
@@ -162,6 +165,14 @@ def _canonical(header: dict) -> bytes:
     return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
+def _hcrc_field(hcrc: int) -> bytes:
+    """The closing bytes of a canonical header whose last field is *hcrc*."""
+    return b'"hcrc":%d}' % hcrc
+
+
+_HCRC_ZERO = _hcrc_field(0)
+
+
 def encode_frame(header: dict, payload: Any = None) -> bytes:
     """Serialize one frame (header JSON + optional pickled *payload*).
 
@@ -190,9 +201,10 @@ def encode_frame_ex(header: dict, payload: Any = None) -> Tuple[bytes, FrameStat
                 header = {**header, "enc": "zlib", "raw": raw_len}
                 compressed = True
         header = {**header, "crc": zlib.crc32(blob)}
-    header = {**header, "hcrc": 0}
-    header["hcrc"] = zlib.crc32(_canonical(header))
-    header_bytes = _canonical(header)
+    header = {key: value for key, value in header.items() if key != "hcrc"}
+    header["hcrc"] = 0
+    zeroed = _canonical(header)
+    header_bytes = zeroed[: -len(_HCRC_ZERO)] + _hcrc_field(zlib.crc32(zeroed))
     frame = (
         FRAME_PREFIX.pack(MAGIC, len(header_bytes), len(blob))
         + header_bytes
@@ -275,18 +287,25 @@ def recv_message_ex(sock: socket.socket) -> Tuple[dict, Any, FrameStats]:
         )
     # Every version-2 sender writes a JSON object carrying its hcrc, so a
     # header that does not decode to one was corrupted in flight.
+    header_bytes = _recv_exact(sock, header_len)
     try:
-        header = json.loads(_recv_exact(sock, header_len).decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameIntegrityError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise FrameIntegrityError(f"frame header is not an object: {header!r}")
+    # The CRC covers the bytes as shipped, not a re-encoding of the
+    # decoded header: JSON has several spellings of one value.
     expected_hcrc = header.get("hcrc")
-    probe = dict(header)  # wire order preserved by json.loads
-    probe["hcrc"] = 0
+    field = (
+        _hcrc_field(expected_hcrc)
+        if type(expected_hcrc) is int and expected_hcrc >= 0
+        else None
+    )
     if (
-        not isinstance(expected_hcrc, int)
-        or zlib.crc32(_canonical(probe)) != expected_hcrc
+        field is None
+        or not header_bytes.endswith(field)
+        or zlib.crc32(header_bytes[: -len(field)] + _HCRC_ZERO) != expected_hcrc
     ):
         raise FrameIntegrityError(
             "frame header failed its CRC32 check (hcrc missing or wrong); "

@@ -12,7 +12,7 @@ operations — ship a context, run a shard, close.  Implementations:
   the lease timeout means the worker is gone and raises
   :class:`WorkerUnavailable` so the coordinator re-leases the shard.
 - :class:`repro.distributed.pool.LocalPoolTransport` — a persistent
-  local process over a pipe (the fork-fan-out replacement).
+  local process over a pipe.
 
 Each socket transport is one *connection* to a (possibly shared)
 worker: it tags its frames with the owning coordinator's campaign id

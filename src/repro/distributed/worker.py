@@ -4,9 +4,7 @@ A worker holds *warm sampling contexts*: for each campaign shipped to it
 (a :class:`ShardContext`), it builds the full sampling runtime **once**
 — loaded instance in a local scratch backend, violation/conflict
 indexes, per-group repairing chains, compiled query — and keeps it
-across every shard of that campaign.  This is the persistent-pool
-answer to the PR 3 fork fan-out, which re-spawned workers (and rebuilt
-nothing-shared state) on every batch.
+across every shard of that campaign.
 
 Draw determinism: a shard is a contiguous range of global draw indices,
 and every draw is computed from
@@ -49,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.campaign import SamplingCampaign, draw_rng
+from repro.campaign import SamplingCampaign
 from repro.core.errors import FailingSequenceError
 from repro.distributed.chaos import FailpointError, failpoint
 from repro.distributed.protocol import (
@@ -164,22 +162,12 @@ class _ChainRuntime:
         self.chain = payload["generator"].chain(Database(payload["facts"]))
 
     def outcomes(self, start: int, count: int) -> List[Any]:
-        from repro.core.sampling import _accept_walk, sample_walk
+        from repro.core.sampling import chain_outcomes_for_range
 
-        outcomes: List[Any] = []
-        for index in range(start, start + count):
-            walk = sample_walk(
-                self.chain, draw_rng(self.seed, self.stream_key, index)
-            )
-            if not _accept_walk(walk, self.allow_failing):
-                outcomes.append(None)
-            elif self.candidate is not None:
-                outcomes.append(
-                    ((),) if self.query.holds(walk.result, self.candidate) else ()
-                )
-            else:
-                outcomes.append(self.query.answers(walk.result))
-        return outcomes
+        return chain_outcomes_for_range(
+            self.chain, self.query, self.candidate, self.allow_failing,
+            self.seed, self.stream_key, start, count,
+        )
 
 
 class _SamplerRuntime:
@@ -212,7 +200,6 @@ class _SamplerRuntime:
                 payload["keys"],
                 policy=payload["policy"],
                 trust=payload.get("trust") or {},
-                reuse_chains=payload.get("reuse_chains", True),
                 campaign=campaign,
             )
         else:
@@ -224,7 +211,6 @@ class _SamplerRuntime:
                 payload["schema"],
                 payload["constraints"],
                 generator_factory=lambda _constraints: generator,
-                reuse_chains=payload.get("reuse_chains", True),
                 campaign=campaign,
             )
         self.compiled = self.sampler.compile(payload["query"])

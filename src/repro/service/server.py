@@ -161,6 +161,8 @@ class QueryService:
     ) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
+        if workers is not None and workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         if default_deadline <= 0:
             raise ValueError(
                 f"default_deadline must be positive, got {default_deadline}"

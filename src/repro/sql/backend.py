@@ -37,15 +37,10 @@ from repro.db.schema import Schema, SchemaError
 from repro.db.terms import Term
 from repro.sql.dialect import (
     ADOM_TABLE,
-    _NAME_RE,  # noqa: F401  (backwards-compatible re-export)
     SQLITE_DIALECT,
     SQLDialect,
     check_name,
 )
-
-#: Backwards-compatible alias; new code should import from
-#: :mod:`repro.sql.dialect`.
-_check_name = check_name
 
 
 class BackendFeatureError(RuntimeError):

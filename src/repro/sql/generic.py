@@ -12,7 +12,7 @@ Like the key sampler, this targets the
 :class:`repro.sql.backend.SQLBackend` protocol (SQLite, PostgreSQL, or
 the in-memory backend) and runs its estimation loop through a
 :class:`repro.campaign.SamplingCampaign`: warm per-component chains,
-per-component RNG streams, optional on-disk checkpointing, and
+draw-indexed RNG substreams, optional on-disk checkpointing, and
 empirical-Bernstein adaptive stopping.
 """
 
@@ -54,8 +54,8 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     self-joins execute once, and subsequent base-table deltas
     (:meth:`apply_update`) refresh the conflict components from pinned
     delta joins instead of re-running them.  Each component also keeps
-    one repairing chain per campaign (*reuse_chains*), so every draw's
-    walk shares the engine's delta-maintained state.
+    one repairing chain per campaign, so every draw's walk shares the
+    engine's delta-maintained state.
     """
 
     def __init__(
@@ -65,10 +65,8 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         constraints: ConstraintSet,
         generator_factory: GeneratorFactory = UniformGenerator,
         rng: Optional[random.Random] = None,
-        reuse_chains: bool = True,
         campaign: Optional[SamplingCampaign] = None,
         checkpoint_path: Optional[str] = None,
-        processes: Optional[int] = None,
         adaptive: bool = False,
         workers: Optional[int] = None,
         worker_addresses: Sequence[str] = (),
@@ -84,12 +82,10 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         self.constraints = constraints
         self.generator = generator_factory(constraints)
         self.rng = rng or random.Random()
-        self.reuse_chains = reuse_chains
         self.rewriter = DeletionRewriter(backend, schema)
         self._init_campaign(
             campaign,
             checkpoint_path,
-            processes,
             adaptive,
             workers=workers,
             worker_addresses=worker_addresses,
@@ -154,10 +150,9 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     # Sampling
     # ------------------------------------------------------------------
     def _component_chain(self, component: FrozenSet[Fact]) -> RepairingChain:
-        factory = lambda: self.generator.chain(Database(component))  # noqa: E731
-        if not self.reuse_chains:
-            return factory()
-        return self.campaign.chain(component, factory)
+        return self.campaign.chain(
+            component, lambda: self.generator.chain(Database(component))
+        )
 
     def deletions_for_range(self, start: int, count: int) -> List[List[Fact]]:
         """Deleted facts for draws ``[start, start + count)``, batched
@@ -168,18 +163,12 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         :meth:`repro.sql.sampler.KeyRepairSampler.deletions_for_range`)."""
         per_run: List[List[Fact]] = [[] for _ in range(count)]
         for component in self.components:
-            chain = None if not self.reuse_chains else self._component_chain(component)
+            chain = self._component_chain(component)
             for offset, deletions in enumerate(per_run):
-                component_chain = (
-                    chain if chain is not None else self._component_chain(component)
-                )
                 walk = sample_walk(
-                    component_chain,
-                    self.campaign.rng_at(component, start + offset),
+                    chain, self.campaign.rng_at(component, start + offset)
                 )
-                deletions.extend(
-                    sorted(component_chain.database - walk.result, key=str)
-                )
+                deletions.extend(sorted(chain.database - walk.result, key=str))
         return per_run
 
     def _shard_context_payload(self, query: AnyQuery) -> Tuple[str, dict]:
@@ -190,7 +179,6 @@ class ConstraintRepairSampler(BaseCampaignSampler):
                 "schema": self.schema,
                 "constraints": self.constraints,
                 "generator": self.generator,
-                "reuse_chains": self.reuse_chains,
                 "seed": self.campaign.seed,
                 "query": query,
             },

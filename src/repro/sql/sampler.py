@@ -156,18 +156,17 @@ class SamplingReport:
 class BaseCampaignSampler:
     """Campaign plumbing shared by the SQL samplers.
 
-    Subclasses set ``backend``, ``schema``, ``rng``, ``reuse_chains``,
-    and ``rewriter`` before calling :meth:`_init_campaign`, implement
-    :meth:`_fingerprint_parts`, and provide ``sample_deletions`` /
-    ``sample_deletions_many``; everything else — lazy instance digest,
-    campaign attach/bind, query compilation under the rewriting, and the
-    estimation loop — lives here exactly once.
+    Subclasses set ``backend``, ``schema``, ``rng`` and ``rewriter``
+    before calling :meth:`_init_campaign`, implement
+    :meth:`_fingerprint_parts` and :meth:`deletions_for_range`;
+    everything else — lazy instance digest, campaign attach/bind, query
+    compilation under the rewriting, and the estimation loop — lives
+    here exactly once.
     """
 
     backend: SQLBackend
     schema: Schema
     rng: random.Random
-    reuse_chains: bool
     rewriter: DeletionRewriter
     campaign: SamplingCampaign
 
@@ -175,7 +174,6 @@ class BaseCampaignSampler:
         self,
         campaign: Optional[SamplingCampaign],
         checkpoint_path: Optional[str],
-        processes: Optional[int],
         adaptive: bool,
         workers: Optional[int] = None,
         worker_addresses: Sequence[str] = (),
@@ -193,47 +191,40 @@ class BaseCampaignSampler:
         self._result_digest = None
         if campaign is None:
             if checkpoint_path is None:
-                campaign = SamplingCampaign(
-                    rng=self.rng, processes=processes, adaptive=adaptive
-                )
+                campaign = SamplingCampaign(rng=self.rng, adaptive=adaptive)
             else:
                 campaign = SamplingCampaign.attach(
                     checkpoint_path,
                     self.fingerprint(),
                     rng=self.rng,
-                    processes=processes,
                     adaptive=adaptive,
                 )
         else:
             campaign.bind_fingerprint(self.fingerprint())
         self.campaign = campaign
-        self._init_distribution(processes, workers, worker_addresses, coordinator)
+        self._init_distribution(workers, worker_addresses, coordinator)
 
     def _init_distribution(
         self,
-        processes: Optional[int],
         workers: Optional[int],
         worker_addresses: Sequence[str],
         coordinator,
     ) -> None:
         """Set up the (optional) coordinator sharding this campaign.
 
-        ``workers=N`` starts a persistent local pool — the
-        :class:`repro.distributed.LocalPoolTransport` replacement for
-        the old per-batch fork fan-out; ``processes=N`` is kept as an
-        alias for it.  ``worker_addresses`` adds remote ``host:port``
-        workers; an explicit *coordinator* is used as-is (and not closed
-        by this sampler).  Draws are substream-deterministic, so every
+        ``workers=N`` starts a persistent local pool
+        (:class:`repro.distributed.LocalPoolTransport`);
+        ``worker_addresses`` adds remote ``host:port`` workers; an
+        explicit *coordinator* is used as-is (and not closed by this
+        sampler).  Draws are substream-deterministic, so every
         configuration — including none — produces identical estimates.
         """
         self.coordinator = coordinator
         self._owns_coordinator = False
-        if coordinator is None and (workers or processes or worker_addresses):
+        if coordinator is None and (workers or worker_addresses):
             from repro.distributed import Coordinator
 
-            self.coordinator = Coordinator.from_options(
-                processes, workers, worker_addresses
-            )
+            self.coordinator = Coordinator.from_options(workers, worker_addresses)
             self._owns_coordinator = self.coordinator is not None
         self._shard_contexts: Dict[str, Any] = {}
         #: Per-compiled-query columnar draw plans (``False`` marks a
@@ -319,10 +310,6 @@ class BaseCampaignSampler:
     def sample_deletions(self) -> List[Fact]:
         """One repair draw (consumes the next global draw index)."""
         return self.deletions_for_range(self.campaign.claim_draws(1), 1)[0]
-
-    def sample_deletions_many(self, runs: int) -> List[List[Fact]]:
-        """*runs* repair draws (consumes the next *runs* draw indices)."""
-        return self.deletions_for_range(self.campaign.claim_draws(runs), runs)
 
     # ------------------------------------------------------------------
     # Query compilation under the rewriting
@@ -519,10 +506,8 @@ class KeyRepairSampler(BaseCampaignSampler):
         policy: SamplerPolicy = SamplerPolicy.KEEP_ONE_UNIFORM,
         trust: Optional[Mapping[Fact, Union[float, int]]] = None,
         rng: Optional[random.Random] = None,
-        reuse_chains: bool = True,
         campaign: Optional[SamplingCampaign] = None,
         checkpoint_path: Optional[str] = None,
-        processes: Optional[int] = None,
         adaptive: bool = False,
         workers: Optional[int] = None,
         worker_addresses: Sequence[str] = (),
@@ -534,21 +519,12 @@ class KeyRepairSampler(BaseCampaignSampler):
         self.policy = SamplerPolicy(policy)
         self.trust = dict(trust) if trust else {}
         self.rng = rng or random.Random()
-        #: With *reuse_chains* (the default), each conflict group keeps
-        #: one repairing chain for the whole campaign: every draw walks
-        #: the same chain, so the engine's incremental machinery
-        #: (violation deltas, justified-operation maps, transition
-        #: memos) amortizes across all ``n`` runs instead of being
-        #: rebuilt per draw.  ``False`` restores the PR-1 behaviour
-        #: (fresh chain per group per draw) — kept for benchmarking.
-        self.reuse_chains = reuse_chains
         self.rewriter = DeletionRewriter(backend, schema)
-        #: The campaign owning warm chains, per-group RNG streams, the
+        #: The campaign owning warm chains, the draw cursor, the
         #: estimation tallies, and (optionally) the on-disk checkpoint.
         self._init_campaign(
             campaign,
             checkpoint_path,
-            processes,
             adaptive,
             workers=workers,
             worker_addresses=worker_addresses,
@@ -655,24 +631,22 @@ class KeyRepairSampler(BaseCampaignSampler):
             if self.policy is SamplerPolicy.OPERATIONAL_UNIFORM:
                 generator = UniformGenerator(constraints)
             else:
-                # TrustGenerator snapshots the trust mapping; without
-                # chain reuse it is rebuilt per call (PR-1 semantics:
-                # mutating ``self.trust`` affects subsequent draws).
-                # With reuse, the snapshot lives as long as the cached
-                # chains — mutate trust through a fresh sampler instead.
+                # TrustGenerator snapshots the trust mapping, and the
+                # snapshot lives as long as the cached chains — mutate
+                # trust through a fresh sampler instead.
                 generator = TrustGenerator(constraints, self.trust)
-                if not self.reuse_chains:
-                    return generator
             self._generators[spec] = generator
         return generator
 
     def _group_chain(self, group: ConflictGroup) -> RepairingChain:
-        factory = lambda: self._group_generator(group.spec).chain(  # noqa: E731
-            Database(group.facts)
+        """The group's warm chain: every draw of the campaign walks it,
+        so the engine's incremental machinery (violation deltas,
+        justified-operation maps, transition memos) amortizes across
+        all ``n`` runs."""
+        return self.campaign.chain(
+            group.facts,
+            lambda: self._group_generator(group.spec).chain(Database(group.facts)),
         )
-        if not self.reuse_chains:
-            return factory()
-        return self.campaign.chain(group.facts, factory)
 
     def deletions_for_range(self, start: int, count: int) -> List[List[Fact]]:
         """Deleted facts for draws ``[start, start + count)``.
@@ -696,15 +670,12 @@ class KeyRepairSampler(BaseCampaignSampler):
                     survivor = rng.choice(group.facts)
                     deletions.extend(f for f in group.facts if f != survivor)
                 continue
-            chain = None if not self.reuse_chains else self._group_chain(group)
+            chain = self._group_chain(group)
             for offset, deletions in enumerate(per_run):
-                group_chain = chain if chain is not None else self._group_chain(group)
                 walk = sample_walk(
-                    group_chain, self.campaign.rng_at(group.facts, start + offset)
+                    chain, self.campaign.rng_at(group.facts, start + offset)
                 )
-                deletions.extend(
-                    sorted(group_chain.database - walk.result, key=str)
-                )
+                deletions.extend(sorted(chain.database - walk.result, key=str))
         return per_run
 
     def _shard_context_payload(self, query: AnyQuery) -> Tuple[str, Dict[str, Any]]:
@@ -716,7 +687,6 @@ class KeyRepairSampler(BaseCampaignSampler):
                 "keys": self.keys,
                 "policy": self.policy.value,
                 "trust": dict(self.trust),
-                "reuse_chains": self.reuse_chains,
                 "seed": self.campaign.seed,
                 "query": query,
             },
@@ -911,9 +881,7 @@ def _build_columnar_plan(
     decoded space on both paths), the compiled query built against this
     sampler's live rewriting, each queried-relation fact in at most one
     conflict group (unions would otherwise double-delete), and every
-    group fact resolvable to exactly one base row.  ``TRUST`` without
-    chain reuse keeps its mutate-mid-campaign semantics, which a
-    compiled snapshot would freeze — gated off.
+    group fact resolvable to exactly one base row.
     """
     try:
         source = compiled.source
@@ -937,8 +905,6 @@ def _build_columnar_plan(
         if compiled.relation_map is None or dict(compiled.relation_map) != dict(
             live_map
         ):
-            return None
-        if sampler.policy is SamplerPolicy.TRUST and not sampler.reuse_chains:
             return None
         rows = {tuple(row) for row in sampler.backend.select_all(atom.relation)}
         groups = [

@@ -40,9 +40,6 @@ from repro.db.terms import Term, Var, is_var
 from repro.sql.backend import SQLBackend
 from repro.sql.dialect import check_name
 
-#: Backwards-compatible alias (pre-dialect callers imported it from here).
-_check_name = check_name
-
 
 def compile_violation_query(
     constraint: Constraint,

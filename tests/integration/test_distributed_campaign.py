@@ -17,8 +17,10 @@ import time
 import pytest
 
 from repro import UniformGenerator
+from repro.constraints import ConstraintSet, parse_constraints
 from repro.core.errors import FailingSequenceError
 from repro.core.sampling import approximate_cp, approximate_oca
+from repro.db.facts import Database, Fact
 from repro.diagnostics import (
     cache_report,
     record_worker_cache_stats,
@@ -387,6 +389,30 @@ class TestCoreEstimatorsDistributed:
             workload.database, generator, query, rng=random.Random(4), workers=2
         )
         assert pooled == serial
+
+    def test_failing_walks_through_a_pool_match_serial(self):
+        """Pool workers and the serial path run one chain range
+        function: failing walks are discarded identically, or raise."""
+        constraints = ConstraintSet(
+            parse_constraints("R(x) -> T(x)\nT(x) -> false")
+        )
+        database = Database.of(Fact("R", ("a",)), Fact("R", ("b",)))
+        generator = UniformGenerator(constraints)
+        query = parse_cq("Q(x) :- R(x)")
+
+        def estimate(**kwargs):
+            return approximate_cp(
+                database, generator, query, ("a",), rng=random.Random(3),
+                **kwargs,
+            )
+
+        serial = estimate(allow_failing=True)
+        assert serial.samples == 150 and serial.failing_walks == 121
+        assert estimate(allow_failing=True, workers=2) == serial
+        with pytest.raises(FailingSequenceError):
+            estimate()
+        with pytest.raises(FailingSequenceError):
+            estimate(workers=2)
 
     def test_fatal_worker_errors_keep_their_type(self):
         error = WorkerError(

@@ -126,38 +126,10 @@ def test_batched_key_sampler_matches_exact_chain():
         [workload.key_spec],
         policy=SamplerPolicy.OPERATIONAL_UNIFORM,
         rng=random.Random(23),
-        reuse_chains=True,
     )
     report = sampler.run(query, epsilon=0.07, delta=0.02)
     assert max_absolute_error(exact, report.frequencies) <= 0.07
     backend.close()
-
-
-def test_batched_and_legacy_key_samplers_agree():
-    """Batched draws and per-run draws estimate the same distribution."""
-    workload = key_conflict_workload(
-        clean_rows=5, conflict_groups=4, group_size=2, seed=6
-    )
-    query = parse_cq("Q(x) :- R(x, y, z)")
-    reports = {}
-    for label, reuse in (("batched", True), ("legacy", False)):
-        backend = _loaded_backend(workload)
-        sampler = KeyRepairSampler(
-            backend,
-            workload.schema,
-            [workload.key_spec],
-            policy=SamplerPolicy.OPERATIONAL_UNIFORM,
-            rng=random.Random(31),
-            reuse_chains=reuse,
-        )
-        reports[label] = sampler.run(query, runs=400)
-        backend.close()
-    assert (
-        max_absolute_error(
-            reports["batched"].frequencies, reports["legacy"].frequencies
-        )
-        <= 0.1
-    )
 
 
 def test_key_sampler_apply_update_regroups_incrementally():

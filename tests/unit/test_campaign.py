@@ -79,12 +79,6 @@ class TestWarmChains:
         assert campaign.chain(("k",), factory) is not first
         assert built == [1, 1]
 
-    def test_rng_streams_deterministic_per_key(self):
-        a = SamplingCampaign(seed=42)
-        b = SamplingCampaign(seed=42)
-        assert a.rng_for("g1").random() == b.rng_for("g1").random()
-        assert a.rng_for("g1").random() != a.rng_for("g2").random()
-
 
 class TestEstimate:
     def test_fixed_target_counts_and_frequencies(self):

@@ -158,6 +158,21 @@ class TestSample:
         assert code == 0
         assert "~CP" in out and "Theorem 9" in out
 
+    def test_tied_estimates_print_in_candidate_order(self, capsys, tmp_path):
+        db_path = tmp_path / "db.json"
+        save_database(
+            Database.of(*(Fact("R", (f"k{i}", "v")) for i in range(8))), db_path
+        )
+        sigma_path = tmp_path / "sigma.txt"
+        sigma_path.write_text("R(x, y), R(x, z) -> y = z\n")
+        code, out = run_cli(
+            capsys, "sample", "--db", str(db_path), "--constraints",
+            str(sigma_path), "--query", "Q(x) :- R(x, y)", "--seed", "1",
+        )
+        assert code == 0
+        tied = [line for line in out.splitlines() if "~CP = 1.0000" in line]
+        assert len(tied) == 8 and tied == sorted(tied)
+
 
 class TestChain:
     def test_ascii(self, capsys, key_files):
@@ -309,6 +324,21 @@ class TestTimingFlagValidation:
                     "--query", "Q(x) :- R(x, y)", "--deadline", "0",
                 ]
             )
+
+
+class TestWorkersFlagValidation:
+    def test_negative_workers_rejected_by_every_sharding_command(
+        self, key_files
+    ):
+        db, sigma = key_files
+        query = ["--query", "Q(x) :- R(x, y)"]
+        for argv in (
+            ["sample", "--db", db, "--constraints", sigma, *query],
+            ["sql-sample", "--db", db, "--constraints", sigma, *query],
+            ["serve", "--listen", "127.0.0.1:0"],
+        ):
+            with pytest.raises(SystemExit, match="--workers must be >= 0"):
+                main([*argv, "--workers", "-1"])
 
 
 class TestWorkerFlagValidation:

@@ -278,6 +278,21 @@ class TestFrameIntegrity:
             client.close()
             conn.close()
 
+    def test_flip_that_decodes_to_the_same_header_raises_integrity_error(self):
+        # "\u001f" and "\u001F" are one JSON string: a flipped case bit
+        # in the escape leaves the decoded header unchanged, so only a
+        # CRC over the shipped bytes sees it.
+        client, conn = _socket_pair()
+        try:
+            frame = encode_frame({"type": "run", "campaign": "c\x1f"})
+            assert b"\\u001f" in frame
+            client.sendall(frame.replace(b"\\u001f", b"\\u001F"))
+            with pytest.raises(FrameIntegrityError, match="hcrc"):
+                recv_message(conn)
+        finally:
+            client.close()
+            conn.close()
+
 
 class TestVersionRefusal:
     """Version 2 speaks to version 2 only: a version-1 peer is refused by
@@ -508,6 +523,7 @@ class TestSubstreams:
         assert draw_rng(7, "g", 3).random() == draw_rng(7, "g", 3).random()
         assert draw_rng(7, "g", 3).random() != draw_rng(7, "g", 4).random()
         assert draw_rng(7, "g", 3).random() != draw_rng(8, "g", 3).random()
+        assert draw_rng(7, "g", 3).random() != draw_rng(7, "h", 3).random()
 
     def test_campaign_rng_at_matches_module_helper(self):
         campaign = SamplingCampaign(seed=99)

@@ -210,17 +210,6 @@ class TestSampleMany:
         assert len(sample_many(gen.chain(db), 17, rng)) == 17
         assert sample_many(gen.chain(db), 0, rng) == []
 
-    def test_parallel_walks_draw_same_distribution(self, key_setup):
-        db, gen = key_setup
-        walks = sample_many(gen.chain(db), 24, random.Random(5), processes=2)
-        assert len(walks) == 24
-        results = {w.result for w in walks}
-        # three single-fact repairs exist; 24 draws hit more than one
-        assert len(results) >= 2
-        for walk in walks:
-            assert walk.successful
-            assert gen.constraints.is_satisfied(walk.result)
-
 
 class TestSequenceLengths:
     def test_lengths_match_conflicts(self, paper_pref_db, pref_sigma, rng):

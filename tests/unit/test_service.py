@@ -360,6 +360,13 @@ class TestQueryServiceHandling:
         with pytest.raises(ValueError):
             QueryService(drain_timeout=0)
 
+    def test_negative_workers_rejected_at_construction(self):
+        # Not a 400 on every /query that blames the client for an
+        # operator setting; 0 keeps meaning "no local pool".
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            QueryService(workers=-1)
+        assert QueryService(workers=0).workers == 0
+
 
 class TestQueryServiceHTTP:
     """One end-to-end pass over the real HTTP surface."""

@@ -5,8 +5,9 @@ import pytest
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
 from repro.queries.parser import parse_cq, parse_query
-from repro.sql.backend import SQLiteBackend, _check_name
+from repro.sql.backend import SQLiteBackend
 from repro.sql.compiler import compile_cq, compile_fo_query
+from repro.sql.dialect import check_name
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ class TestBackend:
 
     def test_unsafe_identifier_rejected(self):
         with pytest.raises(ValueError):
-            _check_name("R; DROP TABLE x")
+            check_name("R; DROP TABLE x")
 
     def test_integer_values_roundtrip(self):
         db = Database.of(Fact("N", (1, 2)), Fact("N", (3, 4)))
