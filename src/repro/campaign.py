@@ -5,9 +5,9 @@ scheme.  PR 1 batched walks over one shared chain; PR 2 kept one chain
 per conflict group alive for a whole ``run()``; this module unifies
 those mechanisms — plus the Hoeffding budgeting — into one subsystem
 shared by :func:`repro.core.sampling.approximate_cp` /
-:func:`~repro.core.sampling.approximate_oca` and both SQL samplers
-(:class:`repro.sql.sampler.KeyRepairSampler`,
-:class:`repro.sql.generic.ConstraintRepairSampler`).
+:func:`~repro.core.sampling.approximate_oca` and the SQL sampler
+(:class:`repro.sql.sampler.ConstraintRepairSampler`, which
+:class:`~repro.sql.sampler.KeyRepairSampler` constructs from keys).
 
 A :class:`SamplingCampaign`
 

@@ -1,14 +1,10 @@
-"""Columnar fact core: dictionary-encoded relations and compiled walks.
+"""Columnar fact core: vectorized edge survival and compiled walks.
 
 The object path represents everything as per-:class:`~repro.db.facts.Fact`
-Python objects — flexible, but every hot loop (conflict-group scans,
-violation-edge survival, repair walks) pays a Python-level iteration per
-fact.  This module provides the columnar counterparts:
+Python objects — flexible, but every hot loop (violation-edge survival,
+repair walks) pays a Python-level iteration per fact.  This module
+provides the columnar counterparts:
 
-- :class:`RelationStore` — a dictionary-encoded (term → int32 code)
-  column store per relation with sorted position-value indexes, so
-  membership and key-group scans run as ``np.searchsorted`` /
-  ``np.intersect1d`` array joins;
 - :class:`EdgeMembershipIndex` — violation/conflict edges as sorted
   fact-code arrays with an alive bitmap, so monotone deletions kill
   edges via one vectorized membership join instead of a per-edge
@@ -30,7 +26,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the availability gate
     import numpy as _np
@@ -44,7 +40,6 @@ __all__ = [
     "available",
     "enabled",
     "numpy_available",
-    "RelationStore",
     "EdgeMembershipIndex",
     "WalkTable",
     "WalkArena",
@@ -79,136 +74,17 @@ def available() -> bool:
 
 
 #: How much work ran on the columnar paths, by stat (plans compiled,
-#: draws vectorized vs replayed, rows encoded, vector joins, ...) —
+#: draws vectorized vs replayed, vector joins, edge indexes, ...) —
 #: ``diagnostics.cache_report().columnar``.  In the default registry,
 #: not the worker one, so serial runs count too; ``always=True`` keeps it
 #: counting under ``REPRO_METRICS=0``.
 EVENTS = obs_metrics.REGISTRY.counter(
     "ocqa_columnar_events_total",
     "Columnar-core events by stat (plans compiled, draws vectorized vs "
-    "replayed, rows encoded, vector joins, edge indexes, ...).",
+    "replayed, vector joins, edge indexes, ...).",
     ("stat",),
     always=True,
 )
-
-
-# --------------------------------------------------------------------------
-# Dictionary-encoded relation storage
-# --------------------------------------------------------------------------
-
-
-class RelationStore:
-    """One relation's rows as dictionary-encoded int32 columns.
-
-    Terms are interned into a dense code space (first occurrence order);
-    each column is an int32 array, and per-position sorted indexes are
-    built lazily so equality probes and key grouping run as binary
-    searches over sorted code arrays instead of Python dict loops.
-    """
-
-    __slots__ = ("rows", "arity", "_encode", "decode", "columns", "_sorted")
-
-    def __init__(self, rows: Iterable[Tuple[Any, ...]]) -> None:
-        self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
-        self.arity = len(self.rows[0]) if self.rows else 0
-        self._encode: Dict[Any, int] = {}
-        self.decode: List[Any] = []
-        encode = self._encode
-        decode = self.decode
-        coded: List[List[int]] = [[] for _ in range(self.arity)]
-        for row in self.rows:
-            for position, term in enumerate(row):
-                code = encode.get(term)
-                if code is None:
-                    code = len(decode)
-                    encode[term] = code
-                    decode.append(term)
-                coded[position].append(code)
-        self.columns = [
-            _np.asarray(column, dtype=_np.int32) for column in coded
-        ]
-        self._sorted: Dict[int, Tuple[Any, Any]] = {}
-        EVENTS.inc(len(self.rows), stat="rows_encoded")
-        EVENTS.inc(len(decode), stat="dictionary_terms")
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def code_for(self, term: Any) -> Optional[int]:
-        """The dictionary code of *term*, or ``None`` if absent."""
-        return self._encode.get(term)
-
-    def _sorted_index(self, position: int) -> Tuple[Any, Any]:
-        index = self._sorted.get(position)
-        if index is None:
-            order = _np.argsort(self.columns[position], kind="stable")
-            index = (self.columns[position][order], order)
-            self._sorted[position] = index
-        return index
-
-    def rows_with(self, position: int, term: Any) -> "_np.ndarray":
-        """Row ids whose *position* equals *term* (ascending order)."""
-        code = self._encode.get(term)
-        if code is None:
-            return _np.empty(0, dtype=_np.int64)
-        codes, order = self._sorted_index(position)
-        lo = _np.searchsorted(codes, code, side="left")
-        hi = _np.searchsorted(codes, code, side="right")
-        EVENTS.inc(stat="vector_joins")
-        return _np.sort(order[lo:hi])
-
-    def rows_matching(self, bindings: Dict[int, Any]) -> "_np.ndarray":
-        """Row ids matching every ``position == term`` binding (an
-        intersection of per-position probes)."""
-        result: Optional[Any] = None
-        for position, term in sorted(bindings.items()):
-            matches = self.rows_with(position, term)
-            if result is None:
-                result = matches
-            else:
-                result = _np.intersect1d(result, matches, assume_unique=True)
-            if result.size == 0:
-                break
-        if result is None:
-            return _np.arange(len(self.rows), dtype=_np.int64)
-        return result
-
-    def duplicate_key_groups(
-        self, positions: Sequence[int]
-    ) -> Dict[Tuple[Any, ...], List[int]]:
-        """Key values held by more than one row → their row ids.
-
-        This is the columnar form of the conflict-group membership scan:
-        a lexicographic sort of the key code columns, with group
-        boundaries found from the diff mask — no per-row dict churn.
-        """
-        if not self.rows:
-            return {}
-        key_columns = [self.columns[p] for p in positions]
-        # np.lexsort sorts by the *last* key first.
-        order = _np.lexsort(tuple(reversed(key_columns)))
-        sorted_keys = _np.stack([column[order] for column in key_columns])
-        boundary = _np.empty(len(self.rows), dtype=bool)
-        boundary[0] = True
-        if len(self.rows) > 1:
-            boundary[1:] = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(
-                axis=0
-            )
-        starts = _np.flatnonzero(boundary)
-        ends = _np.append(starts[1:], len(self.rows))
-        EVENTS.inc(stat="vector_joins")
-        groups: Dict[Tuple[Any, ...], List[int]] = {}
-        decode = self.decode
-        for lo, hi in zip(starts, ends):
-            if hi - lo < 2:
-                continue
-            members = order[lo:hi]
-            first = int(members[0])
-            key = tuple(
-                decode[int(column[first])] for column in key_columns
-            )
-            groups[key] = sorted(int(row) for row in members)
-        return groups
 
 
 # --------------------------------------------------------------------------

@@ -190,11 +190,8 @@ class CacheReport:
                 f"{self.columnar.get('plans_compiled', 0)} plan(s), "
                 f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s), "
                 f"{drawn} draw(s) vectorized / {replayed} replayed, "
-                f"{self.columnar.get('rows_encoded', 0)} row(s) encoded "
-                f"({self.columnar.get('dictionary_terms', 0)} dictionary "
-                f"term(s)), {self.columnar.get('vector_joins', 0)} vector "
-                f"join(s), {self.columnar.get('edge_index_builds', 0)} edge "
-                "index(es)"
+                f"{self.columnar.get('vector_joins', 0)} vector join(s), "
+                f"{self.columnar.get('edge_index_builds', 0)} edge index(es)"
             )
         if self.result_cache:
             hits = self.result_cache.get("hits", 0)

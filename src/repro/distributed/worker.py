@@ -124,7 +124,8 @@ class ShardContext:
 
     ``kind`` selects the runtime builder; ``payload`` carries everything
     needed to rebuild the sampling state from scratch on a bare worker:
-    the facts, schema/constraints, policy/generator, the query, and the
+    the facts, the chain generator (``"chain"``) or the SQL sampler's
+    bound constructor (``"constraint_sampler"``), the query, and the
     campaign seed.  ``context_id`` is a content digest, so a persistent
     worker serving several coordinator runs of the same campaign reuses
     one warm context.
@@ -173,7 +174,7 @@ class _ChainRuntime:
 
 
 class _SamplerRuntime:
-    """Warm runtime for the SQL samplers (scratch backend + warm chains).
+    """Warm runtime for the SQL sampler (scratch backend + warm chains).
 
     The worker always materialises the instance in a local SQLite
     scratch database: draws depend only on the facts and the RNG
@@ -182,7 +183,7 @@ class _SamplerRuntime:
     needs no connection to the coordinator's database.
     """
 
-    def __init__(self, kind: str, payload: Dict[str, Any]) -> None:
+    def __init__(self, payload: Dict[str, Any]) -> None:
         from repro.db.facts import Database
         from repro.sql.backend import SQLiteBackend
 
@@ -192,29 +193,11 @@ class _SamplerRuntime:
         self.backend = SQLiteBackend(check_same_thread=False)
         database = Database(payload["facts"])
         self.backend.load(database, payload["schema"])
-        campaign = SamplingCampaign(seed=payload["seed"])
-        if kind == "key_sampler":
-            from repro.sql.sampler import KeyRepairSampler
-
-            self.sampler = KeyRepairSampler(
-                self.backend,
-                payload["schema"],
-                payload["keys"],
-                policy=payload["policy"],
-                trust=payload.get("trust") or {},
-                campaign=campaign,
-            )
-        else:
-            from repro.sql.generic import ConstraintRepairSampler
-
-            generator = payload["generator"]
-            self.sampler = ConstraintRepairSampler(
-                self.backend,
-                payload["schema"],
-                payload["constraints"],
-                generator_factory=lambda _constraints: generator,
-                campaign=campaign,
-            )
+        self.sampler = payload["sampler"](
+            self.backend,
+            payload["schema"],
+            campaign=SamplingCampaign(seed=payload["seed"]),
+        )
         self.compiled = self.sampler.compile(payload["query"])
 
     def outcomes(self, start: int, count: int) -> List[Any]:
@@ -227,8 +210,8 @@ class _SamplerRuntime:
 def _build_runtime(context: ShardContext):
     if context.kind == "chain":
         return _ChainRuntime(context.payload)
-    if context.kind in ("key_sampler", "constraint_sampler"):
-        return _SamplerRuntime(context.kind, context.payload)
+    if context.kind == "constraint_sampler":
+        return _SamplerRuntime(context.payload)
     raise ValueError(f"unknown shard context kind {context.kind!r}")
 
 

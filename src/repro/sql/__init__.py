@@ -19,9 +19,10 @@ results over ``n`` runs.  This package implements exactly that over a
 - :mod:`repro.sql.compiler` — compile conjunctive and full first-order
   queries to dialect-neutral SQL (active-domain translation);
 - :mod:`repro.sql.rewriting` — the ``R -> R EXCEPT R_del`` rewriting;
-- :class:`KeyRepairSampler` / :class:`ConstraintRepairSampler` — the
-  end-to-end n-run sampling loops, running their campaigns through
-  :class:`repro.campaign.SamplingCampaign`.
+- :class:`ConstraintRepairSampler` — the end-to-end n-run sampling
+  loop over conflict components, running its campaign through
+  :class:`repro.campaign.SamplingCampaign`;
+  :class:`KeyRepairSampler` constructs it from key specifications.
 """
 
 from repro.sql.backend import (
@@ -35,10 +36,14 @@ from repro.sql.backend import (
 from repro.sql.compiler import compile_cq, compile_fo_query
 from repro.sql.dialect import SQLDialect, check_name
 from repro.sql.digest import InstanceDigest, backend_digest, database_digest
-from repro.sql.generic import ConstraintRepairSampler
 from repro.sql.memory import InMemoryBackend
 from repro.sql.rewriting import DeletionRewriter, LiveRelationMap
-from repro.sql.sampler import KeyRepairSampler, KeySpec, SamplerPolicy
+from repro.sql.sampler import (
+    ConstraintRepairSampler,
+    KeyRepairSampler,
+    KeySpec,
+    SamplerPolicy,
+)
 from repro.sql.violations import (
     SQLDeltaViolationIndex,
     compile_violation_query,

@@ -5,7 +5,7 @@ Relations map to tables named after the relation with columns
 domain for the first-order compiler's quantifier translation.
 
 :class:`SQLBackend` is the protocol every consumer in this package
-(violation detection, the deletion rewriting, both samplers, the query
+(violation detection, the deletion rewriting, the sampler, the query
 compilers) targets.  It splits into two layers:
 
 - **structured table operations** (``create_table``, ``insert_rows``,

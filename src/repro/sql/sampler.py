@@ -1,52 +1,75 @@
 """The end-to-end SQL sampling scheme of Section 5.
 
-For key constraints, violations partition into independent *conflict
-groups* (tuples sharing a key value), so the global repairing Markov
-chain factorises into one tiny chain per group — the "localization of
-repairs" optimization the paper's Section 6 points to.  Each sampling
-run draws one repair by sampling every group independently, materialises
-the removed tuples in the ``R__del`` tables, and evaluates the query
-rewritten over ``R EXCEPT R__del``; tuple frequencies over ``n`` runs
-estimate ``CP`` with the additive Hoeffding guarantee (or the
+Violations of a TGD-free constraint set (keys, FDs, denial constraints)
+are detected by SQL self-joins (:mod:`repro.sql.violations`) and grouped
+into *conflict components*: facts linked by a violation, closed under
+every constraint.  The global repairing Markov chain factorises into
+one small chain per component — the "localization of repairs"
+optimization the paper's Section 6 points to — so each sampling run
+draws one repair by walking every component's chain independently,
+materialises the removed tuples in the ``R__del`` tables, and evaluates
+the query rewritten over ``R EXCEPT R__del``; tuple frequencies over
+``n`` runs estimate ``CP`` with the additive Hoeffding guarantee (or the
 empirical-Bernstein adaptive variant — see
 :class:`repro.campaign.SamplingCampaign`).
 
-Three per-group policies:
+:class:`ConstraintRepairSampler` is that loop.  :class:`KeyRepairSampler`
+constructs it from key specifications, with three policies:
 
-- ``KEEP_ONE_UNIFORM`` — keep exactly one tuple per group, uniformly (the
-  classical ABC-style repair sampling; "randomly pick at most one tuple
-  to be left there");
-- ``OPERATIONAL_UNIFORM`` — sample the group's repairing chain under the
-  uniform generator (pair deletions included, so *zero* survivors are
-  possible, as the operational semantics allows);
-- ``TRUST`` — sample the group's chain under Example 5's trust-based
+- ``KEEP_ONE_UNIFORM`` — keep exactly one tuple per key group, uniformly
+  (the classical ABC-style repair sampling; "randomly pick at most one
+  tuple to be left there").  A component is a key group only when each
+  relation has at most one key, so this policy requires that;
+- ``OPERATIONAL_UNIFORM`` — walk the component's repairing chain under
+  the uniform generator (pair deletions included, so *zero* survivors
+  are possible, as the operational semantics allows);
+- ``TRUST`` — walk the component's chain under Example 5's trust-based
   generator.
 
-The sampler targets the :class:`repro.sql.backend.SQLBackend` protocol,
+For a single-atom conjunctive query, a draw range runs through a
+compiled columnar draw plan (:func:`_build_columnar_plan`) instead of
+per-draw SQL; its outcomes are byte-identical to the reference loop.
+
+The samplers target the :class:`repro.sql.backend.SQLBackend` protocol,
 so the same code runs on SQLite, PostgreSQL, and the in-memory backend.
-All per-group randomness flows through the campaign's draw-indexed RNG
-substreams (:meth:`repro.campaign.SamplingCampaign.rng_at`): draw ``i``
-of group ``g`` depends only on ``(campaign seed, g, i)``, so draws are
-independent of batch boundaries, a checkpointed campaign resumes with
-bit-identical sequences, and any draw range can be computed by any
-worker — the contract behind :mod:`repro.distributed`.  Pass ``workers``
-(persistent local pool) or ``worker_addresses`` (remote ``host:port``
-workers started with ``ocqa worker``) to shard a campaign's draws; the
-merged estimates are byte-identical to a single-process run.
+All per-component randomness flows through the campaign's draw-indexed
+RNG substreams (:meth:`repro.campaign.SamplingCampaign.rng_at`): draw
+``i`` of component ``g`` depends only on ``(campaign seed, g, i)``, so
+draws are independent of batch boundaries, a checkpointed campaign
+resumes with bit-identical sequences, and any draw range can be
+computed by any worker — the contract behind :mod:`repro.distributed`.
+Pass ``workers`` (persistent local pool) or ``worker_addresses``
+(remote ``host:port`` workers started with ``ocqa worker``) to shard a
+campaign's draws; the merged estimates are byte-identical to a
+single-process run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.campaign import (
     SamplingCampaign,
     UpdateReport,
     _key_str,
     campaign_fingerprint,
+    generator_signature,
 )
 from repro.constraints.base import ConstraintSet
 from repro.constraints.shortcuts import key as key_constraints
@@ -64,8 +87,18 @@ from repro.queries.query import Query
 from repro.sql.backend import SQLBackend
 from repro.sql.compiler import CompiledQuery, compile_cq, compile_fo_query
 from repro.sql.rewriting import DeletionRewriter
+from repro.sql.violations import SQLDeltaViolationIndex
 
 AnyQuery = Union[Query, ConjunctiveQuery]
+
+#: Builds the per-component chain generator from a constraint set.
+GeneratorFactory = Callable[[ConstraintSet], ChainGenerator]
+
+#: A component's walk table plus the facts surviving at each of its
+#: states (only absorbing states' entries are read).
+WalkTableFn = Callable[
+    [FrozenSet[Fact]], Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]]]]
+]
 
 _DRAW_RANGES = obs_metrics.REGISTRY.counter(
     "ocqa_draw_ranges_total",
@@ -91,7 +124,7 @@ def instance_digest(backend: SQLBackend, schema: Schema) -> str:
 
 
 class SamplerPolicy(str, Enum):
-    """How survivors are chosen inside one key-conflict group."""
+    """How :class:`KeyRepairSampler` chooses survivors in a key group."""
 
     KEEP_ONE_UNIFORM = "keep_one_uniform"
     OPERATIONAL_UNIFORM = "operational_uniform"
@@ -109,18 +142,6 @@ class KeySpec:
     def constraints(self) -> ConstraintSet:
         """The EGDs expressing this key."""
         return ConstraintSet(key_constraints(self.relation, self.arity, self.positions))
-
-
-@dataclass
-class ConflictGroup:
-    """Tuples of one relation sharing a key value."""
-
-    spec: KeySpec
-    key_value: Tuple[Term, ...]
-    facts: Tuple[Fact, ...]
-
-    def __len__(self) -> int:
-        return len(self.facts)
 
 
 @dataclass
@@ -153,14 +174,14 @@ class SamplingReport:
 
 
 class BaseCampaignSampler:
-    """Campaign plumbing shared by the SQL samplers.
+    """Campaign plumbing of the SQL sampler.
 
-    Subclasses set ``backend``, ``schema``, ``rng`` and ``rewriter``
-    before calling :meth:`_init_campaign`, implement
-    :meth:`_fingerprint_parts` and :meth:`deletions_for_range`;
-    everything else — lazy instance digest, campaign attach/bind, query
-    compilation under the rewriting, and the estimation loop — lives
-    here exactly once.
+    :class:`ConstraintRepairSampler` sets ``backend``, ``schema``,
+    ``rng`` and ``rewriter`` before calling :meth:`_init_campaign`, and
+    implements ``_fingerprint_parts``, ``deletions_for_range``,
+    ``_columnar_outcomes`` and ``_shard_context_payload``; the lazy
+    instance digest, campaign attach/bind, query compilation under the
+    rewriting, and the estimation loop live here.
     """
 
     backend: SQLBackend
@@ -245,10 +266,6 @@ class BaseCampaignSampler:
             self._data_digest = instance_digest(self.backend, self.schema)
         return campaign_fingerprint(self._data_digest, *self._fingerprint_parts())
 
-    def _fingerprint_parts(self) -> Tuple:
-        """Sampler-specific fingerprint components (policy, keys, ...)."""
-        raise NotImplementedError
-
     def result_digest(self) -> str:
         """The rolling instance digest the result cache keys entries by.
 
@@ -296,15 +313,6 @@ class BaseCampaignSampler:
         self._columnar_plans.clear()
         if self.campaign.fingerprint:
             self.campaign.fingerprint = self.fingerprint()
-
-    def deletions_for_range(self, start: int, count: int) -> List[List[Fact]]:
-        """Deleted facts for draws ``[start, start + count)``.
-
-        Pure in the draw indices: the result depends only on the
-        campaign seed, the conflict groups, and the range — never on
-        which process computes it or how a campaign was batched.
-        """
-        raise NotImplementedError
 
     def sample_deletions(self) -> List[Fact]:
         """One repair draw (consumes the next global draw index)."""
@@ -365,17 +373,6 @@ class BaseCampaignSampler:
             outcomes.append(compiled.run(self.backend))
         self.rewriter.clear()
         return outcomes
-
-    def _columnar_outcomes(
-        self, compiled: CompiledQuery, start: int, count: int
-    ) -> Optional[List[Any]]:
-        """Columnar fast path — ``None`` when this sampler has none."""
-        del compiled, start, count
-        return None
-
-    def _shard_context_payload(self, query: AnyQuery) -> Tuple[str, Dict[str, Any]]:
-        """``(kind, payload)`` for a distributed shard context."""
-        raise NotImplementedError
 
     def _shard_context(self, query: AnyQuery):
         """The (cached) distributed context describing this campaign."""
@@ -494,8 +491,237 @@ class BaseCampaignSampler:
         return repaired
 
 
-class KeyRepairSampler(BaseCampaignSampler):
-    """Samples key-violation repairs directly inside the SQL backend."""
+class ConstraintRepairSampler(BaseCampaignSampler):
+    """Section 5's sampling loop for TGD-free (denial-style) constraints.
+
+    *generator_factory* receives the constraint set and returns the
+    chain generator used on each conflict component (default: the
+    uniform generator).  The factory is called once; the same generator
+    drives every component's chain.
+
+    Violation detection runs through an incremental
+    :class:`repro.sql.violations.SQLDeltaViolationIndex`: the full
+    self-joins execute once, and subsequent base-table deltas
+    (:meth:`apply_update`) refresh the conflict components from pinned
+    delta joins instead of re-running them.  Each component also keeps
+    one repairing chain per campaign, so every draw's walk shares the
+    engine's delta-maintained state.
+    """
+
+    def __init__(
+        self,
+        backend: SQLBackend,
+        schema: Schema,
+        constraints: ConstraintSet,
+        generator_factory: GeneratorFactory = UniformGenerator,
+        rng: Optional[random.Random] = None,
+        campaign: Optional[SamplingCampaign] = None,
+        checkpoint_path: Optional[str] = None,
+        adaptive: bool = False,
+        workers: Optional[int] = None,
+        worker_addresses: Sequence[str] = (),
+        coordinator=None,
+    ) -> None:
+        if not constraints.deletion_only():
+            raise ValueError(
+                "ConstraintRepairSampler requires TGD-free constraints "
+                "(violations must be detectable by flat SQL joins)"
+            )
+        self.backend = backend
+        self.schema = schema
+        self.constraints = constraints
+        self.generator = generator_factory(constraints)
+        self.rng = rng or random.Random()
+        self.rewriter = DeletionRewriter(backend, schema)
+        self._init_campaign(
+            campaign,
+            checkpoint_path,
+            adaptive,
+            workers=workers,
+            worker_addresses=worker_addresses,
+            coordinator=coordinator,
+        )
+        self.violation_index = SQLDeltaViolationIndex(backend, constraints)
+        self.components: Tuple[FrozenSet[Fact], ...] = (
+            self.violation_index.components()
+        )
+
+    def _fingerprint_parts(self) -> Tuple:
+        return (
+            type(self).__name__,
+            self.schema.fingerprint(),
+            tuple(sorted(str(c) for c in self.constraints)),
+            generator_signature(self.generator),
+        )
+
+    # ------------------------------------------------------------------
+    # Incremental base-table maintenance
+    # ------------------------------------------------------------------
+    def apply_update(
+        self, added: Iterable[Fact] = (), removed: Iterable[Fact] = ()
+    ) -> UpdateReport:
+        """Apply a base-table delta and re-derive the conflict components.
+
+        Deletions drop dead violation edges in memory; insertions run
+        pinned delta joins only for the constraints whose bodies mention
+        a touched relation.  Components are then recomputed from the
+        maintained edge sets (pure union-find — no SQL), and only
+        components whose fact sets changed lose their cached chains.
+        Returns an :class:`repro.campaign.UpdateReport` naming the
+        changed components (and the pre/post instance digests when the
+        rolling digest is live) for result-cache invalidation.
+        """
+        added = list(added)
+        removed = list(removed)
+        old_components = self.components
+        if removed:
+            self.backend.delete_facts(removed)
+            self.violation_index.apply_delete(removed)
+        if added:
+            self.backend.insert_facts(added)
+            self.backend.extend_adom(
+                value for fact in added for value in fact.values
+            )
+            self.violation_index.apply_insert(added)
+        self.components = self.violation_index.components()
+        self.campaign.prune_chains(self.components)
+        old_digest, new_digest = self._roll_result_digest(added, removed)
+        self._refresh_campaign_identity()
+        return UpdateReport.from_groups(
+            added,
+            removed,
+            old_components,
+            self.components,
+            old_digest=old_digest,
+            new_digest=new_digest,
+        )
+
+    # ------------------------------------------------------------------
+    # Sampling
+    # ------------------------------------------------------------------
+    def _component_chain(self, component: FrozenSet[Fact]) -> RepairingChain:
+        """The component's warm chain: every draw of the campaign walks
+        it, so the engine's incremental machinery (violation deltas,
+        justified-operation maps, transition memos) amortizes across all
+        ``n`` runs."""
+        return self.campaign.chain(
+            component, lambda: self.generator.chain(Database(component))
+        )
+
+    def deletions_for_range(self, start: int, count: int) -> List[List[Fact]]:
+        """Deleted facts for draws ``[start, start + count)``.
+
+        Batched component by component: all of a component's walks run
+        over its one warm chain before moving on, so hot prefix states
+        are enumerated once per campaign rather than once per draw.
+        Draw ``i`` of component ``g`` comes from the substream
+        :meth:`repro.campaign.SamplingCampaign.rng_at`\\ ``(g, i)`` — a
+        pure function of the campaign seed, so any contiguous range can
+        be computed by any process (the :mod:`repro.distributed`
+        sharding contract) and the sequences are independent of batch
+        boundaries (the property behind checkpoint/resume equality and
+        local == distributed byte-identity).
+        """
+        per_run: List[List[Fact]] = [[] for _ in range(count)]
+        for component in self.components:
+            chain = self._component_chain(component)
+            for offset, deletions in enumerate(per_run):
+                walk = sample_walk(
+                    chain, self.campaign.rng_at(component, start + offset)
+                )
+                deletions.extend(sorted(chain.database - walk.result, key=str))
+        return per_run
+
+    def _replica(self) -> Callable[..., "ConstraintRepairSampler"]:
+        """This sampler's constructor with its draw-defining arguments
+        bound; a worker calls it with its own backend, schema and
+        campaign."""
+        return functools.partial(
+            ConstraintRepairSampler,
+            constraints=self.constraints,
+            generator_factory=functools.partial(_shipped, self.generator),
+        )
+
+    def _shard_context_payload(self, query: AnyQuery) -> Tuple[str, Dict[str, Any]]:
+        return (
+            "constraint_sampler",
+            {
+                "facts": tuple(self.backend.fetch_database(self.schema)),
+                "schema": self.schema,
+                "sampler": self._replica(),
+                "seed": self.campaign.seed,
+                "query": query,
+            },
+        )
+
+    # ------------------------------------------------------------------
+    # Columnar fast path
+    # ------------------------------------------------------------------
+    def _columnar_outcomes(
+        self, compiled: CompiledQuery, start: int, count: int
+    ) -> Optional[List[Any]]:
+        """Answer sets via a compiled columnar draw plan, or ``None``.
+
+        ``tests/property/test_columnar_props.py`` pins its outcomes to
+        the object path's.
+        """
+        return self._plan_outcomes(compiled, start, count, self._chain_table)
+
+    def _chain_table(
+        self, component: FrozenSet[Fact]
+    ) -> Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]]]]:
+        """The component's chain as a walk table (``None`` past the
+        state limit) and the facts surviving at each state."""
+        table = columnar.compile_walk_table(self._component_chain(component))
+        if table is None:
+            return None
+        return table, [
+            () if state is None else state.db.facts for state in table.payload
+        ]
+
+    def _plan_outcomes(
+        self,
+        compiled: CompiledQuery,
+        start: int,
+        count: int,
+        walk_table: WalkTableFn,
+    ) -> Optional[List[Any]]:
+        """Run the plan built over *walk_table*'s per-component tables.
+
+        The plan is built once per (compiled query, instance) and gated
+        conservatively — any precondition it cannot prove falls back to
+        the object path (see :func:`_build_columnar_plan`).
+        """
+        if count <= 0 or not columnar.available():
+            return None
+        key = (compiled.sql, tuple(compiled.parameters))
+        plan = self._columnar_plans.get(key)
+        if plan is None:
+            plan = _build_columnar_plan(self, compiled, walk_table) or False
+            self._columnar_plans[key] = plan
+        if plan is False:
+            return None
+        outcomes = plan.outcomes(start, count)
+        # The reference loop leaves the rewriter cleared; match it so
+        # interleaved object-path callers see the same backend state.
+        self.rewriter.clear()
+        return outcomes
+
+
+def _shipped(generator: ChainGenerator, constraints: ConstraintSet) -> ChainGenerator:
+    """A picklable generator factory returning an already-built generator."""
+    del constraints
+    return generator
+
+
+class KeyRepairSampler(ConstraintRepairSampler):
+    """:class:`ConstraintRepairSampler` over key constraints.
+
+    Each :class:`KeySpec` becomes its EGDs.  ``OPERATIONAL_UNIFORM`` and
+    ``TRUST`` choose the chain generator (the trust mapping is
+    validated here, at construction).  ``KEEP_ONE_UNIFORM`` is the one
+    policy that is not a chain walk, so this class draws it itself.
+    """
 
     def __init__(
         self,
@@ -512,233 +738,89 @@ class KeyRepairSampler(BaseCampaignSampler):
         worker_addresses: Sequence[str] = (),
         coordinator=None,
     ) -> None:
-        self.backend = backend
-        self.schema = schema
         self.keys = tuple(keys)
         self.policy = SamplerPolicy(policy)
         self.trust = dict(trust) if trust else {}
-        self.rng = rng or random.Random()
-        self.rewriter = DeletionRewriter(backend, schema)
-        #: The campaign owning warm chains, the draw cursor, the
-        #: estimation tallies, and (optionally) the on-disk checkpoint.
-        self._init_campaign(
-            campaign,
-            checkpoint_path,
-            adaptive,
+        if self.policy is SamplerPolicy.KEEP_ONE_UNIFORM:
+            relations = [spec.relation for spec in self.keys]
+            if len(set(relations)) != len(relations):
+                raise ValueError(
+                    "KEEP_ONE_UNIFORM keeps one fact per key group, so it "
+                    "takes at most one key per relation; use "
+                    "OPERATIONAL_UNIFORM or TRUST for overlapping keys"
+                )
+        super().__init__(
+            backend,
+            schema,
+            ConstraintSet(c for spec in self.keys for c in spec.constraints()),
+            generator_factory=(
+                functools.partial(TrustGenerator, trust=self.trust)
+                if self.policy is SamplerPolicy.TRUST
+                else UniformGenerator
+            ),
+            rng=rng,
+            campaign=campaign,
+            checkpoint_path=checkpoint_path,
+            adaptive=adaptive,
             workers=workers,
             worker_addresses=worker_addresses,
             coordinator=coordinator,
         )
-        self._generators: Dict[KeySpec, ChainGenerator] = {}
-        self._buckets: Dict[KeySpec, Dict[Tuple[Term, ...], set]] = {}
-        self._scan_buckets()
-        self.groups: Tuple[ConflictGroup, ...] = self._rebuild_groups()
 
     def _fingerprint_parts(self) -> Tuple:
-        return (
-            "KeyRepairSampler",
-            self.schema.fingerprint(),
-            self.keys,
-            self.policy.value,
-            sorted((str(f), str(t)) for f, t in self.trust.items()),
-        )
+        # KEEP_ONE_UNIFORM shares OPERATIONAL_UNIFORM's generator.
+        return super()._fingerprint_parts() + (self.policy.value,)
 
-    # ------------------------------------------------------------------
-    # Conflict detection (one scan, then delta-maintained)
-    # ------------------------------------------------------------------
-    def _scan_buckets(self) -> None:
-        for spec in self.keys:
-            rows = self.backend.select_all(spec.relation)
-            buckets: Dict[Tuple[Term, ...], set] = {}
-            for row in rows:
-                fact = Fact(spec.relation, tuple(row))
-                key_value = tuple(row[p] for p in spec.positions)
-                buckets.setdefault(key_value, set()).add(fact)
-            self._buckets[spec] = buckets
-
-    def _rebuild_groups(self) -> Tuple[ConflictGroup, ...]:
-        groups: List[ConflictGroup] = []
-        for spec in self.keys:
-            buckets = self._buckets.get(spec, {})
-            for key_value, facts in sorted(buckets.items(), key=lambda kv: str(kv[0])):
-                if len(facts) > 1:
-                    groups.append(
-                        ConflictGroup(spec, key_value, tuple(sorted(facts, key=str)))
-                    )
-        return tuple(groups)
-
-    def apply_update(
-        self, added: Iterable[Fact] = (), removed: Iterable[Fact] = ()
-    ) -> UpdateReport:
-        """Apply a base-table delta and re-derive the conflict groups.
-
-        The groups are maintained from the in-memory key buckets — no
-        table re-scan — and only the groups whose fact sets actually
-        changed lose their cached chains (the fact tuple is the cache
-        key, so untouched groups keep their amortized state).  Returns
-        an :class:`repro.campaign.UpdateReport` naming exactly those
-        changed groups (plus the pre/post instance digests when the
-        rolling digest is live) — the feed the service result cache
-        invalidates from.
-        """
-        added = list(added)
-        removed = list(removed)
-        old_groups = [group.facts for group in self.groups]
-        if removed:
-            self.backend.delete_facts(removed)
-        if added:
-            self.backend.insert_facts(added)
-            self.backend.extend_adom(
-                value for fact in added for value in fact.values
-            )
-        for spec in self.keys:
-            buckets = self._buckets[spec]
-            for fact in removed:
-                if fact.relation != spec.relation or fact.arity != spec.arity:
-                    continue
-                key_value = tuple(fact.values[p] for p in spec.positions)
-                bucket = buckets.get(key_value)
-                if bucket is not None:
-                    bucket.discard(fact)
-                    if not bucket:
-                        del buckets[key_value]
-            for fact in added:
-                if fact.relation != spec.relation or fact.arity != spec.arity:
-                    continue
-                key_value = tuple(fact.values[p] for p in spec.positions)
-                buckets.setdefault(key_value, set()).add(fact)
-        self.groups = self._rebuild_groups()
-        self.campaign.prune_chains(group.facts for group in self.groups)
-        old_digest, new_digest = self._roll_result_digest(added, removed)
-        self._refresh_campaign_identity()
-        return UpdateReport.from_groups(
-            added,
-            removed,
-            old_groups,
-            [group.facts for group in self.groups],
-            old_digest=old_digest,
-            new_digest=new_digest,
-        )
-
-    # ------------------------------------------------------------------
-    # Per-group sampling policies
-    # ------------------------------------------------------------------
-    def _group_generator(self, spec: KeySpec) -> ChainGenerator:
-        generator = self._generators.get(spec)
-        if generator is None:
-            constraints = spec.constraints()
-            if self.policy is SamplerPolicy.OPERATIONAL_UNIFORM:
-                generator = UniformGenerator(constraints)
-            else:
-                # TrustGenerator snapshots the trust mapping, and the
-                # snapshot lives as long as the cached chains — mutate
-                # trust through a fresh sampler instead.
-                generator = TrustGenerator(constraints, self.trust)
-            self._generators[spec] = generator
-        return generator
-
-    def _group_chain(self, group: ConflictGroup) -> RepairingChain:
-        """The group's warm chain: every draw of the campaign walks it,
-        so the engine's incremental machinery (violation deltas,
-        justified-operation maps, transition memos) amortizes across
-        all ``n`` runs."""
-        return self.campaign.chain(
-            group.facts,
-            lambda: self._group_generator(group.spec).chain(Database(group.facts)),
+    def _replica(self) -> Callable[..., "KeyRepairSampler"]:
+        return functools.partial(
+            KeyRepairSampler, keys=self.keys, policy=self.policy, trust=self.trust
         )
 
     def deletions_for_range(self, start: int, count: int) -> List[List[Fact]]:
-        """Deleted facts for draws ``[start, start + count)``.
-
-        Batched group by group: all of a group's walks run over its one
-        shared chain before moving on, so hot prefix states are
-        enumerated once per campaign rather than once per draw.  Draw
-        ``i`` of group ``g`` comes from the substream
-        :meth:`repro.campaign.SamplingCampaign.rng_at`\\ ``(g, i)`` —
-        a pure function of the campaign seed, so any contiguous range
-        can be computed by any process (the :mod:`repro.distributed`
-        sharding contract) and the sequences are independent of batch
-        boundaries (the property behind checkpoint/resume equality and
-        local == distributed byte-identity).
-        """
+        """``KEEP_ONE_UNIFORM`` keeps one uniformly chosen fact of each
+        component (one key group); the chain policies walk the parent's
+        warm chains.  Draws come from the same ``(seed, component, i)``
+        substreams either way."""
+        if self.policy is not SamplerPolicy.KEEP_ONE_UNIFORM:
+            return super().deletions_for_range(start, count)
         per_run: List[List[Fact]] = [[] for _ in range(count)]
-        for group in self.groups:
-            if self.policy is SamplerPolicy.KEEP_ONE_UNIFORM:
-                for offset, deletions in enumerate(per_run):
-                    rng = self.campaign.rng_at(group.facts, start + offset)
-                    survivor = rng.choice(group.facts)
-                    deletions.extend(f for f in group.facts if f != survivor)
-                continue
-            chain = self._group_chain(group)
+        for component in self.components:
+            facts = sorted(component, key=str)
             for offset, deletions in enumerate(per_run):
-                walk = sample_walk(
-                    chain, self.campaign.rng_at(group.facts, start + offset)
-                )
-                deletions.extend(sorted(chain.database - walk.result, key=str))
+                rng = self.campaign.rng_at(component, start + offset)
+                survivor = rng.choice(facts)
+                deletions.extend(fact for fact in facts if fact != survivor)
         return per_run
 
-    def _shard_context_payload(self, query: AnyQuery) -> Tuple[str, Dict[str, Any]]:
-        return (
-            "key_sampler",
-            {
-                "facts": tuple(self.backend.fetch_database(self.schema)),
-                "schema": self.schema,
-                "keys": self.keys,
-                "policy": self.policy.value,
-                "trust": dict(self.trust),
-                "seed": self.campaign.seed,
-                "query": query,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Columnar fast path
-    # ------------------------------------------------------------------
     def _columnar_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
     ) -> Optional[List[Any]]:
-        """Answer sets via a compiled columnar draw plan, or ``None``.
-
-        The plan is built once per (compiled query, instance) and gated
-        conservatively — any precondition it cannot prove falls back to
-        the object path (see :func:`_build_columnar_plan`).
-        ``tests/property/test_columnar_props.py`` pins its outcomes to
-        the object path's.
-        """
-        if count <= 0 or not columnar.available():
-            return None
-        key = (compiled.sql, tuple(compiled.parameters))
-        plan = self._columnar_plans.get(key)
-        if plan is None:
-            plan = _build_columnar_plan(self, compiled)
-            self._columnar_plans[key] = plan if plan is not None else False
-        if plan is False or plan is None:
-            return None
-        outcomes = plan.outcomes(start, count)
-        # The reference loop leaves the rewriter cleared; match it so
-        # interleaved object-path callers see the same backend state.
-        self.rewriter.clear()
-        return outcomes
+        """The plan over ``KEEP_ONE_UNIFORM``'s one-step tables, or the
+        parent's chain-table plan for the chain policies."""
+        if self.policy is not SamplerPolicy.KEEP_ONE_UNIFORM:
+            return super()._columnar_outcomes(compiled, start, count)
+        return self._plan_outcomes(compiled, start, count, _keep_one_table)
 
 
 class _ColumnarDrawPlan:
     """A compiled, vectorized form of ``outcomes_for_range``.
 
     Built by :func:`_build_columnar_plan` for single-atom conjunctive
-    queries over a key-repair sampler.  The observation: with the
-    rewriting's ``R EXCEPT R__del`` set semantics, a draw's answer set
-    is exactly ``clean_answers ∪ (projections of each conflict group's
-    surviving facts)`` — rows outside every conflict group can never be
-    deleted, and each group's survivors depend only on that group's own
-    draw substream.  So one batch needs: the MT19937 word matrix for
-    every (group, draw) seed string (:func:`repro.core.mt19937.batch_words`),
-    one vectorized pass through the concatenated walk tables
+    queries.  The observation: with the rewriting's ``R EXCEPT R__del``
+    set semantics, a draw's answer set is exactly ``clean_answers ∪
+    (projections of each conflict component's surviving R facts)`` —
+    rows outside every component can never be deleted, and each
+    component's survivors depend only on that component's own draw
+    substream.  So one batch needs: the MT19937 word matrix for every
+    (component, draw) seed string
+    (:func:`repro.core.mt19937.batch_words`), one vectorized pass
+    through the concatenated walk tables
     (:class:`repro.core.columnar.WalkArena`), and a per-draw union of
     precomputed projection sets.  Instances that exhaust their word
-    budget — or groups whose chains need weighted draws — are replayed
-    per instance with a genuinely seeded ``random.Random`` over the same
-    table, so every outcome is byte-identical to the reference loop by
-    construction.
+    budget — or components whose chains need weighted draws — are
+    replayed per instance with a genuinely seeded ``random.Random`` over
+    the same table, so every outcome is byte-identical to the reference
+    loop by construction.
     """
 
     __slots__ = (
@@ -830,22 +912,26 @@ class _ColumnarDrawPlan:
         ]
 
 
-def _keep_one_table(size: int) -> Any:
-    """The 1-step walk table of ``rng.choice(facts)``.
+def _keep_one_table(
+    component: FrozenSet[Fact],
+) -> Tuple[columnar.WalkTable, List[Iterable[Fact]]]:
+    """The 1-step walk table of ``rng.choice(facts)``, and its survivors.
 
     ``Random.choice`` and ``randrange`` both route through
-    ``_randbelow``, so a uniform table over *size* successors consumes
-    exactly the words the ``KEEP_ONE_UNIFORM`` object path would.
+    ``_randbelow``, so a uniform table over the component's facts (in
+    ``str`` order) consumes exactly the words the ``KEEP_ONE_UNIFORM``
+    object path would; state ``i + 1`` keeps fact ``i``.
     """
+    facts = sorted(component, key=str)
     table = columnar.WalkTable()
     table.absorbing.append(False)
     table.uniform.append(True)
-    table.counts.append(size)
+    table.counts.append(len(facts))
     table.denominators.append(0)
     table.cumulative.append(())
-    table.successors.append(tuple(range(1, size + 1)))
+    table.successors.append(tuple(range(1, len(facts) + 1)))
     table.payload.append(None)
-    for _ in range(size):
+    for _ in facts:
         table.absorbing.append(True)
         table.uniform.append(True)
         table.counts.append(0)
@@ -853,26 +939,30 @@ def _keep_one_table(size: int) -> Any:
         table.cumulative.append(())
         table.successors.append(())
         table.payload.append(None)
-    return table
+    return table, [()] + [(fact,) for fact in facts]
 
 
-#: Word columns pre-seeded per (group, draw); deep rejection-sampling
+#: Word columns pre-seeded per (component, draw); deep rejection-sampling
 #: tails beyond this fall back to per-instance replay, bit-exactly.
 _PLAN_WORD_BUDGET = min(24, mt19937.MAX_PARTIAL_WORDS)
 
 
 def _build_columnar_plan(
-    sampler: "KeyRepairSampler", compiled: CompiledQuery
+    sampler: ConstraintRepairSampler,
+    compiled: CompiledQuery,
+    walk_table: WalkTableFn,
 ) -> Optional[_ColumnarDrawPlan]:
     """Compile a :class:`_ColumnarDrawPlan`, or ``None`` when gated.
 
-    Every gate is a precondition of the clean/survivor decomposition:
-    a single-atom CQ with distinct variable terms (so answers are plain
+    *walk_table* gives each conflict component's table and the facts
+    surviving at each state.  Components without a fact of the queried
+    relation never change the answer, so the plan skips them.  Every
+    gate is a precondition of the clean/survivor decomposition: a
+    single-atom CQ with distinct variable terms (so answers are plain
     row projections), a SQL backend (rows compare in the dialect's
     decoded space on both paths), the compiled query built against this
-    sampler's live rewriting, each queried-relation fact in at most one
-    conflict group (unions would otherwise double-delete), and every
-    group fact resolvable to exactly one base row.
+    sampler's live rewriting, and every component fact of the queried
+    relation resolvable to exactly one base row.
     """
     try:
         source = compiled.source
@@ -898,16 +988,14 @@ def _build_columnar_plan(
         ):
             return None
         rows = {tuple(row) for row in sampler.backend.select_all(atom.relation)}
-        groups = [
-            group
-            for group in sampler.groups
-            if group.spec.relation == atom.relation
-        ]
+        components = []
         mapped: Dict[Fact, Tuple] = {}
-        for group in groups:
-            for fact in group.facts:
-                if fact in mapped:
-                    return None
+        for component in sampler.components:
+            queried = [fact for fact in component if fact.relation == atom.relation]
+            if not queried:
+                continue
+            components.append(component)
+            for fact in queried:
                 row = tuple(fact.values)
                 if row not in rows:
                     row = tuple(str(value) for value in fact.values)
@@ -922,36 +1010,27 @@ def _build_columnar_plan(
             for row in rows - set(mapped.values())
         )
 
-        def project(fact: Fact) -> Tuple:
-            row = mapped[fact]
-            return tuple(row[p] for p in projection)
+        def project(survivors: Iterable[Fact]) -> frozenset:
+            return frozenset(
+                tuple(mapped[fact][p] for p in projection)
+                for fact in survivors
+                if fact in mapped
+            )
 
         vector_entries: List[Tuple[str, bytes, Any, List[frozenset]]] = []
         replay_entries: List[Tuple[str, Any, List[frozenset]]] = []
-        for group in groups:
-            prefix_text = f"{sampler.campaign.seed}:{_key_str(group.facts)}#"
+        for component in components:
+            prefix_text = f"{sampler.campaign.seed}:{_key_str(component)}#"
             prefix = prefix_text.encode()
             if len(prefix) > 2400:
                 # Key words would spill past the 624-word MT state; the
-                # whole-batch seeder cannot vectorize such groups.
+                # whole-batch seeder cannot vectorize such components.
                 return None
-            if sampler.policy is SamplerPolicy.KEEP_ONE_UNIFORM:
-                table = _keep_one_table(len(group.facts))
-                projections = [frozenset()] + [
-                    frozenset((project(fact),)) for fact in group.facts
-                ]
-            else:
-                table = columnar.compile_walk_table(
-                    sampler._group_chain(group)
-                )
-                if table is None:
-                    return None
-                projections = [
-                    frozenset()
-                    if state is None
-                    else frozenset(project(fact) for fact in state.db.facts)
-                    for state in table.payload
-                ]
+            built = walk_table(component)
+            if built is None:
+                return None
+            table, survivors = built
+            projections = [project(facts) for facts in survivors]
             if table.vectorizable:
                 vector_entries.append((prefix_text, prefix, table, projections))
             else:

@@ -211,7 +211,9 @@ def components_from_edges(
 
     Pure in-memory union-find, shared by the full SQL detection path and
     the incremental one (recomputing components after a delta touches no
-    SQL at all — only the maintained edge sets).
+    SQL at all — only the maintained edge sets).  Edge order only shapes
+    the union-find's internal pointers; the components come back sorted
+    by their members' ``str`` forms.
     """
     parent: Dict[Fact, Fact] = {}
 
@@ -221,8 +223,8 @@ def components_from_edges(
             fact = parent[fact]
         return fact
 
-    for edge in sorted(edges, key=lambda e: sorted(map(str, e))):
-        members = sorted(edge, key=str)
+    for edge in edges:
+        members = list(edge)
         for fact in members:
             parent.setdefault(fact, fact)
         root = find(members[0])
@@ -231,10 +233,11 @@ def components_from_edges(
     groups: Dict[Fact, Set[Fact]] = {}
     for fact in parent:
         groups.setdefault(find(fact), set()).add(fact)
+    names = {fact: str(fact) for fact in parent}
     return tuple(
         sorted(
             (frozenset(group) for group in groups.values()),
-            key=lambda g: sorted(map(str, g)),
+            key=lambda g: sorted(names[fact] for fact in g),
         )
     )
 

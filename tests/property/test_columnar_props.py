@@ -4,26 +4,34 @@ The columnar accelerators (:mod:`repro.core.columnar` and the sampler
 draw plans built on them) are never allowed to be a semantic fork: every
 vectorized answer must equal what the plain-Python object path computes,
 on *every* input, not just the benchmark shapes.  Hypothesis drives
-random edge sets, relation stores, deletion deltas, and full sampler
-workloads through both implementations and asserts exact agreement —
-including the byte-identity of sampler outcome streams, which the
-distributed lease table's duplicate-drop correctness rests on.
+random edge sets, deletion deltas, and full sampler workloads through
+both implementations and asserts exact agreement — including the
+byte-identity of sampler outcome streams, which the distributed lease
+table's duplicate-drop correctness rests on.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constraints import ConstraintSet, parse_constraints
 from repro.core import columnar
 from repro.core.incremental import DeltaViolationIndex
 from repro.core.sampling import sample_walk
 from repro.core.operations import Operation
 from repro.core.violations import violations
 from repro.db.facts import Database, Fact
+from repro.db.schema import Schema
 from repro.queries import parse_cq
-from repro.sql import KeyRepairSampler, SamplerPolicy, SQLiteBackend
+from repro.sql import (
+    ConstraintRepairSampler,
+    KeyRepairSampler,
+    SamplerPolicy,
+    SQLiteBackend,
+)
 from repro.workloads import key_conflict_workload
 
 from tests.property.strategies import key_sigma, key_violation_databases
@@ -55,15 +63,6 @@ removals = st.frozensets(
     ),
     max_size=6,
 )
-
-
-@st.composite
-def relation_rows(draw):
-    """Rows of one small relation: fixed arity, clashing term pool."""
-    arity = draw(st.integers(min_value=1, max_value=3))
-    terms = st.sampled_from(["a", "b", "c", "d"])
-    rows = draw(st.lists(st.tuples(*[terms] * arity), max_size=14))
-    return arity, rows
 
 
 # ----------------------------------------------------------------------
@@ -108,54 +107,6 @@ class TestEdgeMembershipIndex:
         )
         expected = [p for p in payloads if p[1].isdisjoint(removed)]
         assert index.payloads_disjoint_from(removed) == expected
-
-
-# ----------------------------------------------------------------------
-# RelationStore == brute-force scans
-# ----------------------------------------------------------------------
-
-
-class TestRelationStore:
-    @given(data=relation_rows(), term=st.sampled_from(["a", "b", "c", "d", "z"]))
-    @settings(max_examples=120, deadline=None)
-    def test_rows_with_equals_the_linear_scan(self, data, term):
-        arity, rows = data
-        store = columnar.RelationStore(rows)
-        for position in range(arity):
-            expected = [i for i, row in enumerate(rows) if row[position] == term]
-            assert list(store.rows_with(position, term)) == expected
-
-    @given(data=relation_rows())
-    @settings(max_examples=120, deadline=None)
-    def test_rows_matching_equals_the_filtered_scan(self, data):
-        arity, rows = data
-        store = columnar.RelationStore(rows)
-        bindings = {0: "a"} if arity == 1 else {0: "a", arity - 1: "b"}
-        expected = [
-            i
-            for i, row in enumerate(rows)
-            if all(row[p] == t for p, t in bindings.items())
-        ]
-        assert sorted(store.rows_matching(bindings).tolist()) == expected
-
-    @given(data=relation_rows())
-    @settings(max_examples=120, deadline=None)
-    def test_duplicate_key_groups_equals_dict_grouping(self, data):
-        arity, rows = data
-        store = columnar.RelationStore(rows)
-        positions = list(range(max(1, arity - 1)))[: arity or 1]
-        if not rows:
-            assert store.duplicate_key_groups(positions) == {}
-            return
-        expected = {}
-        for i, row in enumerate(rows):
-            expected.setdefault(tuple(row[p] for p in positions), []).append(i)
-        expected = {
-            key: members
-            for key, members in expected.items()
-            if len(members) > 1
-        }
-        assert store.duplicate_key_groups(positions) == expected
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +165,21 @@ class TestMonotoneDeletionParity:
 # ----------------------------------------------------------------------
 
 
-def _parity_sampler(policy, clean_rows, groups, group_size, seed):
+#: The sampler inputs the draw plan must agree with the object path on:
+#: the three key policies (TRUST's weighted tables take the replay
+#: entries), the generic sampler on the same keys, and the generic
+#: sampler with a cross-relation constraint, whose components span R
+#: and S while the query reads R alone.
+PARITY_INPUTS = (
+    SamplerPolicy.OPERATIONAL_UNIFORM,
+    SamplerPolicy.KEEP_ONE_UNIFORM,
+    SamplerPolicy.TRUST,
+    "constraint",
+    "cross_relation",
+)
+
+
+def _parity_sampler(kind, clean_rows, groups, group_size, seed):
     workload = key_conflict_workload(
         clean_rows=clean_rows,
         conflict_groups=groups,
@@ -222,38 +187,70 @@ def _parity_sampler(policy, clean_rows, groups, group_size, seed):
         arity=3,
         seed=seed,
     )
+    database = workload.database
+    schema = workload.schema
+    if kind == "cross_relation":
+        # S(y) conflicts with every R row carrying y: one member of each
+        # of the first two groups, and one otherwise clean row.
+        rows = sorted(database, key=str)
+        dups = [row for row in rows if row.values[0].startswith("dup")]
+        clean = [row for row in rows if row.values[0].startswith("c")]
+        picks = dups[::group_size][:2] + clean[:1]
+        database = Database(
+            [*database, *(Fact("S", (row.values[1],)) for row in picks)]
+        )
+        schema = Schema.infer(database)
     backend = SQLiteBackend()
-    backend.load(workload.database, workload.schema)
-    sampler = KeyRepairSampler(
-        backend,
-        workload.schema,
-        [workload.key_spec],
-        policy=policy,
-        rng=random.Random(seed),
-    )
+    backend.load(database, schema)
+    if kind in ("constraint", "cross_relation"):
+        constraints = workload.constraints
+        if kind == "cross_relation":
+            constraints = ConstraintSet(
+                [*constraints, *parse_constraints("R(x, y, z), S(y) -> false")]
+            )
+        sampler = ConstraintRepairSampler(
+            backend, schema, constraints, rng=random.Random(seed)
+        )
+    else:
+        rng = random.Random(seed)
+        trust = {
+            fact: Fraction(rng.randint(0, 4), 4)
+            for fact in sorted(database, key=str)
+        }
+        sampler = KeyRepairSampler(
+            backend,
+            schema,
+            [workload.key_spec],
+            policy=kind,
+            trust=trust if kind is SamplerPolicy.TRUST else None,
+            rng=random.Random(seed),
+        )
     return backend, sampler
 
 
 class TestSamplerOutcomeParity:
     @given(
-        policy=st.sampled_from(
-            [SamplerPolicy.OPERATIONAL_UNIFORM, SamplerPolicy.KEEP_ONE_UNIFORM]
-        ),
+        kind=st.sampled_from(PARITY_INPUTS),
+        # The non-key projection tells a group's members apart.
+        query=st.sampled_from(["Q(x) :- R(x, y, z)", "Q(x, z) :- R(x, y, z)"]),
         clean_rows=st.integers(min_value=0, max_value=6),
         groups=st.integers(min_value=1, max_value=4),
         group_size=st.integers(min_value=2, max_value=3),
         seed=st.integers(min_value=0, max_value=10_000),
         start=st.integers(min_value=0, max_value=64),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_columnar_outcomes_equal_object_outcomes(
-        self, policy, clean_rows, groups, group_size, seed, start
+        self, kind, query, clean_rows, groups, group_size, seed, start
     ):
         backend, sampler = _parity_sampler(
-            policy, clean_rows, groups, group_size, seed
+            kind, clean_rows, groups, group_size, seed
         )
         try:
-            compiled = sampler.compile(parse_cq("Q(x) :- R(x, y, z)"))
+            if kind == "cross_relation":
+                spans = [{fact.relation for fact in c} for c in sampler.components]
+                assert {"R", "S"} in spans
+            compiled = sampler.compile(parse_cq(query))
             fast = sampler._columnar_outcomes(compiled, start, 8)
             reference = sampler._object_outcomes(compiled, start, 8)
             assert fast is not None, "the standard workload must not gate off"
@@ -268,7 +265,7 @@ class TestSamplerOutcomeParity:
         try:
             compiled = sampler.compile(parse_cq("Q(x) :- R(x, y, z)"))
             assert sampler._columnar_outcomes(compiled, 0, 6) is not None
-            victim = sampler.groups[0].facts[0]
+            victim = min(sampler.components[0], key=str)
             sampler.apply_update(removed=[victim])
             # The delta invalidated the plan cache; the rebuilt plan must
             # agree with the reference loop on the mutated instance.
@@ -299,16 +296,16 @@ class TestWalkTableReplay:
             SamplerPolicy.OPERATIONAL_UNIFORM, 2, groups, group_size, seed
         )
         try:
-            for group in sampler.groups:
-                chain = sampler._group_chain(group)
+            for component in sampler.components:
+                chain = sampler._component_chain(component)
                 table = columnar.compile_walk_table(chain)
                 assert table is not None
                 for index in range(draws):
-                    rng = sampler.campaign.rng_at(group.facts, index)
+                    rng = sampler.campaign.rng_at(component, index)
                     state = columnar.replay_walk(table, rng)
                     survivors = table.payload[state].db.facts
                     walk = sample_walk(
-                        chain, sampler.campaign.rng_at(group.facts, index)
+                        chain, sampler.campaign.rng_at(component, index)
                     )
                     assert survivors == walk.result.facts
         finally:

@@ -141,19 +141,19 @@ def test_key_sampler_apply_update_regroups_incrementally():
         backend, workload.schema, [workload.key_spec], rng=random.Random(2)
     )
     spec = workload.key_spec
-    assert len(sampler.groups) == 3
+    assert len(sampler.components) == 3
     # Split an existing group by deleting one of its two members.
-    victim_group = sampler.groups[0]
-    sampler.apply_update(removed=[victim_group.facts[0]])
-    assert len(sampler.groups) == 2
+    victim_group = sampler.components[0]
+    sampler.apply_update(removed=[min(victim_group, key=str)])
+    assert len(sampler.components) == 2
     # Create a brand-new conflict on a previously clean key value.
     sampler.apply_update(
         added=[Fact(spec.relation, ("brandnew", "v1")), Fact(spec.relation, ("brandnew", "v2"))]
     )
-    assert len(sampler.groups) == 3
+    assert len(sampler.components) == 3
     # Ground truth: rebuild a sampler from the mutated tables.
     fresh = KeyRepairSampler(
         backend, workload.schema, [spec], rng=random.Random(2)
     )
-    assert [g.facts for g in fresh.groups] == [g.facts for g in sampler.groups]
+    assert fresh.components == sampler.components
     backend.close()

@@ -1,6 +1,7 @@
 """Unit tests for the deletion rewriting and the SQL key-repair sampler."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,17 +67,87 @@ class TestConflictDetection:
         sampler = KeyRepairSampler(
             backend, Schema.of(R=2), [KeySpec("R", 2, (0,))]
         )
-        assert len(sampler.groups) == 1
-        (group,) = sampler.groups
-        assert set(group.facts) == {R_AB, R_AC}
-        assert group.key_value == ("a",)
+        assert sampler.components == (frozenset({R_AB, R_AC}),)
 
     def test_clean_table_no_groups(self):
         db = Database.of(R_AB, R_KV)
         with SQLiteBackend() as be:
             be.load(db)
             sampler = KeyRepairSampler(be, Schema.of(R=2), [KeySpec("R", 2, (0,))])
-            assert sampler.groups == ()
+            assert sampler.components == ()
+
+
+#: Keys on both columns of ``R/2``: the four facts form one chain of
+#: overlapping key groups, ``(a1,b1)-(a1,b2)-(a2,b2)-(a2,b3)``.
+_CHAIN = [
+    Fact("R", values)
+    for values in (("a1", "b1"), ("a1", "b2"), ("a2", "b2"), ("a2", "b3"))
+]
+_BOTH_KEYS = [KeySpec("R", 2, (0,)), KeySpec("R", 2, (1,))]
+
+
+class TestOverlappingKeys:
+    def test_operational_uniform_matches_exact_cp(self):
+        """Overlapping key groups form one component, so the sampler
+        walks one chain over all four facts instead of two independent
+        per-key chains (which estimated CP(a1, b1) at about 1/3)."""
+        sigma = ConstraintSet(c for spec in _BOTH_KEYS for c in spec.constraints())
+        query = parse_cq("Q(x, y) :- R(x, y)")
+        exact = exact_oca(Database(_CHAIN), UniformGenerator(sigma), query)
+        assert exact.cp(("a1", "b1")) == exact.cp(("a2", "b3")) == Fraction(47, 105)
+        assert exact.cp(("a1", "b2")) == exact.cp(("a2", "b2")) == Fraction(19, 105)
+        with SQLiteBackend() as be:
+            be.load(Database(_CHAIN))
+            sampler = KeyRepairSampler(
+                be,
+                Schema.of(R=2),
+                _BOTH_KEYS,
+                policy=SamplerPolicy.OPERATIONAL_UNIFORM,
+                rng=random.Random(5),
+            )
+            report = sampler.run(query, epsilon=0.05, delta=0.01)
+            for fact in _CHAIN:
+                estimate = report.cp(fact.values)
+                assert abs(estimate - float(exact.cp(fact.values))) <= 0.05
+            assert sampler.components == (frozenset(_CHAIN),)
+
+    def test_keep_one_rejects_two_keys_on_one_relation(self, backend):
+        with pytest.raises(ValueError, match="one key per relation"):
+            KeyRepairSampler(
+                backend,
+                Schema.of(R=2),
+                _BOTH_KEYS,
+                policy=SamplerPolicy.KEEP_ONE_UNIFORM,
+            )
+
+    def test_keep_one_takes_one_key_per_relation(self):
+        db = Database.of(R_AB, R_AC, Fact("S", ("a", "b")), Fact("S", ("a", "c")))
+        with SQLiteBackend() as be:
+            be.load(db)
+            sampler = KeyRepairSampler(
+                be,
+                Schema.of(R=2, S=2),
+                [KeySpec("R", 2, (0,)), KeySpec("S", 2, (0,))],
+                policy=SamplerPolicy.KEEP_ONE_UNIFORM,
+                rng=random.Random(2),
+            )
+            assert len(sampler.components) == 2
+            for _ in range(10):
+                repair = sampler.sample_repair()
+                assert len(repair) == 2
+                assert {fact.relation for fact in repair} == {"R", "S"}
+
+
+class TestTrustValidation:
+    def test_out_of_range_trust_is_refused_at_construction(self, backend):
+        with pytest.raises(ValueError, match=r"must be within \[0, 1\]"):
+            KeyRepairSampler(
+                backend,
+                Schema.of(R=2),
+                [KeySpec("R", 2, (0,))],
+                policy=SamplerPolicy.TRUST,
+                trust={R_AB: 4},
+            )
 
 
 class TestPolicies:
