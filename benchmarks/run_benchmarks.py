@@ -414,6 +414,7 @@ def scenario_workers(repeat: int, quick: bool, max_workers: int) -> dict:
     ``cpu_count``: on a single-core container the curve can only show
     the coordination overhead floor (each point still byte-identical).
     """
+    from repro.distributed import Coordinator
     from repro.sql import KeyRepairSampler, SamplerPolicy
 
     runs = 100 if quick else 600
@@ -429,13 +430,14 @@ def scenario_workers(repeat: int, quick: bool, max_workers: int) -> dict:
     baseline_freqs = None
     for workers in range(0, max_workers + 1):
         backend = workload.load_into(create_backend("sqlite"))
+        coordinator = Coordinator.from_options(workers=workers)
         sampler = KeyRepairSampler(
             backend,
             workload.schema,
             [workload.key_spec],
             policy=SamplerPolicy.OPERATIONAL_UNIFORM,
             rng=random.Random(12),
-            workers=workers or None,
+            coordinator=coordinator,
         )
         label = f"e12_local_pool_workers_{workers}" if workers else "e12_serial"
         reports = []
@@ -444,7 +446,8 @@ def scenario_workers(repeat: int, quick: bool, max_workers: int) -> dict:
             reports.append(sampler.run(query, runs=runs))
 
         seconds = _timed(run, repeat)
-        sampler.close_coordinator()
+        if coordinator is not None:
+            coordinator.close()
         backend.close()
         if baseline_freqs is None:
             baseline_freqs = reports[-1].frequencies
@@ -502,8 +505,8 @@ def scenario_compression(quick: bool) -> dict:
     server = WorkerServer()
     server.start()
     try:
-        coordinator = Coordinator.connect(
-            [f"127.0.0.1:{server.port}"], shard_size=20
+        coordinator = Coordinator.from_options(
+            worker_addresses=[f"127.0.0.1:{server.port}"], shard_size=20
         )
         try:
             start = time.perf_counter()
@@ -634,8 +637,8 @@ def scenario_chaos_overhead(repeat: int) -> dict:
     frequencies = {}
 
     def run_once():
-        coordinator = Coordinator.connect(
-            [f"127.0.0.1:{server.port}"], shard_size=10
+        coordinator = Coordinator.from_options(
+            worker_addresses=[f"127.0.0.1:{server.port}"], shard_size=10
         )
         backend = workload.load_into(create_backend("sqlite"))
         sampler = KeyRepairSampler(

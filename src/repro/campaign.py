@@ -32,11 +32,12 @@ A :class:`SamplingCampaign`
   (:class:`CheckpointMismatchError`) instead of silently skewing CP
   estimates;
 - **shards draws across workers** through :mod:`repro.distributed`: the
-  samplers and estimators accept ``workers=N`` (a persistent local
-  worker pool, :class:`repro.distributed.LocalPoolTransport`) and
-  ``worker_addresses`` (remote ``ocqa worker`` processes).  Because
-  draws are substream-indexed, sharded campaigns are draw-for-draw
-  identical to serial ones, whatever the worker count or failures;
+  samplers and estimators accept a caller-owned ``coordinator``
+  (:meth:`repro.distributed.Coordinator.from_options` builds one over a
+  persistent local worker pool and/or remote ``ocqa worker``
+  processes).  Because draws are substream-indexed, sharded campaigns
+  are draw-for-draw identical to serial ones, whatever the worker
+  count or failures;
 - **supports adaptive stopping**: with ``adaptive=True`` the estimation
   loop draws in geometric batches and stops as soon as the
   empirical-Bernstein rule (:mod:`repro.analysis.bernstein`) certifies

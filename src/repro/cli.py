@@ -16,7 +16,7 @@ Examples::
     ocqa worker     --listen 0.0.0.0:7461 --max-inflight 4
     ocqa sql-sample --db d.json --constraints sigma.txt --query "..." \
                     --worker host1:7461 --worker host2:7461 --seed 7
-    ocqa serve      --listen 0.0.0.0:8080 --supervise 2 \
+    ocqa serve      --listen 0.0.0.0:8080 --workers 2 \
                     --tenant acme:4:50000:100000
     ocqa status     --service 127.0.0.1:8080
     ocqa top        --service 127.0.0.1:8080 --interval 2
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -225,7 +226,6 @@ def _cmd_sql_sample(args: argparse.Namespace) -> int:
                 deadline=_deadline_from(args),
             )
         finally:
-            sampler.close_coordinator()
             if coordinator is not None:
                 coordinator.close()
     for candidate, estimate in report.items():
@@ -248,6 +248,20 @@ def _cmd_sql_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_seconds(**flags: Optional[float]) -> None:
+    """Refuse any duration flag that is not positive, finite seconds.
+
+    ``float`` parses ``nan`` and ``inf``, and ``nan <= 0`` is false, so
+    a plain sign check would let a budget through that never expires.
+    """
+    for name, value in flags.items():
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise SystemExit(
+                f"--{name.replace('_', '-')} must be positive seconds, "
+                f"got {value}"
+            )
+
+
 def _parse_listen(listen: str) -> tuple:
     host, _, port = listen.rpartition(":")
     if not host or not port.isdigit():
@@ -267,10 +281,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             f"--max-inflight must be >= 0 (0 disables backpressure), "
             f"got {args.max_inflight}"
         )
-    if args.drain_timeout <= 0:
-        raise SystemExit(
-            f"--drain-timeout must be positive seconds, got {args.drain_timeout}"
-        )
+    _check_seconds(drain_timeout=args.drain_timeout)
     if args.metrics_port is not None and args.metrics_port < 0:
         raise SystemExit(
             f"--metrics-port must be >= 0 (0 picks a free port), "
@@ -316,12 +327,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import QueryService, serve_service
 
     host, port = _parse_listen(args.listen)
-    for flag in ("default_deadline", "max_deadline", "drain_timeout", "max_wait"):
-        value = getattr(args, flag)
-        if value is not None and value <= 0:
-            raise SystemExit(
-                f"--{flag.replace('_', '-')} must be positive seconds, got {value}"
-            )
+    _check_seconds(
+        default_deadline=args.default_deadline,
+        max_deadline=args.max_deadline,
+        drain_timeout=args.drain_timeout,
+        max_wait=args.max_wait,
+        lease_timeout=args.lease_timeout,
+        cache_ttl=args.cache_ttl,
+    )
     if args.max_concurrent <= 0 or args.max_queue_depth < 0:
         raise SystemExit(
             "--max-concurrent must be positive and --max-queue-depth >= 0"
@@ -330,10 +343,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"--cache-size must be >= 0, got {args.cache_size}")
     if args.workers is not None and args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
-    if args.cache_ttl is not None and args.cache_ttl <= 0:
-        raise SystemExit(
-            f"--cache-ttl must be positive seconds, got {args.cache_ttl}"
-        )
     quotas = dict(_parse_tenant_quota(spec) for spec in args.tenant or ())
     admission = AdmissionController(
         max_concurrent=args.max_concurrent,
@@ -341,26 +350,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait=args.max_wait,
         quotas=quotas,
     )
-    supervisor = None
-    if args.supervise:
+    # One fleet for the service's lifetime: started before the first
+    # query, followed across respawns (each query reads its current
+    # addresses), and drained after the service itself has drained.
+    fleet = None
+    if args.workers:
         from repro.service.supervisor import Supervisor
 
-        supervisor = Supervisor(
-            workers=args.supervise,
+        fleet = Supervisor(
+            workers=args.workers,
             max_inflight=args.max_inflight,
             drain_timeout=args.drain_timeout,
         )
-        supervisor.start()
     try:
-        worker_addresses = list(args.worker or ())
-        if supervisor is not None:
-            worker_addresses.extend(supervisor.addresses)
+        if fleet is not None:
+            fleet.start()
         service = QueryService(
             host,
             port,
             admission=admission,
-            worker_addresses=tuple(worker_addresses),
-            workers=args.workers,
+            worker_addresses=tuple(args.worker or ()),
+            fleet=fleet,
             lease_timeout=args.lease_timeout,
             default_deadline=args.default_deadline,
             max_deadline=args.max_deadline,
@@ -371,49 +381,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return serve_service(service)
     finally:
-        if supervisor is not None:
-            supervisor.close()
+        if fleet is not None:
+            fleet.close()
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    if args.service:
-        import urllib.error
-        import urllib.request
+    import urllib.error
+    import urllib.request
 
-        host, port = _parse_listen(args.service)
-        url = f"http://{host}:{port}/status"
-        with urllib.request.urlopen(url, timeout=args.timeout) as response:
-            status = json.loads(response.read().decode("utf-8"))
-        # Fold the server's /metrics snapshot in (best-effort: older
-        # servers without the endpoint still answer /status fine).
+    _check_seconds(timeout=args.timeout)
+    host, port = _parse_listen(args.service)
+    url = f"http://{host}:{port}/status"
+    with urllib.request.urlopen(url, timeout=args.timeout) as response:
+        status = json.loads(response.read().decode("utf-8"))
+    # Fold the server's /metrics snapshot in (best-effort: older
+    # servers without the endpoint still answer /status fine).
+    try:
+        metrics_url = f"http://{host}:{port}/metrics"
+        with urllib.request.urlopen(metrics_url, timeout=args.timeout) as response:
+            exposition = response.read().decode("utf-8")
+    except (urllib.error.URLError, OSError, ValueError):
+        exposition = None
+    if exposition:
+        from repro.obs.metrics import parse_prometheus_text
+
         try:
-            metrics_url = f"http://{host}:{port}/metrics"
-            with urllib.request.urlopen(
-                metrics_url, timeout=args.timeout
-            ) as response:
-                exposition = response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, ValueError):
-            exposition = None
-        if exposition:
-            from repro.obs.metrics import parse_prometheus_text
-
-            try:
-                parsed = parse_prometheus_text(exposition)
-            except ValueError:
-                parsed = {}
-            status["metrics"] = {
-                name: [
-                    [dict(labels), value] for labels, value in sorted(
-                        samples, key=lambda item: sorted(item[0].items())
-                    )
-                ]
-                for name, samples in sorted(parsed.items())
-            }
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    from repro.diagnostics import cache_report
-
-    print(cache_report(None).format())
+            parsed = parse_prometheus_text(exposition)
+        except ValueError:
+            parsed = {}
+        status["metrics"] = {
+            name: [
+                [dict(labels), value] for labels, value in sorted(
+                    samples, key=lambda item: sorted(item[0].items())
+                )
+            ]
+            for name, samples in sorted(parsed.items())
+        }
+    print(json.dumps(status, indent=2, sort_keys=True))
     return 0
 
 
@@ -425,8 +429,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.metrics:
         mhost, mport = _parse_listen(args.metrics)
         metrics = f"{mhost}:{mport}"
-    if args.interval <= 0:
-        raise SystemExit(f"--interval must be positive, got {args.interval}")
+    _check_seconds(interval=args.interval, timeout=args.timeout)
     iterations = 1 if args.once else args.iterations
     if iterations is not None and iterations <= 0:
         raise SystemExit(f"--iterations must be positive, got {iterations}")
@@ -497,22 +500,20 @@ def _validate_distribution(args: argparse.Namespace) -> None:
     """Reject nonsensical distribution flags before they become a hang.
 
     A negative ``--workers`` names no pool (``0`` means none).  A
-    non-positive timeout or deadline would disable the very waits it
-    is supposed to bound, and a deadline shorter than an *explicit*
-    lease timeout means a lost worker could not be detected before the
-    budget is gone.  When only ``--deadline`` is given, the lease
-    timeout is clamped down to it instead (socket waits then respect
-    the budget automatically).
+    non-positive or non-finite timeout or deadline would disable the
+    very waits it is supposed to bound, and a deadline shorter than an
+    *explicit* lease timeout means a lost worker could not be detected
+    before the budget is gone.  When only ``--deadline`` is given, the
+    lease timeout is clamped down to it instead (socket waits then
+    respect the budget automatically).
     """
     if args.workers is not None and args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
-    for flag in ("lease_timeout", "context_timeout", "deadline"):
-        value = getattr(args, flag, None)
-        if value is not None and value <= 0:
-            raise SystemExit(
-                f"--{flag.replace('_', '-')} must be positive seconds, "
-                f"got {value}"
-            )
+    _check_seconds(
+        lease_timeout=args.lease_timeout,
+        context_timeout=args.context_timeout,
+        deadline=args.deadline,
+    )
     deadline = getattr(args, "deadline", None)
     lease = getattr(args, "lease_timeout", None)
     if deadline is not None:
@@ -711,15 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="also shard across N in-process pool workers",
-    )
-    p.add_argument(
-        "--supervise",
-        type=int,
-        default=0,
         metavar="N",
-        help="spawn and supervise N local worker subprocesses (health "
-        "probes, bounded restarts, graceful drain on shutdown)",
+        help="spawn N local worker subprocesses once and shard every query "
+        "across them for the service's lifetime (health probes, bounded "
+        "restarts that queries follow, graceful drain on shutdown)",
     )
     p.add_argument(
         "--max-concurrent",
@@ -767,14 +763,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="SECONDS",
         help="on SIGTERM/SIGINT, seconds to wait for in-flight queries "
-        "(and supervised workers) to finish before exiting anyway",
+        "(and then the --workers fleet) to finish before exiting anyway",
     )
     p.add_argument(
         "--max-inflight",
         type=int,
         default=0,
         metavar="N",
-        help="per-connection in-flight shard bound for supervised workers "
+        help="per-connection in-flight shard bound for the --workers fleet "
         "(0: unbounded)",
     )
     p.add_argument(
@@ -802,21 +798,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "status",
-        help="overload/cache status: of a running service (--service) or "
-        "of this process's metrics registry",
+        help="overload/cache/fleet status of a running 'ocqa serve' "
+        "instance, with its /metrics folded in",
     )
     p.add_argument(
         "--service",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
-        help="query a running 'ocqa serve' instance's /status endpoint",
+        help="the running 'ocqa serve' instance whose /status to print",
     )
     p.add_argument(
         "--timeout",
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="HTTP timeout for --service",
+        help="HTTP timeout per request",
     )
     p.set_defaults(fn=_cmd_status)
 

@@ -136,7 +136,7 @@ def sample_many(
     across walks: transition distributions are memoized per state, and
     violation deltas per ``(database, op)``, so the states near the root
     that every walk traverses are computed once.  Parallel draws go
-    through :mod:`repro.distributed` (``workers=`` on the estimators).
+    through :mod:`repro.distributed` (``coordinator=`` on the estimators).
     """
     rng = rng or random.Random()
     return [sample_walk(chain, rng) for _ in range(walks)]
@@ -265,8 +265,6 @@ def _run_chain_campaign(
     allow_failing: bool,
     adaptive: Optional[bool],
     campaign,
-    workers: Optional[int],
-    worker_addresses: Sequence[str],
     coordinator,
     deadline,
     stop_target: Optional[Tuple],
@@ -275,60 +273,51 @@ def _run_chain_campaign(
     :func:`approximate_oca`.
 
     Without a *campaign*, a private one seeds from the caller's *rng*,
-    so a seeded call is deterministic end to end.  An explicit
-    *coordinator* is used as-is (and not closed here); otherwise
-    :meth:`repro.distributed.Coordinator.from_options` builds one from
-    *workers* / *worker_addresses* for this call, or returns ``None``
-    for the serial path.  Either way the draws are
-    :func:`chain_outcomes_for_range` over the campaign's substreams.
+    so a seeded call is deterministic end to end.  Without a
+    *coordinator* the draws run serially; with one they are sharded
+    across its workers (the caller closes it).  Either way the draws
+    are :func:`chain_outcomes_for_range` over the campaign's substreams.
     """
     from repro.campaign import SamplingCampaign
-    from repro.distributed import Coordinator, ShardContext
+    from repro.distributed import ShardContext
 
     private = campaign is None
     if private:
         campaign = SamplingCampaign(rng=rng, adaptive=bool(adaptive))
     stream_key = _chain_key(generator, database, private)
     chain = campaign.chain(stream_key, lambda: generator.chain(database))
-    owns_coordinator = coordinator is None
-    if owns_coordinator:
-        coordinator = Coordinator.from_options(workers, worker_addresses)
-    try:
-        if coordinator is None:
+    if coordinator is None:
 
-            def draw(batch: int):
-                return chain_outcomes_for_range(
-                    chain, query, candidate, allow_failing,
-                    campaign.seed, stream_key, campaign.claim_draws(batch), batch,
-                )
-
-        else:
-            context = ShardContext.create(
-                "chain",
-                {
-                    "facts": tuple(database),
-                    "generator": generator,
-                    "query": query,
-                    "candidate": candidate,
-                    "allow_failing": allow_failing,
-                    "seed": campaign.seed,
-                    "stream_key": stream_key,
-                },
+        def draw(batch: int):
+            return chain_outcomes_for_range(
+                chain, query, candidate, allow_failing,
+                campaign.seed, stream_key, campaign.claim_draws(batch), batch,
             )
 
-            def draw(batch: int):
-                return coordinator.run_range(
-                    context, campaign.claim_draws(batch), batch,
-                    deadline=deadline,
-                )
-
-        return campaign.estimate(
-            draw, epsilon=epsilon, delta=delta, adaptive=adaptive,
-            stop_target=stop_target, deadline=deadline,
+    else:
+        context = ShardContext.create(
+            "chain",
+            {
+                "facts": tuple(database),
+                "generator": generator,
+                "query": query,
+                "candidate": candidate,
+                "allow_failing": allow_failing,
+                "seed": campaign.seed,
+                "stream_key": stream_key,
+            },
         )
-    finally:
-        if owns_coordinator and coordinator is not None:
-            coordinator.close()
+
+        def draw(batch: int):
+            return coordinator.run_range(
+                context, campaign.claim_draws(batch), batch,
+                deadline=deadline,
+            )
+
+    return campaign.estimate(
+        draw, epsilon=epsilon, delta=delta, adaptive=adaptive,
+        stop_target=stop_target, deadline=deadline,
+    )
 
 
 def approximate_cp(
@@ -342,8 +331,6 @@ def approximate_cp(
     allow_failing: bool = False,
     adaptive: Optional[bool] = None,
     campaign=None,
-    workers: Optional[int] = None,
-    worker_addresses: Sequence[str] = (),
     coordinator=None,
     deadline=None,
 ) -> ApproximationResult:
@@ -371,16 +358,16 @@ def approximate_cp(
     query, the rule tests only the candidate's own stream.
 
     Every walk draws from the campaign's draw-indexed RNG substreams, so
-    a seeded call is deterministic and shardable: pass ``workers=N`` for
-    a persistent local worker pool, ``worker_addresses`` for remote
-    ``ocqa worker`` processes, or an explicit *coordinator* — the
-    estimate is byte-identical in every configuration, including after
-    mid-shard worker deaths.
+    a seeded call is deterministic and shardable: pass a *coordinator*
+    (:meth:`repro.distributed.Coordinator.from_options` builds one over
+    a local pool and/or remote ``ocqa worker`` processes; the caller
+    closes it) — the estimate is byte-identical in every configuration,
+    including after mid-shard worker deaths.
     """
     result = _run_chain_campaign(
         database, generator, query, tuple(candidate), epsilon, delta, rng,
-        allow_failing, adaptive, campaign, workers, worker_addresses,
-        coordinator, deadline, stop_target=(),
+        allow_failing, adaptive, campaign, coordinator, deadline,
+        stop_target=(),
     )
     return ApproximationResult(
         estimate=result.frequencies.get((), 0.0),
@@ -402,8 +389,6 @@ def approximate_oca(
     allow_failing: bool = False,
     adaptive: Optional[bool] = None,
     campaign=None,
-    workers: Optional[int] = None,
-    worker_addresses: Sequence[str] = (),
     coordinator=None,
     deadline=None,
 ) -> Dict[Tuple[Term, ...], float]:
@@ -420,14 +405,13 @@ def approximate_oca(
     empirical-Bernstein early stopping over every tracked tuple's
     stream (including the implicit all-zeros stream, preserving the
     unseen-tuple reading above).  Walks draw from the campaign's
-    draw-indexed substreams, so ``workers`` / ``worker_addresses`` /
-    *coordinator* shard them with byte-identical results (see
-    :mod:`repro.distributed`).
+    draw-indexed substreams, so a *coordinator* shards them with
+    byte-identical results (see :mod:`repro.distributed`).
     """
     result = _run_chain_campaign(
         database, generator, query, None, epsilon, delta, rng,
-        allow_failing, adaptive, campaign, workers, worker_addresses,
-        coordinator, deadline, stop_target=None,
+        allow_failing, adaptive, campaign, coordinator, deadline,
+        stop_target=None,
     )
     if not result.valid:
         return {}

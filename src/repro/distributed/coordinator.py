@@ -228,22 +228,6 @@ class Coordinator:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def connect(
-        cls,
-        addresses: Sequence[str],
-        context_timeout: Optional[float] = None,
-        **kwargs,
-    ) -> "Coordinator":
-        """A coordinator over remote ``host:port`` workers."""
-        return cls(
-            [
-                SocketTransport.parse(a, context_timeout=context_timeout)
-                for a in addresses
-            ],
-            **kwargs,
-        )
-
-    @classmethod
     def from_options(
         cls,
         workers: Optional[int] = None,
@@ -251,12 +235,14 @@ class Coordinator:
         context_timeout: Optional[float] = None,
         **kwargs,
     ) -> Optional["Coordinator"]:
-        """The coordinator implied by the samplers'/estimators' options.
+        """The coordinator implied by the fan-out options.
 
         ``workers=N`` starts a persistent local pool of *N* processes
         (``0`` or ``None``: none); ``worker_addresses`` adds remote
         ``host:port`` workers.  Returns ``None`` when nothing asks for
-        distribution (the serial path).
+        distribution (the serial path).  The caller owns the returned
+        coordinator: it passes it as ``coordinator=`` to the samplers
+        and estimators, and closes it.
         """
         from repro.distributed.pool import LocalPoolTransport
 

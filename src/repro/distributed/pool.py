@@ -19,7 +19,8 @@ degradation ladder steps past it rather than backing off on it.
 A pool worker's telemetry snapshot rides each result.  Once its process
 exits (closed or dead), the last snapshot is final, so it is folded
 into the registry's retained total and the per-worker source dropped —
-a service that starts a pool per query keeps O(live workers) snapshots.
+a process that opens and closes a pool per campaign keeps O(live
+workers) snapshots.
 """
 
 from __future__ import annotations

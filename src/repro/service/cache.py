@@ -44,6 +44,7 @@ surface every decision; :meth:`ResultCache.stats` feeds ``/status``.
 from __future__ import annotations
 
 import copy
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -211,8 +212,10 @@ class ResultCache:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"cache ttl must be positive seconds, got {ttl}")
+        if ttl is not None and not (math.isfinite(ttl) and ttl > 0):
+            raise ValueError(
+                f"cache ttl must be positive finite seconds, got {ttl}"
+            )
         self.capacity = int(capacity)
         self.ttl = ttl
         self.name = name

@@ -9,13 +9,14 @@ survive a socket).  The worker rebuilds a local deadline from the
 remaining budget and abandons any shard whose deadline has already
 passed instead of computing draws nobody will merge.
 
-This module is deliberately dependency-free (stdlib ``time`` only) so
-that every layer — ``campaign``, ``distributed``, ``service`` — can
-import it without cycles.
+This module is deliberately dependency-free (stdlib ``math`` and
+``time`` only) so that every layer — ``campaign``, ``distributed``,
+``service`` — can import it without cycles.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 
@@ -47,10 +48,13 @@ class Deadline:
 
     @classmethod
     def after(cls, seconds: float) -> "Deadline":
-        """A deadline *seconds* from now.  ``seconds`` must be > 0."""
+        """A deadline *seconds* from now; *seconds* must be finite and
+        > 0 (a NaN or infinite budget would never expire)."""
         seconds = float(seconds)
-        if seconds <= 0:
-            raise ValueError(f"deadline must be positive, got {seconds!r}")
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(
+                f"deadline must be positive finite seconds, got {seconds!r}"
+            )
         return cls(time.monotonic() + seconds)
 
     def remaining(self) -> float:

@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import overload_stats, record_drain
@@ -64,6 +65,9 @@ from repro.service.admission import (
 )
 from repro.service.cache import CacheHit, ResultCache, request_cache_key
 from repro.service.deadline import Deadline
+
+if TYPE_CHECKING:
+    from repro.service.supervisor import Supervisor
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +115,11 @@ def _bad_request(message: str) -> Tuple[int, Dict[str, Any]]:
     return 400, {"ok": False, "error": message, "retriable": False}
 
 
+def _finite_positive(seconds: float) -> bool:
+    """Whether *seconds* is a usable duration (NaN and infinity are not)."""
+    return math.isfinite(seconds) and seconds > 0
+
+
 class _ServiceInstance:
     """A named, updatable database the service holds between requests.
 
@@ -136,9 +145,13 @@ class _ServiceInstance:
 class QueryService:
     """The query front end: admission, deadlines, drain — then sampling.
 
-    *worker_addresses* / *workers* describe the sampling fleet every
-    admitted query is sharded onto (empty means serial, in-process
-    sampling — still admission-controlled and deadline-bounded).
+    Every admitted query is sharded onto the remote *worker_addresses*
+    plus the workers of *fleet*, a started
+    :class:`~repro.service.supervisor.Supervisor` that the caller owns
+    and closes after the service drains.  The fleet's addresses are read
+    per query, so a respawned worker (which listens on a new port) takes
+    shards from the next query on.  With neither, sampling is serial
+    and in-process — still admission-controlled and deadline-bounded.
     Request handling lives in :meth:`handle_query` so tests can drive
     the full admission/deadline/shedding logic without a socket.
     """
@@ -151,7 +164,7 @@ class QueryService:
         admission: Optional[AdmissionController] = None,
         quotas: Optional[Dict[str, TenantQuota]] = None,
         worker_addresses: Sequence[str] = (),
-        workers: Optional[int] = None,
+        fleet: Optional["Supervisor"] = None,
         lease_timeout: Optional[float] = None,
         default_deadline: float = DEFAULT_QUERY_DEADLINE,
         max_deadline: float = 300.0,
@@ -162,22 +175,26 @@ class QueryService:
     ) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        if workers is not None and workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if default_deadline <= 0:
-            raise ValueError(
-                f"default_deadline must be positive, got {default_deadline}"
-            )
+        durations = {
+            "default_deadline": default_deadline,
+            "max_deadline": max_deadline,
+            "drain_timeout": drain_timeout,
+        }
+        if lease_timeout is not None:
+            durations["lease_timeout"] = lease_timeout
+        for label, seconds in durations.items():
+            if not _finite_positive(seconds):
+                raise ValueError(
+                    f"{label} must be positive finite seconds, got {seconds}"
+                )
         if max_deadline < default_deadline:
             raise ValueError(
                 f"max_deadline ({max_deadline}) must be >= default_deadline "
                 f"({default_deadline})"
             )
-        if drain_timeout <= 0:
-            raise ValueError(f"drain_timeout must be positive, got {drain_timeout}")
         self.admission = admission or AdmissionController(quotas=quotas)
         self.worker_addresses = tuple(worker_addresses)
-        self.workers = workers
+        self.fleet = fleet
         self.lease_timeout = lease_timeout
         self.default_deadline = default_deadline
         self.max_deadline = max_deadline
@@ -389,11 +406,18 @@ class QueryService:
             "draining": exc.reason == "draining",
         }
 
+    def _worker_addresses(self) -> Tuple[str, ...]:
+        """Where the next query shards: remote workers plus the fleet's
+        live ones at their current ports."""
+        if self.fleet is None:
+            return self.worker_addresses
+        return self.worker_addresses + self.fleet.addresses
+
     def _run_admitted(self, request: "_QueryRequest") -> Dict[str, Any]:
         """Run one admitted query against a fresh sampler + coordinator.
 
         Each query gets its own coordinator (dispatch is single-threaded
-        per coordinator); the *workers* behind it are shared — their
+        per coordinator); the workers behind it are shared — their
         servers multiplex campaigns per connection — which is what makes
         concurrent tenants cheap.
         """
@@ -404,8 +428,7 @@ class QueryService:
         deadline = Deadline.after(request.deadline_seconds)
         started = time.monotonic()
         coordinator = Coordinator.from_options(
-            workers=self.workers,
-            worker_addresses=self.worker_addresses,
+            worker_addresses=self._worker_addresses(),
             **({"lease_timeout": self.lease_timeout}
                if self.lease_timeout is not None else {}),
         )
@@ -668,8 +691,8 @@ class QueryService:
             "queries_served": self.queries_served,
             "admission": self.admission.snapshot(),
             "overload": overload_stats(),
-            "workers": list(self.worker_addresses),
-            "local_pool": self.workers or 0,
+            "workers": list(self._worker_addresses()),
+            "fleet": self.fleet.status() if self.fleet is not None else [],
             "result_cache": self.result_cache.stats()
             if self.result_cache is not None
             else None,
@@ -785,10 +808,11 @@ class _QueryRequest:
         self.adaptive = bool(payload.get("adaptive", False))
         seed = payload.get("seed")
         self.seed = None if seed is None else int(seed)
-        deadline = payload.get("deadline", service.default_deadline)
-        deadline = float(deadline)
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive seconds, got {deadline}")
+        deadline = float(payload.get("deadline", service.default_deadline))
+        if not _finite_positive(deadline):
+            raise ValueError(
+                f"deadline must be positive finite seconds, got {deadline}"
+            )
         self.deadline_seconds = min(deadline, service.max_deadline)
         #: The draw budget this query asks the admission controller for:
         #: the explicit run count, or the Hoeffding count implied by

@@ -11,12 +11,14 @@ fleet keeps serving.
 Campaign determinism across all of this is free by construction: draws
 are pure functions of ``(campaign seed, group key, draw index)``, so a
 shard handed back by a draining worker is recomputed byte-identically
-wherever the coordinator re-leases it, and a restarted worker rejoins
-through the coordinator's reconnect ladder with nothing to resync.
+wherever the coordinator re-leases it.  A restarted worker listens on a
+new port, which :attr:`Supervisor.addresses` follows; the query service
+reads those addresses per query, so the replacement takes shards from
+the next query on with nothing to resync.
 
 The supervisor is deliberately dependency-free (stdlib ``subprocess`` +
-the in-repo socket transport) so ``ocqa serve --supervise N`` works on
-a bare machine.
+the in-repo socket transport) so ``ocqa serve --workers N`` works on a
+bare machine.
 """
 
 from __future__ import annotations
@@ -153,9 +155,17 @@ class ManagedWorker:
 
     @property
     def address(self) -> str:
-        if self._port is None:
+        address = self.announced_address
+        if address is None:
             raise RuntimeError(f"worker {self.index} has not announced yet")
-        return f"{self.host}:{self._port}"
+        return address
+
+    @property
+    def announced_address(self) -> Optional[str]:
+        """This generation's ``host:port``, or ``None`` until it announces
+        (a respawn clears it before the new process binds its port)."""
+        port = self._port
+        return None if port is None else f"{self.host}:{port}"
 
     # ------------------------------------------------------------------
     # Health and shutdown
@@ -215,12 +225,12 @@ class ManagedWorker:
 class Supervisor:
     """Spawn, watch, and restart a fleet of sampling workers.
 
-    ``with Supervisor(workers=3) as sup: ...`` yields a fleet whose
-    ``sup.addresses`` plug straight into ``worker_addresses=`` of
-    :class:`repro.service.server.QueryService` or the samplers.  A
-    monitor thread probes each worker every *probe_interval* seconds
-    (process liveness + a protocol ping) and respawns the dead or
-    unresponsive, up to *max_restarts* per worker.
+    ``with Supervisor(workers=3) as sup: ...`` yields a fleet to pass as
+    ``fleet=`` to :class:`repro.service.server.QueryService`, whose
+    queries shard onto ``sup.addresses``.  A monitor thread probes each
+    worker every *probe_interval* seconds (process liveness + a protocol
+    ping) and respawns the dead or unresponsive, up to *max_restarts*
+    per worker.
     """
 
     def __init__(
@@ -296,8 +306,14 @@ class Supervisor:
 
     @property
     def addresses(self) -> Tuple[str, ...]:
-        """Current ``host:port`` fleet addresses (post-restart aware)."""
-        return tuple(worker.address for worker in self.workers)
+        """``host:port`` of each live, announced worker; read it per use,
+        since a respawned worker listens on a new port."""
+        live = []
+        for worker in self.workers:
+            address = worker.announced_address
+            if address is not None and worker.alive:
+                live.append(address)
+        return tuple(live)
 
     def _event(self, message: str) -> None:
         with self._lock:
@@ -361,10 +377,11 @@ class Supervisor:
         At every moment all but one worker serve traffic.  Each drain is
         a real SIGTERM (the deploy path, not a simulation): the worker
         finishes or hands back its shards and exits 0, then its
-        replacement spawns and must answer a ping before the next worker
-        is touched.  Coordinators riding through this re-lease the
-        drained worker's shards elsewhere and win the replacement back
-        via their reconnect ladder — campaigns complete byte-identically.
+        replacement spawns on a new port and must answer a ping before
+        the next worker is touched.  A coordinator riding through this
+        re-leases the drained worker's shards to the rest of its fleet
+        (campaigns complete byte-identically); the replacement serves
+        the coordinators built from :attr:`addresses` after it is up.
         """
         codes: List[int] = []
         for worker in self.workers:
@@ -388,11 +405,11 @@ class Supervisor:
         return codes
 
     def status(self) -> List[Dict[str, Any]]:
-        """Per-worker status for ``ocqa status``/tests."""
+        """Per-worker status (the ``fleet`` section of ``/status``)."""
         return [
             {
                 "index": worker.index,
-                "address": worker._port and worker.address,
+                "address": worker.announced_address,
                 "pid": worker.pid,
                 "alive": worker.alive,
                 "generation": worker.generation,

@@ -38,10 +38,10 @@ RNG substreams (:meth:`repro.campaign.SamplingCampaign.rng_at`): draw
 draws are independent of batch boundaries, a checkpointed campaign
 resumes with bit-identical sequences, and any draw range can be
 computed by any worker — the contract behind :mod:`repro.distributed`.
-Pass ``workers`` (persistent local pool) or ``worker_addresses``
-(remote ``host:port`` workers started with ``ocqa worker``) to shard a
-campaign's draws; the merged estimates are byte-identical to a
-single-process run.
+Pass a ``coordinator`` (:meth:`repro.distributed.Coordinator.from_options`
+builds one over a local pool and/or remote ``ocqa worker`` addresses) to
+shard a campaign's draws; the merged estimates are byte-identical to a
+single-process run.  The caller that builds a coordinator closes it.
 """
 
 from __future__ import annotations
@@ -195,9 +195,7 @@ class BaseCampaignSampler:
         campaign: Optional[SamplingCampaign],
         checkpoint_path: Optional[str],
         adaptive: bool,
-        workers: Optional[int] = None,
-        worker_addresses: Sequence[str] = (),
-        coordinator=None,
+        coordinator,
     ) -> None:
         #: Lazily computed (full-table scan) — only needed when the
         #: fingerprint is actually compared, i.e. when a checkpoint or an
@@ -222,43 +220,17 @@ class BaseCampaignSampler:
         else:
             campaign.bind_fingerprint(self.fingerprint())
         self.campaign = campaign
-        self._init_distribution(workers, worker_addresses, coordinator)
-
-    def _init_distribution(
-        self,
-        workers: Optional[int],
-        worker_addresses: Sequence[str],
-        coordinator,
-    ) -> None:
-        """Set up the (optional) coordinator sharding this campaign.
-
-        ``workers=N`` starts a persistent local pool
-        (:class:`repro.distributed.LocalPoolTransport`);
-        ``worker_addresses`` adds remote ``host:port`` workers; an
-        explicit *coordinator* is used as-is (and not closed by this
-        sampler).  Draws are substream-deterministic, so every
-        configuration — including none — produces identical estimates.
-        """
+        #: The caller's coordinator sharding this campaign (``None``:
+        #: serial).  Draws are substream-deterministic, so every fleet —
+        #: including none — produces identical estimates; the caller
+        #: that built it closes it.
         self.coordinator = coordinator
-        self._owns_coordinator = False
-        if coordinator is None and (workers or worker_addresses):
-            from repro.distributed import Coordinator
-
-            self.coordinator = Coordinator.from_options(workers, worker_addresses)
-            self._owns_coordinator = self.coordinator is not None
         self._shard_contexts: Dict[str, Any] = {}
         #: Per-compiled-query columnar draw plans (``False`` marks a
         #: query the columnar gate rejected, so it is not re-analyzed
         #: every batch).  Invalidated with the shard contexts on every
         #: base-table delta.
         self._columnar_plans: Dict[Any, Any] = {}
-
-    def close_coordinator(self) -> None:
-        """Shut down a coordinator this sampler started (no-op otherwise)."""
-        if self.coordinator is not None and self._owns_coordinator:
-            self.coordinator.close()
-        self.coordinator = None
-        self._owns_coordinator = False
 
     def fingerprint(self) -> str:
         """The campaign identity of this sampler's semantic inputs."""
@@ -419,11 +391,11 @@ class BaseCampaignSampler:
         with the tallies, so an interrupted campaign resumed under a
         different query is rejected rather than merged.
 
-        With a coordinator attached (``workers`` / ``worker_addresses``
-        / ``coordinator``), each batch's draw range is sharded across
-        the workers and the merged outcome stream — hence every tally,
-        adaptive stop, and checkpoint — is byte-identical to the
-        serial run, regardless of worker count or mid-shard deaths.
+        With a *coordinator* attached, each batch's draw range is
+        sharded across its workers and the merged outcome stream — hence
+        every tally, adaptive stop, and checkpoint — is byte-identical
+        to the serial run, regardless of worker count or mid-shard
+        deaths.
 
         A *deadline* (:class:`repro.service.deadline.Deadline`)
         propagates into the coordinator and over the wire to workers;
@@ -518,8 +490,6 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         campaign: Optional[SamplingCampaign] = None,
         checkpoint_path: Optional[str] = None,
         adaptive: bool = False,
-        workers: Optional[int] = None,
-        worker_addresses: Sequence[str] = (),
         coordinator=None,
     ) -> None:
         if not constraints.deletion_only():
@@ -533,14 +503,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         self.generator = generator_factory(constraints)
         self.rng = rng or random.Random()
         self.rewriter = DeletionRewriter(backend, schema)
-        self._init_campaign(
-            campaign,
-            checkpoint_path,
-            adaptive,
-            workers=workers,
-            worker_addresses=worker_addresses,
-            coordinator=coordinator,
-        )
+        self._init_campaign(campaign, checkpoint_path, adaptive, coordinator)
         self.violation_index = SQLDeltaViolationIndex(backend, constraints)
         self.components: Tuple[FrozenSet[Fact], ...] = (
             self.violation_index.components()
@@ -734,8 +697,6 @@ class KeyRepairSampler(ConstraintRepairSampler):
         campaign: Optional[SamplingCampaign] = None,
         checkpoint_path: Optional[str] = None,
         adaptive: bool = False,
-        workers: Optional[int] = None,
-        worker_addresses: Sequence[str] = (),
         coordinator=None,
     ) -> None:
         self.keys = tuple(keys)
@@ -762,8 +723,6 @@ class KeyRepairSampler(ConstraintRepairSampler):
             campaign=campaign,
             checkpoint_path=checkpoint_path,
             adaptive=adaptive,
-            workers=workers,
-            worker_addresses=worker_addresses,
             coordinator=coordinator,
         )
 

@@ -91,7 +91,6 @@ def _run_campaign(spec, coordinator=None, checkpoint_path=None, max_draws=None):
     try:
         return sampler.run(spec["query"], runs=spec["runs"], max_draws=max_draws)
     finally:
-        sampler.close_coordinator()
         backend.close()
 
 
@@ -105,7 +104,9 @@ def _chaotic_coordinator(proxy, **kwargs):
         "reconnect",
         ReconnectPolicy(retry_budget=10, base_delay=0.1, max_delay=1.0),
     )
-    return Coordinator.connect([f"127.0.0.1:{proxy.port}"], **kwargs)
+    return Coordinator.from_options(
+        worker_addresses=[f"127.0.0.1:{proxy.port}"], **kwargs
+    )
 
 
 class TestChaosSoak:

@@ -72,22 +72,24 @@ def serial_report():
 
 class TestLocalPoolByteIdentity:
     def test_two_worker_pool_matches_serial(self, serial_report):
-        backend, sampler = _sampler(workers=2)
+        coordinator = Coordinator.from_options(workers=2)
+        backend, sampler = _sampler(coordinator=coordinator)
         try:
             report = sampler.run(QUERY, runs=90)
         finally:
-            sampler.close_coordinator()
+            coordinator.close()
             backend.close()
         assert report.frequencies == serial_report.frequencies
         assert report.runs == serial_report.runs
 
     def test_worker_count_does_not_change_estimates(self, serial_report):
         for workers in (1, 3):
-            backend, sampler = _sampler(workers=workers)
+            coordinator = Coordinator.from_options(workers=workers)
+            backend, sampler = _sampler(coordinator=coordinator)
             try:
                 report = sampler.run(QUERY, runs=90)
             finally:
-                sampler.close_coordinator()
+                coordinator.close()
                 backend.close()
             assert report.frequencies == serial_report.frequencies
 
@@ -95,13 +97,14 @@ class TestLocalPoolByteIdentity:
         backend, sampler = _sampler(policy=SamplerPolicy.KEEP_ONE_UNIFORM)
         serial = sampler.run(QUERY, runs=70)
         backend.close()
+        coordinator = Coordinator.from_options(workers=2)
         backend, sampler = _sampler(
-            policy=SamplerPolicy.KEEP_ONE_UNIFORM, workers=2
+            policy=SamplerPolicy.KEEP_ONE_UNIFORM, coordinator=coordinator
         )
         try:
             distributed = sampler.run(QUERY, runs=70)
         finally:
-            sampler.close_coordinator()
+            coordinator.close()
             backend.close()
         assert distributed.frequencies == serial.frequencies
 
@@ -111,18 +114,24 @@ class TestLocalPoolByteIdentity:
 
         schema = Schema.of(Pref=2)
         reports = {}
-        for label, kwargs in (("serial", {}), ("pool", {"workers": 2})):
+        for label, workers in (("serial", 0), ("pool", 2)):
+            coordinator = Coordinator.from_options(workers=workers)
             backend = SQLiteBackend()
             backend.load(db, schema)
             sampler = ConstraintRepairSampler(
-                backend, schema, sigma, rng=random.Random(11), **kwargs
+                backend,
+                schema,
+                sigma,
+                rng=random.Random(11),
+                coordinator=coordinator,
             )
             try:
                 reports[label] = sampler.run(
                     parse_cq("Q(x) :- Pref(x, y)"), runs=60
                 )
             finally:
-                sampler.close_coordinator()
+                if coordinator is not None:
+                    coordinator.close()
                 backend.close()
         assert reports["pool"].frequencies == reports["serial"].frequencies
 
@@ -132,8 +141,9 @@ class TestSocketWorkers:
         servers = [WorkerServer() for _ in range(2)]
         for server in servers:
             server.start()
-        coordinator = Coordinator.connect(
-            [f"127.0.0.1:{server.port}" for server in servers], shard_size=10
+        coordinator = Coordinator.from_options(
+            worker_addresses=[f"127.0.0.1:{server.port}" for server in servers],
+            shard_size=10,
         )
         backend, sampler = _sampler(coordinator=coordinator)
         try:
@@ -322,11 +332,12 @@ class TestCheckpointResume:
         """A distributed campaign interrupted mid-run checkpoint-resumes
         (even serially) to exactly the uninterrupted estimates."""
         path = str(tmp_path / "campaign.ckpt")
-        backend, sampler = _sampler(workers=2, checkpoint_path=path)
+        coordinator = Coordinator.from_options(workers=2)
+        backend, sampler = _sampler(coordinator=coordinator, checkpoint_path=path)
         try:
             partial = sampler.run(QUERY, runs=90, max_draws=40)
         finally:
-            sampler.close_coordinator()
+            coordinator.close()
             backend.close()
         assert partial.runs == 40
         # Resume in a fresh "process": serial this time — the substreams
@@ -342,11 +353,12 @@ class TestCheckpointResume:
         backend, sampler = _sampler(checkpoint_path=path)
         sampler.run(QUERY, runs=90, max_draws=33)
         backend.close()
-        backend, sampler = _sampler(workers=2, checkpoint_path=path)
+        coordinator = Coordinator.from_options(workers=2)
+        backend, sampler = _sampler(coordinator=coordinator, checkpoint_path=path)
         try:
             resumed = sampler.run(QUERY, runs=90)
         finally:
-            sampler.close_coordinator()
+            coordinator.close()
             backend.close()
         assert resumed.frequencies == serial_report.frequencies
 
@@ -362,14 +374,18 @@ class TestCoreEstimatorsDistributed:
         serial = approximate_cp(
             workload.database, generator, query, candidate, rng=random.Random(2)
         )
-        pooled = approximate_cp(
-            workload.database,
-            generator,
-            query,
-            candidate,
-            rng=random.Random(2),
-            workers=2,
-        )
+        coordinator = Coordinator.from_options(workers=2)
+        try:
+            pooled = approximate_cp(
+                workload.database,
+                generator,
+                query,
+                candidate,
+                rng=random.Random(2),
+                coordinator=coordinator,
+            )
+        finally:
+            coordinator.close()
         assert pooled.estimate == serial.estimate
         assert pooled.samples == serial.samples
 
@@ -382,9 +398,17 @@ class TestCoreEstimatorsDistributed:
         serial = approximate_oca(
             workload.database, generator, query, rng=random.Random(4)
         )
-        pooled = approximate_oca(
-            workload.database, generator, query, rng=random.Random(4), workers=2
-        )
+        coordinator = Coordinator.from_options(workers=2)
+        try:
+            pooled = approximate_oca(
+                workload.database,
+                generator,
+                query,
+                rng=random.Random(4),
+                coordinator=coordinator,
+            )
+        finally:
+            coordinator.close()
         assert pooled == serial
 
     def test_failing_walks_through_a_pool_match_serial(self):
@@ -397,11 +421,16 @@ class TestCoreEstimatorsDistributed:
         generator = UniformGenerator(constraints)
         query = parse_cq("Q(x) :- R(x)")
 
-        def estimate(**kwargs):
-            return approximate_cp(
-                database, generator, query, ("a",), rng=random.Random(3),
-                **kwargs,
-            )
+        def estimate(workers=0, **kwargs):
+            coordinator = Coordinator.from_options(workers=workers)
+            try:
+                return approximate_cp(
+                    database, generator, query, ("a",), rng=random.Random(3),
+                    coordinator=coordinator, **kwargs,
+                )
+            finally:
+                if coordinator is not None:
+                    coordinator.close()
 
         serial = estimate(allow_failing=True)
         assert serial.samples == 150 and serial.failing_walks == 121
@@ -421,11 +450,12 @@ class TestCoreEstimatorsDistributed:
 class TestWorkerCacheAggregation:
     def test_cache_report_includes_worker_counters(self):
         obs_metrics.REGISTRY.reset()
-        backend, sampler = _sampler(workers=2)
+        coordinator = Coordinator.from_options(workers=2)
+        backend, sampler = _sampler(coordinator=coordinator)
         try:
             sampler.run(QUERY, runs=60)
         finally:
-            sampler.close_coordinator()
+            coordinator.close()
             backend.close()
         report = cache_report()
         assert report.worker_count >= 1
@@ -542,7 +572,7 @@ class TestReviewRegressions:
             clean_rows=4, conflict_groups=2, group_size=2, arity=3, seed=31
         )
 
-        def build(workers=None):
+        def build(coordinator=None):
             backend = SQLiteBackend()
             workload.load_into(backend)
             return backend, KeyRepairSampler(
@@ -551,7 +581,7 @@ class TestReviewRegressions:
                 [workload.key_spec],
                 policy=SamplerPolicy.OPERATIONAL_UNIFORM,
                 rng=random.Random(7),
-                workers=workers,
+                coordinator=coordinator,
             )
 
         from repro.db.facts import Fact
@@ -566,13 +596,14 @@ class TestReviewRegressions:
         expected = serial.run(QUERY, runs=40)
         backend.close()
 
-        backend, distributed = build(workers=2)
+        coordinator = Coordinator.from_options(workers=2)
+        backend, distributed = build(coordinator)
         try:
             distributed.run(QUERY, runs=10)  # populates the context cache
             distributed.apply_update(added=added)
             refreshed = distributed.run(QUERY, runs=40)
         finally:
-            distributed.close_coordinator()
+            coordinator.close()
             backend.close()
         assert refreshed.frequencies == expected.frequencies
         assert refreshed.cp(("brandnew",)) > 0
@@ -604,7 +635,9 @@ class TestReviewRegressions:
                 },
             )
 
-        coordinator = Coordinator.connect([f"127.0.0.1:{server.port}"])
+        coordinator = Coordinator.from_options(
+            worker_addresses=[f"127.0.0.1:{server.port}"]
+        )
         try:
             first, second = context(1), context(2)
             baseline = coordinator.run_range(first, 0, 4)

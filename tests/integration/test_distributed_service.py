@@ -77,7 +77,6 @@ def _run_campaign(**kwargs):
     try:
         return sampler.run(QUERY, runs=60)
     finally:
-        sampler.close_coordinator()
         backend.close()
 
 
@@ -85,7 +84,9 @@ class TestWorkerService:
     def test_coordinator_over_two_subprocess_workers(self, worker_fleet):
         serial = _run_campaign()
         addresses = [f"127.0.0.1:{port}" for _process, port in worker_fleet]
-        coordinator = Coordinator.connect(addresses, shard_size=10)
+        coordinator = Coordinator.from_options(
+            worker_addresses=addresses, shard_size=10
+        )
         try:
             distributed = _run_campaign(coordinator=coordinator)
         finally:
@@ -96,8 +97,8 @@ class TestWorkerService:
     def test_killed_subprocess_worker_is_survivable(self, worker_fleet):
         serial = _run_campaign()
         addresses = [f"127.0.0.1:{port}" for _process, port in worker_fleet]
-        coordinator = Coordinator.connect(
-            addresses, shard_size=5, lease_timeout=20
+        coordinator = Coordinator.from_options(
+            worker_addresses=addresses, shard_size=5, lease_timeout=20
         )
         worker_fleet[0][0].kill()
         time.sleep(0.2)

@@ -96,7 +96,7 @@ def one_worker():
             process.kill()
 
 
-def _run_campaign(spec, coordinator=None, **coordinator_kwargs):
+def _run_campaign(spec, coordinator=None):
     backend = SQLiteBackend()
     spec["workload"].load_into(backend)
     sampler = KeyRepairSampler(
@@ -106,12 +106,10 @@ def _run_campaign(spec, coordinator=None, **coordinator_kwargs):
         policy=SamplerPolicy.OPERATIONAL_UNIFORM,
         rng=random.Random(spec["rng_seed"]),
         coordinator=coordinator,
-        **coordinator_kwargs,
     )
     try:
         return sampler.run(spec["query"], runs=spec["runs"])
     finally:
-        sampler.close_coordinator()
         backend.close()
 
 
@@ -132,7 +130,9 @@ class TestOneWorkerManyCampaigns:
 
         def drive(label, spec):
             try:
-                coordinator = Coordinator.connect([address], shard_size=7)
+                coordinator = Coordinator.from_options(
+                    worker_addresses=[address], shard_size=7
+                )
                 barrier.wait(timeout=10)  # genuinely concurrent campaigns
                 try:
                     results[label] = _run_campaign(spec, coordinator=coordinator)
@@ -166,7 +166,9 @@ class TestOneWorkerManyCampaigns:
 
         def drive(label):
             try:
-                coordinator = Coordinator.connect([address], shard_size=9)
+                coordinator = Coordinator.from_options(
+                    worker_addresses=[address], shard_size=9
+                )
                 try:
                     results[label] = _run_campaign(
                         CAMPAIGN_A, coordinator=coordinator
@@ -196,8 +198,11 @@ class TestChurn:
         victim, victim_port = _spawn_worker()
         survivor, survivor_port = _spawn_worker()
         try:
-            coordinator = Coordinator.connect(
-                [f"127.0.0.1:{victim_port}", f"127.0.0.1:{survivor_port}"],
+            coordinator = Coordinator.from_options(
+                worker_addresses=[
+                    f"127.0.0.1:{victim_port}",
+                    f"127.0.0.1:{survivor_port}",
+                ],
                 shard_size=4,
                 lease_timeout=20,
             )
@@ -237,8 +242,8 @@ class TestFatOutcomeShipping:
         server.start()
         try:
             serial = _run_campaign(CAMPAIGN_FAT)
-            coordinator = Coordinator.connect(
-                [f"127.0.0.1:{server.port}"], shard_size=15
+            coordinator = Coordinator.from_options(
+                worker_addresses=[f"127.0.0.1:{server.port}"], shard_size=15
             )
             try:
                 distributed = _run_campaign(CAMPAIGN_FAT, coordinator=coordinator)

@@ -105,7 +105,6 @@ def _run_campaign(coordinator=None):
     try:
         return sampler.run(CAMPAIGN["query"], runs=CAMPAIGN["runs"])
     finally:
-        sampler.close_coordinator()
         backend.close()
 
 
@@ -121,8 +120,11 @@ class TestWorkerSigtermDrain:
         )
         survivor, survivor_port = _spawn_worker()
         try:
-            coordinator = Coordinator.connect(
-                [f"127.0.0.1:{victim_port}", f"127.0.0.1:{survivor_port}"],
+            coordinator = Coordinator.from_options(
+                worker_addresses=[
+                    f"127.0.0.1:{victim_port}",
+                    f"127.0.0.1:{survivor_port}",
+                ],
                 shard_size=4,
                 lease_timeout=20,
             )
@@ -219,8 +221,8 @@ class TestSupervisor:
             for worker in supervisor.workers:
                 assert worker.probe(timeout=10.0)
 
-            coordinator = Coordinator.connect(
-                list(supervisor.addresses), shard_size=6
+            coordinator = Coordinator.from_options(
+                worker_addresses=list(supervisor.addresses), shard_size=6
             )
             try:
                 before = _run_campaign(coordinator=coordinator)
@@ -257,8 +259,8 @@ class TestSupervisor:
             # the fresh fleet still produces byte-identical estimates.
             exit_codes = supervisor.rolling_restart(settle_timeout=30.0)
             assert exit_codes == [0, 0]
-            coordinator = Coordinator.connect(
-                list(supervisor.addresses), shard_size=6
+            coordinator = Coordinator.from_options(
+                worker_addresses=list(supervisor.addresses), shard_size=6
             )
             try:
                 after = _run_campaign(coordinator=coordinator)
@@ -267,6 +269,56 @@ class TestSupervisor:
             assert after.frequencies == serial.frequencies
         finally:
             supervisor.close()
+
+
+def _counter_total(name):
+    parsed = obs_metrics.parse_prometheus_text(obs_metrics.REGISTRY.render())
+    return sum(value for _, value in parsed.get(name, []))
+
+
+class TestServiceFollowsFleet:
+    def test_respawned_worker_takes_the_next_query(self):
+        """A respawned worker listens on a new port.  The service reads
+        the fleet's addresses per query, so the next query ships its
+        shards to the replacement — it neither waits out the reconnect
+        backoff on the dead port nor runs the shards inline."""
+        from repro.service.supervisor import Supervisor
+
+        status, expected = QueryService().handle_query(_query_payload())
+        assert status == 200 and not expected["deadline_expired"]
+        try:
+            fleet = Supervisor(workers=1, probe_interval=0.5, startup_timeout=30.0)
+            fleet.start()
+        except (OSError, RuntimeError) as exc:  # pragma: no cover
+            pytest.skip(f"cannot run supervised workers: {exc}")
+        try:
+            service = QueryService(fleet=fleet, name="fleet-follow")
+            payload = _query_payload(cache="bypass")
+            status, body = service.handle_query(payload)
+            assert status == 200, body
+            assert body["frequencies"] == expected["frequencies"]
+
+            victim = fleet.workers[0]
+            victim_pid = victim.pid
+            victim.kill()
+            deadline = time.monotonic() + 30
+            while not (fleet.addresses and victim.pid != victim_pid):
+                assert time.monotonic() < deadline, fleet.events
+                time.sleep(0.1)
+
+            inline_before = _counter_total("ocqa_inline_shards_total")
+            completions_before = _counter_total("ocqa_shard_completions_total")
+            started = time.monotonic()
+            status, body = service.handle_query(payload)
+            elapsed = time.monotonic() - started
+            assert status == 200, body
+            assert body["frequencies"] == expected["frequencies"]
+            assert body["runs"] == expected["runs"]
+            assert elapsed < 5.0, elapsed
+            assert _counter_total("ocqa_inline_shards_total") == inline_before
+            assert _counter_total("ocqa_shard_completions_total") > completions_before
+        finally:
+            fleet.close()
 
 
 def _query_payload(**overrides):

@@ -400,8 +400,8 @@ class TestFailpointsInWorkerPaths:
         thread = server.start()
         set_failpoint("worker.mid_shard", hit=1)
         try:
-            coordinator = Coordinator.connect(
-                [f"127.0.0.1:{server.port}"],
+            coordinator = Coordinator.from_options(
+                worker_addresses=[f"127.0.0.1:{server.port}"],
                 shard_size=10,
                 lease_timeout=10,
             )

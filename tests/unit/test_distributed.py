@@ -401,8 +401,8 @@ class TestTransportCounters:
         reports = []
         try:
             for _ in range(2):
-                coordinator = Coordinator.connect(
-                    [f"{server.host}:{server.port}"], shard_size=10
+                coordinator = Coordinator.from_options(
+                    worker_addresses=[f"{server.host}:{server.port}"], shard_size=10
                 )
                 try:
                     coordinator.run_range(context, 0, 30)

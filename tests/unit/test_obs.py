@@ -217,7 +217,9 @@ class TestKillSwitchOverTheWire:
             source = f"worker:{address}"
 
             def run_campaign():
-                coordinator = Coordinator.connect([address], shard_size=10)
+                coordinator = Coordinator.from_options(
+                    worker_addresses=[address], shard_size=10
+                )
                 try:
                     coordinator.run_range(context, 0, 20)
                 finally:
@@ -445,6 +447,7 @@ class TestServiceMetricsEndpoint:
         import urllib.request
 
         from repro.service.server import QueryService
+        from repro.service.supervisor import Supervisor
 
         payload = {
             "tenant": "acme",
@@ -454,7 +457,9 @@ class TestServiceMetricsEndpoint:
             "runs": 40,
             "seed": 7,
         }
-        with QueryService("127.0.0.1", 0, workers=2, name="obs-test") as service:
+        with Supervisor(workers=2) as fleet, QueryService(
+            "127.0.0.1", 0, fleet=fleet, name="obs-test"
+        ) as service:
             host, port = service.address
             request = urllib.request.Request(
                 f"http://{host}:{port}/query",
@@ -498,7 +503,7 @@ class TestServiceMetricsEndpoint:
             if sample[0]["tenant"] == "acme" and sample[0]["le"] == "+Inf"
         ]
         assert latency and latency[0][1] >= 1
-        # The pool workers' pushed snapshots merged into the scrape.
+        # The fleet workers' pushed snapshots merged into the scrape.
         assert parsed["ocqa_worker_draws_total"][0][1] >= 40
 
 
@@ -507,33 +512,48 @@ class TestServiceMetricsEndpoint:
 # ----------------------------------------------------------------------
 class TestRetiredPoolWorkers:
     def test_per_query_pools_do_not_pile_up(self):
-        """A service with a local pool starts a fresh pool per query.
-        Each pool's snapshots are folded in when its processes exit, so
-        the registry holds O(live workers) sources while the rendered
-        fleet counters keep rising."""
-        from repro.service.server import QueryService
+        """A caller that opens a fresh two-worker pool for each campaign
+        and closes it afterwards leaves no sources behind: each pool's
+        snapshots are folded in when its processes exit, so the registry
+        holds O(live workers) sources while the rendered fleet counters
+        keep rising."""
+        import random
 
-        payload = {
-            "database": {"R": [["a", "1"], ["a", "2"], ["b", "3"]]},
-            "constraints": "R(x, y), R(x, z) -> y = z",
-            "query": "Q(x) :- R(x, y)",
-            "runs": 40,
-            "cache": "bypass",
-        }
-        service = QueryService(workers=2, name="retire-test")
+        from repro.constraints import ConstraintSet, parse_constraints
+        from repro.db.facts import Database, Fact
+        from repro.db.schema import Schema
+        from repro.distributed import Coordinator
+        from repro.queries import parse_cq
+        from repro.sql import ConstraintRepairSampler, SQLiteBackend
+
+        database = Database.of(
+            Fact("R", ("a", "1")), Fact("R", ("a", "2")), Fact("R", ("b", "3"))
+        )
+        constraints = ConstraintSet(parse_constraints("R(x, y), R(x, z) -> y = z"))
+        schema = Schema.infer(database)
         draws = []
-        try:
-            for seed in range(6):
-                status, body = service.handle_query({**payload, "seed": seed})
-                assert status == 200, body
-                assert len(obs_metrics.REGISTRY.remote_sources()) <= 2
-                parsed = parse_prometheus_text(obs_metrics.REGISTRY.render())
-                draws.append(sum(v for _, v in parsed["ocqa_worker_draws_total"]))
-        finally:
-            service.close()
+        for seed in range(6):
+            coordinator = Coordinator.from_options(workers=2)
+            backend = SQLiteBackend()
+            try:
+                backend.load(database, schema)
+                sampler = ConstraintRepairSampler(
+                    backend,
+                    schema,
+                    constraints,
+                    rng=random.Random(seed),
+                    coordinator=coordinator,
+                )
+                sampler.run(parse_cq("Q(x) :- R(x, y)"), runs=40)
+            finally:
+                coordinator.close()
+                backend.close()
+            assert len(obs_metrics.REGISTRY.remote_sources()) <= 2
+            parsed = parse_prometheus_text(obs_metrics.REGISTRY.render())
+            draws.append(sum(v for _, v in parsed["ocqa_worker_draws_total"]))
         assert all(later > earlier for earlier, later in zip(draws, draws[1:])), draws
         assert draws[-1] >= 6 * 40
-        # Retired workers still count: each query's pool pushed at least once.
+        # Retired workers still count: each campaign's pool pushed at least once.
         assert cache_report().worker_count >= 6
 
 

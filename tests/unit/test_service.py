@@ -53,6 +53,14 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline.after(-1.5)
 
+    def test_after_rejects_non_finite(self):
+        # ``nan <= 0`` is false, so a sign check alone lets NaN through
+        # and the deadline never expires; an infinite one never does
+        # either.
+        for seconds in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Deadline.after(seconds)
+
     def test_already_expired_sentinel(self):
         deadline = Deadline(0.0)
         assert deadline.expired
@@ -354,6 +362,7 @@ class TestQueryServiceHandling:
         assert status["queries_served"] == 1
         assert not status["draining"]
         assert "admission" in status and "overload" in status
+        assert status["workers"] == [] and status["fleet"] == []
 
     def test_validates_deadline_configuration(self):
         with pytest.raises(ValueError):
@@ -362,13 +371,15 @@ class TestQueryServiceHandling:
             QueryService(default_deadline=10.0, max_deadline=5.0)
         with pytest.raises(ValueError):
             QueryService(drain_timeout=0)
-
-    def test_negative_workers_rejected_at_construction(self):
-        # Not a 400 on every /query that blames the client for an
-        # operator setting; 0 keeps meaning "no local pool".
-        with pytest.raises(ValueError, match="workers must be >= 0"):
-            QueryService(workers=-1)
-        assert QueryService(workers=0).workers == 0
+        nan = float("nan")
+        for durations in (
+            {"default_deadline": nan},
+            {"max_deadline": nan},
+            {"drain_timeout": float("inf")},
+            {"lease_timeout": nan},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                QueryService(**durations)
 
 
 class TestQueryServiceHTTP:
@@ -415,6 +426,18 @@ class TestQueryServiceHTTP:
             assert duration >= 0
         stats = overload_stats()
         assert len(stats["drain_seconds"]) == 1
+
+    def test_nan_deadline_is_400(self):
+        # json.loads accepts NaN; min(nan, max_deadline) is nan, and a
+        # NaN deadline never expires — so it must be refused, not run.
+        with QueryService(default_deadline=1.0, max_deadline=5.0) as service:
+            for deadline in (float("nan"), float("inf")):
+                status, body = self._post(
+                    service.address, _query_payload(deadline=deadline)
+                )
+                assert status == 400, body
+                assert "deadline" in body["error"] and not body["retriable"]
+        assert service.queries_served == 0
 
     def test_bad_json_is_400(self):
         with QueryService() as service:
