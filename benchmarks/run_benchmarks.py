@@ -13,7 +13,7 @@ subsequent PRs can compare against this PR's numbers.  When
 ``BENCH_PR9.json`` is present its scenario timings are folded in as the
 previous-PR baseline (``speedup_vs_pr9``).
 
-PR 3 additions: ``--backend {sqlite,postgres,memory}`` runs the E11
+The ``--backend {sqlite,postgres}`` option runs the E11
 campaign scenario against the selected pluggable backend (per-backend
 keys land in the report), and ``--adaptive`` times/records the
 fixed-Hoeffding vs empirical-Bernstein draw counts on the E10 and E11
@@ -1002,7 +1002,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["sqlite", "postgres", "memory"],
+        choices=["sqlite", "postgres"],
         default="sqlite",
         help="SQL backend for the E11 campaign scenario",
     )

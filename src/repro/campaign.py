@@ -231,15 +231,17 @@ class UpdateReport:
       in those groups: a delta in one relation can merge or split a
       component that spans others, shifting the repair distribution of
       facts the delta never named.
-    - :attr:`old_digest` / :attr:`new_digest` — the sampler's
-      incremental instance digests before/after the delta, ``None``
-      when the sampler never materialized one (consumers must then fall
-      back to a conservative full flush).
+    - :attr:`old_digest` / :attr:`new_digest` — the instance digests
+      before/after the delta, filled in by whoever keeps the instance's
+      rolling digest (the query service); ``None`` from a bare sampler
+      (consumers must then fall back to a conservative full flush).
 
     An answer whose relations avoid ``touched_relations |
-    touched_group_relations`` is provably unaffected for conjunctive
-    queries: its clean rows, its conflict groups, and the per-group RNG
-    substreams (keyed by fact set) are all byte-identical.
+    touched_group_relations`` is provably unaffected for
+    domain-independent queries
+    (:func:`repro.queries.relations.domain_independent`): its clean
+    rows, its conflict groups, and the per-group RNG substreams (keyed
+    by fact set) are all byte-identical.
     """
 
     added: Tuple[Any, ...]

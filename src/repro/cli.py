@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--backend",
-        choices=["sqlite", "postgres", "memory"],
+        choices=["sqlite", "postgres"],
         default=None,
         help="SQL backend (default: $REPRO_SQL_BACKEND, else sqlite)",
     )

@@ -178,9 +178,9 @@ class _SamplerRuntime:
 
     The worker always materialises the instance in a local SQLite
     scratch database: draws depend only on the facts and the RNG
-    substreams, and query evaluation is backend-agnostic (the
-    conformance suite pins sqlite == postgres == memory), so a worker
-    needs no connection to the coordinator's database.
+    substreams, and the compiled SQL answers alike on every backend
+    (the conformance suite pins sqlite == postgres), so a worker needs
+    no connection to the coordinator's database.
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:

@@ -2,23 +2,27 @@
 
 The result cache migrates a cached answer across a base-table delta
 only when it can *prove* the answer never looked at anything the delta
-touched.  Two ingredients:
+touched.  Three ingredients:
 
 - :func:`query_relations` — every relation the query mentions
   syntactically (always computable);
+- :func:`domain_independent` — whether the answer is determined by the
+  mentioned relations alone, or also by ``dom(D)``;
 - :func:`dependency_relations` — the relation set usable as a
   *dependency footprint*, or ``None`` when no sound footprint exists.
 
-The footprint is only sound for domain-independent queries: the
-samplers evaluate full first-order queries under the active-domain
-translation, so a universal quantifier, a negation, or an unguarded
-equality makes the answer depend on ``dom(D)`` — which *every* fact in
-the instance extends, regardless of relation.  Rather than reimplement
-safe-range analysis, we accept exactly the conjunctive fragment
-(atoms composed with conjunction and existential quantification, the
-shape ``parse_query`` produces for Datalog-style bodies) and return
-``None`` for anything else; the cache then falls back to conservative
-invalidation for those entries.
+A first-order query ranges over ``dom(D)``, which *every* fact in the
+instance extends, regardless of relation; a universal quantifier, a
+negation, an unguarded equality, or a head variable that occurs in no
+atom makes the answer depend on it.  Rather than reimplement safe-range
+analysis, :func:`domain_independent` accepts exactly the conjunctive
+fragment (atoms composed with conjunction and existential
+quantification, the shape ``parse_query`` produces for Datalog-style
+bodies) whose head variables all occur in an atom.  The SQL compiler
+picks each query's quantifier range by the same test
+(:mod:`repro.sql.compiler`), and the footprint is ``None`` for anything
+else; the cache then falls back to conservative invalidation for those
+entries.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.queries.ast import And, AtomFormula, Exists, Formula
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.query import Query
 
-__all__ = ["dependency_relations", "query_relations"]
+__all__ = ["dependency_relations", "domain_independent", "query_relations"]
 
 AnyQuery = Union[Query, ConjunctiveQuery]
 
@@ -68,14 +72,23 @@ def _conjunctive_fragment(formula: Formula) -> bool:
     return False
 
 
+def domain_independent(query: AnyQuery) -> bool:
+    """True when the answers never depend on ``dom(D)``: the query is in
+    the conjunctive fragment and every head variable occurs free in an
+    atom."""
+    if isinstance(query, ConjunctiveQuery):
+        return True
+    return _conjunctive_fragment(query.formula) and frozenset(
+        query.head
+    ) <= query.formula.free_variables()
+
+
 def dependency_relations(query: AnyQuery) -> Optional[FrozenSet[str]]:
     """The sound dependency footprint, or ``None`` if none exists.
 
     ``None`` means "may depend on the whole instance": the caller must
     treat any delta as touching this query.
     """
-    if isinstance(query, ConjunctiveQuery):
-        return query_relations(query)
-    if _conjunctive_fragment(query.formula):
-        return _formula_relations(query.formula)
-    return None
+    if not domain_independent(query):
+        return None
+    return query_relations(query)

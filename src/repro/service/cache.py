@@ -8,11 +8,13 @@ response cache:
 **Keying is semantic, not positional.**  A :class:`CacheKey` folds the
 instance digest (:func:`repro.sql.digest.database_digest` — order
 independent, delta-rollable), the schema + constraint fingerprint, the
-query identity, the backend name, and every knob that changes the drawn
-bytes (seed, explicit run count, adaptive mode) through
-:func:`repro.campaign.campaign_fingerprint`.  Two requests share an
-entry exactly when the sampling machinery would produce byte-identical
-estimates for them; a data or schema change can never alias a key.
+query identity, and every knob that changes the drawn bytes (seed,
+explicit run count, adaptive mode) through
+:func:`repro.campaign.campaign_fingerprint`.  The backend is not part of
+the key: seeded estimates are identical on every backend, and the
+service samples on SQLite.  Two requests share an entry exactly when the
+sampling machinery would produce byte-identical estimates for them; a
+data or schema change can never alias a key.
 
 **Hits respect the paper's guarantees.**  Every entry records the
 ``(eps, delta)`` level it was computed at and the valid draws behind
@@ -26,14 +28,16 @@ campaign draws the same bytes whatever ``(eps, delta)`` the client
 wrote next to it.
 
 **Invalidation rides the delta path.**  ``apply_update`` on a sampler
-returns an :class:`repro.campaign.UpdateReport`; feeding it to
-:meth:`ResultCache.apply_update` removes exactly the entries whose
+returns an :class:`repro.campaign.UpdateReport`; the service fills in
+the instance digests it rolls through the delta, and feeding the report
+to :meth:`ResultCache.apply_update` removes exactly the entries whose
 answers the delta could have changed (their dependency footprint meets
 the delta's relations or a restructured conflict group) and *migrates*
 the provably untouched ones to the post-update instance digest, so they
 keep hitting.  When the report cannot prove anything — no pre/post
-digests, or an entry with no sound footprint — the cache falls back to
-a conservative flush of the affected entries.
+digests, or an entry with no sound footprint (a domain-dependent
+query: :func:`repro.queries.relations.dependency_relations`) — the
+cache falls back to a conservative flush of the affected entries.
 
 Counters ``ocqa_cache_{hits,misses,invalidations,evictions,migrations}_total``
 (always on: ``diagnostics.cache_report`` reads them even under
@@ -99,7 +103,6 @@ class CacheKey:
     instance_digest: str
     constraint_fingerprint: str
     query_identity: str
-    backend: str = "sqlite"
     seed: Optional[int] = None
     runs: Optional[int] = None
     adaptive: bool = False
@@ -110,7 +113,6 @@ class CacheKey:
             self.instance_digest,
             self.constraint_fingerprint,
             self.query_identity,
-            self.backend,
             self.seed,
             self.runs,
             self.adaptive,
@@ -127,7 +129,6 @@ def request_cache_key(
     constraints: Any,
     query: Any,
     *,
-    backend: str = "sqlite",
     seed: Optional[int] = None,
     runs: Optional[int] = None,
     adaptive: bool = False,
@@ -153,7 +154,6 @@ def request_cache_key(
         query_identity=campaign_fingerprint(
             type(query).__name__, str(query)
         ),
-        backend=backend,
         seed=seed,
         runs=runs,
         adaptive=adaptive,

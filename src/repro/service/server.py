@@ -127,19 +127,25 @@ class _ServiceInstance:
     ``database``; later queries may name the instance instead of
     re-shipping the database, and ``/update`` applies base-table deltas
     through the sampler's incremental path — which is what feeds the
-    result cache's delta-driven invalidation.
+    result cache's delta-driven invalidation.  ``/update`` also rolls
+    the instance digest through each delta in O(|delta|).
     """
 
-    __slots__ = ("name", "database", "constraints_text", "digest", "lock")
+    __slots__ = ("name", "database", "constraints_text", "rolling", "lock")
 
     def __init__(self, name: str, database: Any, constraints_text: str) -> None:
-        from repro.sql.digest import database_digest
+        from repro.sql.digest import InstanceDigest
 
         self.name = name
         self.database = database
         self.constraints_text = constraints_text
-        self.digest = database_digest(database)
+        self.rolling = InstanceDigest.of_database(database)
         self.lock = threading.Lock()
+
+    @property
+    def digest(self) -> str:
+        """The current instance digest (equals ``database_digest``)."""
+        return self.rolling.hexdigest()
 
 
 class QueryService:
@@ -593,7 +599,6 @@ class QueryService:
         from repro.db.facts import Database, Fact
         from repro.db.schema import Schema
         from repro.sql import ConstraintRepairSampler, create_backend
-        from repro.sql.digest import database_digest
 
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -655,13 +660,13 @@ class QueryService:
                         backend, schema, constraints
                     )
                     report = sampler.apply_update(added, removed)
-                new_db = Database((old_db.facts - set(removed)) | set(added))
                 old_digest = instance.digest
-                new_digest = database_digest(new_db)
-                instance.database = new_db
-                instance.digest = new_digest
+                instance.rolling.update(added, removed)
+                instance.database = Database(
+                    (old_db.facts - set(removed)) | set(added)
+                )
                 report = dataclasses.replace(
-                    report, old_digest=old_digest, new_digest=new_digest
+                    report, old_digest=old_digest, new_digest=instance.digest
                 )
             cache_outcome = {"invalidated": 0, "migrated": 0, "flushed": 0}
             if report is not None and self.result_cache is not None:

@@ -3,21 +3,19 @@
 The paper sketches how the additive-error scheme can run inside an RDBMS:
 sample per-key-group survivors, collect the removed tuples in ``R_del``,
 run the query with every ``R`` replaced by ``R - R_del``, and average the
-results over ``n`` runs.  This package implements exactly that over a
-*pluggable backend protocol*:
+results over ``n`` runs.  This package implements exactly that, as
+compiled SQL over one DB-API connection:
 
-- :class:`SQLBackend` — the protocol (structured table operations plus
-  optional raw SQL with dialect hooks) every consumer targets;
-- :class:`SQLiteBackend` — the standard library implementation (the only
-  module importing :mod:`sqlite3`);
+- :class:`SQLBackend` — table operations plus raw parameterized SQL
+  behind dialect hooks, the one backend every consumer targets;
+- :class:`SQLiteBackend` — over the standard library (the only module
+  importing :mod:`sqlite3`);
 - :class:`repro.sql.postgres.PostgresBackend` — PostgreSQL over psycopg
   (optional dependency; imported lazily);
-- :class:`InMemoryBackend` — the same protocol over the core
-  :class:`repro.db.Database` machinery, so the whole sampler stack runs
-  without any database engine;
 - :func:`create_backend` — select one by name or ``REPRO_SQL_BACKEND``;
 - :mod:`repro.sql.compiler` — compile conjunctive and full first-order
-  queries to dialect-neutral SQL (active-domain translation);
+  queries to dialect-neutral SQL (active-domain translation, over each
+  sampled repair's own domain where the answers depend on it);
 - :mod:`repro.sql.rewriting` — the ``R -> R EXCEPT R_del`` rewriting;
 - :class:`ConstraintRepairSampler` — the end-to-end n-run sampling
   loop over conflict components, running its campaign through
@@ -26,18 +24,15 @@ results over ``n`` runs.  This package implements exactly that over a
 """
 
 from repro.sql.backend import (
-    BackendFeatureError,
     BackendUnavailableError,
-    DBAPIBackend,
     SQLBackend,
     SQLiteBackend,
     create_backend,
 )
 from repro.sql.compiler import compile_cq, compile_fo_query
 from repro.sql.dialect import SQLDialect, check_name
-from repro.sql.digest import InstanceDigest, backend_digest, database_digest
-from repro.sql.memory import InMemoryBackend
-from repro.sql.rewriting import DeletionRewriter, LiveRelationMap
+from repro.sql.digest import InstanceDigest, database_digest
+from repro.sql.rewriting import DeletionRewriter
 from repro.sql.sampler import (
     ConstraintRepairSampler,
     KeyRepairSampler,
@@ -54,23 +49,18 @@ from repro.sql.violations import (
 )
 
 __all__ = [
-    "BackendFeatureError",
     "BackendUnavailableError",
-    "DBAPIBackend",
     "SQLBackend",
     "SQLiteBackend",
-    "InMemoryBackend",
     "create_backend",
     "SQLDialect",
     "check_name",
     "compile_cq",
     "compile_fo_query",
     "InstanceDigest",
-    "backend_digest",
     "database_digest",
     "ConstraintRepairSampler",
     "DeletionRewriter",
-    "LiveRelationMap",
     "KeyRepairSampler",
     "KeySpec",
     "SamplerPolicy",

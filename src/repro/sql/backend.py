@@ -1,28 +1,23 @@
-"""The pluggable SQL backend protocol and its SQLite implementation.
+"""The SQL backend: one DB-API connection, one dialect, compiled SQL.
 
 Relations map to tables named after the relation with columns
 ``c0, ..., c{n-1}``; an auxiliary ``_adom`` table holds the active
-domain for the first-order compiler's quantifier translation.
+domain that domain-independent first-order queries range over (see
+:mod:`repro.sql.compiler`).
 
-:class:`SQLBackend` is the protocol every consumer in this package
-(violation detection, the deletion rewriting, the sampler, the query
-compilers) targets.  It splits into two layers:
+:class:`SQLBackend` is what every consumer in this package (violation
+detection, the deletion rewriting, the sampler, the query compilers)
+targets: table operations (``create_table``, ``insert_rows``,
+``select_all``, ``table_count``, temp delta tables, adom maintenance,
+fact-level deltas) and raw parameterized SQL (``execute`` /
+``executemany`` / ``query_tuples``) over one DB-API 2.0 connection.
+Consumers always write qmark (``?``) placeholders and plain Python
+terms — the backend's :class:`repro.sql.dialect.SQLDialect` translates
+placeholders and transports values.
 
-- **structured table operations** (``create_table``, ``insert_rows``,
-  ``select_all``, ``table_count``, temp delta tables, adom maintenance,
-  fact-level deltas) that every backend supports, including the
-  databaseless :class:`repro.sql.memory.InMemoryBackend`;
-- **raw parameterized SQL** (``execute`` / ``executemany`` /
-  ``query_tuples``) available when :attr:`SQLBackend.supports_sql` is
-  true; consumers always write qmark (``?``) placeholders and plain
-  Python terms — the backend's :class:`repro.sql.dialect.SQLDialect`
-  translates placeholders and transports values.
-
-Three implementations ship: :class:`SQLiteBackend` (below, the only
-module allowed to ``import sqlite3``),
-:class:`repro.sql.postgres.PostgresBackend` (optional psycopg), and
-:class:`repro.sql.memory.InMemoryBackend` (routes the protocol onto the
-core :class:`repro.db.facts.Database` machinery).  Use
+Two implementations ship: :class:`SQLiteBackend` (below, the only
+module allowed to ``import sqlite3``) and
+:class:`repro.sql.postgres.PostgresBackend` (optional psycopg).  Use
 :func:`create_backend` to select one by name or via the
 ``REPRO_SQL_BACKEND`` environment variable.
 """
@@ -41,11 +36,6 @@ from repro.sql.dialect import (
     SQLDialect,
     check_name,
 )
-
-
-class BackendFeatureError(RuntimeError):
-    """An operation the selected backend cannot perform (e.g. raw SQL on
-    the in-memory backend)."""
 
 
 class BackendUnavailableError(RuntimeError):
@@ -105,81 +95,141 @@ def _validate_row_arity(relation: str, arity: int, rows: Iterable[Sequence]) -> 
 
 
 class SQLBackend:
-    """The backend protocol: shared logic over a small primitive surface.
+    """One DB-API 2.0 connection plus the dialect that speaks to it.
 
-    Subclasses provide the primitives (``execute``/``executemany`` for
-    SQL backends, or the structured table operations directly); the base
-    class builds loading, fact-level deltas, and round-tripping on top.
+    Every operation funnels through :meth:`execute`/:meth:`executemany`,
+    which translate placeholders and transport values via the dialect;
+    loading, fact-level deltas and round-tripping build on top.
+    :class:`SQLiteBackend` and :class:`repro.sql.postgres.PostgresBackend`
+    supply the connection and the dialect.
     """
 
     ADOM_TABLE = ADOM_TABLE
-    #: Whether :meth:`execute` accepts raw SQL.  Consumers that generate
-    #: SQL check this and fall back to structured/in-memory evaluation.
-    supports_sql: bool = True
-    dialect: SQLDialect = SQLITE_DIALECT
 
-    def __init__(self) -> None:
+    def __init__(self, connection, dialect: SQLDialect) -> None:
+        self.connection = connection
+        self.dialect = dialect
         self.schema: Optional[Schema] = None
 
     # ------------------------------------------------------------------
-    # Primitives (implemented by subclasses)
+    # Primitives
     # ------------------------------------------------------------------
     def execute(self, sql: str, parameters: Sequence = ()) -> List[Tuple]:
-        """Run arbitrary qmark-style SQL and fetch all rows (decoded)."""
-        raise NotImplementedError
+        """Run qmark-style SQL and fetch all rows (decoded)."""
+        cursor = self.connection.cursor()
+        if self.dialect.transparent:
+            cursor.execute(self.dialect.translate(sql), tuple(parameters))
+            if cursor.description is None:
+                return []
+            return cursor.fetchall()
+        cursor.execute(
+            self.dialect.translate(sql), self.dialect.encode_row(parameters)
+        )
+        if cursor.description is None:
+            return []
+        return [self.dialect.decode_row(row) for row in cursor.fetchall()]
 
     def executemany(self, sql: str, rows: Iterable[Sequence]) -> None:
         """Run one statement for every parameter row (bulk writes)."""
-        raise NotImplementedError
+        cursor = self.connection.cursor()
+        if self.dialect.transparent:
+            cursor.executemany(self.dialect.translate(sql), rows)
+            return
+        cursor.executemany(
+            self.dialect.translate(sql),
+            [self.dialect.encode_row(row) for row in rows],
+        )
+
+    def commit(self) -> None:
+        self.connection.commit()
 
     def create_table(self, table: str, arity: int, temp: bool = False) -> None:
         """(Re)create *table* with ``c0..c{arity-1}`` columns."""
-        raise NotImplementedError
+        cursor = self.connection.cursor()
+        cursor.execute(self.dialect.drop_table_sql(table, temp))
+        cursor.execute(self.dialect.create_table_sql(table, arity, temp))
+        self.connection.commit()
 
     def drop_table(self, table: str, temp: bool = False) -> None:
-        raise NotImplementedError
+        cursor = self.connection.cursor()
+        cursor.execute(self.dialect.drop_table_sql(table, temp))
+        self.connection.commit()
 
     def clear_table(self, table: str) -> None:
         """Delete every row of *table*."""
-        raise NotImplementedError
+        cursor = self.connection.cursor()
+        cursor.execute(f"DELETE FROM {check_name(table)}")
 
+    # insert_rows/delete_rows deliberately do not commit: they sit on the
+    # per-draw hot path (deletion side tables, temp delta staging).  The
+    # durable entry points (load, insert_facts, delete_facts, adom
+    # maintenance) commit explicitly; everything else rides the open
+    # transaction, which the same connection reads back consistently on
+    # both SQLite and PostgreSQL.
     def insert_rows(self, table: str, arity: int, rows: Sequence[Sequence[Term]]) -> None:
-        raise NotImplementedError
+        if not rows:
+            return
+        _validate_row_arity(table, arity, rows)
+        self.executemany(
+            f"INSERT INTO {check_name(table)} VALUES "
+            f"({', '.join('?' for _ in range(arity))})",
+            rows,
+        )
 
     def delete_rows(self, table: str, arity: int, rows: Sequence[Sequence[Term]]) -> None:
         """Delete all occurrences of each row from *table*."""
-        raise NotImplementedError
+        if not rows:
+            return
+        _validate_row_arity(table, arity, rows)
+        condition = " AND ".join(f"c{i} = ?" for i in range(arity))
+        self.executemany(
+            f"DELETE FROM {check_name(table)} WHERE {condition}", rows
+        )
 
     def select_all(self, table: str) -> List[Tuple[Term, ...]]:
         """Every row of *table*, decoded back to Python terms."""
-        raise NotImplementedError
+        return self.execute(f"SELECT * FROM {check_name(table)}")
 
     def table_count(self, relation: str) -> int:
         """Number of rows currently in *relation*'s table."""
-        raise NotImplementedError
+        return self.execute(f"SELECT COUNT(*) FROM {check_name(relation)}")[0][0]
 
+    def close(self) -> None:
+        """Release the connection."""
+        self.connection.close()
+
+    # ------------------------------------------------------------------
+    # Active domain
+    # ------------------------------------------------------------------
     def recreate_adom(self, values: Iterable[Term]) -> None:
         """(Re)build the active-domain table from *values*."""
-        raise NotImplementedError
+        cursor = self.connection.cursor()
+        cursor.execute(self.dialect.drop_table_sql(self.ADOM_TABLE))
+        cursor.execute(self.dialect.create_adom_sql())
+        unique = sorted(set(values), key=lambda c: (type(c).__name__, str(c)))
+        if unique:
+            self.executemany(
+                f"INSERT INTO {self.ADOM_TABLE} VALUES (?)",
+                [(value,) for value in unique],
+            )
+        self.connection.commit()
 
     def adom_values(self) -> FrozenSet[Term]:
         """The current contents of the active-domain table."""
-        raise NotImplementedError
+        return frozenset(
+            row[0] for row in self.execute(f"SELECT v FROM {self.ADOM_TABLE}")
+        )
 
     def extend_adom(self, values: Iterable[Term]) -> None:
-        """Add constants (e.g. query constants) to the active domain."""
-        raise NotImplementedError
-
-    def commit(self) -> None:
-        """Make pending writes durable (no-op for non-transactional
-        backends)."""
-
-    def close(self) -> None:
-        """Release the underlying resources."""
-        raise NotImplementedError
+        """Add constants (e.g. inserted facts' values) to the active domain."""
+        existing = self.adom_values()
+        fresh = [(v,) for v in values if v not in existing]
+        if fresh:
+            self.executemany(f"INSERT INTO {self.ADOM_TABLE} VALUES (?)", fresh)
+            self.connection.commit()
 
     # ------------------------------------------------------------------
-    # Shared logic
+    # Instances
     # ------------------------------------------------------------------
     def create_schema(self, schema: Schema) -> None:
         """Create one table per relation (dropping existing ones)."""
@@ -230,14 +280,7 @@ class SQLBackend:
 
     def fetch_database(self, schema: Optional[Schema] = None) -> Database:
         """Read the current table contents back into a :class:`Database`."""
-        schema = schema or self.schema
-        if schema is None:
-            raise ValueError("no schema known; pass one or call load() first")
-        facts = []
-        for relation in schema:
-            for row in self.select_all(relation.name):
-                facts.append(Fact(relation.name, tuple(row)))
-        return Database(facts)
+        return self.live_database(None, schema)
 
     def live_database(
         self,
@@ -246,7 +289,7 @@ class SQLBackend:
     ) -> Database:
         """The instance given by *relation_map*'s live views.
 
-        With no map this equals :meth:`fetch_database`; with the deletion
+        With no map this is the base tables' contents; with the deletion
         rewriter's map it is the current repaired instance.
         """
         schema = schema or self.schema
@@ -267,14 +310,6 @@ class SQLBackend:
         """Run a compiled query and return its rows as a frozenset."""
         return frozenset(tuple(row) for row in self.execute(sql, parameters))
 
-    def evaluate_query(self, query, relation_map: Optional[Mapping[str, str]] = None):
-        """In-memory query evaluation hook (backends without SQL only)."""
-        raise BackendFeatureError(
-            f"{type(self).__name__} evaluates queries through compiled SQL; "
-            "evaluate_query is only available on backends with "
-            "supports_sql=False"
-        )
-
     def __enter__(self) -> "SQLBackend":
         return self
 
@@ -282,127 +317,7 @@ class SQLBackend:
         self.close()
 
 
-class DBAPIBackend(SQLBackend):
-    """Shared implementation over a DB-API 2.0 connection + a dialect.
-
-    Subclasses supply ``self.connection`` and ``self.dialect``; every
-    operation funnels through :meth:`execute`/:meth:`executemany`, which
-    translate placeholders and transport values via the dialect.
-    """
-
-    def __init__(self, connection, dialect: SQLDialect) -> None:
-        super().__init__()
-        self.connection = connection
-        self.dialect = dialect
-
-    # ------------------------------------------------------------------
-    # Primitives
-    # ------------------------------------------------------------------
-    def execute(self, sql: str, parameters: Sequence = ()) -> List[Tuple]:
-        cursor = self.connection.cursor()
-        if self.dialect.transparent:
-            cursor.execute(self.dialect.translate(sql), tuple(parameters))
-            if cursor.description is None:
-                return []
-            return cursor.fetchall()
-        cursor.execute(
-            self.dialect.translate(sql), self.dialect.encode_row(parameters)
-        )
-        if cursor.description is None:
-            return []
-        return [self.dialect.decode_row(row) for row in cursor.fetchall()]
-
-    def executemany(self, sql: str, rows: Iterable[Sequence]) -> None:
-        cursor = self.connection.cursor()
-        if self.dialect.transparent:
-            cursor.executemany(self.dialect.translate(sql), rows)
-            return
-        cursor.executemany(
-            self.dialect.translate(sql),
-            [self.dialect.encode_row(row) for row in rows],
-        )
-
-    def commit(self) -> None:
-        self.connection.commit()
-
-    def create_table(self, table: str, arity: int, temp: bool = False) -> None:
-        cursor = self.connection.cursor()
-        cursor.execute(self.dialect.drop_table_sql(table, temp))
-        cursor.execute(self.dialect.create_table_sql(table, arity, temp))
-        self.connection.commit()
-
-    def drop_table(self, table: str, temp: bool = False) -> None:
-        cursor = self.connection.cursor()
-        cursor.execute(self.dialect.drop_table_sql(table, temp))
-        self.connection.commit()
-
-    def clear_table(self, table: str) -> None:
-        cursor = self.connection.cursor()
-        cursor.execute(f"DELETE FROM {check_name(table)}")
-
-    # insert_rows/delete_rows deliberately do not commit: they sit on the
-    # per-draw hot path (deletion side tables, temp delta staging).  The
-    # durable entry points (load, insert_facts, delete_facts, adom
-    # maintenance) commit explicitly; everything else rides the open
-    # transaction, which the same connection reads back consistently on
-    # both SQLite and PostgreSQL.
-    def insert_rows(self, table: str, arity: int, rows: Sequence[Sequence[Term]]) -> None:
-        if not rows:
-            return
-        _validate_row_arity(table, arity, rows)
-        self.executemany(
-            f"INSERT INTO {check_name(table)} VALUES "
-            f"({', '.join('?' for _ in range(arity))})",
-            rows,
-        )
-
-    def delete_rows(self, table: str, arity: int, rows: Sequence[Sequence[Term]]) -> None:
-        if not rows:
-            return
-        _validate_row_arity(table, arity, rows)
-        condition = " AND ".join(f"c{i} = ?" for i in range(arity))
-        self.executemany(
-            f"DELETE FROM {check_name(table)} WHERE {condition}", rows
-        )
-
-    def select_all(self, table: str) -> List[Tuple[Term, ...]]:
-        return self.execute(f"SELECT * FROM {check_name(table)}")
-
-    def table_count(self, relation: str) -> int:
-        return self.execute(f"SELECT COUNT(*) FROM {check_name(relation)}")[0][0]
-
-    # ------------------------------------------------------------------
-    # Active domain
-    # ------------------------------------------------------------------
-    def recreate_adom(self, values: Iterable[Term]) -> None:
-        cursor = self.connection.cursor()
-        cursor.execute(self.dialect.drop_table_sql(self.ADOM_TABLE))
-        cursor.execute(self.dialect.create_adom_sql())
-        unique = sorted(set(values), key=lambda c: (type(c).__name__, str(c)))
-        if unique:
-            self.executemany(
-                f"INSERT INTO {self.ADOM_TABLE} VALUES (?)",
-                [(value,) for value in unique],
-            )
-        self.connection.commit()
-
-    def adom_values(self) -> FrozenSet[Term]:
-        return frozenset(
-            row[0] for row in self.execute(f"SELECT v FROM {self.ADOM_TABLE}")
-        )
-
-    def extend_adom(self, values: Iterable[Term]) -> None:
-        existing = self.adom_values()
-        fresh = [(v,) for v in values if v not in existing]
-        if fresh:
-            self.executemany(f"INSERT INTO {self.ADOM_TABLE} VALUES (?)", fresh)
-            self.connection.commit()
-
-    def close(self) -> None:
-        self.connection.close()
-
-
-class SQLiteBackend(DBAPIBackend):
+class SQLiteBackend(SQLBackend):
     """A thin, explicit wrapper around one SQLite connection.
 
     The only place in the codebase that imports :mod:`sqlite3`.
@@ -426,15 +341,14 @@ class SQLiteBackend(DBAPIBackend):
 
 
 #: Names accepted by :func:`create_backend` / ``REPRO_SQL_BACKEND``.
-BACKEND_NAMES = ("sqlite", "postgres", "memory")
+BACKEND_NAMES = ("sqlite", "postgres")
 
 
 def create_backend(name: Optional[str] = None, **kwargs) -> SQLBackend:
     """Instantiate a backend by *name* (default: ``REPRO_SQL_BACKEND``).
 
     ``sqlite`` accepts ``path=``; ``postgres`` accepts ``dsn=`` (or the
-    ``REPRO_PG_DSN`` / standard ``PG*`` environment variables);
-    ``memory`` takes no arguments.
+    ``REPRO_PG_DSN`` / standard ``PG*`` environment variables).
     """
     name = (name or os.environ.get("REPRO_SQL_BACKEND", "sqlite")).lower()
     if name == "sqlite":
@@ -443,10 +357,6 @@ def create_backend(name: Optional[str] = None, **kwargs) -> SQLBackend:
         from repro.sql.postgres import PostgresBackend
 
         return PostgresBackend(**kwargs)
-    if name == "memory":
-        from repro.sql.memory import InMemoryBackend
-
-        return InMemoryBackend(**kwargs)
     raise ValueError(
         f"unknown SQL backend {name!r}; expected one of {BACKEND_NAMES}"
     )

@@ -2,9 +2,24 @@
 
 Conjunctive queries become flat ``SELECT DISTINCT ... FROM ... WHERE``
 joins.  General first-order queries use the classical active-domain
-translation: head and quantified variables range over the ``_adom`` table
+translation: head and quantified variables range over a domain table
 (extended inline with the query's own constants), atoms become
 ``EXISTS`` subqueries, and ``forall`` becomes ``NOT EXISTS NOT``.
+
+The paper's ``Q(D) = {c in dom(D)^|x| : D |= phi(c)}`` ranges over the
+domain of the instance the query runs on — under the rewriting, each
+sampled repair's own.  Which domain table the translation uses follows
+from the query's shape
+(:func:`repro.queries.relations.domain_independent`):
+
+- a domain-independent query (atoms under ``&`` / ``exists``, every
+  head variable in an atom) binds every variable through an atom, so
+  any superset of the live values gives the same answers; it ranges
+  over the maintained ``_adom`` table;
+- any other query (negation, ``forall``, disjunction, equality, or a
+  head variable in no atom) ranges over the live domain: every column
+  of every schema relation under the relation map, plus the query's
+  constants, computed once per statement as a ``WITH`` table.
 
 Both compilers accept a *relation_map* that substitutes the physical
 table (or a parenthesised subquery) used for each logical relation —
@@ -14,10 +29,7 @@ plugs into.
 The emitted SQL is dialect-neutral (validated bare identifiers, ``?``
 placeholders, aliased subqueries): each backend's dialect translates
 placeholders and transports parameter values, so the same
-:class:`CompiledQuery` runs on SQLite and PostgreSQL unchanged.  The
-compiled query also remembers its *source* query and relation map, so
-backends without SQL support (``supports_sql=False``) evaluate it with
-the repository's own query evaluators instead.
+:class:`CompiledQuery` runs on SQLite and PostgreSQL unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
+from repro.db.schema import Schema
 from repro.db.terms import Term, Var, is_var
 from repro.queries.ast import (
     And,
@@ -41,8 +54,12 @@ from repro.queries.ast import (
 )
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.query import Query
+from repro.queries.relations import domain_independent
 from repro.sql.backend import SQLBackend
 from repro.sql.dialect import ADOM_TABLE, check_name
+
+#: The ``WITH`` table a domain-dependent query's variables range over.
+LIVE_DOMAIN = "_live_dom"
 
 
 @dataclass
@@ -52,8 +69,8 @@ class CompiledQuery:
     sql: str
     parameters: Tuple[Term, ...]
     arity: int
-    #: The query this SQL was compiled from; lets backends without SQL
-    #: support evaluate the same semantics in memory.
+    #: The query this SQL was compiled from (the columnar draw plan
+    #: reads its shape).
     source: Optional[Union[Query, ConjunctiveQuery]] = None
     #: The relation map the compilation targeted (e.g. the deletion
     #: rewriter's live views).
@@ -65,15 +82,7 @@ class CompiledQuery:
         Boolean queries (arity 0) return ``{()}`` or the empty set,
         matching the in-memory evaluator.
         """
-        if backend.supports_sql:
-            rows = backend.query_tuples(self.sql, self.parameters)
-        else:
-            if self.source is None:
-                raise ValueError(
-                    "this CompiledQuery has no source query; it cannot run "
-                    "on a backend without SQL support"
-                )
-            rows = backend.evaluate_query(self.source, self.relation_map)
+        rows = backend.query_tuples(self.sql, self.parameters)
         if self.arity == 0:
             return frozenset([()]) if rows else frozenset()
         return rows
@@ -153,6 +162,8 @@ class _FOContext:
 
     relation_map: Optional[Mapping[str, str]]
     domain_constants: Tuple[Term, ...]
+    #: Range over the ``WITH`` live-domain table instead of ``_adom``.
+    live_domain: bool = False
     params: List[Term] = field(default_factory=list)
     alias_counter: int = 0
 
@@ -161,23 +172,58 @@ class _FOContext:
         return f"a{self.alias_counter}"
 
     def domain_sql(self) -> str:
-        """The quantifier range: ``_adom`` plus the query's own constants."""
+        """The quantifier range: the live-domain table, or ``_adom`` plus
+        the query's own constants."""
+        if self.live_domain:
+            return LIVE_DOMAIN
         parts = [f"SELECT v FROM {ADOM_TABLE}"]
         for constant in self.domain_constants:
             parts.append("SELECT ?")
             self.params.append(constant)
         return "(" + " UNION ".join(parts) + ")"
 
+    def live_domain_sql(self, schema: Schema) -> str:
+        """``WITH`` the values of every live column plus the constants."""
+        parts = [
+            f"SELECT d.c{position} FROM "
+            f"{_physical(relation.name, self.relation_map)} d"
+            for relation in schema
+            for position in range(relation.arity)
+        ]
+        for constant in self.domain_constants:
+            parts.append("SELECT ?")
+            self.params.append(constant)
+        if not parts:
+            parts.append("SELECT NULL WHERE 1 = 0")
+        return f"WITH {LIVE_DOMAIN}(v) AS ({' UNION '.join(parts)}) "
+
 
 def compile_fo_query(
     query: Query,
     relation_map: Optional[Mapping[str, str]] = None,
+    schema: Optional[Schema] = None,
 ) -> CompiledQuery:
-    """Compile a first-order query via the active-domain translation."""
+    """Compile a first-order query via the active-domain translation.
+
+    A domain-dependent query ranges over the live domain of *schema*'s
+    relations under *relation_map*, so it needs the schema.
+    """
     constants = tuple(
         sorted(query.formula.constants(), key=lambda c: (type(c).__name__, str(c)))
     )
-    ctx = _FOContext(relation_map=relation_map, domain_constants=constants)
+    ctx = _FOContext(
+        relation_map=relation_map,
+        domain_constants=constants,
+        live_domain=not domain_independent(query),
+    )
+    prefix = ""
+    if ctx.live_domain:
+        if schema is None:
+            raise ValueError(
+                f"{query} ranges over the instance's live domain; "
+                "compile it with the instance schema"
+            )
+        prefix = ctx.live_domain_sql(schema)
     env: Dict[Var, str] = {}
     from_parts: List[str] = []
     distinct_head = tuple(dict.fromkeys(query.head))
@@ -189,11 +235,11 @@ def compile_fo_query(
     select = ", ".join(env[v] for v in query.head) if query.head else "1"
     if from_parts:
         sql = (
-            f"SELECT DISTINCT {select} FROM {', '.join(from_parts)} "
+            f"{prefix}SELECT DISTINCT {select} FROM {', '.join(from_parts)} "
             f"WHERE {condition}"
         )
     else:
-        sql = f"SELECT DISTINCT {select} WHERE {condition}"
+        sql = f"{prefix}SELECT DISTINCT {select} WHERE {condition}"
     return CompiledQuery(
         sql=sql,
         parameters=tuple(ctx.params),

@@ -3,10 +3,10 @@
 The campaign fingerprint machinery (:func:`repro.sql.sampler.instance_digest`)
 digests the instance by sorting every table — exactly right for rejecting
 stale checkpoints, but recomputing it after each base-table delta costs a
-full rescan.  The result cache needs the opposite trade-off: a digest it
-can *roll forward* through ``apply_update`` in O(|delta|), so an update
-report can name the instance identity before and after the delta without
-touching the tables again.
+full rescan.  The result cache needs the opposite trade-off: a digest the
+query service can *roll forward* through each ``/update`` in O(|delta|),
+so an update report can name the instance identity before and after the
+delta without rehashing the instance.
 
 :class:`InstanceDigest` therefore folds per-fact SHA-256 tokens with
 modular addition — a commutative, invertible accumulator.  Insertion
@@ -18,38 +18,33 @@ distinct facts collide by concatenation tricks; the 256-bit accumulator
 makes accidental cancellation astronomically unlikely (this is a cache
 key, not an adversarial MAC).
 
-:func:`database_digest` (over a :class:`~repro.db.facts.Database`) and
-:func:`backend_digest` (over a loaded :class:`~repro.sql.backend.SQLBackend`)
-produce the *same* digest for the same contents, so a service keying
-cache entries by the posted database and a sampler rolling its digest
-through deltas can never disagree about instance identity.
+:func:`database_digest` of a :class:`~repro.db.facts.Database` equals
+the digest rolled from any other instance through the delta that turns
+it into that database, so cache keys built from a posted database and
+the service's rolled digest of a named instance never disagree about
+instance identity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable
 
 from repro.db.facts import Database, Fact
-from repro.db.schema import Schema
 
-__all__ = ["InstanceDigest", "backend_digest", "database_digest", "fact_token"]
+__all__ = ["InstanceDigest", "database_digest", "fact_token"]
 
 _MODULUS = 1 << 256
 
 
-def _row_token(relation: str, values: Sequence[object]) -> int:
-    parts = [f"{len(relation)}#{relation}"]
-    for value in values:
+def fact_token(fact: Fact) -> int:
+    """The additive token one fact contributes to an instance digest."""
+    parts = [f"{len(fact.relation)}#{fact.relation}"]
+    for value in fact.values:
         text = str(value)
         parts.append(f"{len(text)}#{text}")
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest, "big")
-
-
-def fact_token(fact: Fact) -> int:
-    """The additive token one fact contributes to an instance digest."""
-    return _row_token(fact.relation, fact.values)
 
 
 class InstanceDigest:
@@ -71,15 +66,6 @@ class InstanceDigest:
             digest.add(fact)
         return digest
 
-    @classmethod
-    def of_backend(cls, backend, schema: Schema) -> "InstanceDigest":
-        """Digest the live tables (post-load, pre- any ``R_del`` marks)."""
-        digest = cls()
-        for relation in schema:
-            for row in backend.select_all(relation.name):
-                digest.add_row(relation.name, row)
-        return digest
-
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
@@ -90,10 +76,6 @@ class InstanceDigest:
     def discard(self, fact: Fact) -> None:
         self._acc = (self._acc - fact_token(fact)) % _MODULUS
         self._count -= 1
-
-    def add_row(self, relation: str, values: Sequence[object]) -> None:
-        self._acc = (self._acc + _row_token(relation, values)) % _MODULUS
-        self._count += 1
 
     def update(self, added: Iterable[Fact] = (), removed: Iterable[Fact] = ()) -> None:
         for fact in removed:
@@ -110,15 +92,8 @@ class InstanceDigest:
             f"{self._count}\x1f{self._acc:064x}".encode("ascii")
         ).hexdigest()
 
-    def snapshot(self) -> Tuple[int, int]:
-        return (self._acc, self._count)
-
 
 def database_digest(database: Database) -> str:
     """The instance digest of a :class:`Database` value."""
     return InstanceDigest.of_database(database).hexdigest()
 
-
-def backend_digest(backend, schema: Schema) -> str:
-    """The instance digest of the tables loaded in *backend*."""
-    return InstanceDigest.of_backend(backend, schema).hexdigest()

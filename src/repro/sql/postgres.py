@@ -1,13 +1,12 @@
 """PostgreSQL backend (optional dependency).
 
-Implements the :class:`repro.sql.backend.SQLBackend` protocol over a
-psycopg (v3) or psycopg2 connection.  All engine differences live in
+:class:`repro.sql.backend.SQLBackend` over a psycopg (v3) or psycopg2
+connection.  All engine differences live in
 :class:`repro.sql.dialect.PostgresDialect`: ``%s`` placeholders, TEXT
 columns with tagged value transport, and unqualified temp-table drops.
 Everything else — loading, deltas, temp delta tables, the deletion
-rewriting, compiled queries — is the shared
-:class:`repro.sql.backend.DBAPIBackend` logic, byte-for-byte the same
-SQL the SQLite backend runs.
+rewriting, compiled queries — is the shared :class:`SQLBackend` logic,
+byte-for-byte the same SQL the SQLite backend runs.
 
 The driver is imported lazily so the rest of the package works in
 environments without psycopg; constructing the backend there raises
@@ -29,7 +28,7 @@ from repro.db.terms import Term
 from repro.obs import FAULTS
 from repro.sql.backend import (
     BackendUnavailableError,
-    DBAPIBackend,
+    SQLBackend,
     _validate_row_arity,
     retry_transient,
 )
@@ -65,7 +64,7 @@ def _load_driver():
     except ImportError:
         raise BackendUnavailableError(
             "the PostgreSQL backend needs psycopg (or psycopg2); install "
-            "one or select the sqlite/memory backend"
+            "one or select the sqlite backend"
         ) from None
 
 
@@ -102,8 +101,8 @@ def is_transient_pg_error(exc: BaseException) -> bool:
     )
 
 
-class PostgresBackend(DBAPIBackend):
-    """The SQL backend protocol over one PostgreSQL connection.
+class PostgresBackend(SQLBackend):
+    """:class:`SQLBackend` over one PostgreSQL connection.
 
     Transient failures (connection drops, server restarts) are retried
     with exponential backoff around the primitive operations, with a

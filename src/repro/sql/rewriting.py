@@ -6,41 +6,21 @@ relation map ``R -> (SELECT * FROM R EXCEPT SELECT * FROM R__del)``.
 The paper's informal experiment observed that such rewritten queries
 perform similarly to the originals — benchmark E8 measures this.
 
-The rewriter speaks only the structured half of the
-:class:`repro.sql.backend.SQLBackend` protocol (table creation, clears,
-bulk inserts), so it works unchanged on SQLite, PostgreSQL, and the
-in-memory backend.  Its relation map is a :class:`LiveRelationMap` — a
-plain ``dict`` of SQL view text for the compilers, carrying the
-structured ``(base, deletions)`` pairs that databaseless backends use to
-build the same live view without SQL.
+The rewriter uses only the table operations of
+:class:`repro.sql.backend.SQLBackend` (creation, clears, bulk inserts),
+so it runs unchanged on SQLite and PostgreSQL.  Its relation map is a
+plain ``dict`` from relation name to live-view SQL text, which the query
+and violation compilers splice in place of the base table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
 from repro.sql.backend import SQLBackend
 from repro.sql.dialect import check_name
-
-
-class LiveRelationMap(Dict[str, str]):
-    """``relation -> live-view SQL`` plus structured view pairs.
-
-    To SQL consumers this is an ordinary relation map (values are
-    parenthesised ``EXCEPT`` subqueries).  Backends with
-    ``supports_sql=False`` instead read :attr:`pairs`, mapping each
-    relation to its ``(base_table, deletion_table)`` pair.
-    """
-
-    def __init__(
-        self,
-        entries: Mapping[str, str],
-        pairs: Mapping[str, Tuple[str, str]],
-    ) -> None:
-        super().__init__(entries)
-        self.pairs: Dict[str, Tuple[str, str]] = dict(pairs)
 
 
 class DeletionRewriter:
@@ -90,22 +70,17 @@ class DeletionRewriter:
     # ------------------------------------------------------------------
     def relation_map(
         self, relations: Optional[Sequence[str]] = None
-    ) -> LiveRelationMap:
+    ) -> Dict[str, str]:
         """``R -> (SELECT * FROM R EXCEPT SELECT * FROM R__del)`` for every
         relation (or the given subset)."""
         names = (
             [r.name for r in self.schema] if relations is None else list(relations)
         )
-        entries: Dict[str, str] = {}
-        pairs: Dict[str, Tuple[str, str]] = {}
-        for name in names:
-            table = check_name(name)
-            deletion = self.deletion_table(name)
-            entries[name] = (
-                f"(SELECT * FROM {table} EXCEPT SELECT * FROM {deletion})"
-            )
-            pairs[name] = (table, deletion)
-        return LiveRelationMap(entries, pairs)
+        return {
+            name: f"(SELECT * FROM {check_name(name)} "
+            f"EXCEPT SELECT * FROM {self.deletion_table(name)})"
+            for name in names
+        }
 
     def live_database(self) -> Database:
         """The current repaired instance (original minus deletions)."""

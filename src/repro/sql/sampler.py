@@ -29,11 +29,13 @@ constructs it from key specifications, with three policies:
 For a single-atom conjunctive query, a draw range runs through a
 compiled columnar draw plan (:func:`_build_columnar_plan`) instead of
 per-draw SQL; its outcomes are byte-identical to the reference loop.
+A first-order query whose answers depend on the domain ranges over each
+sampled repair's own live domain (:mod:`repro.sql.compiler`).
 
-The samplers target the :class:`repro.sql.backend.SQLBackend` protocol,
-so the same code runs on SQLite, PostgreSQL, and the in-memory backend.
-All per-component randomness flows through the campaign's draw-indexed
-RNG substreams (:meth:`repro.campaign.SamplingCampaign.rng_at`): draw
+The samplers run the same SQL on any :class:`repro.sql.backend.SQLBackend`
+(SQLite or PostgreSQL).  All per-component randomness flows through the
+campaign's draw-indexed RNG substreams
+(:meth:`repro.campaign.SamplingCampaign.rng_at`): draw
 ``i`` of component ``g`` depends only on ``(campaign seed, g, i)``, so
 draws are independent of batch boundaries, a checkpointed campaign
 resumes with bit-identical sequences, and any draw range can be
@@ -180,7 +182,7 @@ class BaseCampaignSampler:
     ``rng`` and ``rewriter`` before calling :meth:`_init_campaign`, and
     implements ``_fingerprint_parts``, ``deletions_for_range``,
     ``_columnar_outcomes`` and ``_shard_context_payload``; the lazy
-    instance digest, campaign attach/bind, query compilation under the
+    data digest, campaign attach/bind, query compilation under the
     rewriting, and the estimation loop live here.
     """
 
@@ -201,12 +203,6 @@ class BaseCampaignSampler:
         #: fingerprint is actually compared, i.e. when a checkpoint or an
         #: externally shared campaign is in play.
         self._data_digest: Optional[str] = None
-        #: The *rolling* instance digest (:mod:`repro.sql.digest`) —
-        #: also lazy, but once materialized it is maintained in
-        #: O(|delta|) through :meth:`apply_update` instead of being
-        #: recomputed, so update reports can name the pre/post instance
-        #: identity without a rescan.  ``None`` until someone asks.
-        self._result_digest = None
         if campaign is None:
             if checkpoint_path is None:
                 campaign = SamplingCampaign(rng=self.rng, adaptive=adaptive)
@@ -238,36 +234,6 @@ class BaseCampaignSampler:
             self._data_digest = instance_digest(self.backend, self.schema)
         return campaign_fingerprint(self._data_digest, *self._fingerprint_parts())
 
-    def result_digest(self) -> str:
-        """The rolling instance digest the result cache keys entries by.
-
-        Equals :func:`repro.sql.digest.database_digest` of the loaded
-        instance; first call scans the tables, after which
-        :meth:`apply_update` rolls it forward per delta.
-        """
-        from repro.sql.digest import InstanceDigest
-
-        if self._result_digest is None:
-            self._result_digest = InstanceDigest.of_backend(
-                self.backend, self.schema
-            )
-        return self._result_digest.hexdigest()
-
-    def _roll_result_digest(
-        self, added: Sequence[Fact], removed: Sequence[Fact]
-    ) -> Tuple[Optional[str], Optional[str]]:
-        """Advance the rolling digest through a delta.
-
-        Returns ``(old, new)`` hexdigests, or ``(None, None)`` when the
-        digest was never materialized — consumers must then treat the
-        update as unprovable and flush conservatively.
-        """
-        if self._result_digest is None:
-            return None, None
-        old = self._result_digest.hexdigest()
-        self._result_digest.update(added, removed)
-        return old, self._result_digest.hexdigest()
-
     def _refresh_campaign_identity(self) -> None:
         """Re-bind the campaign to the current (post-update) instance.
 
@@ -298,13 +264,13 @@ class BaseCampaignSampler:
         relation_map = self.rewriter.relation_map()
         if isinstance(query, ConjunctiveQuery):
             return compile_cq(query, relation_map)
-        return compile_fo_query(query, relation_map)
+        return compile_fo_query(query, relation_map, self.schema)
 
     def compile_original(self, query: AnyQuery) -> CompiledQuery:
         """Compile *query* against the raw tables (for E8 comparisons)."""
         if isinstance(query, ConjunctiveQuery):
             return compile_cq(query)
-        return compile_fo_query(query)
+        return compile_fo_query(query, schema=self.schema)
 
     # ------------------------------------------------------------------
     # The estimation loop
@@ -531,8 +497,8 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         maintained edge sets (pure union-find — no SQL), and only
         components whose fact sets changed lose their cached chains.
         Returns an :class:`repro.campaign.UpdateReport` naming the
-        changed components (and the pre/post instance digests when the
-        rolling digest is live) for result-cache invalidation.
+        changed components for result-cache invalidation; whoever keeps
+        the instance's digest fills in its digests.
         """
         added = list(added)
         removed = list(removed)
@@ -548,15 +514,9 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             self.violation_index.apply_insert(added)
         self.components = self.violation_index.components()
         self.campaign.prune_chains(self.components)
-        old_digest, new_digest = self._roll_result_digest(added, removed)
         self._refresh_campaign_identity()
         return UpdateReport.from_groups(
-            added,
-            removed,
-            old_components,
-            self.components,
-            old_digest=old_digest,
-            new_digest=new_digest,
+            added, removed, old_components, self.components
         )
 
     # ------------------------------------------------------------------
@@ -918,10 +878,9 @@ def _build_columnar_plan(
     relation never change the answer, so the plan skips them.  Every
     gate is a precondition of the clean/survivor decomposition: a
     single-atom CQ with distinct variable terms (so answers are plain
-    row projections), a SQL backend (rows compare in the dialect's
-    decoded space on both paths), the compiled query built against this
-    sampler's live rewriting, and every component fact of the queried
-    relation resolvable to exactly one base row.
+    row projections), the compiled query built against this sampler's
+    live rewriting, and every component fact of the queried relation
+    resolvable to exactly one base row.
     """
     try:
         source = compiled.source
@@ -939,12 +898,7 @@ def _build_columnar_plan(
         position_of = {term: pos for pos, term in enumerate(atom.terms)}
         if any(term not in position_of for term in source.head):
             return None
-        if not sampler.backend.supports_sql:
-            return None
-        live_map = sampler.rewriter.relation_map()
-        if compiled.relation_map is None or dict(compiled.relation_map) != dict(
-            live_map
-        ):
+        if compiled.relation_map != sampler.rewriter.relation_map():
             return None
         rows = {tuple(row) for row in sampler.backend.select_all(atom.relation)}
         components = []

@@ -1,4 +1,4 @@
-"""Constraint-violation detection at SQL scale, over any backend.
+"""Constraint-violation detection at SQL scale.
 
 The in-memory engine finds violations by homomorphism search; at SQL
 scale the same search is a self-join.  For a TGD-free constraint
@@ -18,12 +18,10 @@ deltas (temp delta tables + pinned joins + per-constraint
 touched-relation filtering), mirroring the in-memory
 :class:`repro.core.incremental.DeltaViolationIndex` at SQL scale.
 
-Both entry points target the :class:`repro.sql.backend.SQLBackend`
-protocol.  On a backend without SQL support
-(:class:`repro.sql.memory.InMemoryBackend`) the same semantics route
-onto the core machinery: full detection runs
-``constraint.violating_assignments`` and the insert delta runs the same
-pinned homomorphism search the in-memory incremental index uses.
+Both entry points run compiled SQL on a
+:class:`repro.sql.backend.SQLBackend`; the core
+:func:`repro.abc_repairs.conflicts.conflict_hypergraph` is their test
+oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.constraints.dc import DC
 from repro.constraints.egd import EGD
 from repro.core import columnar
 from repro.db.facts import Fact
-from repro.db.homomorphism import find_homomorphisms_pinned
 from repro.db.terms import Term, Var, is_var
 from repro.sql.backend import SQLBackend
 from repro.sql.dialect import check_name
@@ -148,43 +145,14 @@ def _rows_to_edges(constraint: Constraint, rows) -> Set[FrozenSet[Fact]]:
     return edges
 
 
-def _memory_edges(
-    constraint: Constraint, database
-) -> Set[FrozenSet[Fact]]:
-    """Full detection through the core machinery (no SQL)."""
-    return {
-        constraint.body_image(assignment)
-        for assignment in constraint.violating_assignments(database)
-    }
-
-
 def violating_fact_sets(
     backend: SQLBackend,
     constraint: Constraint,
     relation_map: Optional[Mapping[str, str]] = None,
-    database=None,
 ) -> FrozenSet[FrozenSet[Fact]]:
-    """The body images of every violation of *constraint*.
-
-    *database* lets multi-constraint callers on SQL-less backends build
-    the live instance once and share it across constraints (ignored for
-    SQL backends).
-    """
-    if not backend.supports_sql:
-        if database is None:
-            database = backend.live_database(relation_map)
-        return frozenset(_memory_edges(constraint, database))
+    """The body images of every violation of *constraint*."""
     sql, params = compile_violation_query(constraint, relation_map)
     return frozenset(_rows_to_edges(constraint, backend.execute(sql, params)))
-
-
-def _shared_live_database(
-    backend: SQLBackend, relation_map: Optional[Mapping[str, str]]
-):
-    """The one-per-pass live instance for SQL-less backends (else None)."""
-    if backend.supports_sql:
-        return None
-    return backend.live_database(relation_map)
 
 
 def conflict_hypergraph_sql(
@@ -195,12 +163,9 @@ def conflict_hypergraph_sql(
     """The full conflict hypergraph of a TGD-free constraint set."""
     if not constraints.deletion_only():
         raise ValueError("SQL conflict hypergraphs require TGD-free constraints")
-    shared = _shared_live_database(backend, relation_map)
     edges: Set[FrozenSet[Fact]] = set()
     for constraint in constraints:
-        edges.update(
-            violating_fact_sets(backend, constraint, relation_map, database=shared)
-        )
+        edges.update(violating_fact_sets(backend, constraint, relation_map))
     return frozenset(edges)
 
 
@@ -254,7 +219,7 @@ def conflict_components_sql(
 
 
 class SQLDeltaViolationIndex:
-    """Incremental violation maintenance over any backend.
+    """Incremental violation maintenance in SQL.
 
     The SQL mirror of :class:`repro.core.incremental.DeltaViolationIndex`
     for TGD-free constraint sets: the per-constraint violation edge sets
@@ -271,11 +236,6 @@ class SQLDeltaViolationIndex:
       view given by *relation_map*);
     - constraints mentioning none of the touched relations are skipped
       entirely (the per-constraint touched-relation filter).
-
-    On a backend without SQL support the insert delta runs the same
-    pinned strategy through :func:`find_homomorphisms_pinned` over the
-    live in-memory view — one pinned search per (constraint, body atom,
-    inserted fact) instead of one pinned join per (constraint, atom).
 
     The caller is responsible for ordering: apply the delta to the live
     view (base tables / deletion side-tables) *before* calling
@@ -298,16 +258,11 @@ class SQLDeltaViolationIndex:
             )
         self.backend = backend
         self.constraints = constraints
-        if relation_map is None or not relation_map:
-            self.relation_map: Optional[Mapping[str, str]] = None
-        elif hasattr(relation_map, "pairs"):
-            # Keep the structured live-view pairs for SQL-less backends.
-            self.relation_map = relation_map
-        else:
-            self.relation_map = dict(relation_map)
-        shared = _shared_live_database(backend, self.relation_map)
+        self.relation_map: Optional[Mapping[str, str]] = (
+            dict(relation_map) if relation_map else None
+        )
         self._edges: Dict[Constraint, Set[FrozenSet[Fact]]] = {
-            c: set(violating_fact_sets(backend, c, self.relation_map, database=shared))
+            c: set(violating_fact_sets(backend, c, self.relation_map))
             for c in constraints
         }
         self._delta_tables: Dict[Tuple[str, int], str] = {}
@@ -315,7 +270,7 @@ class SQLDeltaViolationIndex:
         #: on the delete path and invalidated whenever the edge set can
         #: grow (inserts, refresh).
         self._edge_indexes: Dict[Constraint, "columnar.EdgeMembershipIndex"] = {}
-        #: Diagnostics: full joins run, pinned delta joins/searches run,
+        #: Diagnostics: full joins run, pinned delta joins run,
         #: and constraints skipped by the touched-relation filter.
         self.full_queries = len(self._edges)
         self.delta_queries = 0
@@ -344,13 +299,10 @@ class SQLDeltaViolationIndex:
 
     def refresh(self) -> None:
         """Rebuild every edge set by full detection (resync point)."""
-        shared = _shared_live_database(self.backend, self.relation_map)
         self._edge_indexes.clear()
         for constraint in self._edges:
             self._edges[constraint] = set(
-                violating_fact_sets(
-                    self.backend, constraint, self.relation_map, database=shared
-                )
+                violating_fact_sets(self.backend, constraint, self.relation_map)
             )
             self.full_queries += 1
 
@@ -394,9 +346,6 @@ class SQLDeltaViolationIndex:
         by_relation: Dict[str, List[Fact]] = {}
         for fact in added:
             by_relation.setdefault(fact.relation, []).append(fact)
-        if not self.backend.supports_sql:
-            self._apply_insert_memory(by_relation)
-            return
         staged: Set[Tuple[str, int]] = set()
         for constraint, edges in self._edges.items():
             if not (set(by_relation) & constraint.body_relations):
@@ -421,26 +370,6 @@ class SQLDeltaViolationIndex:
                 edges.update(
                     _rows_to_edges(constraint, self.backend.execute(sql, params))
                 )
-                self.delta_queries += 1
-
-    def _apply_insert_memory(self, by_relation: Dict[str, List[Fact]]) -> None:
-        """The pinned-search insert delta for backends without SQL."""
-        database = self.backend.live_database(self.relation_map)
-        for constraint, edges in self._edges.items():
-            if not (set(by_relation) & constraint.body_relations):
-                self.skipped_constraints += 1
-                continue
-            self._edge_indexes.pop(constraint, None)
-            for index, atom in enumerate(constraint.body):
-                rows = by_relation.get(atom.relation)
-                if not rows:
-                    continue
-                for fact in rows:
-                    for assignment in find_homomorphisms_pinned(
-                        constraint.body, database, index, fact
-                    ):
-                        if not constraint.head_holds(assignment, database):
-                            edges.add(constraint.body_image(assignment))
                 self.delta_queries += 1
 
     # ------------------------------------------------------------------

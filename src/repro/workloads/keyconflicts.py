@@ -37,10 +37,10 @@ class KeyConflictWorkload:
         return len(self.database)
 
     def load_into(self, backend):
-        """Load the workload into any :class:`repro.sql.SQLBackend`.
+        """Load the workload into a :class:`repro.sql.SQLBackend`.
 
         Returns the backend, so call sites can chain:
-        ``workload.load_into(create_backend("memory"))``.
+        ``workload.load_into(create_backend("sqlite"))``.
         """
         backend.load(self.database, self.schema)
         return backend

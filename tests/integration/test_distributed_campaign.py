@@ -135,6 +135,35 @@ class TestLocalPoolByteIdentity:
                 backend.close()
         assert reports["pool"].frequencies == reports["serial"].frequencies
 
+    def test_domain_dependent_query_matches_serial(self):
+        """Workers range a negated query over each repair's live domain
+        exactly as the serial run does."""
+        from repro.db.schema import Schema
+        from repro.queries import parse_query
+
+        db = Database.of(
+            *(Fact("R", row) for row in (("a", "b"), ("a", "c"), ("d", "e"))),
+            Fact("S", ("b",)),
+        )
+        schema = Schema.of(R=2, S=1)
+        sigma = ConstraintSet(parse_constraints("R(x, y), R(x, z) -> y = z"))
+        reports = {}
+        for label, workers in (("serial", 0), ("pool", 2)):
+            coordinator = Coordinator.from_options(workers=workers)
+            backend = SQLiteBackend()
+            backend.load(db, schema)
+            sampler = ConstraintRepairSampler(
+                backend, schema, sigma, rng=random.Random(3), coordinator=coordinator
+            )
+            try:
+                reports[label] = sampler.run(parse_query("Q(x) :- !S(x)"), runs=60)
+            finally:
+                if coordinator is not None:
+                    coordinator.close()
+                backend.close()
+        assert reports["pool"].frequencies == reports["serial"].frequencies
+        assert 0 < reports["serial"].cp(("c",)) < 1
+
 
 class TestSocketWorkers:
     def test_in_thread_socket_workers_match_serial(self, serial_report):

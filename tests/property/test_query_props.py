@@ -68,7 +68,8 @@ def test_fo_sql_matches_memory(db, text):
     query = parse_query(text)
     with SQLiteBackend() as backend:
         backend.load(db, Schema.of(R=2))
-        assert compile_fo_query(query).run(backend) == query.answers(db)
+        compiled = compile_fo_query(query, schema=Schema.of(R=2))
+        assert compiled.run(backend) == query.answers(db)
 
 
 @given(key_violation_databases())

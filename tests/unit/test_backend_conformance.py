@@ -1,25 +1,27 @@
 """Backend-conformance suite: every backend, same protocol, same answers.
 
-Parameterized over :class:`SQLiteBackend`, :class:`InMemoryBackend`, and
-(when a server is reachable) :class:`PostgresBackend`: identical
-schema/load/round-trip behaviour, identical delta-table semantics,
-identical compiled-query answers, identical violation detection, and
-identical *seeded* sampler output — the campaign's per-group RNG streams
-make the draws backend-independent, so the reports must match exactly,
-not just statistically.
+Parameterized over :class:`SQLiteBackend` and (when a server is
+reachable) :class:`PostgresBackend`: identical schema/load/round-trip
+behaviour and delta-table semantics, compiled-query answers equal to the
+core evaluators' (``Query.answers``), violation detection equal to the
+core conflict hypergraph, and identical *seeded* sampler output — the
+campaign's per-group RNG streams make the draws backend-independent, so
+the reports must match exactly, not just statistically.
 """
 
 import random
 
 import pytest
 
+from repro.abc_repairs.conflicts import conflict_hypergraph
+from repro.cli import main
+from repro.constraints import ConstraintSet
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema, SchemaError
+from repro.io import save_database
 from repro.queries.parser import parse_cq, parse_query
 from repro.sql import (
-    BackendFeatureError,
     ConstraintRepairSampler,
-    InMemoryBackend,
     KeyRepairSampler,
     SamplerPolicy,
     SQLDeltaViolationIndex,
@@ -39,7 +41,7 @@ try:
 except Exception:  # pragma: no cover - driver import failure
     HAVE_POSTGRES = False
 
-BACKENDS = ["sqlite", "memory"] + (["postgres"] if HAVE_POSTGRES else [])
+BACKENDS = ["sqlite"] + (["postgres"] if HAVE_POSTGRES else [])
 
 
 @pytest.fixture(params=BACKENDS)
@@ -47,11 +49,6 @@ def backend(request):
     be = create_backend(request.param)
     yield be
     be.close()
-
-
-def _pair(name):
-    """A (reference sqlite, backend under test) pair."""
-    return SQLiteBackend(), create_backend(name)
 
 
 DB = Database.from_tuples(
@@ -168,20 +165,33 @@ class TestTaggedTransportOverSQLite:
         assert reports["tagged"].frequencies == reports["plain"].frequencies
 
 
-class TestMemorySpecifics:
-    def test_raw_sql_rejected(self):
-        with InMemoryBackend() as be:
-            be.load(DB)
-            with pytest.raises(BackendFeatureError):
-                be.execute("SELECT * FROM R")
+class TestBackendSelection:
+    """Only SQL engines ship: ``memory`` is refused by every selector."""
 
-    def test_compiled_query_without_source_rejected(self):
-        from repro.sql.compiler import CompiledQuery
+    def test_create_backend_refuses_memory(self, monkeypatch):
+        with pytest.raises(ValueError, match="'sqlite', 'postgres'"):
+            create_backend("memory")
+        monkeypatch.setenv("REPRO_SQL_BACKEND", "memory")
+        with pytest.raises(ValueError, match="'sqlite', 'postgres'"):
+            create_backend()
 
-        with InMemoryBackend() as be:
-            be.load(DB)
-            with pytest.raises(ValueError):
-                CompiledQuery(sql="SELECT 1", parameters=(), arity=0).run(be)
+    def test_cli_refuses_memory_backend(self, tmp_path, capsys):
+        db_path = tmp_path / "db.json"
+        save_database(DB, db_path)
+        sigma_path = tmp_path / "sigma.txt"
+        sigma_path.write_text("R(x, y), R(x, z) -> y = z\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "sql-sample",
+                    "--db", str(db_path),
+                    "--constraints", str(sigma_path),
+                    "--query", "Q(x) :- R(x, y)",
+                    "--backend", "memory",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'memory'" in capsys.readouterr().err
 
 
 class TestQueryConformance:
@@ -191,44 +201,40 @@ class TestQueryConformance:
 
     @pytest.mark.parametrize("query", [CQ, FO, BOOL], ids=["cq", "fo", "bool"])
     def test_same_answers_as_sqlite(self, backend, query):
-        reference = SQLiteBackend()
-        for be in (reference, backend):
-            be.load(DB)
-        compile_ = compile_cq if query is self.CQ else compile_fo_query
-        expected = compile_(query).run(reference)
-        assert compile_(query).run(backend) == expected
-        reference.close()
+        backend.load(DB)
+        if query is self.CQ:
+            compiled = compile_cq(query)
+        else:
+            compiled = compile_fo_query(query, schema=backend.schema)
+        assert compiled.run(backend) == query.answers(backend.fetch_database())
 
     def test_rewritten_answers_match(self, backend):
-        reference = SQLiteBackend()
-        for be in (reference, backend):
-            be.load(DB)
-        results = {}
-        for name, be in (("ref", reference), ("uut", backend)):
-            rewriter = DeletionRewriter(be, Schema.of(R=2, S=1))
-            rewriter.mark_deleted([Fact("R", ("a", "b"))])
-            compiled = compile_cq(parse_cq("Q(x, y) :- R(x, y)"), rewriter.relation_map())
-            results[name] = compiled.run(be)
-            assert rewriter.deleted_count("R") == 1
-            assert rewriter.live_database() == DB - {Fact("R", ("a", "b"))}
-        assert results["ref"] == results["uut"]
-        reference.close()
+        backend.load(DB)
+        schema = Schema.of(R=2, S=1)
+        rewriter = DeletionRewriter(backend, schema)
+        deleted = {Fact("R", ("a", "b")), Fact("R", (1, 2))}
+        rewriter.mark_deleted(deleted)
+        assert rewriter.deleted_count("R") == 2
+        live = rewriter.live_database()
+        assert live == DB - deleted
+        relation_map = rewriter.relation_map()
+        cq = parse_cq("Q(x, y) :- R(x, y)")
+        assert compile_cq(cq, relation_map).run(backend) == cq.answers(live)
+        # Domain-dependent: 1 and 2 left the repair's domain with R(1, 2).
+        fo = parse_query("Q(x) :- !S(x)")
+        compiled = compile_fo_query(fo, relation_map, schema)
+        assert compiled.run(backend) == fo.answers(live) == {("a",), ("c",)}
 
 
 class TestViolationConformance:
     def test_hypergraph_matches_sqlite(self, backend):
         db, sigma = preference_workload(products=12, edges=30, conflicts=5, seed=2)
-        reference = SQLiteBackend()
-        for be in (reference, backend):
-            be.load(db, Schema.of(Pref=2))
-        assert conflict_hypergraph_sql(backend, sigma) == conflict_hypergraph_sql(
-            reference, sigma
-        )
+        backend.load(db, Schema.of(Pref=2))
+        assert conflict_hypergraph_sql(backend, sigma) == conflict_hypergraph(db, sigma)
         for constraint in sigma:
-            assert violating_fact_sets(backend, constraint) == violating_fact_sets(
-                reference, constraint
+            assert violating_fact_sets(backend, constraint) == conflict_hypergraph(
+                db, ConstraintSet([constraint])
             )
-        reference.close()
 
     def test_delta_index_tracks_updates(self, backend):
         db, sigma = preference_workload(products=10, edges=24, conflicts=4, seed=7)

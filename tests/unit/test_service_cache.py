@@ -239,6 +239,38 @@ class TestInstancesAndUpdates:
         )
         assert ("d",) in answers
 
+    def test_update_invalidates_a_domain_dependent_answer(self):
+        """``y`` in ``Q(x, y) :- R(x, z)`` ranges over the domain, which a
+        delta on ``S`` extends: the entry must recompute, not migrate."""
+        service = QueryService()
+        query = {
+            "instance": "dom",
+            "query": "Q(x, y) :- R(x, z)",
+            "epsilon": 0.3,
+            "delta": 0.3,
+            "runs": 20,
+            "seed": 3,
+        }
+        status, _ = service.handle_query(
+            dict(
+                query,
+                database={"R": [["a", "b"], ["a", "c"]], "S": [["s"]]},
+                constraints="R(x, y), R(x, z) -> y = z",
+                cache="refresh",
+            )
+        )
+        assert status == 200
+        status, body = service.handle_update(
+            {"instance": "dom", "add": {"S": [["t"]]}}
+        )
+        assert status == 200
+        assert body["cache"] == {"invalidated": 1, "migrated": 0, "flushed": 0}
+        _, used = service.handle_query(query)
+        _, fresh = service.handle_query(dict(query, cache="bypass"))
+        assert used["cached"] is False
+        assert _core(used) == _core(fresh)
+        assert ["a", "t"] in [candidate for candidate, _ in used["frequencies"]]
+
     def test_update_changes_the_instance_digest(self):
         service = QueryService()
         service.handle_query(_payload(instance="inv"))

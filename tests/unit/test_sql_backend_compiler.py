@@ -121,9 +121,11 @@ class TestFOCompiler:
     def test_agrees_with_evaluator(self, backend, db, text):
         q = parse_query(text)
         # The in-memory evaluator defaults to dom(D) + formula constants;
-        # mirror that domain for the SQL run (it already does by
-        # construction: _adom + inline constants).
-        assert compile_fo_query(q).run(backend) == q.answers(db)
+        # the SQL run ranges over the same domain by construction (the
+        # schema's live columns, or _adom for domain-independent
+        # queries, plus inline constants).
+        compiled = compile_fo_query(q, schema=backend.schema)
+        assert compiled.run(backend) == q.answers(db)
 
     def test_forall_empty_relation(self, db):
         # forall over an empty S: vacuously true for every x.
@@ -131,7 +133,8 @@ class TestFOCompiler:
         with SQLiteBackend() as be:
             be.load(empty_s, Schema.of(R=2, S=1))
             q = parse_query("Q(x) :- forall y (S(y) -> R(x, y))")
-            assert compile_fo_query(q).run(be) == q.answers(empty_s)
+            compiled = compile_fo_query(q, schema=be.schema)
+            assert compiled.run(be) == q.answers(empty_s)
 
     def test_repeated_head_variable(self, backend, db):
         q = parse_query("Q(x, x) :- S(x)")

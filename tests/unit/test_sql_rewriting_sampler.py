@@ -13,7 +13,12 @@ from repro.db.schema import Schema
 from repro.queries.parser import parse_cq, parse_query
 from repro.sql.backend import SQLiteBackend
 from repro.sql.rewriting import DeletionRewriter
-from repro.sql.sampler import KeyRepairSampler, KeySpec, SamplerPolicy
+from repro.sql.sampler import (
+    ConstraintRepairSampler,
+    KeyRepairSampler,
+    KeySpec,
+    SamplerPolicy,
+)
 
 R_AB = Fact("R", ("a", "b"))
 R_AC = Fact("R", ("a", "c"))
@@ -254,3 +259,47 @@ class TestSamplingCampaign:
         report = sampler.run(parse_cq("Q(x) :- R(x, y)"), runs=40)
         values = [v for _, v in report.items()]
         assert values == sorted(values, reverse=True)
+
+
+class TestLiveDomain:
+    """Domain-dependent queries range over each sampled repair's own
+    domain, as ``Query.answers`` and ``exact_oca`` do."""
+
+    DB = Database.of(R_AB, R_AC, Fact("R", ("d", "e")), Fact("S", ("b",)))
+    SCHEMA = Schema.of(R=2, S=1)
+    SIGMA = ConstraintSet(key("R", 2, [0]))
+    QUERY = parse_query("Q(x) :- !S(x)")
+
+    def _sampler(self, database, seed=5):
+        backend = SQLiteBackend()
+        backend.load(database, self.SCHEMA)
+        return backend, ConstraintRepairSampler(
+            backend, self.SCHEMA, self.SIGMA, rng=random.Random(seed)
+        )
+
+    def test_negation_lands_within_epsilon_of_exact(self):
+        backend, sampler = self._sampler(self.DB)
+        try:
+            report = sampler.run(self.QUERY, epsilon=0.1, delta=0.05)
+        finally:
+            backend.close()
+        exact = exact_oca(self.DB, UniformGenerator(self.SIGMA), self.QUERY)
+        assert exact.cp(("a",)) == Fraction(2, 3)
+        assert exact.cp(("c",)) == Fraction(1, 3)
+        candidates = set(report.frequencies) | {("a",), ("c",), ("d",), ("e",)}
+        for candidate in candidates:
+            assert abs(report.cp(candidate) - float(exact.cp(candidate))) <= 0.1
+
+    def test_update_removal_equals_fresh_sampler(self):
+        removed = Fact("R", ("d", "e"))
+        backend, updated = self._sampler(self.DB)
+        fresh_backend, fresh = self._sampler(self.DB - {removed})
+        try:
+            updated.apply_update(removed=[removed])
+            after = updated.run(self.QUERY, runs=60)
+            expected = fresh.run(self.QUERY, runs=60)
+        finally:
+            backend.close()
+            fresh_backend.close()
+        assert after.frequencies == expected.frequencies
+        assert ("d",) not in after.frequencies
