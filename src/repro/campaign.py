@@ -237,11 +237,10 @@ class UpdateReport:
       (consumers must then fall back to a conservative full flush).
 
     An answer whose relations avoid ``touched_relations |
-    touched_group_relations`` is provably unaffected for
-    domain-independent queries
-    (:func:`repro.queries.relations.domain_independent`): its clean
-    rows, its conflict groups, and the per-group RNG substreams (keyed
-    by fact set) are all byte-identical.
+    touched_group_relations`` is provably unaffected for conjunctive
+    queries (:func:`repro.queries.relations.dependency_relations`): its
+    clean rows, its conflict groups, and the per-group RNG substreams
+    (keyed by fact set) are all byte-identical.
     """
 
     added: Tuple[Any, ...]

@@ -116,14 +116,15 @@ class Constraint(ABC):
         return Schema(Relation(a.relation, a.arity) for a in self.body)
 
     # ------------------------------------------------------------------
-    # Identity: constraints are value objects keyed by their rendering.
+    # Identity: constraints are value objects keyed by their structure.
+    # ``str`` prints constants bare, so ``repr`` is the identity form.
     # ------------------------------------------------------------------
     @abstractmethod
     def __str__(self) -> str:
         ...
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
+        return f"{type(self).__name__}{self._key()!r}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraint):

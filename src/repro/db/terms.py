@@ -27,7 +27,7 @@ class Var:
         if not self.name:
             raise ValueError("variable name must be non-empty")
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
+    def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
     def __str__(self) -> str:

@@ -8,6 +8,14 @@ satisfying the first-order formula ``phi``.  The package provides:
 - a textual parser (:func:`parse_query`, :func:`parse_formula`);
 - conjunctive queries with a homomorphism-based fast path
   (:class:`ConjunctiveQuery`).
+
+The query's type decides how it is evaluated.  :func:`parse_query`
+returns a :class:`ConjunctiveQuery` for every conjunctive body (atoms
+under ``&`` / ``exists``, every head variable in an atom), which the
+in-memory engine answers by homomorphism search and the SQL compiler
+as one flat join; everything else is a first-order :class:`Query`,
+answered over the domain.  A hand-built :class:`Query` stays
+first-order, which is always correct and serves as the reference.
 """
 
 from repro.queries.ast import (

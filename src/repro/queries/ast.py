@@ -2,7 +2,10 @@
 
 Formulas are immutable value objects.  Free variables are computed
 structurally; evaluation (active-domain semantics) lives in
-:mod:`repro.queries.eval`.
+:mod:`repro.queries.eval`.  ``str`` is the paper's notation, which
+prints constants bare (``R(x, 1)`` for both ``1`` and ``'1'``), so it
+is display text only; the dataclass ``repr`` is structural and is what
+identity keys hash.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ class Formula(ABC):
     def __str__(self) -> str:
         ...
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
-
     # Operator sugar --------------------------------------------------
     def __and__(self, other: "Formula") -> "And":
         return And((self, other))
@@ -44,7 +44,7 @@ class Formula(ABC):
         return Not(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class AtomFormula(Formula):
     """A relational atom ``R(t1, ..., tn)`` used as a formula."""
 
@@ -60,7 +60,7 @@ class AtomFormula(Formula):
         return str(self.atom)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Equality(Formula):
     """``left = right`` over terms."""
 
@@ -77,7 +77,7 @@ class Equality(Formula):
         return f"{term_str(self.left)} = {term_str(self.right)}"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Not(Formula):
     """Negation."""
 
@@ -93,7 +93,7 @@ class Not(Formula):
         return f"!({self.operand})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class And(Formula):
     """Conjunction of one or more formulas."""
 
@@ -119,7 +119,7 @@ class And(Formula):
         return "(" + " & ".join(str(op) for op in self.operands) + ")"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Or(Formula):
     """Disjunction of one or more formulas."""
 
@@ -145,7 +145,7 @@ class Or(Formula):
         return "(" + " | ".join(str(op) for op in self.operands) + ")"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Implies(Formula):
     """Material implication ``premise -> conclusion``."""
 
@@ -162,7 +162,7 @@ class Implies(Formula):
         return f"({self.premise} -> {self.conclusion})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Exists(Formula):
     """Existential quantification over one or more variables."""
 
@@ -184,7 +184,7 @@ class Exists(Formula):
         return f"exists {names} ({self.operand})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Forall(Formula):
     """Universal quantification over one or more variables."""
 
@@ -206,7 +206,7 @@ class Forall(Formula):
         return f"forall {names} ({self.operand})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class TrueFormula(Formula):
     """The constant ``true``."""
 
@@ -220,7 +220,7 @@ class TrueFormula(Formula):
         return "true"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class FalseFormula(Formula):
     """The constant ``false``."""
 

@@ -3,17 +3,19 @@
 A conjunctive query ``Q(x) :- R1(..), ..., Rk(..)`` is evaluated through
 homomorphism search (Section 2), which is far cheaper than the generic
 active-domain evaluator for the common case.  A CQ converts losslessly to
-a general :class:`repro.queries.Query` via :meth:`to_query`.
+a general :class:`repro.queries.Query` via :meth:`to_query`, and
+:meth:`from_query` lowers a first-order query back whenever its formula
+is conjunctive.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.db.atoms import Atom, atoms_variables
 from repro.db.facts import Database
 from repro.db.homomorphism import find_homomorphisms
-from repro.db.terms import Term, Var, is_var
+from repro.db.terms import Term, Var, is_var, term_str
 from repro.queries.ast import And, AtomFormula, Exists, Formula
 from repro.queries.query import Query
 
@@ -63,31 +65,15 @@ class ConjunctiveQuery:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def answers(
-        self,
-        database: Database,
-        domain: Optional[Iterable[Term]] = None,
-    ) -> FrozenSet[Tuple[Term, ...]]:
-        """All answers, via homomorphism search.
-
-        *domain* is accepted for interface parity with
-        :class:`repro.queries.Query` but is irrelevant: CQ answers always
-        consist of database constants.
-        """
-        del domain  # CQs are domain-independent
+    def answers(self, database: Database) -> FrozenSet[Tuple[Term, ...]]:
+        """All answers, via homomorphism search."""
         out = set()
         for hom in find_homomorphisms(self.body, database):
             out.add(tuple(hom[t] if is_var(t) else t for t in self.head))
         return frozenset(out)
 
-    def holds(
-        self,
-        database: Database,
-        candidate: Tuple[Term, ...],
-        domain: Optional[Iterable[Term]] = None,
-    ) -> bool:
+    def holds(self, database: Database, candidate: Tuple[Term, ...]) -> bool:
         """Whether *candidate* is an answer (single membership test)."""
-        del domain
         if len(candidate) != self.arity:
             raise ValueError(
                 f"candidate arity {len(candidate)} does not match query arity {self.arity}"
@@ -132,15 +118,34 @@ class ConjunctiveQuery:
             raise ValueError("cannot convert a CQ with head constants to a Query")
         return Query(tuple(self.head), self.to_formula(), name=self.name)
 
-    def __str__(self) -> str:
-        from repro.db.terms import term_str
+    @classmethod
+    def from_query(cls, query: Query) -> Optional["ConjunctiveQuery"]:
+        """The CQ equal to *query*, or ``None`` when it is not one.
 
+        *query* is one when its formula is atoms under ``&`` and
+        ``exists`` and every head variable occurs in an atom; then its
+        answers never depend on the domain.  Bound variables are renamed
+        apart (an inner ``exists y`` under a scope that already binds
+        ``y``, an ``exists x`` over a head variable), and a quantified
+        variable that occurs in no atom drops out: a satisfied body atom
+        makes the domain non-empty.  Negation, ``forall``, ``|``, ``->``,
+        equality and ``true``/``false`` stay first-order.
+        """
+        body: List[Atom] = []
+        scope = {var: var for var in query.head}
+        if not _flatten(query.formula, scope, set(query.head), body):
+            return None
+        if not set(query.head) <= atoms_variables(body):
+            return None
+        return cls(query.head, body, name=query.name)
+
+    def __str__(self) -> str:
         head = ", ".join(term_str(t) for t in self.head)
         body = ", ".join(str(a) for a in self.body)
         return f"{self.name}({head}) :- {body}"
 
     def __repr__(self) -> str:
-        return f"ConjunctiveQuery({self})"
+        return f"ConjunctiveQuery(head={self.head!r}, body={self.body!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConjunctiveQuery):
@@ -149,3 +154,27 @@ class ConjunctiveQuery:
 
     def __hash__(self) -> int:
         return hash((self.head, self.body))
+
+
+def _flatten(
+    formula: Formula, scope: Dict[Var, Var], taken: Set[Var], body: List[Atom]
+) -> bool:
+    """Append *formula*'s atoms, renamed by *scope*, to *body*; ``False``
+    when *formula* leaves the conjunctive fragment.  *taken* holds every
+    name already given out, so each binder gets a name of its own."""
+    if isinstance(formula, AtomFormula):
+        body.append(formula.atom.substitute(scope))
+        return True
+    if isinstance(formula, And):
+        return all(_flatten(part, scope, taken, body) for part in formula.operands)
+    if isinstance(formula, Exists):
+        inner = dict(scope)
+        for var in formula.variables:
+            fresh, suffix = var, 0
+            while fresh in taken:
+                suffix += 1
+                fresh = Var(f"{var.name}_{suffix}")
+            taken.add(fresh)
+            inner[var] = fresh
+        return _flatten(formula.operand, inner, taken, body)
+    return False

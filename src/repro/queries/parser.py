@@ -14,7 +14,7 @@ Bare identifiers are variables; quoted strings and integers are constants.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from repro.db.atoms import Atom
 from repro.db.terms import Term, Var, is_var
@@ -122,7 +122,7 @@ def _parse_atomic(stream: TokenStream) -> Formula:
         stream.next()
         inner = _parse_implication(stream)
         stream.expect("RPAREN")
-        return _maybe_equality_chain(stream, inner)
+        return inner
     if token.kind == "TRUE":
         stream.next()
         return TrueFormula()
@@ -147,11 +147,6 @@ def _parse_atomic(stream: TokenStream) -> Formula:
             return Not(Equality(left, right))
         raise ParseError("expected '=' or '!=' after term", stream.text, token.pos)
     raise ParseError(f"unexpected token {token.value!r}", stream.text, token.pos)
-
-
-def _maybe_equality_chain(stream: TokenStream, inner: Formula) -> Formula:
-    """Parenthesised formulas are returned unchanged; hook for extensions."""
-    return inner
 
 
 def _parse_atom(stream: TokenStream) -> Atom:
@@ -184,14 +179,19 @@ def _parse_query_head(stream: TokenStream) -> Tuple[str, Tuple[Var, ...]]:
     return name, tuple(variables)
 
 
-def parse_query(text: str) -> Query:
-    """Parse ``Name(x, y) :- formula`` into a :class:`Query`.
+def parse_query(text: str) -> Union[Query, ConjunctiveQuery]:
+    """Parse ``Name(x, y) :- formula`` into a query.
 
     The head name is optional (``(x) :- ...``) and ``:=`` is accepted in
     place of ``:-``.  A boolean query has an empty head: ``Q() :- ...``.
     Free variables of the body that do not appear in the head are
     existentially quantified, as in Datalog: ``Q(y) :- R(x, y)`` means
     ``{y | exists x R(x, y)}``.
+
+    A conjunctive body (atoms under ``&`` / ``exists``, every head
+    variable in an atom) comes back as a :class:`ConjunctiveQuery`
+    (:meth:`ConjunctiveQuery.from_query`); anything else as a
+    first-order :class:`Query`.
     """
     stream = TokenStream(text)
     name, head = _parse_query_head(stream)
@@ -203,7 +203,8 @@ def parse_query(text: str) -> Query:
     )
     if dangling:
         formula = Exists(dangling, formula)
-    return Query(head, formula, name=name)
+    query = Query(head, formula, name=name)
+    return ConjunctiveQuery.from_query(query) or query
 
 
 def parse_cq(text: str) -> ConjunctiveQuery:

@@ -8,7 +8,7 @@ the paper's ``Q(D) = {c in dom(D)^|x| : D |= phi(c)}``.
 from __future__ import annotations
 
 from itertools import product
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 from repro.db.facts import Database
 from repro.db.terms import Term, Var
@@ -48,25 +48,19 @@ class Query:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def answers(
-        self,
-        database: Database,
-        domain: Optional[Iterable[Term]] = None,
-    ) -> FrozenSet[Tuple[Term, ...]]:
-        """All answer tuples ``Q(D)`` over *domain* (default ``dom(D)``).
+    def answers(self, database: Database) -> FrozenSet[Tuple[Term, ...]]:
+        """All answer tuples ``Q(D)`` over ``dom(D)`` plus the formula's
+        constants.
 
         For a boolean query the result is ``{()}`` if the sentence holds
         and ``frozenset()`` otherwise.
         """
-        if domain is None:
-            dom: Tuple[Term, ...] = tuple(
-                sorted(
-                    set(database.dom) | set(self.formula.constants()),
-                    key=lambda c: (type(c).__name__, str(c)),
-                )
+        dom: Tuple[Term, ...] = tuple(
+            sorted(
+                set(database.dom) | set(self.formula.constants()),
+                key=lambda c: (type(c).__name__, str(c)),
             )
-        else:
-            dom = tuple(dict.fromkeys(domain))
+        )
         if self.is_boolean:
             holds = evaluate_formula(self.formula, database, {}, dom)
             return frozenset([()]) if holds else frozenset()
@@ -78,12 +72,7 @@ class Query:
                 answers.add(tuple(assignment[v] for v in self.head))
         return frozenset(answers)
 
-    def holds(
-        self,
-        database: Database,
-        candidate: Tuple[Term, ...],
-        domain: Optional[Iterable[Term]] = None,
-    ) -> bool:
+    def holds(self, database: Database, candidate: Tuple[Term, ...]) -> bool:
         """Whether a single candidate tuple is an answer on *database*.
 
         This is the membership test used by OCQA: ``t in Q(s(D))``.  It is
@@ -100,17 +89,12 @@ class Query:
             if bound is not None and bound != value:
                 return False
             assignment[var] = value
-        if domain is None:
-            dom: Tuple[Term, ...] = tuple(
-                sorted(
-                    set(database.dom)
-                    | set(self.formula.constants())
-                    | set(candidate),
-                    key=lambda c: (type(c).__name__, str(c)),
-                )
+        dom: Tuple[Term, ...] = tuple(
+            sorted(
+                set(database.dom) | set(self.formula.constants()) | set(candidate),
+                key=lambda c: (type(c).__name__, str(c)),
             )
-        else:
-            dom = tuple(dict.fromkeys(domain))
+        )
         return evaluate_formula(self.formula, database, assignment, dom)
 
     def __str__(self) -> str:
@@ -118,7 +102,7 @@ class Query:
         return f"{self.name}({names}) :- {self.formula}"
 
     def __repr__(self) -> str:
-        return f"Query({self})"
+        return f"Query(head={self.head!r}, formula={self.formula!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Query):

@@ -2,38 +2,33 @@
 
 The result cache migrates a cached answer across a base-table delta
 only when it can *prove* the answer never looked at anything the delta
-touched.  Three ingredients:
+touched.  Two ingredients:
 
 - :func:`query_relations` — every relation the query mentions
   syntactically (always computable);
-- :func:`domain_independent` — whether the answer is determined by the
-  mentioned relations alone, or also by ``dom(D)``;
 - :func:`dependency_relations` — the relation set usable as a
   *dependency footprint*, or ``None`` when no sound footprint exists.
 
-A first-order query ranges over ``dom(D)``, which *every* fact in the
-instance extends, regardless of relation; a universal quantifier, a
-negation, an unguarded equality, or a head variable that occurs in no
-atom makes the answer depend on it.  Rather than reimplement safe-range
-analysis, :func:`domain_independent` accepts exactly the conjunctive
-fragment (atoms composed with conjunction and existential
-quantification, the shape ``parse_query`` produces for Datalog-style
-bodies) whose head variables all occur in an atom.  The SQL compiler
-picks each query's quantifier range by the same test
-(:mod:`repro.sql.compiler`), and the footprint is ``None`` for anything
-else; the cache then falls back to conservative invalidation for those
-entries.
+A conjunctive query binds every variable through an atom, so its
+answers depend on the relations it mentions and nothing else.  A
+first-order :class:`repro.queries.Query` ranges over ``dom(D)``, which
+*every* fact in the instance extends, regardless of relation, so it
+has no sound footprint; the cache then falls back to conservative
+invalidation for those entries.  ``parse_query`` returns a
+:class:`repro.queries.ConjunctiveQuery` for every conjunctive body
+(:meth:`repro.queries.ConjunctiveQuery.from_query`), so the query's
+type is the whole test.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Optional, Union
 
-from repro.queries.ast import And, AtomFormula, Exists, Formula
+from repro.queries.ast import AtomFormula, Formula
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.query import Query
 
-__all__ = ["dependency_relations", "domain_independent", "query_relations"]
+__all__ = ["dependency_relations", "query_relations"]
 
 AnyQuery = Union[Query, ConjunctiveQuery]
 
@@ -61,34 +56,12 @@ def query_relations(query: AnyQuery) -> FrozenSet[str]:
     return _formula_relations(query.formula)
 
 
-def _conjunctive_fragment(formula: Formula) -> bool:
-    """True when *formula* is atoms under only ``And`` / ``Exists``."""
-    if isinstance(formula, AtomFormula):
-        return True
-    if isinstance(formula, Exists):
-        return _conjunctive_fragment(formula.operand)
-    if isinstance(formula, And):
-        return all(_conjunctive_fragment(part) for part in formula.operands)
-    return False
-
-
-def domain_independent(query: AnyQuery) -> bool:
-    """True when the answers never depend on ``dom(D)``: the query is in
-    the conjunctive fragment and every head variable occurs free in an
-    atom."""
-    if isinstance(query, ConjunctiveQuery):
-        return True
-    return _conjunctive_fragment(query.formula) and frozenset(
-        query.head
-    ) <= query.formula.free_variables()
-
-
 def dependency_relations(query: AnyQuery) -> Optional[FrozenSet[str]]:
     """The sound dependency footprint, or ``None`` if none exists.
 
     ``None`` means "may depend on the whole instance": the caller must
     treat any delta as touching this query.
     """
-    if not domain_independent(query):
-        return None
-    return query_relations(query)
+    if isinstance(query, ConjunctiveQuery):
+        return query_relations(query)
+    return None

@@ -8,7 +8,9 @@ response cache:
 **Keying is semantic, not positional.**  A :class:`CacheKey` folds the
 instance digest (:func:`repro.sql.digest.database_digest` — order
 independent, delta-rollable), the schema + constraint fingerprint, the
-query identity, and every knob that changes the drawn bytes (seed,
+query identity (constraints and query by their structural ``repr``:
+their ``str`` prints ``1`` like ``'1'`` and ``'v1'`` like the variable
+``v1``), and every knob that changes the drawn bytes (seed,
 explicit run count, adaptive mode) through
 :func:`repro.campaign.campaign_fingerprint`.  The backend is not part of
 the key: seeded estimates are identical on every backend, and the
@@ -149,11 +151,9 @@ def request_cache_key(
         instance_digest=database_digest(database),
         constraint_fingerprint=campaign_fingerprint(
             schema.fingerprint(),
-            tuple(sorted(str(c) for c in constraints)),
+            tuple(sorted(repr(c) for c in constraints)),
         ),
-        query_identity=campaign_fingerprint(
-            type(query).__name__, str(query)
-        ),
+        query_identity=campaign_fingerprint(query),
         seed=seed,
         runs=runs,
         adaptive=adaptive,

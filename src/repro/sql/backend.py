@@ -1,15 +1,15 @@
 """The SQL backend: one DB-API connection, one dialect, compiled SQL.
 
 Relations map to tables named after the relation with columns
-``c0, ..., c{n-1}``; an auxiliary ``_adom`` table holds the active
-domain that domain-independent first-order queries range over (see
+``c0, ..., c{n-1}``, and nothing else is stored: first-order queries
+compute the domain they range over from those tables (see
 :mod:`repro.sql.compiler`).
 
 :class:`SQLBackend` is what every consumer in this package (violation
 detection, the deletion rewriting, the sampler, the query compilers)
 targets: table operations (``create_table``, ``insert_rows``,
-``select_all``, ``table_count``, temp delta tables, adom maintenance,
-fact-level deltas) and raw parameterized SQL (``execute`` /
+``select_all``, ``table_count``, temp delta tables, fact-level deltas)
+and raw parameterized SQL (``execute`` /
 ``executemany`` / ``query_tuples``) over one DB-API 2.0 connection.
 Consumers always write qmark (``?``) placeholders and plain Python
 terms — the backend's :class:`repro.sql.dialect.SQLDialect` translates
@@ -30,12 +30,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema, SchemaError
 from repro.db.terms import Term
-from repro.sql.dialect import (
-    ADOM_TABLE,
-    SQLITE_DIALECT,
-    SQLDialect,
-    check_name,
-)
+from repro.sql.dialect import SQLITE_DIALECT, SQLDialect, check_name
 
 
 class BackendUnavailableError(RuntimeError):
@@ -104,8 +99,6 @@ class SQLBackend:
     supply the connection and the dialect.
     """
 
-    ADOM_TABLE = ADOM_TABLE
-
     def __init__(self, connection, dialect: SQLDialect) -> None:
         self.connection = connection
         self.dialect = dialect
@@ -162,10 +155,10 @@ class SQLBackend:
 
     # insert_rows/delete_rows deliberately do not commit: they sit on the
     # per-draw hot path (deletion side tables, temp delta staging).  The
-    # durable entry points (load, insert_facts, delete_facts, adom
-    # maintenance) commit explicitly; everything else rides the open
-    # transaction, which the same connection reads back consistently on
-    # both SQLite and PostgreSQL.
+    # durable entry points (load, insert_facts, delete_facts) commit
+    # explicitly; everything else rides the open transaction, which the
+    # same connection reads back consistently on both SQLite and
+    # PostgreSQL.
     def insert_rows(self, table: str, arity: int, rows: Sequence[Sequence[Term]]) -> None:
         if not rows:
             return
@@ -199,36 +192,6 @@ class SQLBackend:
         self.connection.close()
 
     # ------------------------------------------------------------------
-    # Active domain
-    # ------------------------------------------------------------------
-    def recreate_adom(self, values: Iterable[Term]) -> None:
-        """(Re)build the active-domain table from *values*."""
-        cursor = self.connection.cursor()
-        cursor.execute(self.dialect.drop_table_sql(self.ADOM_TABLE))
-        cursor.execute(self.dialect.create_adom_sql())
-        unique = sorted(set(values), key=lambda c: (type(c).__name__, str(c)))
-        if unique:
-            self.executemany(
-                f"INSERT INTO {self.ADOM_TABLE} VALUES (?)",
-                [(value,) for value in unique],
-            )
-        self.connection.commit()
-
-    def adom_values(self) -> FrozenSet[Term]:
-        """The current contents of the active-domain table."""
-        return frozenset(
-            row[0] for row in self.execute(f"SELECT v FROM {self.ADOM_TABLE}")
-        )
-
-    def extend_adom(self, values: Iterable[Term]) -> None:
-        """Add constants (e.g. inserted facts' values) to the active domain."""
-        existing = self.adom_values()
-        fresh = [(v,) for v in values if v not in existing]
-        if fresh:
-            self.executemany(f"INSERT INTO {self.ADOM_TABLE} VALUES (?)", fresh)
-            self.connection.commit()
-
-    # ------------------------------------------------------------------
     # Instances
     # ------------------------------------------------------------------
     def create_schema(self, schema: Schema) -> None:
@@ -253,7 +216,6 @@ class SQLBackend:
                 continue
             # insert_rows validates row arity, raising a clear SchemaError.
             self.insert_rows(relation.name, relation.arity, rows)
-        self.recreate_adom(database.dom)
         self.commit()
 
     def _grouped_facts(

@@ -1,25 +1,17 @@
 """Compilation of conjunctive and first-order queries to SQL.
 
 Conjunctive queries become flat ``SELECT DISTINCT ... FROM ... WHERE``
-joins.  General first-order queries use the classical active-domain
-translation: head and quantified variables range over a domain table
-(extended inline with the query's own constants), atoms become
-``EXISTS`` subqueries, and ``forall`` becomes ``NOT EXISTS NOT``.
+joins; ``parse_query`` hands every conjunctive body over as a
+:class:`repro.queries.ConjunctiveQuery`.  First-order queries use the
+classical active-domain translation: head and quantified variables
+range over a domain table, atoms become ``EXISTS`` subqueries, and
+``forall`` becomes ``NOT EXISTS NOT``.
 
 The paper's ``Q(D) = {c in dom(D)^|x| : D |= phi(c)}`` ranges over the
 domain of the instance the query runs on — under the rewriting, each
-sampled repair's own.  Which domain table the translation uses follows
-from the query's shape
-(:func:`repro.queries.relations.domain_independent`):
-
-- a domain-independent query (atoms under ``&`` / ``exists``, every
-  head variable in an atom) binds every variable through an atom, so
-  any superset of the live values gives the same answers; it ranges
-  over the maintained ``_adom`` table;
-- any other query (negation, ``forall``, disjunction, equality, or a
-  head variable in no atom) ranges over the live domain: every column
-  of every schema relation under the relation map, plus the query's
-  constants, computed once per statement as a ``WITH`` table.
+sampled repair's own.  So the domain table is the live domain: every
+column of every schema relation under the relation map, plus the
+query's constants, computed once per statement as a ``WITH`` table.
 
 Both compilers accept a *relation_map* that substitutes the physical
 table (or a parenthesised subquery) used for each logical relation —
@@ -54,11 +46,10 @@ from repro.queries.ast import (
 )
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.query import Query
-from repro.queries.relations import domain_independent
 from repro.sql.backend import SQLBackend
-from repro.sql.dialect import ADOM_TABLE, check_name
+from repro.sql.dialect import check_name
 
-#: The ``WITH`` table a domain-dependent query's variables range over.
+#: The ``WITH`` table a first-order query's variables range over.
 LIVE_DOMAIN = "_live_dom"
 
 
@@ -102,7 +93,6 @@ def compile_cq(
     relation_map: Optional[Mapping[str, str]] = None,
 ) -> CompiledQuery:
     """Compile a conjunctive query into one flat join."""
-    params: List[Term] = []
     from_parts: List[str] = []
     where: List[str] = []
     first_occurrence: Dict[Var, str] = {}
@@ -118,7 +108,6 @@ def compile_cq(
                     first_occurrence[term] = column
             else:
                 where.append(f"{column} = ?")
-                params.append(term)
     select_parts: List[str] = []
     for term in cq.head:
         if is_var(term):
@@ -127,7 +116,7 @@ def compile_cq(
             select_parts.append("?")
     # Positional parameters must follow their textual position: the SELECT
     # list (head constants) precedes the WHERE clause (body constants).
-    params = _cq_parameters_in_order(cq, relation_map)
+    params = _cq_parameters_in_order(cq)
     select = ", ".join(select_parts) if select_parts else "1"
     sql = f"SELECT DISTINCT {select} FROM {', '.join(from_parts)}"
     if where:
@@ -141,9 +130,7 @@ def compile_cq(
     )
 
 
-def _cq_parameters_in_order(
-    cq: ConjunctiveQuery, relation_map: Optional[Mapping[str, str]]
-) -> List[Term]:
+def _cq_parameters_in_order(cq: ConjunctiveQuery) -> List[Term]:
     """Constants in the order their placeholders appear in the SQL text."""
     params: List[Term] = [t for t in cq.head if not is_var(t)]
     for atom in cq.body:
@@ -161,9 +148,6 @@ class _FOContext:
     """State threaded through the recursive FO compilation."""
 
     relation_map: Optional[Mapping[str, str]]
-    domain_constants: Tuple[Term, ...]
-    #: Range over the ``WITH`` live-domain table instead of ``_adom``.
-    live_domain: bool = False
     params: List[Term] = field(default_factory=list)
     alias_counter: int = 0
 
@@ -171,26 +155,15 @@ class _FOContext:
         self.alias_counter += 1
         return f"a{self.alias_counter}"
 
-    def domain_sql(self) -> str:
-        """The quantifier range: the live-domain table, or ``_adom`` plus
-        the query's own constants."""
-        if self.live_domain:
-            return LIVE_DOMAIN
-        parts = [f"SELECT v FROM {ADOM_TABLE}"]
-        for constant in self.domain_constants:
-            parts.append("SELECT ?")
-            self.params.append(constant)
-        return "(" + " UNION ".join(parts) + ")"
-
-    def live_domain_sql(self, schema: Schema) -> str:
-        """``WITH`` the values of every live column plus the constants."""
+    def live_domain_sql(self, schema: Schema, constants: Tuple[Term, ...]) -> str:
+        """``WITH`` the values of every live column plus *constants*."""
         parts = [
             f"SELECT d.c{position} FROM "
             f"{_physical(relation.name, self.relation_map)} d"
             for relation in schema
             for position in range(relation.arity)
         ]
-        for constant in self.domain_constants:
+        for constant in constants:
             parts.append("SELECT ?")
             self.params.append(constant)
         if not parts:
@@ -201,35 +174,25 @@ class _FOContext:
 def compile_fo_query(
     query: Query,
     relation_map: Optional[Mapping[str, str]] = None,
-    schema: Optional[Schema] = None,
+    *,
+    schema: Schema,
 ) -> CompiledQuery:
     """Compile a first-order query via the active-domain translation.
 
-    A domain-dependent query ranges over the live domain of *schema*'s
-    relations under *relation_map*, so it needs the schema.
+    Its variables range over the live domain of *schema*'s relations
+    under *relation_map*.
     """
     constants = tuple(
         sorted(query.formula.constants(), key=lambda c: (type(c).__name__, str(c)))
     )
-    ctx = _FOContext(
-        relation_map=relation_map,
-        domain_constants=constants,
-        live_domain=not domain_independent(query),
-    )
-    prefix = ""
-    if ctx.live_domain:
-        if schema is None:
-            raise ValueError(
-                f"{query} ranges over the instance's live domain; "
-                "compile it with the instance schema"
-            )
-        prefix = ctx.live_domain_sql(schema)
+    ctx = _FOContext(relation_map=relation_map)
+    prefix = ctx.live_domain_sql(schema, constants)
     env: Dict[Var, str] = {}
     from_parts: List[str] = []
     distinct_head = tuple(dict.fromkeys(query.head))
     for var in distinct_head:
         alias = ctx.fresh_alias()
-        from_parts.append(f"{ctx.domain_sql()} {alias}")
+        from_parts.append(f"{LIVE_DOMAIN} {alias}")
         env[var] = f"{alias}.v"
     condition = _compile_formula(query.formula, env, ctx)
     select = ", ".join(env[v] for v in query.head) if query.head else "1"
@@ -315,7 +278,7 @@ def _compile_quantifier(
     from_parts = []
     for var in variables:
         alias = ctx.fresh_alias()
-        from_parts.append(f"{ctx.domain_sql()} {alias}")
+        from_parts.append(f"{LIVE_DOMAIN} {alias}")
         inner_env[var] = f"{alias}.v"
     body = _compile_formula(operand, inner_env, ctx)
     if negate:

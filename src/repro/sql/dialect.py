@@ -24,9 +24,6 @@ from repro.db.terms import Term
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
-#: The auxiliary active-domain table used by the FO compiler.
-ADOM_TABLE = "_adom"
-
 
 def check_name(name: str) -> str:
     """Validate an identifier before splicing it into SQL."""
@@ -87,9 +84,6 @@ class SQLDialect:
     def drop_table_sql(self, table: str, temp: bool = False) -> str:
         qualifier = "temp." if temp else ""
         return f"DROP TABLE IF EXISTS {qualifier}{check_name(table)}"
-
-    def create_adom_sql(self) -> str:
-        return f"CREATE TABLE {ADOM_TABLE} (v{self.column_type})"
 
     # ------------------------------------------------------------------
     # Value transport

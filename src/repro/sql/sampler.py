@@ -26,11 +26,12 @@ constructs it from key specifications, with three policies:
 - ``TRUST`` — walk the component's chain under Example 5's trust-based
   generator.
 
-For a single-atom conjunctive query, a draw range runs through a
-compiled columnar draw plan (:func:`_build_columnar_plan`) instead of
-per-draw SQL; its outcomes are byte-identical to the reference loop.
-A first-order query whose answers depend on the domain ranges over each
-sampled repair's own live domain (:mod:`repro.sql.compiler`).
+For a single-atom conjunctive query (``parse_query`` returns one for
+any conjunctive text), a draw range runs through a compiled columnar
+draw plan (:func:`_build_columnar_plan`) instead of per-draw SQL; its
+outcomes are byte-identical to the reference loop.  A first-order query
+ranges over each sampled repair's own live domain
+(:mod:`repro.sql.compiler`).
 
 The samplers run the same SQL on any :class:`repro.sql.backend.SQLBackend`
 (SQLite or PostgreSQL).  All per-component randomness flows through the
@@ -264,7 +265,7 @@ class BaseCampaignSampler:
         relation_map = self.rewriter.relation_map()
         if isinstance(query, ConjunctiveQuery):
             return compile_cq(query, relation_map)
-        return compile_fo_query(query, relation_map, self.schema)
+        return compile_fo_query(query, relation_map, schema=self.schema)
 
     def compile_original(self, query: AnyQuery) -> CompiledQuery:
         """Compile *query* against the raw tables (for E8 comparisons)."""
@@ -316,7 +317,7 @@ class BaseCampaignSampler:
         """The (cached) distributed context describing this campaign."""
         from repro.distributed import ShardContext
 
-        cache_key = campaign_fingerprint(str(query), self.campaign.seed)
+        cache_key = campaign_fingerprint(query, self.campaign.seed)
         context = self._shard_contexts.get(cache_key)
         if context is None:
             kind, payload = self._shard_context_payload(query)
@@ -479,7 +480,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         return (
             type(self).__name__,
             self.schema.fingerprint(),
-            tuple(sorted(str(c) for c in self.constraints)),
+            tuple(sorted(repr(c) for c in self.constraints)),
             generator_signature(self.generator),
         )
 
@@ -508,9 +509,6 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             self.violation_index.apply_delete(removed)
         if added:
             self.backend.insert_facts(added)
-            self.backend.extend_adom(
-                value for fact in added for value in fact.values
-            )
             self.violation_index.apply_insert(added)
         self.components = self.violation_index.components()
         self.campaign.prune_chains(self.components)

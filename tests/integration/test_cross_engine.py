@@ -20,7 +20,7 @@ from repro.abc_repairs import abc_repairs
 from repro.analysis import max_absolute_error
 from repro.core.generators import PreferenceGenerator
 from repro.db.schema import Schema
-from repro.queries.parser import parse_cq, parse_query
+from repro.queries.parser import parse_cq
 from repro.sql.backend import SQLiteBackend
 from repro.sql.compiler import compile_cq, compile_fo_query
 from repro.sql.sampler import KeyRepairSampler, KeySpec, SamplerPolicy
@@ -29,6 +29,8 @@ from repro.workloads import (
     key_conflict_workload,
     preference_workload,
 )
+
+from tests.first_order import first_order
 
 
 class TestExactVsSampled:
@@ -107,7 +109,7 @@ class TestMemoryVsSQL:
             "Q(x) :- forall y (Pref(x, y) | x = y)",
             "Q(x, y) :- Pref(x, y) & !Pref(y, x)",
         ]:
-            q = parse_query(text)
+            q = first_order(text)
             compiled = compile_fo_query(q, schema=Schema.of(Pref=2))
             assert compiled.run(backend) == q.answers(db), text
         backend.close()

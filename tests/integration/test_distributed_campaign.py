@@ -637,6 +637,37 @@ class TestReviewRegressions:
         assert refreshed.frequencies == expected.frequencies
         assert refreshed.cp(("brandnew",)) > 0
 
+    def test_shard_contexts_tell_integer_from_string_constants(self):
+        """``Q(x) :- R(x, 1)`` and ``Q(x) :- R(x, '1')`` print alike; the
+        second query must not reuse the first one's shard context."""
+        from repro.db.schema import Schema
+        from repro.queries import parse_query
+
+        db = Database.of(
+            *(Fact("R", row) for row in (("a", 1), ("b", "1"), ("b", "c"), ("c", 2)))
+        )
+        schema = Schema.of(R=2)
+        sigma = ConstraintSet(parse_constraints("R(x, y), R(x, z) -> y = z"))
+        reports = {}
+        for label, workers in (("serial", 0), ("pool", 2)):
+            coordinator = Coordinator.from_options(workers=workers)
+            backend = SQLiteBackend()
+            backend.load(db, schema)
+            sampler = ConstraintRepairSampler(
+                backend, schema, sigma, rng=random.Random(3), coordinator=coordinator
+            )
+            try:
+                reports[label] = [
+                    sampler.run(parse_query(text), runs=40).frequencies
+                    for text in ("Q(x) :- R(x, 1)", "Q(x) :- R(x, '1')")
+                ]
+            finally:
+                if coordinator is not None:
+                    coordinator.close()
+                backend.close()
+        assert reports["pool"] == reports["serial"]
+        assert set(reports["serial"][1]) == {("b",)}
+
     def test_evicted_context_is_reshipped_not_fatal(self):
         """A worker whose LRU evicted a context asks for a re-ship; the
         shard completes instead of crashing the campaign."""

@@ -26,10 +26,16 @@ def binary_facts(draw, relation="R", constants=CONSTANTS):
 
 
 @st.composite
-def small_binary_databases(draw, relation="R", min_size=0, max_size=5):
+def small_binary_databases(
+    draw, relation="R", min_size=0, max_size=5, constants=CONSTANTS
+):
     """A small database over one binary relation."""
     facts = draw(
-        st.lists(binary_facts(relation=relation), min_size=min_size, max_size=max_size)
+        st.lists(
+            binary_facts(relation=relation, constants=constants),
+            min_size=min_size,
+            max_size=max_size,
+        )
     )
     return Database(facts)
 

@@ -1,6 +1,8 @@
 """Property tests: query engines agree with each other.
 
 - the CQ fast path matches the generic FO evaluator;
+- ``parse_query``'s lowering to a CQ matches the first-order reference,
+  in memory and in SQL, with string and integer constants mixed;
 - the SQL compilers match the in-memory engines;
 - OCA probabilities are proper probabilities.
 """
@@ -20,6 +22,7 @@ from repro.queries.parser import parse_query
 from repro.sql.backend import SQLiteBackend
 from repro.sql.compiler import compile_cq, compile_fo_query
 
+from tests.first_order import CONJUNCTIVE_TEXTS, first_order
 from tests.property.strategies import (
     key_sigma,
     key_violation_databases,
@@ -54,6 +57,29 @@ def test_cq_matches_fo_evaluator(db, cq):
     assert cq.answers(db) == cq.to_query().answers(db)
 
 
+#: ``1`` and ``'1'`` are different constants; so are ``2`` and ``'2'``.
+MIXED_CONSTANTS = ("a", "b", 1, 2, "1", "2")
+
+
+@given(
+    small_binary_databases(max_size=6, constants=MIXED_CONSTANTS),
+    st.sampled_from(CONJUNCTIVE_TEXTS),
+)
+@settings(max_examples=80, deadline=None)
+def test_lowering_matches_first_order(db, text):
+    """``parse_query``'s CQ == ``Query(head, parse_formula(body))``."""
+    lowered = parse_query(text)
+    reference = first_order(text)
+    assert isinstance(lowered, ConjunctiveQuery)
+    assert lowered.answers(db) == reference.answers(db)
+    schema = Schema.of(R=2)
+    with SQLiteBackend() as backend:
+        backend.load(db, schema)
+        assert compile_cq(lowered).run(backend) == compile_fo_query(
+            reference, schema=schema
+        ).run(backend)
+
+
 @given(small_binary_databases(min_size=1), st.sampled_from(CQ_SHAPES))
 @settings(max_examples=40, deadline=None)
 def test_cq_sql_matches_memory(db, cq):
@@ -65,7 +91,7 @@ def test_cq_sql_matches_memory(db, cq):
 @given(small_binary_databases(min_size=1), st.sampled_from(FO_SHAPES))
 @settings(max_examples=40, deadline=None)
 def test_fo_sql_matches_memory(db, text):
-    query = parse_query(text)
+    query = first_order(text)
     with SQLiteBackend() as backend:
         backend.load(db, Schema.of(R=2))
         compiled = compile_fo_query(query, schema=Schema.of(R=2))

@@ -3,8 +3,10 @@
 Parameterized over :class:`SQLiteBackend` and (when a server is
 reachable) :class:`PostgresBackend`: identical schema/load/round-trip
 behaviour and delta-table semantics, compiled-query answers equal to the
-core evaluators' (``Query.answers``), violation detection equal to the
-core conflict hypergraph, and identical *seeded* sampler output — the
+core evaluators' (``Query.answers``), every conjunctive text that
+``parse_query`` lowers compiling to the same answers as its first-order
+reference, violation detection equal to the core conflict hypergraph,
+and identical *seeded* sampler output — the
 campaign's per-group RNG streams make the draws backend-independent, so
 the reports must match exactly, not just statistically.
 """
@@ -19,6 +21,7 @@ from repro.constraints import ConstraintSet
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema, SchemaError
 from repro.io import save_database
+from repro.queries import ConjunctiveQuery
 from repro.queries.parser import parse_cq, parse_query
 from repro.sql import (
     ConstraintRepairSampler,
@@ -33,6 +36,8 @@ from repro.sql import (
 from repro.sql.rewriting import DeletionRewriter
 from repro.sql.compiler import compile_cq, compile_fo_query
 from repro.workloads import key_conflict_workload, preference_workload
+
+from tests.first_order import CONJUNCTIVE_TEXTS, first_order
 
 try:
     from repro.sql.postgres import postgres_available
@@ -88,13 +93,6 @@ class TestProtocolBasics:
         backend.load(DB, Schema.of(R=2, S=1, Empty=3))
         assert backend.table_count("Empty") == 0
 
-    def test_extend_adom_idempotent(self, backend):
-        backend.load(DB)
-        backend.extend_adom(["zzz"])
-        backend.extend_adom(["zzz"])
-        assert "zzz" in backend.adom_values()
-        assert len(backend.adom_values()) == len(set(DB.dom)) + 1
-
     def test_temp_delta_table(self, backend):
         backend.load(DB)
         backend.create_table("R__delta", 2, temp=True)
@@ -135,7 +133,6 @@ class TestTaggedTransportOverSQLite:
         with _tagged_sqlite_backend() as be:
             be.load(db)
             assert be.fetch_database() == db
-            assert be.adom_values() == set(db.dom)
 
     def test_compiled_query_with_constants(self):
         with _tagged_sqlite_backend() as be:
@@ -198,15 +195,33 @@ class TestQueryConformance:
     CQ = parse_cq("Q(x) :- R(x, y), S(y)")
     FO = parse_query("Q(x) :- forall y (S(y) -> R(x, y))")
     BOOL = parse_query("Q() :- exists x exists y R(x, y)")
+    FO_BOOL = parse_query("Q() :- forall x (S(x) -> exists y R(y, x))")
 
-    @pytest.mark.parametrize("query", [CQ, FO, BOOL], ids=["cq", "fo", "bool"])
+    @pytest.mark.parametrize(
+        "query", [CQ, FO, BOOL, FO_BOOL], ids=["cq", "fo", "bool", "fo_bool"]
+    )
     def test_same_answers_as_sqlite(self, backend, query):
         backend.load(DB)
-        if query is self.CQ:
+        if isinstance(query, ConjunctiveQuery):
             compiled = compile_cq(query)
         else:
             compiled = compile_fo_query(query, schema=backend.schema)
         assert compiled.run(backend) == query.answers(backend.fetch_database())
+
+    @pytest.mark.parametrize("text", CONJUNCTIVE_TEXTS)
+    def test_lowered_query_matches_first_order(self, backend, text):
+        db = Database.from_tuples(
+            {"R": [("a", "b"), ("b", "a"), ("a", 1), ("b", "1"), (1, 1), ("1", "a")]}
+        )
+        backend.load(db)
+        lowered = parse_query(text)
+        reference = first_order(text)
+        assert isinstance(lowered, ConjunctiveQuery)
+        answers = compile_cq(lowered).run(backend)
+        assert answers == reference.answers(db)
+        assert answers == compile_fo_query(reference, schema=backend.schema).run(
+            backend
+        )
 
     def test_rewritten_answers_match(self, backend):
         backend.load(DB)
@@ -222,7 +237,7 @@ class TestQueryConformance:
         assert compile_cq(cq, relation_map).run(backend) == cq.answers(live)
         # Domain-dependent: 1 and 2 left the repair's domain with R(1, 2).
         fo = parse_query("Q(x) :- !S(x)")
-        compiled = compile_fo_query(fo, relation_map, schema)
+        compiled = compile_fo_query(fo, relation_map, schema=schema)
         assert compiled.run(backend) == fo.answers(live) == {("a",), ("c",)}
 
 

@@ -309,6 +309,33 @@ class TestReviewRegressions:
         assert report.runs == 60
         be2.close()
 
+    def test_checkpoint_tells_constraint_constants_from_variables(self, tmp_path):
+        """``R(x, 'b') -> false`` and ``R(x, b) -> false`` print alike; a
+        checkpoint written under one must not attach under the other."""
+        from repro.constraints import parse_constraints
+        from repro.db.schema import Schema
+        from repro.sql import ConstraintRepairSampler
+
+        path = str(tmp_path / "dc.ckpt")
+        schema = Schema.of(R=2)
+
+        def attach(backend, text):
+            backend.load(Database.of(R_AB, R_AC), schema)
+            return ConstraintRepairSampler(
+                backend,
+                schema,
+                ConstraintSet(parse_constraints(text)),
+                rng=random.Random(2),
+                checkpoint_path=path,
+            )
+
+        with SQLiteBackend() as backend:
+            sampler = attach(backend, "R(x, 'b') -> false")
+            sampler.run(parse_cq("Q(x, y) :- R(x, y)"), runs=5, max_draws=3)
+        with SQLiteBackend() as backend:
+            with pytest.raises(CheckpointMismatchError):
+                attach(backend, "R(x, b) -> false")
+
     def test_no_instance_digest_on_default_path(self):
         be, sampler = _sampler()
         assert sampler._data_digest is None  # no full-table scan paid

@@ -17,6 +17,8 @@ from repro.queries import (
 )
 from repro.queries.ast import AtomFormula, Equality, Implies, Not, Or
 
+from tests.first_order import FIRST_ORDER_TEXTS, first_order
+
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
 
@@ -180,6 +182,48 @@ class TestQueryParser:
     def test_paper_example7_query(self, db):
         q = parse_query("Q(x) :- forall y (R(x, y) | x = y)")
         assert q.answers(db) == {("a",)}
+
+    def test_conjunctive_body_lowers_to_a_cq(self):
+        q = parse_query("Answer(x) :- R(x, y) & exists y S(y)")
+        assert q == ConjunctiveQuery(
+            (X,), (Atom("R", (X, Y)), Atom("S", (Var("y_1"),)))
+        )
+        assert q.name == "Answer"
+
+    @pytest.mark.parametrize("text", FIRST_ORDER_TEXTS)
+    def test_other_bodies_stay_first_order(self, text):
+        q = parse_query(text)
+        assert type(q) is Query
+        assert q == first_order(text)
+
+    def test_from_query_lowers_a_hand_built_query(self, db):
+        q = Query((X,), Exists((Y,), AtomFormula(Atom("R", (X, Y)))))
+        cq = ConjunctiveQuery.from_query(q)
+        assert cq == ConjunctiveQuery((X,), (Atom("R", (X, Y)),))
+        assert cq.answers(db) == q.answers(db)
+
+
+class TestIdentity:
+    """``repr`` is structural; ``str`` is display text."""
+
+    def test_constants_and_variables_are_told_apart(self):
+        texts = ("Q(x) :- R(x, 1)", "Q(x) :- R(x, '1')", "Q(x) :- R(x, v1)")
+        queries = [parse_query(text) for text in texts]
+        queries.append(parse_query("Q(x) :- R(x, 'v1')"))
+        assert str(queries[2]) == str(queries[3])
+        assert len({repr(q) for q in queries}) == 4
+        one, quoted_one = (
+            first_order(f"Q(x) :- !R(x, {c})") for c in ("1", "'1'")
+        )
+        assert str(one) == str(quoted_one)
+        assert repr(one) != repr(quoted_one)
+
+    def test_constraints_are_told_apart(self):
+        from repro.constraints import parse_constraints
+
+        quoted, bare = parse_constraints("R(x, 'b') -> false\nR(x, b) -> false")
+        assert str(quoted) == str(bare)
+        assert repr(quoted) != repr(bare)
 
 
 class TestCQParser:

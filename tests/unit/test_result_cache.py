@@ -12,12 +12,8 @@ import pytest
 from repro.analysis.bernstein import widened_epsilon
 from repro.campaign import UpdateReport, group_key
 from repro.db.facts import Database, Fact
-from repro.queries import parse_cq, parse_query
-from repro.queries.relations import (
-    dependency_relations,
-    domain_independent,
-    query_relations,
-)
+from repro.queries import ConjunctiveQuery, Query, parse_cq, parse_query
+from repro.queries.relations import dependency_relations, query_relations
 from repro.service.cache import CacheKey, ResultCache, request_cache_key
 from repro.sql.digest import InstanceDigest, database_digest
 
@@ -64,6 +60,7 @@ class TestDependencyRelations:
 
     def test_conjunctive_fo_footprint(self):
         query = parse_query("Q(x) :- R(x, y) and S(y)")
+        assert isinstance(query, ConjunctiveQuery)
         assert dependency_relations(query) == frozenset({"R", "S"})
 
     def test_negation_has_no_sound_footprint(self):
@@ -75,7 +72,7 @@ class TestDependencyRelations:
         # y ranges over dom(D), which a delta on any relation changes.
         query = parse_query("Q(x, y) :- R(x, z)")
         assert query_relations(query) == frozenset({"R"})
-        assert not domain_independent(query)
+        assert type(query) is Query
         assert dependency_relations(query) is None
 
 

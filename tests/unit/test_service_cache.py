@@ -152,6 +152,57 @@ class TestCacheModes:
         assert status == 200 and body["cached"] is True
 
 
+class TestStructuralIdentity:
+    """Cache keys hash structure: ``str`` prints ``1`` like ``'1'`` and
+    ``'v1'`` like the variable ``v1``, so it cannot be an identity."""
+
+    @staticmethod
+    def _second_matches_bypass(service, first, second):
+        service.handle_query(first)
+        status, served = service.handle_query(second)
+        assert status == 200 and served["cached"] is False
+        _, bypass = service.handle_query(dict(second, cache="bypass"))
+        assert _core(served) == _core(bypass)
+        return served
+
+    def test_integer_and_string_constants_are_different_queries(self):
+        database = {"R": [["a", 1], ["b", "1"], ["c", "d"]]}
+        served = self._second_matches_bypass(
+            QueryService(),
+            _payload(database=database, query="Q(x) :- R(x, 1)"),
+            _payload(database=database, query="Q(x) :- R(x, '1')"),
+        )
+        assert served["frequencies"] == [[["b"], 1.0]]
+
+    def test_a_quoted_constant_is_not_a_variable(self):
+        database = {"R": [["a", "v1"], ["b", "c"]]}
+        served = self._second_matches_bypass(
+            QueryService(),
+            _payload(database=database, query="Q(x) :- R(x, 'v1')"),
+            _payload(database=database, query="Q(x) :- R(x, v1)"),
+        )
+        assert sorted(answer for answer, _ in served["frequencies"]) == [
+            ["a"],
+            ["b"],
+        ]
+
+    def test_constraint_constants_are_not_variables(self):
+        service = QueryService()
+        service.handle_query(_payload(instance="inst"))
+        query = {
+            "instance": "inst",
+            "query": "Q(x, y) :- R(x, y)",
+            "runs": 20,
+            "seed": 7,
+        }
+        served = self._second_matches_bypass(
+            service,
+            dict(query, constraints="R(x, 'b') -> false"),
+            dict(query, constraints="R(x, b) -> false"),
+        )
+        assert served["frequencies"] == []
+
+
 class TestInstancesAndUpdates:
     def test_query_registers_and_reuses_an_instance(self):
         service = QueryService()

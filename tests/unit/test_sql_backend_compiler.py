@@ -9,6 +9,8 @@ from repro.sql.backend import SQLiteBackend
 from repro.sql.compiler import compile_cq, compile_fo_query
 from repro.sql.dialect import check_name
 
+from tests.first_order import first_order
+
 
 @pytest.fixture
 def db():
@@ -47,12 +49,6 @@ class TestBackend:
         with SQLiteBackend() as be:
             be.load(db, Schema.of(R=2, S=1, Empty=3))
             assert be.table_count("Empty") == 0
-
-    def test_extend_adom_idempotent(self, backend):
-        backend.extend_adom(["zzz"])
-        backend.extend_adom(["zzz"])
-        rows = backend.execute("SELECT COUNT(*) FROM _adom WHERE v = 'zzz'")
-        assert rows[0][0] == 1
 
     def test_context_manager_closes(self, db):
         with SQLiteBackend() as be:
@@ -119,11 +115,10 @@ class TestFOCompiler:
         ],
     )
     def test_agrees_with_evaluator(self, backend, db, text):
-        q = parse_query(text)
+        q = first_order(text)
         # The in-memory evaluator defaults to dom(D) + formula constants;
         # the SQL run ranges over the same domain by construction (the
-        # schema's live columns, or _adom for domain-independent
-        # queries, plus inline constants).
+        # schema's live columns plus inline constants).
         compiled = compile_fo_query(q, schema=backend.schema)
         assert compiled.run(backend) == q.answers(db)
 
@@ -137,11 +132,13 @@ class TestFOCompiler:
             assert compiled.run(be) == q.answers(empty_s)
 
     def test_repeated_head_variable(self, backend, db):
-        q = parse_query("Q(x, x) :- S(x)")
-        assert compile_fo_query(q).run(backend) == {("b", "b")}
+        q = first_order("Q(x, x) :- S(x)")
+        compiled = compile_fo_query(q, schema=backend.schema)
+        assert compiled.run(backend) == {("b", "b")}
 
     def test_parameters_are_positional_safe(self, backend, db):
         # constants that look like SQL must be passed as parameters
-        q = parse_query("Q(x) :- R(x, 'b; DROP TABLE R')")
-        assert compile_fo_query(q).run(backend) == frozenset()
+        q = first_order("Q(x) :- R(x, 'b; DROP TABLE R')")
+        compiled = compile_fo_query(q, schema=backend.schema)
+        assert compiled.run(backend) == frozenset()
         assert backend.table_count("R") == 3

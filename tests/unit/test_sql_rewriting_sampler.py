@@ -20,6 +20,8 @@ from repro.sql.sampler import (
     SamplerPolicy,
 )
 
+from tests.first_order import first_order
+
 R_AB = Fact("R", ("a", "b"))
 R_AC = Fact("R", ("a", "c"))
 R_KV = Fact("R", ("k", "v"))
@@ -248,7 +250,7 @@ class TestSamplingCampaign:
         sampler = KeyRepairSampler(
             backend, Schema.of(R=2), [KeySpec("R", 2, (0,))], rng=random.Random(1)
         )
-        q = parse_query("Q(x) :- exists y R(x, y)")
+        q = first_order("Q(x) :- exists y R(x, y)")
         report = sampler.run(q, runs=20)
         assert report.cp(("k",)) == 1.0
 
@@ -303,3 +305,37 @@ class TestLiveDomain:
             fresh_backend.close()
         assert after.frequencies == expected.frequencies
         assert ("d",) not in after.frequencies
+
+
+class TestLoweredQueries:
+    """``parse_query`` hands the sampler a CQ for every conjunctive text."""
+
+    SIGMA = ConstraintSet(key("R", 2, [0]))
+
+    def test_conjunctive_text_compiles_to_one_flat_join(self, backend):
+        sampler = ConstraintRepairSampler(backend, Schema.of(R=2), self.SIGMA)
+        compiled = sampler.compile(parse_query("Q(x) :- R(x, y)"))
+        assert "_live_dom" not in compiled.sql and "EXISTS" not in compiled.sql
+        # The same query built by hand stays first-order.
+        reference = sampler.compile(first_order("Q(x) :- R(x, y)"))
+        assert "_live_dom" in reference.sql
+
+    def test_single_atom_text_draws_columnar(self, backend, monkeypatch):
+        """Forces each path, so it also runs where ``REPRO_COLUMNAR=0``
+        is set for the whole suite."""
+        pytest.importorskip("numpy")
+        from repro.obs.metrics import REGISTRY
+
+        ranges = REGISTRY.get("ocqa_draw_ranges_total")
+        frequencies, columnar_ranges = {}, {}
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_COLUMNAR", flag)
+            before = ranges.value(path="columnar")
+            sampler = ConstraintRepairSampler(
+                backend, Schema.of(R=2), self.SIGMA, rng=random.Random(3)
+            )
+            report = sampler.run(parse_query("Q(x) :- R(x, y)"), runs=40)
+            frequencies[flag] = report.frequencies
+            columnar_ranges[flag] = ranges.value(path="columnar") - before
+        assert columnar_ranges["1"] > 0 and columnar_ranges["0"] == 0
+        assert frequencies["1"] == frequencies["0"]
