@@ -836,6 +836,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     service: QueryService
     protocol_version = "HTTP/1.1"
+    #: Headers and body leave in separate ``send()`` calls; with Nagle
+    #: on, a kept-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     #: Cap request bodies (a whole database rides in one) at 64 MiB —
     #: a memory-pressure guard, not a protocol limit.

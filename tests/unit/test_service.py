@@ -452,6 +452,37 @@ class TestQueryServiceHTTP:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 400
 
+    def test_kept_alive_connection_has_nagle_off(self, monkeypatch):
+        """Headers and body go out in two writes; with Nagle on, the
+        client's delayed ACK stalls every kept-alive response."""
+        import http.client
+        import socket
+
+        from repro.service.server import _ServiceHandler
+
+        nodelay = []
+        original_setup = _ServiceHandler.setup
+
+        def recording_setup(handler):
+            original_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_ServiceHandler, "setup", recording_setup)
+        with QueryService() as service:
+            connection = http.client.HTTPConnection(*service.address, timeout=10)
+            try:
+                for _ in range(2):
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    response.read()
+            finally:
+                connection.close()
+        # Both requests rode one accepted socket.
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
     def test_unknown_path_is_404(self):
         with QueryService() as service:
             host, port = service.address
