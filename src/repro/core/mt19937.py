@@ -5,9 +5,13 @@ The campaign determinism contract pins every draw to a *string-seeded*
 ``g`` is a pure function of ``(seed, g, i)``.  That purity is what makes
 draws shippable to any worker — but it also means a batch of ``n`` draws
 pays ``n`` full MT19937 initializations (two 624-step key-mixing passes
-each) before a single coin is flipped, which dominates the per-draw cost
-once the walks themselves are table-compiled
-(:mod:`repro.core.columnar`).
+each) before a single coin is flipped.  Once the walks themselves are
+table-compiled (:mod:`repro.core.columnar`), that seeding dominates the
+per-draw cost of a large range, and this module pays it in one pass.
+The pass is 1,247 sequential numpy row steps whatever the batch size, a
+fixed ~10 ms, so it only wins above a crossover of a few thousand seeds
+(``repro.sql.sampler.MIN_VECTOR_SEEDS``); smaller ranges seed each draw
+with ``random.Random`` instead.
 
 This module performs the exact CPython seeding pipeline for a *batch* of
 seed strings as numpy column operations:

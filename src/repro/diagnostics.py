@@ -140,8 +140,9 @@ class CacheReport:
     overload: Dict[str, object] = field(default_factory=dict)
     #: Columnar-core counters (``ocqa_columnar_events_total``): how much
     #: work ran on the vectorized array paths (plans compiled, draws
-    #: vectorized vs replayed, edge-index joins) versus the object
-    #: fallbacks — the observability for ``REPRO_COLUMNAR``.
+    #: vectorized, seeded one at a time in a small range, replayed or
+    #: walked, edge-index joins) versus the object fallbacks — the
+    #: observability for ``REPRO_COLUMNAR``.
     columnar: Dict[str, int] = field(default_factory=dict)
     #: Query-service result-cache counters (``ocqa_cache_*_total``),
     #: summed over every cache this process ran: hits, misses,
@@ -184,12 +185,15 @@ class CacheReport:
             )
         if self.columnar:
             drawn = self.columnar.get("draws_vectorized", 0)
+            small = self.columnar.get("draws_small_range", 0)
             replayed = self.columnar.get("draws_replayed", 0)
+            walked = self.columnar.get("draws_walked", 0)
             lines.append(
                 "columnar: "
                 f"{self.columnar.get('plans_compiled', 0)} plan(s), "
                 f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s), "
-                f"{drawn} draw(s) vectorized / {replayed} replayed, "
+                f"{drawn} draw(s) vectorized / {small} in small ranges / "
+                f"{replayed} replayed / {walked} walked, "
                 f"{self.columnar.get('vector_joins', 0)} vector join(s), "
                 f"{self.columnar.get('edge_index_builds', 0)} edge index(es)"
             )

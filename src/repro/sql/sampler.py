@@ -26,12 +26,20 @@ constructs it from key specifications, with three policies:
 - ``TRUST`` — walk the component's chain under Example 5's trust-based
   generator.
 
-For a single-atom conjunctive query (``parse_query`` returns one for
-any conjunctive text), a draw range runs through a compiled columnar
-draw plan (:func:`_build_columnar_plan`) instead of per-draw SQL; its
-outcomes are byte-identical to the reference loop.  A first-order query
-ranges over each sampled repair's own live domain
-(:mod:`repro.sql.compiler`).
+Every draw comes from its component's compiled walk table
+(:func:`repro.core.columnar.compile_walk_table`): a range's substreams
+are seeded one at a time with ``random.Random`` or, at
+:data:`MIN_VECTOR_SEEDS` seeds and above, in one vectorized MT19937
+batch, and the absorbing state each walk reaches indexes the
+component's precomputed survivors and deletions.  A single-atom
+conjunctive query (``parse_query`` returns one for any conjunctive
+text) then needs no per-draw SQL: its answers are the clean rows plus
+each state's projected survivors (:func:`_build_columnar_plan`).
+Every other query marks each draw's deletions and evaluates in SQL; a
+first-order query ranges over each sampled repair's own live domain
+(:mod:`repro.sql.compiler`).  With ``REPRO_COLUMNAR=0`` the draws walk
+the chains fact by fact instead, the reference every table route is
+byte-identical to.
 
 The samplers run the same SQL on any :class:`repro.sql.backend.SQLBackend`
 (SQLite or PostgreSQL).  All per-component randomness flows through the
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import (
@@ -97,12 +106,17 @@ AnyQuery = Union[Query, ConjunctiveQuery]
 #: Builds the per-component chain generator from a constraint set.
 GeneratorFactory = Callable[[ConstraintSet], ChainGenerator]
 
-#: A component's walk table plus the facts surviving at each of its
-#: states (only absorbing states' entries are read).
+#: A component's walk table plus the facts surviving and the facts
+#: deleted at each of its states (only absorbing states' entries are
+#: read), or ``None`` when its chain overflows the table's state limit.
 WalkTableFn = Callable[
-    [FrozenSet[Fact]], Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]]]]
+    [FrozenSet[Fact]],
+    Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]],
 ]
 
+#: ``columnar``: walk-table draws answered without SQL (single-atom
+#: CQs); ``table``: walk-table draws evaluated by per-draw SQL;
+#: ``object``: the reference walk (``REPRO_COLUMNAR=0``).
 _DRAW_RANGES = obs_metrics.REGISTRY.counter(
     "ocqa_draw_ranges_total",
     "Draw ranges executed, by evaluation path.",
@@ -228,6 +242,11 @@ class BaseCampaignSampler:
         #: every batch).  Invalidated with the shard contexts on every
         #: base-table delta.
         self._columnar_plans: Dict[Any, Any] = {}
+        #: Each component's draw source, shared by every compiled query
+        #: of this campaign, and the source over all components that
+        #: :meth:`deletions_for_range` reads; invalidated with the plans.
+        self._component_draws: Dict[FrozenSet[Fact], _ComponentDraws] = {}
+        self._deletion_source: Optional[_DrawSource] = None
 
     def fingerprint(self) -> str:
         """The campaign identity of this sampler's semantic inputs."""
@@ -250,6 +269,8 @@ class BaseCampaignSampler:
         self._data_digest = None
         self._shard_contexts.clear()
         self._columnar_plans.clear()
+        self._component_draws.clear()
+        self._deletion_source = None
         if self.campaign.fingerprint:
             self.campaign.fingerprint = self.fingerprint()
 
@@ -289,22 +310,23 @@ class BaseCampaignSampler:
         local one.
 
         When the columnar core applies (:mod:`repro.core.columnar`,
-        ``REPRO_COLUMNAR`` unset/1), the same answer sets come from a
-        compiled draw plan — pre-seeded MT19937 word columns stepped
-        through walk tables, byte-identical to this loop — and the
-        object path below remains the reference implementation.
+        ``REPRO_COLUMNAR`` unset/1), the deletions come from the
+        components' walk tables, and a single-atom CQ's answer sets come
+        straight from its compiled draw plan with no SQL at all; both
+        are byte-identical to the reference walk ``REPRO_COLUMNAR=0``
+        runs.
         """
         fast = self._columnar_outcomes(compiled, start, count)
         if fast is not None:
             _DRAW_RANGES.inc(path="columnar")
             return fast
-        _DRAW_RANGES.inc(path="object")
-        return self._object_outcomes(compiled, start, count)
+        _DRAW_RANGES.inc(path="table" if columnar.available() else "object")
+        return self._sql_outcomes(compiled, start, count)
 
-    def _object_outcomes(
+    def _sql_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
     ) -> List[Any]:
-        """The reference (per-Fact, per-query) outcome loop."""
+        """Per-draw SQL: mark each draw's deletions, run the query."""
         outcomes: List[Any] = []
         for deletions in self.deletions_for_range(start, count):
             self.rewriter.clear()
@@ -542,7 +564,13 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         sharding contract) and the sequences are independent of batch
         boundaries (the property behind checkpoint/resume equality and
         local == distributed byte-identity).
+
+        With the columnar core on, each walk replays the component's
+        walk table instead (:meth:`_table_deletions`); the loop below is
+        the reference both routes agree with byte for byte.
         """
+        if columnar.available():
+            return self._table_deletions(start, count, self._chain_table)
         per_run: List[List[Fact]] = [[] for _ in range(count)]
         for component in self.components:
             chain = self._component_chain(component)
@@ -576,7 +604,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         )
 
     # ------------------------------------------------------------------
-    # Columnar fast path
+    # Walk-table draws
     # ------------------------------------------------------------------
     def _columnar_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
@@ -584,21 +612,63 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         """Answer sets via a compiled columnar draw plan, or ``None``.
 
         ``tests/property/test_columnar_props.py`` pins its outcomes to
-        the object path's.
+        the ``REPRO_COLUMNAR=0`` reference.
         """
         return self._plan_outcomes(compiled, start, count, self._chain_table)
 
     def _chain_table(
         self, component: FrozenSet[Fact]
-    ) -> Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]]]]:
+    ) -> Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]]:
         """The component's chain as a walk table (``None`` past the
-        state limit) and the facts surviving at each state."""
-        table = columnar.compile_walk_table(self._component_chain(component))
+        state limit) with the facts surviving and deleted at each
+        state, deletions ordered as the reference walk orders them."""
+        chain = self._component_chain(component)
+        table = columnar.compile_walk_table(chain)
         if table is None:
             return None
-        return table, [
-            () if state is None else state.db.facts for state in table.payload
-        ]
+        survivors: List[Iterable[Fact]] = []
+        deletions: List[List[Fact]] = []
+        for state in table.payload:
+            survivors.append(() if state is None else state.db.facts)
+            deletions.append(
+                [] if state is None else sorted(chain.database - state.db, key=str)
+            )
+        return table, survivors, deletions
+
+    def _draws_for(
+        self, components: Iterable[FrozenSet[Fact]], walk_table: WalkTableFn
+    ) -> List["_ComponentDraws"]:
+        """The (cached) draw source of each of *components*."""
+        cache = self._component_draws
+        entries = []
+        for component in components:
+            entry = cache.get(component)
+            if entry is None:
+                prefix = f"{self.campaign.seed}:{_key_str(component)}#"
+                built = walk_table(component)
+                entry = (
+                    _ComponentDraws(prefix, self._component_chain(component))
+                    if built is None
+                    else _ComponentDraws(prefix, None, *built)
+                )
+                cache[component] = entry
+            entries.append(entry)
+        return entries
+
+    def _table_deletions(
+        self, start: int, count: int, walk_table: WalkTableFn
+    ) -> List[List[Fact]]:
+        """``deletions_for_range`` read off the components' states."""
+        source = self._deletion_source
+        if source is None:
+            source = _DrawSource(self._draws_for(self.components, walk_table))
+            self._deletion_source = source
+        per_run: List[List[Fact]] = [[] for _ in range(count)]
+        for entry, states in zip(source.entries, source.states(start, count)):
+            deletions = entry.deletions
+            for run, state in zip(per_run, states):
+                run.extend(deletions[state])
+        return per_run
 
     def _plan_outcomes(
         self,
@@ -611,7 +681,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
 
         The plan is built once per (compiled query, instance) and gated
         conservatively — any precondition it cannot prove falls back to
-        the object path (see :func:`_build_columnar_plan`).
+        per-draw SQL (see :func:`_build_columnar_plan`).
         """
         if count <= 0 or not columnar.available():
             return None
@@ -697,9 +767,13 @@ class KeyRepairSampler(ConstraintRepairSampler):
         """``KEEP_ONE_UNIFORM`` keeps one uniformly chosen fact of each
         component (one key group); the chain policies walk the parent's
         warm chains.  Draws come from the same ``(seed, component, i)``
-        substreams either way."""
+        substreams either way, and with the columnar core on both read
+        their walk tables; the ``rng.choice`` loop below is the
+        ``KEEP_ONE_UNIFORM`` reference."""
         if self.policy is not SamplerPolicy.KEEP_ONE_UNIFORM:
             return super().deletions_for_range(start, count)
+        if columnar.available():
+            return self._table_deletions(start, count, _keep_one_table)
         per_run: List[List[Fact]] = [[] for _ in range(count)]
         for component in self.components:
             facts = sorted(component, key=str)
@@ -719,110 +793,177 @@ class KeyRepairSampler(ConstraintRepairSampler):
         return self._plan_outcomes(compiled, start, count, _keep_one_table)
 
 
-class _ColumnarDrawPlan:
-    """A compiled, vectorized form of ``outcomes_for_range``.
+class _ComponentDraws:
+    """One conflict component's draw source, built once per campaign.
 
-    Built by :func:`_build_columnar_plan` for single-atom conjunctive
-    queries.  The observation: with the rewriting's ``R EXCEPT R__del``
-    set semantics, a draw's answer set is exactly ``clean_answers ∪
-    (projections of each conflict component's surviving R facts)`` —
-    rows outside every component can never be deleted, and each
-    component's survivors depend only on that component's own draw
-    substream.  So one batch needs: the MT19937 word matrix for every
-    (component, draw) seed string
-    (:func:`repro.core.mt19937.batch_words`), one vectorized pass
-    through the concatenated walk tables
-    (:class:`repro.core.columnar.WalkArena`), and a per-draw union of
-    precomputed projection sets.  Instances that exhaust their word
-    budget — or components whose chains need weighted draws — are
-    replayed per instance with a genuinely seeded ``random.Random`` over
-    the same table, so every outcome is byte-identical to the reference
-    loop by construction.
+    ``random.Random(prefix_text + str(i))`` is exactly the component's
+    ``draw_rng(seed, component, i)``.  ``table`` is its walk table, or
+    ``None`` when the chain overflowed the table's state limit: then
+    ``chain`` is walked draw by draw, and each result not seen before
+    is appended as a new state.  ``survivors[s]`` and ``deletions[s]``
+    are the facts kept and removed at absorbing state ``s``.
     """
 
     __slots__ = (
-        "clean_answers",
-        "vector_entries",
-        "replay_entries",
-        "arena",
-        "word_budget",
+        "prefix_text",
+        "chain",
+        "table",
+        "survivors",
+        "deletions",
+        "vectorizable",
+        "_reached",
     )
 
     def __init__(
         self,
+        prefix_text: str,
+        chain: Optional[RepairingChain],
+        table: Optional[columnar.WalkTable] = None,
+        survivors: Sequence[Iterable[Fact]] = (),
+        deletions: Sequence[List[Fact]] = (),
+    ) -> None:
+        self.prefix_text = prefix_text
+        self.chain = chain
+        self.table = table
+        self.survivors = list(survivors)
+        self.deletions = list(deletions)
+        self.vectorizable = (
+            table is not None
+            and table.vectorizable
+            and len(prefix_text.encode()) <= _MAX_BATCH_PREFIX
+        )
+        self._reached: Dict[Database, int] = {}
+
+    def state_at(self, index: int) -> int:
+        """Draw *index*'s absorbing state, seeded one draw at a time."""
+        rng = random.Random(self.prefix_text + str(index))
+        if self.table is not None:
+            return columnar.replay_walk(self.table, rng)
+        result = sample_walk(self.chain, rng).result
+        state = self._reached.get(result)
+        if state is None:
+            state = self._reached[result] = len(self.survivors)
+            self.survivors.append(result.facts)
+            self.deletions.append(sorted(self.chain.database - result, key=str))
+        return state
+
+
+class _DrawSource:
+    """The one draw generator: absorbing states per (component, draw).
+
+    A range whose vectorizable components hold at least
+    :data:`MIN_VECTOR_SEEDS` seeds between them is seeded in one
+    :func:`repro.core.mt19937.batch_words` call and stepped through a
+    :class:`repro.core.columnar.WalkArena`; a walk that exhausts its
+    word budget is replayed.  Everything else is seeded one draw at a
+    time (:meth:`_ComponentDraws.state_at`): weighted tables and
+    over-long seed prefixes, which the batch cannot take, tables in a
+    range too small to repay the batch's fixed cost, and overflowed
+    chains.  Both seedings are byte-identical to ``draw_rng``.
+    """
+
+    __slots__ = ("entries", "_vector", "_arena")
+
+    def __init__(self, entries: Sequence[_ComponentDraws]) -> None:
+        self.entries = list(entries)
+        self._vector = [i for i, entry in enumerate(self.entries) if entry.vectorizable]
+        self._arena: Optional[columnar.WalkArena] = None
+
+    def states(self, start: int, count: int) -> List[List[int]]:
+        """Each entry's absorbing state for draws ``[start, start + count)``."""
+        stats: Counter = Counter()
+        batched = len(self._vector) * count >= MIN_VECTOR_SEEDS
+        stepped = self._step_batch(start, count, stats) if batched else {}
+        states = []
+        for position, entry in enumerate(self.entries):
+            row = stepped.get(position)
+            if row is None:
+                if entry.table is None:
+                    stat = "draws_walked"
+                elif entry.vectorizable and not batched:
+                    stat = "draws_small_range"
+                else:
+                    stat = "draws_replayed"
+                stats[stat] += count
+                row = [entry.state_at(start + offset) for offset in range(count)]
+            states.append(row)
+        for stat, total in stats.items():
+            if total:
+                columnar.EVENTS.inc(total, stat=stat)
+        return states
+
+    def _step_batch(
+        self, start: int, count: int, stats: Counter
+    ) -> Dict[int, List[int]]:
+        """The vectorizable entries' states from one seeded batch."""
+        entries = self.entries
+        words = mt19937.batch_words(
+            [
+                (entries[position].prefix_text + str(start + offset)).encode()
+                for position in self._vector
+                for offset in range(count)
+            ],
+            _PLAN_WORD_BUDGET,
+        )
+        if words is None:
+            return {}
+        arena = self._arena
+        if arena is None:
+            arena = self._arena = columnar.WalkArena(
+                [entries[position].table for position in self._vector]
+            )
+        final, completed = arena.run_grid(count, words)
+        # Table-major instances: row ``slot`` holds one table's draws.
+        rows = (final.reshape(-1, count) - arena.initial[:, None]).tolist()
+        exhausted = (~completed).reshape(-1, count).nonzero()
+        for slot, offset in zip(*(axis.tolist() for axis in exhausted)):
+            rows[slot][offset] = entries[self._vector[slot]].state_at(start + offset)
+        replayed = len(exhausted[0])
+        stats["draws_vectorized"] += len(self._vector) * count - replayed
+        stats["draws_replayed"] += replayed
+        return dict(zip(self._vector, rows))
+
+
+class _ColumnarDrawPlan:
+    """A single-atom CQ's ``outcomes_for_range`` with no per-draw SQL.
+
+    Built by :func:`_build_columnar_plan`.  The observation: with the
+    rewriting's ``R EXCEPT R__del`` set semantics, a draw's answer set
+    is exactly ``clean_answers ∪ (projections of each conflict
+    component's surviving R facts)`` — rows outside every component can
+    never be deleted, and each component's survivors depend only on
+    that component's own draw substream.  So one range needs each
+    component's absorbing state per draw (:class:`_DrawSource`) and a
+    per-draw union of the states' precomputed projections.
+    """
+
+    __slots__ = ("clean_answers", "source", "projections", "_project")
+
+    def __init__(
+        self,
         clean_answers: frozenset,
-        vector_entries: List[Tuple[str, bytes, Any, List[frozenset]]],
-        replay_entries: List[Tuple[str, Any, List[frozenset]]],
-        word_budget: int,
+        source: _DrawSource,
+        project: Callable[[Iterable[Fact]], frozenset],
     ) -> None:
         self.clean_answers = clean_answers
-        self.vector_entries = vector_entries
-        self.replay_entries = replay_entries
-        self.arena = (
-            columnar.WalkArena([entry[2] for entry in vector_entries])
-            if vector_entries
-            else None
-        )
-        self.word_budget = word_budget
-
-    def _replay(self, prefix_text: str, table: Any, index: int) -> int:
-        rng = random.Random(prefix_text + str(index))
-        return columnar.replay_walk(table, rng)
+        self.source = source
+        self._project = project
+        self.projections = [
+            [project(facts) for facts in entry.survivors] for entry in source.entries
+        ]
 
     def outcomes(self, start: int, count: int) -> List[Any]:
         per_offset: List[List[frozenset]] = [[] for _ in range(count)]
-        vectorized = replayed = 0
-        if self.vector_entries:
-            seeds: List[bytes] = []
-            for _, prefix, _, _ in self.vector_entries:
-                seeds.extend(
-                    prefix + str(start + offset).encode()
-                    for offset in range(count)
-                )
-            words = mt19937.batch_words(seeds, self.word_budget)
-            if words is None:
-                for prefix_text, _, table, projections in self.vector_entries:
-                    for offset in range(count):
-                        state = self._replay(prefix_text, table, start + offset)
-                        replayed += 1
-                        extra = projections[state]
-                        if extra:
-                            per_offset[offset].append(extra)
-            else:
-                final, completed = self.arena.run_grid(count, words)
-                bases = self.arena.initial.tolist()
-                finals = final.tolist()
-                all_completed = bool(completed.all())
-                flags = completed.tolist() if not all_completed else None
-                instance = 0
-                for group, (prefix_text, _, table, projections) in enumerate(
-                    self.vector_entries
-                ):
-                    base = bases[group]
-                    for offset in range(count):
-                        if all_completed or flags[instance]:
-                            state = finals[instance] - base
-                            vectorized += 1
-                        else:
-                            state = self._replay(
-                                prefix_text, table, start + offset
-                            )
-                            replayed += 1
-                        extra = projections[state]
-                        if extra:
-                            per_offset[offset].append(extra)
-                        instance += 1
-        for prefix_text, table, projections in self.replay_entries:
-            for offset in range(count):
-                state = self._replay(prefix_text, table, start + offset)
-                replayed += 1
+        for entry, projections, states in zip(
+            self.source.entries, self.projections, self.source.states(start, count)
+        ):
+            # A walked (overflowed) component may have reached new states.
+            for facts in entry.survivors[len(projections) :]:
+                projections.append(self._project(facts))
+            for extras, state in zip(per_offset, states):
                 extra = projections[state]
                 if extra:
-                    per_offset[offset].append(extra)
-        if vectorized:
-            columnar.EVENTS.inc(vectorized, stat="draws_vectorized")
-        if replayed:
-            columnar.EVENTS.inc(replayed, stat="draws_replayed")
+                    extras.append(extra)
         clean = self.clean_answers
         return [
             clean.union(*extras) if extras else clean for extras in per_offset
@@ -831,13 +972,14 @@ class _ColumnarDrawPlan:
 
 def _keep_one_table(
     component: FrozenSet[Fact],
-) -> Tuple[columnar.WalkTable, List[Iterable[Fact]]]:
-    """The 1-step walk table of ``rng.choice(facts)``, and its survivors.
+) -> Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]:
+    """The 1-step walk table of ``rng.choice(facts)``, and its survivors
+    and deletions.
 
     ``Random.choice`` and ``randrange`` both route through
     ``_randbelow``, so a uniform table over the component's facts (in
     ``str`` order) consumes exactly the words the ``KEEP_ONE_UNIFORM``
-    object path would; state ``i + 1`` keeps fact ``i``.
+    reference would; state ``i + 1`` keeps fact ``i``.
     """
     facts = sorted(component, key=str)
     table = columnar.WalkTable()
@@ -856,12 +998,45 @@ def _keep_one_table(
         table.cumulative.append(())
         table.successors.append(())
         table.payload.append(None)
-    return table, [()] + [(fact,) for fact in facts]
+    survivors: List[Iterable[Fact]] = [()] + [(fact,) for fact in facts]
+    deletions = [[]] + [facts[:i] + facts[i + 1 :] for i in range(len(facts))]
+    return table, survivors, deletions
 
 
 #: Word columns pre-seeded per (component, draw); deep rejection-sampling
 #: tails beyond this fall back to per-instance replay, bit-exactly.
 _PLAN_WORD_BUDGET = min(24, mt19937.MAX_PARTIAL_WORDS)
+
+#: Longest seed prefix the batch seeder takes: longer keys would spill
+#: past the 624-word MT state, so such components seed one at a time.
+_MAX_BATCH_PREFIX = 2400
+
+MIN_VECTOR_SEEDS = 4500
+"""Fewest vectorizable (component, draw) seeds a range batch-seeds.
+
+:func:`repro.core.mt19937.batch_words` runs 1,247 sequential numpy row
+steps however small the batch, a fixed ~10 ms, where one
+``random.Random(str)`` seeding costs ~10 us.  Median times of one
+single-atom plan range, batch vs one-at-a-time seeding, outcomes equal
+(``key_conflict_workload`` groups of 2-3 facts; 2-vCPU x86-64
+container, CPython 3.11, numpy 2.4):
+
+===========================  ========  =============
+seeds (components x draws)   batch     one at a time
+===========================  ========  =============
+304 (8 x 38)                 13.9 ms   3.8 ms
+1,600 (400 x 4)              33.5 ms   24.7 ms
+3,200 (400 x 8)              49.8 ms   40.0 ms
+4,000 (400 x 10)             62.5 ms   58.4 ms
+4,800 (400 x 12)             68.5 ms   71.5 ms
+5,600 (400 x 14)             67.6 ms   77.9 ms
+10,000 (400 x 25)            125 ms    135 ms
+===========================  ========  =============
+
+So a served range (8 conflict components x at most 38 draws) seeds one
+at a time, and a pooled campaign's shards (400 components x 14-25
+draws) batch.
+"""
 
 
 def _build_columnar_plan(
@@ -928,28 +1103,13 @@ def _build_columnar_plan(
                 if fact in mapped
             )
 
-        vector_entries: List[Tuple[str, bytes, Any, List[frozenset]]] = []
-        replay_entries: List[Tuple[str, Any, List[frozenset]]] = []
-        for component in components:
-            prefix_text = f"{sampler.campaign.seed}:{_key_str(component)}#"
-            prefix = prefix_text.encode()
-            if len(prefix) > 2400:
-                # Key words would spill past the 624-word MT state; the
-                # whole-batch seeder cannot vectorize such components.
-                return None
-            built = walk_table(component)
-            if built is None:
-                return None
-            table, survivors = built
-            projections = [project(facts) for facts in survivors]
-            if table.vectorizable:
-                vector_entries.append((prefix_text, prefix, table, projections))
-            else:
-                replay_entries.append((prefix_text, table, projections))
+        plan = _ColumnarDrawPlan(
+            clean_answers,
+            _DrawSource(sampler._draws_for(components, walk_table)),
+            project,
+        )
     except Exception:
         columnar.EVENTS.inc(stat="plan_build_errors")
         return None
     columnar.EVENTS.inc(stat="plans_compiled")
-    return _ColumnarDrawPlan(
-        clean_answers, vector_entries, replay_entries, _PLAN_WORD_BUDGET
-    )
+    return plan

@@ -10,6 +10,7 @@ byte-identity of sampler outcome streams, which the distributed lease
 table's duplicate-drop correctness rests on.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -18,20 +19,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet, parse_constraints
-from repro.core import columnar
+from repro.core import columnar, mt19937
 from repro.core.incremental import DeltaViolationIndex
 from repro.core.sampling import sample_walk
 from repro.core.operations import Operation
 from repro.core.violations import violations
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
-from repro.queries import parse_cq
+from repro.queries import parse_cq, parse_query
 from repro.sql import (
     ConstraintRepairSampler,
     KeyRepairSampler,
     SamplerPolicy,
     SQLiteBackend,
 )
+from repro.sql import sampler as sampler_module
 from repro.workloads import key_conflict_workload
 
 from tests.property.strategies import key_sigma, key_violation_databases
@@ -178,8 +180,29 @@ PARITY_INPUTS = (
     "cross_relation",
 )
 
+#: Queries the single-atom plan answers without SQL.
+PLAN_QUERIES = ("Q(x) :- R(x, y, z)", "Q(x, z) :- R(x, y, z)")
 
-def _parity_sampler(kind, clean_rows, groups, group_size, seed):
+#: Queries whose table draws are evaluated by per-draw SQL: a join
+#: across components, and (``cross_relation`` only, the input with an
+#: ``S``) a first-order query with negation.
+JOIN_QUERY = "Q(x, u) :- R(x, y, z) & R(u, y, w)"
+NEGATION_QUERY = "Q(x) :- R(x, y, z) & !S(y)"
+
+
+@contextlib.contextmanager
+def _setting(name, value):
+    """Set a ``REPRO_*`` variable or a sampler-module constant for a
+    block (hypothesis cannot share the function-scoped ``monkeypatch``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name.startswith("REPRO_"):
+            patch.setenv(name, value)
+        else:
+            patch.setattr(sampler_module, name, value)
+        yield
+
+
+def _parity_sampler(kind, clean_rows, groups, group_size, seed, extra=()):
     workload = key_conflict_workload(
         clean_rows=clean_rows,
         conflict_groups=groups,
@@ -187,7 +210,7 @@ def _parity_sampler(kind, clean_rows, groups, group_size, seed):
         arity=3,
         seed=seed,
     )
-    database = workload.database
+    database = Database([*workload.database, *extra])
     schema = workload.schema
     if kind == "cross_relation":
         # S(y) conflicts with every R row carrying y: one member of each
@@ -228,20 +251,43 @@ def _parity_sampler(kind, clean_rows, groups, group_size, seed):
     return backend, sampler
 
 
+def _reference(kind, clean_rows, groups, group_size, seed, query, start, count, extra=()):
+    """A twin sampler's ``REPRO_COLUMNAR=0`` outcomes: the reference walk."""
+    with _setting("REPRO_COLUMNAR", "0"):
+        backend, twin = _parity_sampler(
+            kind, clean_rows, groups, group_size, seed, extra
+        )
+        try:
+            compiled = twin.compile(query)
+            return (
+                twin.outcomes_for_range(compiled, start, count),
+                twin.deletions_for_range(start, count),
+            )
+        finally:
+            backend.close()
+
+
+#: Forces each seeding route: every range batch-seeded, or none.
+SEEDING_ROUTES = st.sampled_from([0, 10**9])
+
+
 class TestSamplerOutcomeParity:
     @given(
         kind=st.sampled_from(PARITY_INPUTS),
         # The non-key projection tells a group's members apart.
-        query=st.sampled_from(["Q(x) :- R(x, y, z)", "Q(x, z) :- R(x, y, z)"]),
+        query=st.sampled_from(PLAN_QUERIES),
         clean_rows=st.integers(min_value=0, max_value=6),
         groups=st.integers(min_value=1, max_value=4),
         group_size=st.integers(min_value=2, max_value=3),
         seed=st.integers(min_value=0, max_value=10_000),
         start=st.integers(min_value=0, max_value=64),
+        count=st.integers(min_value=1, max_value=12),
+        min_vector_seeds=SEEDING_ROUTES,
     )
     @settings(max_examples=40, deadline=None)
     def test_columnar_outcomes_equal_object_outcomes(
-        self, kind, query, clean_rows, groups, group_size, seed, start
+        self, kind, query, clean_rows, groups, group_size, seed, start, count,
+        min_vector_seeds,
     ):
         backend, sampler = _parity_sampler(
             kind, clean_rows, groups, group_size, seed
@@ -251,10 +297,48 @@ class TestSamplerOutcomeParity:
                 spans = [{fact.relation for fact in c} for c in sampler.components]
                 assert {"R", "S"} in spans
             compiled = sampler.compile(parse_cq(query))
-            fast = sampler._columnar_outcomes(compiled, start, 8)
-            reference = sampler._object_outcomes(compiled, start, 8)
+            with _setting("MIN_VECTOR_SEEDS", min_vector_seeds):
+                fast = sampler._columnar_outcomes(compiled, start, count)
+            reference, _ = _reference(
+                kind, clean_rows, groups, group_size, seed, parse_cq(query),
+                start, count,
+            )
             assert fast is not None, "the standard workload must not gate off"
             assert fast == reference
+        finally:
+            backend.close()
+
+    @given(
+        kind=st.sampled_from(PARITY_INPUTS),
+        negated=st.booleans(),
+        clean_rows=st.integers(min_value=0, max_value=6),
+        groups=st.integers(min_value=1, max_value=4),
+        group_size=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        start=st.integers(min_value=0, max_value=64),
+        count=st.integers(min_value=1, max_value=12),
+        min_vector_seeds=SEEDING_ROUTES,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_table_draws_equal_the_reference_walk(
+        self, kind, negated, clean_rows, groups, group_size, seed, start, count,
+        min_vector_seeds,
+    ):
+        """Joins and first-order queries evaluate table draws in SQL."""
+        text = NEGATION_QUERY if negated and kind == "cross_relation" else JOIN_QUERY
+        query = parse_query(text)
+        backend, sampler = _parity_sampler(
+            kind, clean_rows, groups, group_size, seed
+        )
+        try:
+            compiled = sampler.compile(query)
+            assert sampler._columnar_outcomes(compiled, start, count) is None
+            with _setting("MIN_VECTOR_SEEDS", min_vector_seeds):
+                outcomes = sampler.outcomes_for_range(compiled, start, count)
+                deletions = sampler.deletions_for_range(start, count)
+            assert (outcomes, deletions) == _reference(
+                kind, clean_rows, groups, group_size, seed, query, start, count
+            )
         finally:
             backend.close()
 
@@ -271,9 +355,106 @@ class TestSamplerOutcomeParity:
             # agree with the reference loop on the mutated instance.
             compiled = sampler.compile(parse_cq("Q(x) :- R(x, y, z)"))
             fast = sampler._columnar_outcomes(compiled, 0, 6)
-            assert fast == sampler._object_outcomes(compiled, 0, 6)
+            with _setting("REPRO_COLUMNAR", "0"):
+                reference = sampler.outcomes_for_range(compiled, 0, 6)
+            assert fast == reference
         finally:
             backend.close()
+
+
+class TestPerComponentFallback:
+    """A component the batch or the table cannot take falls back alone;
+    the rest of the range keeps its route."""
+
+    QUERY = "Q(x, z) :- R(x, y, z)"
+
+    def _check(self, extra, start=3, count=10):
+        args = (SamplerPolicy.OPERATIONAL_UNIFORM, 4, 3, 3, 21)
+        query = parse_cq(self.QUERY)
+        reference, reference_deletions = _reference(
+            *args, query, start, count, extra=extra
+        )
+        backend, sampler = _parity_sampler(*args, extra=extra)
+        try:
+            compiled = sampler.compile(query)
+            for min_vector_seeds in (0, 10**9):
+                with _setting("MIN_VECTOR_SEEDS", min_vector_seeds):
+                    fast = sampler._columnar_outcomes(compiled, start, count)
+                    deletions = sampler.deletions_for_range(start, count)
+                assert fast is not None
+                assert fast == reference
+                assert deletions == reference_deletions
+        finally:
+            backend.close()
+
+    def test_long_seed_prefix_seeds_one_at_a_time(self):
+        # Two facts whose key group's substream prefix tops 2,400 bytes,
+        # more than the batch seeder's 624-word key can hold.
+        extra = [
+            Fact("R", ("long", "a" * 1300, "p")),
+            Fact("R", ("long", "b" * 1300, "q")),
+        ]
+        self._check(extra)
+
+    def test_exhausted_word_budget_replays_the_draw(self):
+        # One word per batch-seeded walk: most walks run out and replay.
+        with _setting("_PLAN_WORD_BUDGET", 1):
+            self._check([])
+
+    def test_overflowing_walk_table_walks_its_chain(self):
+        # A ten-fact key group reaches more than compile_walk_table's
+        # 512 states.
+        extra = [Fact("R", ("wide", f"v{i}", f"w{i}")) for i in range(10)]
+        self._check(extra)
+
+
+class TestDrawRouting:
+    """Which seeding route a range takes follows its size."""
+
+    def _sampler(self, groups, group_size):
+        workload = key_conflict_workload(
+            clean_rows=8, conflict_groups=groups, group_size=group_size,
+            arity=2, seed=4,
+        )
+        backend = SQLiteBackend()
+        backend.load(workload.database, workload.schema)
+        sampler = ConstraintRepairSampler(
+            backend, workload.schema, workload.constraints, rng=random.Random(4)
+        )
+        return backend, sampler
+
+    def test_served_range_never_batch_seeds(self, monkeypatch):
+        def refuse(seeds, count):
+            raise AssertionError(f"batch-seeded {len(seeds)} seeds")
+
+        monkeypatch.setattr(mt19937, "batch_words", refuse)
+        # The served instance's shape: 8 components, Theorem 9's 38 draws
+        # at eps = 0.2, delta = 0.1.
+        backend, sampler = self._sampler(8, 2)
+        try:
+            for text in ("Q(x) :- R(x, y)", "Q(x) :- R(x, y) & R(z, y)"):
+                compiled = sampler.compile(parse_query(text))
+                assert len(sampler.outcomes_for_range(compiled, 0, 38)) == 38
+        finally:
+            backend.close()
+
+    def test_pooled_shard_batch_seeds(self, monkeypatch):
+        calls = []
+        batch_words = mt19937.batch_words
+
+        def recording(seeds, count):
+            calls.append(len(seeds))
+            return batch_words(seeds, count)
+
+        monkeypatch.setattr(mt19937, "batch_words", recording)
+        # campaign_pool's shard: 400 components x 25 draws.
+        backend, sampler = self._sampler(400, 3)
+        try:
+            compiled = sampler.compile(parse_query("Q(x) :- R(x, y)"))
+            assert sampler._columnar_outcomes(compiled, 0, 25) is not None
+        finally:
+            backend.close()
+        assert calls == [400 * 25]
 
 
 # ----------------------------------------------------------------------

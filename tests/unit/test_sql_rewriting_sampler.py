@@ -327,15 +327,47 @@ class TestLoweredQueries:
         from repro.obs.metrics import REGISTRY
 
         ranges = REGISTRY.get("ocqa_draw_ranges_total")
-        frequencies, columnar_ranges = {}, {}
+        events = REGISTRY.get("ocqa_columnar_events_total")
+        frequencies, columnar_ranges, small = {}, {}, {}
         for flag in ("1", "0"):
             monkeypatch.setenv("REPRO_COLUMNAR", flag)
             before = ranges.value(path="columnar")
+            small_before = events.value(stat="draws_small_range")
             sampler = ConstraintRepairSampler(
                 backend, Schema.of(R=2), self.SIGMA, rng=random.Random(3)
             )
             report = sampler.run(parse_query("Q(x) :- R(x, y)"), runs=40)
             frequencies[flag] = report.frequencies
             columnar_ranges[flag] = ranges.value(path="columnar") - before
+            small[flag] = events.value(stat="draws_small_range") - small_before
         assert columnar_ranges["1"] > 0 and columnar_ranges["0"] == 0
+        assert frequencies["1"] == frequencies["0"]
+        # One component x 40 draws is far under MIN_VECTOR_SEEDS: every
+        # draw was seeded on its own, and counted apart from replays.
+        assert small == {"1": 40, "0": 0}
+
+    def test_join_draws_from_walk_tables(self, backend, monkeypatch):
+        """A join's draws come from walk tables and are evaluated in SQL
+        (``path="table"``); only ``REPRO_COLUMNAR=0`` walks the chains
+        (``path="object"``)."""
+        pytest.importorskip("numpy")
+        from repro.obs.metrics import REGISTRY
+
+        ranges = REGISTRY.get("ocqa_draw_ranges_total")
+        paths = ("columnar", "table", "object")
+        frequencies, counted = {}, {}
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_COLUMNAR", flag)
+            before = {path: ranges.value(path=path) for path in paths}
+            sampler = ConstraintRepairSampler(
+                backend, Schema.of(R=2), self.SIGMA, rng=random.Random(3)
+            )
+            report = sampler.run(parse_query("Q(x, z) :- R(x, y) & R(z, y)"), runs=40)
+            frequencies[flag] = report.frequencies
+            counted[flag] = {
+                path: ranges.value(path=path) - before[path] for path in paths
+            }
+        assert counted["1"]["table"] > 0 and counted["0"]["object"] > 0
+        assert counted["1"]["columnar"] == counted["1"]["object"] == 0
+        assert counted["0"]["columnar"] == counted["0"]["table"] == 0
         assert frequencies["1"] == frequencies["0"]
