@@ -267,10 +267,13 @@ def scenario_columnar(repeat: int) -> dict:
     One fixed-size campaign (identical parameters under ``--quick`` and
     a full run, so every timing key sits in ``GATED_KEYS``) runs down
     both draw engines at two conflict-group counts: the compiled
-    columnar plan — MT19937 word columns stepped through walk tables,
-    the production default — and the object reference loop, forced via
-    ``REPRO_COLUMNAR=0`` (read per call, so flipping the variable
-    mid-process switches paths).  The estimates are asserted identical,
+    columnar plan, the production default, and the object reference
+    loop, forced via ``REPRO_COLUMNAR=0`` (read per call, so flipping
+    the variable mid-process switches paths).  At 40 draws a range
+    holds 1,600 or 3,200 (component, draw) seeds, under
+    ``sql.sampler.MIN_VECTOR_SEEDS``, so the plan never batch-seeds
+    MT19937 word columns: each draw replays its component's walk table
+    with its own seeded ``random.Random``.  The estimates are asserted identical,
     making this the benchmark-side conformance check between the two
     paths; the wall-clock ratio is the columnar engine's speedup, and
     the 40-group ratio carries an absolute floor in the regression gate
@@ -314,7 +317,8 @@ def scenario_columnar(repeat: int) -> dict:
                         _os.environ["REPRO_COLUMNAR"] = previous
 
             # One untimed warm pass per path builds the conflict-group
-            # chains and (on the fast path) compiles the draw plan, so
+            # chains (on the fast path, one walk table per chain shape)
+            # and compiles the draw plan, so
             # the timed reps measure pure draw throughput — the thing
             # the two engines actually differ on.  Both samplers then
             # consume identical draw ranges, so the final frequencies

@@ -160,41 +160,57 @@ def campaign_fingerprint(*parts: Any) -> str:
 
 
 def generator_signature(generator: Any) -> Tuple:
-    """Best-effort semantic identity of a chain generator.
+    """Best-effort semantic identity of a chain generator, in ``str`` forms.
 
     Covers the class plus the configuration the in-repo generators
     carry (constraint set, trust mapping, preference relation).  A
     generator with an opaque payload (e.g. ``FunctionGenerator``'s
     closure) additionally contributes its object identity, so two
-    distinct opaque generators never alias each other's warm chains or
-    checkpoints — at the cost of cross-process reuse for that class.
+    distinct opaque generators never share a checkpoint — at the cost
+    of cross-process reuse for that class.  It feeds RNG stream keys and
+    checkpoint fingerprints; ``str`` prints ``1`` and ``'1'`` alike, so
+    warm chains key on :func:`generator_identity` instead.
     """
+    return _generator_parts(generator, str)
+
+
+def generator_identity(generator: Any) -> Tuple:
+    """:func:`generator_signature`'s parts in structural ``repr`` forms:
+    the generator half of a shared campaign's warm-chain key."""
+    return _generator_parts(generator, repr)
+
+
+def _generator_parts(generator: Any, render: Callable[[Any], str]) -> Tuple:
     parts: List[Any] = [type(generator).__qualname__]
     constraints = getattr(generator, "constraints", None)
     if constraints is not None:
-        parts.append(tuple(sorted(str(c) for c in constraints)))
+        parts.append(tuple(sorted(render(c) for c in constraints)))
     trust = getattr(generator, "trust", None)
     if trust is not None:
         try:
-            parts.append(tuple(sorted((str(k), str(v)) for k, v in trust.items())))
+            parts.append(
+                tuple(sorted((render(k), render(v)) for k, v in trust.items()))
+            )
         except AttributeError:
             parts.append(("trust", repr(trust)))
     for attr in ("default_trust", "relation"):
         value = getattr(generator, attr, None)
         if value is not None:
-            parts.append((attr, str(value)))
+            parts.append((attr, render(value)))
     if hasattr(generator, "_fn"):
         parts.append(("identity", id(generator)))
     return tuple(parts)
 
 
 def _key_str(key: Any) -> str:
-    """A deterministic, process-independent string form of a group key.
+    """A deterministic, process-independent string form of a group key:
+    the RNG stream key of :func:`draw_rng`.
 
-    Collection parts are length-prefixed before joining, so the encoding
-    is injective even when member strings contain the separator — two
-    distinct conflict groups can never alias one warm chain / RNG
-    substream.
+    Collection parts are length-prefixed before joining, so member
+    strings containing the separator cannot collide.  ``str`` prints
+    ``1`` and ``'1'`` alike, though, so two groups that print alike
+    share a substream; warm chains key on the fact set itself
+    (:meth:`SamplingCampaign.chain`), so each still walks its own chain.
     """
     if isinstance(key, str):
         return key
@@ -205,12 +221,12 @@ def _key_str(key: Any) -> str:
 
 
 def group_key(facts: Iterable[Any]) -> str:
-    """The canonical identity of one conflict group/component.
+    """The printable name of one conflict group/component.
 
-    The same injective encoding :class:`SamplingCampaign` uses for warm
-    chains and RNG substreams (:func:`_key_str` over the fact set), so
-    the touched-group keys an :class:`UpdateReport` carries line up
-    exactly with the chains the campaign pruned for the same delta.
+    The encoding of its RNG substream key (:func:`_key_str` over the
+    fact set).  Groups that print alike share a name, so identity
+    checks compare the fact sets themselves; an :class:`UpdateReport`
+    only names its touched groups with it.
     """
     return _key_str(frozenset(facts))
 
@@ -226,11 +242,11 @@ class UpdateReport:
     - :attr:`touched_relations` — relations of the delta facts
       themselves (their clean rows changed);
     - :attr:`touched_groups` / :attr:`touched_group_relations` — the
-      conflict groups whose fact sets changed (by :func:`group_key`
-      symmetric difference, old vs new), and every relation appearing
-      in those groups: a delta in one relation can merge or split a
-      component that spans others, shifting the repair distribution of
-      facts the delta never named.
+      conflict groups whose fact sets changed (the symmetric difference
+      of the old and new fact sets, named by :func:`group_key`), and
+      every relation appearing in those groups: a delta in one relation
+      can merge or split a component that spans others, shifting the
+      repair distribution of facts the delta never named.
     - :attr:`old_digest` / :attr:`new_digest` — the instance digests
       before/after the delta, filled in by whoever keeps the instance's
       rolling digest (the query service); ``None`` from a bare sampler
@@ -269,13 +285,11 @@ class UpdateReport:
         """Diff two group snapshots into the touched-group report."""
         added = tuple(added)
         removed = tuple(removed)
-        old_by_key = {group_key(g): frozenset(g) for g in old_groups}
-        new_by_key = {group_key(g): frozenset(g) for g in new_groups}
-        touched = sorted(set(old_by_key) ^ set(new_by_key))
+        touched = {frozenset(g) for g in old_groups} ^ {
+            frozenset(g) for g in new_groups
+        }
         group_relations = frozenset(
-            fact.relation
-            for key in touched
-            for fact in old_by_key.get(key, new_by_key.get(key, frozenset()))
+            fact.relation for group in touched for fact in group
         )
         return cls(
             added=added,
@@ -283,7 +297,7 @@ class UpdateReport:
             touched_relations=frozenset(
                 fact.relation for fact in added + removed
             ),
-            touched_groups=tuple(touched),
+            touched_groups=tuple(sorted(group_key(g) for g in touched)),
             touched_group_relations=group_relations,
             old_digest=old_digest,
             new_digest=new_digest,
@@ -342,7 +356,7 @@ class SamplingCampaign:
         self.seed = seed
         self.checkpoint_path = checkpoint_path
         self.adaptive = adaptive
-        self._chains: Dict[str, RepairingChain] = {}
+        self._chains: Dict[Any, RepairingChain] = {}
         #: Next global draw index to hand out (see :meth:`claim_draws`).
         #: The cursor only ever advances — a fresh estimation on a warm
         #: campaign continues the substreams rather than replaying them.
@@ -413,20 +427,25 @@ class SamplingCampaign:
     def chain(
         self, key: Any, factory: Callable[[], RepairingChain]
     ) -> RepairingChain:
-        """The warm chain for group *key*, built on first use."""
-        ks = _key_str(key)
-        chain = self._chains.get(ks)
+        """The warm chain for group *key*, built on first use.
+
+        *key* is structural and hashable (a component's fact set, or an
+        estimator's generator identity and instance): never the
+        :func:`_key_str` stream key, which prints ``1`` and ``'1'``
+        alike and would hand one group another's chain.
+        """
+        chain = self._chains.get(key)
         if chain is None:
             chain = factory()
-            self._chains[ks] = chain
+            self._chains[key] = chain
         return chain
 
     def prune_chains(self, live_keys: Iterable[Any]) -> None:
         """Drop chains whose groups no longer exist (a regenerated group
         rebuilds its chain; its draws stay the same pure function of
         ``(seed, group, index)``)."""
-        keep = {_key_str(key) for key in live_keys}
-        for stale in [ks for ks in self._chains if ks not in keep]:
+        keep = set(live_keys)
+        for stale in [key for key in self._chains if key not in keep]:
             del self._chains[stale]
 
     # ------------------------------------------------------------------

@@ -204,6 +204,12 @@ def _cmd_sql_sample(args: argparse.Namespace) -> int:
     database = load_database(args.db)
     constraints = load_constraints(args.constraints)
     query = parse_query(args.query)
+    if args.generator == "preference":
+        raise SystemExit(
+            "sql-sample walks each conflict component on its own, and the "
+            "preference generator's weights are not component-local"
+        )
+    generator = _build_generator(args, constraints)
     coordinator = _build_coordinator(args)
     schema = Schema.infer(database).extend(constraints.schema())
     with create_backend(args.backend) as backend:
@@ -212,6 +218,7 @@ def _cmd_sql_sample(args: argparse.Namespace) -> int:
             backend,
             schema,
             constraints,
+            generator_factory=lambda _: generator,
             rng=random.Random(args.seed),
             checkpoint_path=args.checkpoint,
             adaptive=args.adaptive,

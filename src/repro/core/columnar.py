@@ -11,11 +11,13 @@ provides the columnar counterparts:
   ``isdisjoint``;
 - :func:`compile_walk_table` / :class:`WalkArena` — a repairing chain's
   reachable states flattened into successor tables.  Every draw of the
-  SQL samplers (:mod:`repro.sql.sampler`) reads its component's table:
-  a range of at least ``MIN_VECTOR_SEEDS`` seeds is stepped at once
-  over pre-seeded MT19937 word columns (:mod:`repro.core.mt19937`,
-  whose batch seeding costs a fixed ~10 ms), a smaller one replays each
-  draw with its own seeded ``random.Random`` (:func:`replay_walk`).
+  SQL samplers (:mod:`repro.sql.sampler`) reads its component's table,
+  which a sampler compiles once per chain shape and shares among the
+  components of that shape: a range of at least ``MIN_VECTOR_SEEDS``
+  seeds is stepped at once over pre-seeded MT19937 word columns
+  (:mod:`repro.core.mt19937`, whose batch seeding costs a fixed
+  ~10 ms), a smaller one replays each draw with its own seeded
+  ``random.Random`` (:func:`replay_walk`).
 
 Everything here is an *accelerator*, never a semantic fork: each
 consumer keeps the object path as the reference implementation, reached
@@ -77,7 +79,8 @@ def available() -> bool:
 
 
 #: How much work ran on the columnar paths, by stat (plans compiled;
-#: draws ``draws_vectorized``, seeded one at a time because their range
+#: walk tables compiled, or shared by a component of a shape already
+#: compiled (``walk_tables_shared``); draws ``draws_vectorized``, seeded one at a time because their range
 #: was under ``MIN_VECTOR_SEEDS`` (``draws_small_range``), replayed after
 #: an exhausted word budget or on a weighted table or over-long seed
 #: (``draws_replayed``), or walked on an overflowed chain
@@ -87,8 +90,9 @@ def available() -> bool:
 #: counting under ``REPRO_METRICS=0``.
 EVENTS = obs_metrics.REGISTRY.counter(
     "ocqa_columnar_events_total",
-    "Columnar-core events by stat (plans compiled, draws vectorized, in "
-    "small ranges, replayed or walked, vector joins, edge indexes, ...).",
+    "Columnar-core events by stat (plans compiled, walk tables compiled "
+    "or shared, draws vectorized, in small ranges, replayed or walked, "
+    "vector joins, edge indexes, ...).",
     ("stat",),
     always=True,
 )

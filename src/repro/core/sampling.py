@@ -198,15 +198,15 @@ class ApproximationResult:
 def _chain_key(
     generator: ChainGenerator, database: Database, private: bool
 ) -> str:
-    """The warm-chain cache key for an estimator call.
+    """The RNG stream key of an estimator call.
 
-    For a *private* (per-call) campaign the cache holds exactly one
-    chain, so a constant key avoids stringifying the whole instance.  A
-    shared campaign keys on the generator's semantic signature (class
-    plus configuration — see
-    :func:`repro.campaign.generator_signature`) and the exact instance,
-    so it reuses a chain only for the same repair distribution instead
-    of silently walking a stale chain.
+    For a *private* (per-call) campaign a constant key avoids
+    stringifying the whole instance.  A shared campaign keys on the
+    generator's semantic signature (class plus configuration — see
+    :func:`repro.campaign.generator_signature`) and the instance's
+    facts, both in ``str`` forms.  Those print ``1`` and ``'1'`` alike,
+    so the warm chain itself is keyed structurally (see
+    :func:`_run_chain_campaign`).
     """
     if private:
         return "root"
@@ -278,14 +278,19 @@ def _run_chain_campaign(
     across its workers (the caller closes it).  Either way the draws
     are :func:`chain_outcomes_for_range` over the campaign's substreams.
     """
-    from repro.campaign import SamplingCampaign
+    from repro.campaign import SamplingCampaign, generator_identity
     from repro.distributed import ShardContext
 
     private = campaign is None
     if private:
         campaign = SamplingCampaign(rng=rng, adaptive=bool(adaptive))
     stream_key = _chain_key(generator, database, private)
-    chain = campaign.chain(stream_key, lambda: generator.chain(database))
+    # A shared campaign reuses a chain only for the same repair
+    # distribution: the same generator configuration and instance.
+    chain_key = (
+        stream_key if private else (generator_identity(generator), database)
+    )
+    chain = campaign.chain(chain_key, lambda: generator.chain(database))
     if coordinator is None:
 
         def draw(batch: int):

@@ -139,9 +139,10 @@ class CacheReport:
     #: service is being pushed and what it refused rather than queued.
     overload: Dict[str, object] = field(default_factory=dict)
     #: Columnar-core counters (``ocqa_columnar_events_total``): how much
-    #: work ran on the vectorized array paths (plans compiled, draws
-    #: vectorized, seeded one at a time in a small range, replayed or
-    #: walked, edge-index joins) versus the object fallbacks — the
+    #: work ran on the vectorized array paths (plans compiled, walk
+    #: tables compiled or shared by a component of the same chain shape,
+    #: draws vectorized, seeded one at a time in a small range, replayed
+    #: or walked, edge-index joins) versus the object fallbacks — the
     #: observability for ``REPRO_COLUMNAR``.
     columnar: Dict[str, int] = field(default_factory=dict)
     #: Query-service result-cache counters (``ocqa_cache_*_total``),
@@ -191,7 +192,8 @@ class CacheReport:
             lines.append(
                 "columnar: "
                 f"{self.columnar.get('plans_compiled', 0)} plan(s), "
-                f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s), "
+                f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s) "
+                f"compiled / {self.columnar.get('walk_tables_shared', 0)} shared, "
                 f"{drawn} draw(s) vectorized / {small} in small ranges / "
                 f"{replayed} replayed / {walked} walked, "
                 f"{self.columnar.get('vector_joins', 0)} vector join(s), "

@@ -31,7 +31,15 @@ Every draw comes from its component's compiled walk table
 are seeded one at a time with ``random.Random`` or, at
 :data:`MIN_VECTOR_SEEDS` seeds and above, in one vectorized MT19937
 batch, and the absorbing state each walk reaches indexes the
-component's precomputed survivors and deletions.  A single-atom
+component's precomputed survivors and deletions.  A sampler compiles
+one table per chain *shape* (:meth:`ConstraintRepairSampler._shape_key`:
+the fact count, violation edges and ``str(op)``-ordered operation
+universe over the component's facts in ``str`` order, plus each fact's
+trust under TRUST): components with equal keys share one table and one
+list of survivor and deletion positions, relabelled into their own
+facts, for the sampler's life.  A component with a non-local
+generator, a term that is not a ``str`` or ``int``, or two facts or
+operations that print alike compiles its own chain.  A single-atom
 conjunctive query (``parse_query`` returns one for any conjunctive
 text) then needs no per-draw SQL: its answers are the clean rows plus
 each state's projected survivors (:func:`_build_columnar_plan`).
@@ -62,6 +70,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import (
     Any,
     Callable,
@@ -88,6 +97,8 @@ from repro.constraints.shortcuts import key as key_constraints
 from repro.core import columnar, mt19937
 from repro.core.chain import ChainGenerator, RepairingChain
 from repro.core.generators import TrustGenerator, UniformGenerator
+from repro.core.justified import MAX_SUBSET_FACTS
+from repro.core.localization import LOCAL_GENERATOR_TYPES
 from repro.core.sampling import sample_walk
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
@@ -108,11 +119,16 @@ GeneratorFactory = Callable[[ConstraintSet], ChainGenerator]
 
 #: A component's walk table plus the facts surviving and the facts
 #: deleted at each of its states (only absorbing states' entries are
-#: read), or ``None`` when its chain overflows the table's state limit.
-WalkTableFn = Callable[
-    [FrozenSet[Fact]],
-    Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]],
-]
+#: read).
+ComponentTable = Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]
+
+#: A component's :data:`ComponentTable`, or ``None`` when its chain
+#: overflows the table's state limit.
+WalkTableFn = Callable[[FrozenSet[Fact]], Optional[ComponentTable]]
+
+#: A chain shape's walk table with the positions of the facts surviving
+#: and deleted at each state, into a component's facts in ``str`` order.
+ChainShape = Tuple[columnar.WalkTable, List[Tuple[int, ...]], List[Tuple[int, ...]]]
 
 #: ``columnar``: walk-table draws answered without SQL (single-atom
 #: CQs); ``table``: walk-table draws evaluated by per-draw SQL;
@@ -464,9 +480,11 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     :class:`repro.sql.violations.SQLDeltaViolationIndex`: the full
     self-joins execute once, and subsequent base-table deltas
     (:meth:`apply_update`) refresh the conflict components from pinned
-    delta joins instead of re-running them.  Each component also keeps
-    one repairing chain per campaign, so every draw's walk shares the
-    engine's delta-maintained state.
+    delta joins instead of re-running them.  Components of one chain
+    shape share one walk table for the sampler's life
+    (:meth:`_chain_table`); a component that needs its chain keeps one
+    per campaign, so every draw's walk shares the engine's
+    delta-maintained state.
     """
 
     def __init__(
@@ -496,6 +514,23 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         self.violation_index = SQLDeltaViolationIndex(backend, constraints)
         self.components: Tuple[FrozenSet[Fact], ...] = (
             self.violation_index.components()
+        )
+        #: Walk tables by chain shape (:meth:`_shape_key`); ``None``
+        #: marks a shape past the table's state limit.  A key holds no
+        #: fact, so the cache outlives every :meth:`apply_update`.
+        self._shapes: Dict[Tuple, Optional[ChainShape]] = {}
+        #: Each conflict fact's violation edges (:meth:`_edges_by_fact`).
+        self._fact_edges: Optional[Dict[Fact, List[FrozenSet[Fact]]]] = None
+        #: Whether components may share shapes at all: the generator's
+        #: weights are component-local (its exact type; a subclass may
+        #: reweigh), and its engine checks the violation index's
+        #: constraints, whose constants are ``str`` or ``int``.  Over
+        #: such terms SQL equality is Python's on every backend, so the
+        #: index's edges are the ones the chain's engine finds.
+        self._keyed_shapes = (
+            type(self.generator) in LOCAL_GENERATOR_TYPES
+            and self.generator.constraints == constraints
+            and all(type(value) in (str, int) for value in constraints.constants)
         )
 
     def _fingerprint_parts(self) -> Tuple:
@@ -533,6 +568,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             self.backend.insert_facts(added)
             self.violation_index.apply_insert(added)
         self.components = self.violation_index.components()
+        self._fact_edges = None
         self.campaign.prune_chains(self.components)
         self._refresh_campaign_identity()
         return UpdateReport.from_groups(
@@ -616,12 +652,107 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         """
         return self._plan_outcomes(compiled, start, count, self._chain_table)
 
-    def _chain_table(
-        self, component: FrozenSet[Fact]
-    ) -> Optional[Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]]:
+    def _chain_table(self, component: FrozenSet[Fact]) -> Optional[ComponentTable]:
         """The component's chain as a walk table (``None`` past the
         state limit) with the facts surviving and deleted at each
-        state, deletions ordered as the reference walk orders them."""
+        state, deletions ordered as the reference walk orders them.
+
+        Components of one chain shape (:meth:`_shape_key`) share the
+        first one's table and per-state fact positions, relabelled into
+        their own facts, so no other builds a chain; a shape past the
+        state limit is remembered, and its components are walked.
+        """
+        facts = sorted(component, key=str)
+        key = self._shape_key(facts)
+        if key is None:
+            return self._compiled_table(component)
+        if key not in self._shapes:
+            built = self._compiled_table(component)
+            self._shapes[key] = None if built is None else _positions(built, facts)
+            return built
+        shape = self._shapes[key]
+        if shape is None:
+            return None
+        columnar.EVENTS.inc(stat="walk_tables_shared")
+        table, survivors, deletions = shape
+        return (
+            table,
+            [tuple(facts[p] for p in kept) for kept in survivors],
+            [[facts[p] for p in gone] for gone in deletions],
+        )
+
+    def _shape_key(self, facts: Sequence[Fact]) -> Optional[Tuple]:
+        """What the chain over *facts* (a component in ``str`` order)
+        depends on, written over their positions, or ``None`` when the
+        component must compile on its own.
+
+        The key holds the fact count, the violation edges, the
+        operation universe (every non-empty subset of each edge) in
+        ``str(op)`` order — the engine offers each state's extensions
+        in that order — and, under a :class:`TrustGenerator`, each
+        position's trust.  The edges are the violation index's, which
+        are the chain engine's when :attr:`_keyed_shapes` holds and
+        every term is a ``str`` or ``int``.  A component with any other
+        term, with an edge too wide to enumerate
+        (:data:`MAX_SUBSET_FACTS`), or with two operations (so also two
+        facts) that print alike gets no key: a ``str`` tie leaves the
+        order to set iteration.
+        """
+        if not self._keyed_shapes:
+            return None
+        if any(
+            type(value) not in (str, int) for fact in facts for value in fact.values
+        ):
+            return None
+        position = {fact: i for i, fact in enumerate(facts)}
+        by_fact = self._edges_by_fact()
+        edges = sorted(
+            {
+                tuple(sorted(position[member] for member in edge))
+                for fact in facts
+                for edge in by_fact[fact]
+            }
+        )
+        if any(len(edge) > MAX_SUBSET_FACTS for edge in edges):
+            return None
+        subsets = {
+            subset
+            for edge in edges
+            for size in range(1, len(edge) + 1)
+            for subset in combinations(edge, size)
+        }
+        # Each subset's ``str(Operation.delete(...))``; every fact is in
+        # an edge, so two facts that print alike make two such ties.
+        names = [str(fact) for fact in facts]
+        named = sorted(
+            (
+                f"-{names[subset[0]]}"
+                if len(subset) == 1
+                else "-{" + ", ".join(names[p] for p in subset) + "}",
+                subset,
+            )
+            for subset in subsets
+        )
+        if any(a[0] == b[0] for a, b in zip(named, named[1:])):
+            return None
+        trust = (
+            tuple(self.generator.trust_of(fact) for fact in facts)
+            if type(self.generator) is TrustGenerator
+            else ()
+        )
+        return len(facts), tuple(edges), tuple(s for _, s in named), trust
+
+    def _edges_by_fact(self) -> Dict[Fact, List[FrozenSet[Fact]]]:
+        """Each conflict fact's violation edges (rebuilt per instance)."""
+        if self._fact_edges is None:
+            self._fact_edges = {}
+            for edge in self.violation_index.current():
+                for fact in edge:
+                    self._fact_edges.setdefault(fact, []).append(edge)
+        return self._fact_edges
+
+    def _compiled_table(self, component: FrozenSet[Fact]) -> Optional[ComponentTable]:
+        """:meth:`_chain_table` compiled from the component's own chain."""
         chain = self._component_chain(component)
         table = columnar.compile_walk_table(chain)
         if table is None:
@@ -697,6 +828,17 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         # interleaved object-path callers see the same backend state.
         self.rewriter.clear()
         return outcomes
+
+
+def _positions(built: ComponentTable, facts: Sequence[Fact]) -> ChainShape:
+    """*built*'s survivors and deletions as positions into *facts*."""
+    position = {fact: i for i, fact in enumerate(facts)}
+    table, survivors, deletions = built
+    return (
+        table,
+        [tuple(sorted(position[f] for f in kept)) for kept in survivors],
+        [tuple(position[f] for f in gone) for gone in deletions],
+    )
 
 
 def _shipped(generator: ChainGenerator, constraints: ConstraintSet) -> ChainGenerator:
@@ -970,9 +1112,7 @@ class _ColumnarDrawPlan:
         ]
 
 
-def _keep_one_table(
-    component: FrozenSet[Fact],
-) -> Tuple[columnar.WalkTable, List[Iterable[Fact]], List[List[Fact]]]:
+def _keep_one_table(component: FrozenSet[Fact]) -> ComponentTable:
     """The 1-step walk table of ``rng.choice(facts)``, and its survivors
     and deletions.
 

@@ -11,6 +11,7 @@ table's duplicate-drop correctness rests on.
 """
 
 import contextlib
+import functools
 import random
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constraints import ConstraintSet, parse_constraints
+from repro.constraints import ConstraintSet, key, parse_constraints
 from repro.core import columnar, mt19937
+from repro.core.generators import TrustGenerator, UniformGenerator
 from repro.core.incremental import DeltaViolationIndex
 from repro.core.sampling import sample_walk
 from repro.core.operations import Operation
@@ -455,6 +457,202 @@ class TestDrawRouting:
         finally:
             backend.close()
         assert calls == [400 * 25]
+
+
+# ----------------------------------------------------------------------
+# Chain shapes: a shared walk table == the component's own compile
+# ----------------------------------------------------------------------
+
+#: Constraint families over ``R(k, a, b)`` and ``S(b)``.
+SHAPE_CONSTRAINTS = {
+    "key": "R(x, y, z), R(x, u, w) -> y = u\nR(x, y, z), R(x, u, w) -> z = w",
+    "fd": "R(x, y, z), R(u, y, w) -> z = w",
+    "dc": "R(x, y, z), R(x, u, w) -> y = u\nR(x, y, z), S(z) -> false",
+}
+
+#: Relabellings of a base instance over the values 0-2.  ``int`` and
+#: ``str`` print alike, ``prefix`` keeps the ``str`` order, and
+#: ``shuffled`` (a drawn permutation) usually does not.
+_COPIES = ("int", "str", "prefix", "shuffled")
+
+_base_facts = st.lists(
+    st.one_of(
+        st.tuples(st.just("R"), st.tuples(*[st.integers(0, 2)] * 3)),
+        st.tuples(st.just("S"), st.tuples(st.integers(0, 2))),
+    ),
+    min_size=2,
+    max_size=7,
+    unique=True,
+)
+
+
+def _relabel(copy, permutation):
+    if copy == "int":
+        return lambda value: value
+    if copy == "str":
+        return str
+    if copy == "prefix":
+        return lambda value: f"p{value}"
+    return lambda value: f"q{permutation[value]}"
+
+
+def _assert_same_entry(shared, direct):
+    if direct is None:
+        assert shared is None
+        return
+    table, survivors, deletions = shared
+    twin, twin_survivors, twin_deletions = direct
+    for field in (
+        "absorbing", "uniform", "counts", "denominators", "cumulative", "successors",
+    ):
+        assert getattr(table, field) == getattr(twin, field), field
+    assert [set(kept) for kept in survivors] == [set(kept) for kept in twin_survivors]
+    assert deletions == twin_deletions
+
+
+def _shape_sampler(facts, constraints, generator_factory=UniformGenerator):
+    database = Database(facts)
+    schema = Schema.infer(database).extend(constraints.schema())
+    backend = SQLiteBackend()
+    backend.load(database, schema)
+    sampler = ConstraintRepairSampler(
+        backend,
+        schema,
+        constraints,
+        generator_factory=generator_factory,
+        rng=random.Random(1),
+    )
+    return backend, sampler
+
+
+def _check_shared_entries(sampler):
+    """Every component's (possibly shared) entry against its own
+    compile; returns how many entries were shared."""
+    before = columnar.EVENTS.value(stat="walk_tables_shared")
+    entries = [sampler._chain_table(c) for c in sampler.components]
+    shared = columnar.EVENTS.value(stat="walk_tables_shared") - before
+    for component, entry in zip(sampler.components, entries):
+        _assert_same_entry(entry, sampler._compiled_table(component))
+    return shared
+
+
+class TestChainShapes:
+    """Components of one chain shape share the first one's walk table
+    and per-state fact positions; relabelled into each component's own
+    facts, the entry must equal that component's own compile."""
+
+    @given(
+        family=st.sampled_from(sorted(SHAPE_CONSTRAINTS)),
+        base=_base_facts,
+        permutation=st.permutations(range(3)),
+        trusted=st.booleans(),
+        trust_levels=st.lists(st.integers(0, 4), min_size=7, max_size=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_entry_equals_the_direct_compile(
+        self, family, base, permutation, trusted, trust_levels
+    ):
+        facts, trust = [], {}
+        for copy in _COPIES:
+            label = _relabel(copy, permutation)
+            for index, (relation, values) in enumerate(base):
+                fact = Fact(relation, tuple(label(value) for value in values))
+                facts.append(fact)
+                # Unequal trust within a component; ``shuffled`` draws
+                # its own, so its shapes rarely match the others'.
+                level = trust_levels[(index + (copy == "shuffled")) % 7]
+                trust[fact] = Fraction(level, 4)
+        backend, sampler = _shape_sampler(
+            facts,
+            ConstraintSet(parse_constraints(SHAPE_CONSTRAINTS[family])),
+            (
+                functools.partial(TrustGenerator, trust=trust)
+                if trusted
+                else UniformGenerator
+            ),
+        )
+        try:
+            shared = _check_shared_entries(sampler)
+        finally:
+            backend.close()
+        # The int, str and prefix copies are one shape, component by
+        # component: two of every three share.
+        assert shared >= 2 * len(sampler.components) // len(_COPIES)
+
+    def test_overflowed_shape_is_remembered(self):
+        # Two ten-fact key groups: past compile_walk_table's 512 states.
+        facts = [
+            Fact("R", (group, f"v{i}", f"w{i}"))
+            for group in ("wide", "broad")
+            for i in range(10)
+        ]
+        backend, sampler = _shape_sampler(
+            facts, ConstraintSet(parse_constraints(SHAPE_CONSTRAINTS["key"]))
+        )
+        overflows = columnar.EVENTS.value(stat="walk_table_overflow")
+        try:
+            assert _check_shared_entries(sampler) == 0
+        finally:
+            backend.close()
+        # Shared entries: one overflow, remembered for the second
+        # component.  Direct compiles: one overflow each.
+        assert columnar.EVENTS.value(stat="walk_table_overflow") - overflows == 3
+
+    def test_edges_are_part_of_the_key(self):
+        # Both components' operations are the subsets of {R, S(y), S(z)},
+        # in the same order; only the first also has the edge {R, S(y)}
+        # (x != y), so deleting S(z) alone does not end its walk.
+        constraints = ConstraintSet(
+            parse_constraints(
+                "R(x, y, z), S(y), S(z) -> false\nR(x, y, z), S(y) -> x = y"
+            )
+        )
+        facts = [
+            Fact("R", ("a", "b", "c")), Fact("S", ("b",)), Fact("S", ("c",)),
+            Fact("R", ("e", "e", "f")), Fact("S", ("e",)), Fact("S", ("f",)),
+        ]
+        backend, sampler = _shape_sampler(facts, constraints)
+        try:
+            first, second = (
+                sampler._shape_key(sorted(c, key=str)) for c in sampler.components
+            )
+            assert first[2] == second[2] and first[1] != second[1]
+            assert _check_shared_entries(sampler) == 0
+        finally:
+            backend.close()
+
+    def test_operation_order_is_part_of_the_key(self):
+        # ``R(j, b)`` is a prefix of ``R(j, b)!)``, so the second group's
+        # pair deletions sort out of position order: same edges, another
+        # order of extensions, another table.
+        facts = [
+            Fact("R", (group, value))
+            for group, values in (("k", ("b", "c", "d")), ("j", ("b", "b)!", "d")))
+            for value in values
+        ]
+        backend, sampler = _shape_sampler(facts, ConstraintSet(key("R", 2, [0])))
+        try:
+            first, second = (
+                sampler._shape_key(sorted(c, key=str)) for c in sampler.components
+            )
+            assert first[1] == second[1] and first[2] != second[2]
+            assert _check_shared_entries(sampler) == 0
+        finally:
+            backend.close()
+
+    def test_facts_that_print_alike_compile_alone(self):
+        facts = [
+            Fact("R", (group, value))
+            for group in ("k", "j")
+            for value in (1, "1", "x")
+        ]
+        backend, sampler = _shape_sampler(facts, ConstraintSet(key("R", 2, [0])))
+        try:
+            for component in sampler.components:
+                assert sampler._shape_key(sorted(component, key=str)) is None
+            assert _check_shared_entries(sampler) == 0
+        finally:
+            backend.close()
 
 
 # ----------------------------------------------------------------------

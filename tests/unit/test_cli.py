@@ -229,6 +229,48 @@ class TestSQLSample:
         assert "~CP" in out
         assert "1 conflict components" in out
 
+    def test_trust_generator_weights_each_group(self, capsys, tmp_path, monkeypatch):
+        """Two groups of one shape with different trust walk different
+        tables; the reference walk prints the same estimates."""
+        rows = [("a", "b"), ("a", "c"), ("d", "e"), ("d", "f")]
+        db = Database.of(*(Fact("R", row) for row in rows))
+        db_path = tmp_path / "db.json"
+        save_database(db, db_path)
+        sigma_path = tmp_path / "sigma.txt"
+        sigma_path.write_text("R(x, y), R(x, z) -> y = z\n")
+        trust_path = tmp_path / "trust.json"
+        trust_path.write_text(
+            json.dumps(
+                [
+                    {"relation": "R", "values": ["a", "b"], "trust": 1},
+                    {"relation": "R", "values": ["a", "c"], "trust": 0},
+                ]
+            )
+        )
+        argv = [
+            "sql-sample", "--db", str(db_path), "--constraints", str(sigma_path),
+            "--query", "Q(x, y) :- R(x, y)", "--runs", "200", "--seed", "4",
+            "--generator", "trust", "--trust", str(trust_path),
+        ]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        # Full trust always keeps R(a, b); the d group (default trust)
+        # keeps each fact with probability 3/8.
+        assert "('a', 'b')  ~CP = 1.0000" in out
+        assert "('a', 'c')" not in out
+        monkeypatch.setenv("REPRO_COLUMNAR", "0")
+        assert run_cli(capsys, *argv) == (0, out)
+
+    def test_preference_generator_refused(self, paper_files):
+        db, sigma = paper_files
+        with pytest.raises(SystemExit, match="not component-local"):
+            main(
+                [
+                    "sql-sample", "--db", db, "--constraints", sigma,
+                    "--query", "Q(x) :- Pref(x, y)", "--generator", "preference",
+                ]
+            )
+
     def test_rejects_tgds(self, tmp_path, key_files):
         db, _ = key_files
         sigma_path = tmp_path / "tgd.txt"
