@@ -269,11 +269,10 @@ def scenario_columnar(repeat: int) -> dict:
     both draw engines at two conflict-group counts: the compiled
     columnar plan, the production default, and the object reference
     loop, forced via ``REPRO_COLUMNAR=0`` (read per call, so flipping
-    the variable mid-process switches paths).  At 40 draws a range
-    holds 1,600 or 3,200 (component, draw) seeds, under
-    ``sql.sampler.MIN_VECTOR_SEEDS``, so the plan never batch-seeds
-    MT19937 word columns: each draw replays its component's walk table
-    with its own seeded ``random.Random``.  The estimates are asserted identical,
+    the variable mid-process switches paths).  The columnar plan reads
+    each (component, draw)'s first keyed-blake2b block straight into
+    its component's uniform walk table; the object loop walks each
+    chain with the same draw's ``DrawStream``.  The estimates are asserted identical,
     making this the benchmark-side conformance check between the two
     paths; the wall-clock ratio is the columnar engine's speedup, and
     the 40-group ratio carries an absolute floor in the regression gate

@@ -14,9 +14,11 @@ A :class:`SamplingCampaign`
 - **owns the warm chains**: one repairing chain per conflict group /
   component, cached across draws *and* across ``run()`` calls;
 - **owns draw-indexed substreams**: draw *i* of group *g* has its own
-  RNG (:meth:`SamplingCampaign.rng_at`), seeded from the campaign seed,
-  the group key, and the draw index — the campaign's only source of
-  randomness.  Because a draw depends on nothing but
+  RNG (:meth:`SamplingCampaign.rng_at`), a counter-based stream
+  (:class:`DrawStream`) whose words are keyed blake2b blocks of
+  ``(i, block)`` under a key digested from the campaign seed and the
+  group's structural key — the campaign's only source of randomness.
+  Because a draw depends on nothing but
   ``(seed, group, index)``, draw sequences are independent of batch
   boundaries (so checkpoint/resume reproduces uninterrupted runs bit
   for bit), and any draw range can be computed anywhere — a remote
@@ -51,6 +53,7 @@ import hashlib
 import os
 import pickle
 import random
+import struct
 from dataclasses import dataclass
 
 try:
@@ -82,7 +85,7 @@ from repro.obs import trace as obs_trace
 from repro.service.deadline import Deadline, DeadlineExpired
 
 #: Bumped whenever the checkpoint payload layout changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _DRAWS = obs_metrics.REGISTRY.counter(
     "ocqa_draws_total",
@@ -97,14 +100,120 @@ _CHECKPOINT_SAVES = obs_metrics.REGISTRY.counter(
 )
 
 
-def draw_rng(seed: Any, key: Any, index: int) -> random.Random:
+#: One block's counter: the draw index and the block number.
+_COUNTER = struct.Struct("<QQ")
+#: A 64-byte blake2b block read as sixteen 32-bit words.
+_BLOCK = struct.Struct("<16I")
+#: Words per block: a walk that needs more reads block 1, 2, ...
+BLOCK_WORDS = 16
+
+
+def stream_hasher(seed: Any, key: Any) -> hashlib.blake2b:
+    """The keyed blake2b hasher of every draw of group *key* under *seed*.
+
+    Its 32-byte key digests ``repr(seed)`` and the group's structural
+    key, each part length-prefixed: a component (a ``frozenset`` of
+    facts) contributes its members' ``repr`` sorted by ``repr``, any
+    other key its own ``repr``.  So ``R(1, x)`` and ``R('1', x)``,
+    which print alike, key different streams.  Callers that draw a
+    group many times keep the hasher and read blocks with
+    :func:`block_words`.
+    """
+    if isinstance(key, frozenset):
+        parts = sorted(repr(item) for item in key)
+    else:
+        parts = [repr(key)]
+    material = hashlib.blake2b(digest_size=32)
+    for part in (repr(seed), *parts):
+        data = part.encode("utf-8")
+        material.update(len(data).to_bytes(8, "little"))
+        material.update(data)
+    return hashlib.blake2b(key=material.digest(), digest_size=64)
+
+
+def block_words(
+    hasher: hashlib.blake2b, index: int, block: int = 0
+) -> Tuple[int, ...]:
+    """Words ``16 * block`` to ``16 * block + 15`` of draw *index*."""
+    digest = hasher.copy()
+    digest.update(_COUNTER.pack(index, block))
+    return _BLOCK.unpack(digest.digest())
+
+
+class DrawStream(random.Random):
+    """The RNG of one draw: a counter-based stream in the sense of
+    Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+    (SC 2011).
+
+    Word ``w`` of draw *index* is word ``w % 16`` of the keyed blake2b
+    block of ``(index, w // 16)`` (:func:`block_words`).
+    ``getrandbits(k)`` consumes ``ceil(k / 32)`` words (``word >> (32 -
+    k)`` for ``k <= 32``; wider requests fill least significant word
+    first, as CPython's Mersenne Twister does) and :meth:`random`
+    consumes two, so ``randrange``, ``choice`` and every other
+    ``random.Random`` method run their own code over these words.
+    """
+
+    def __new__(cls, *args: Any) -> "DrawStream":
+        # Before CPython 3.11 the base type seeds its Mersenne Twister
+        # from the constructor's arguments and takes at most one; a
+        # constant seed keeps that cheap and the arguments ours.
+        return super().__new__(cls, 0)
+
+    def __init__(self, hasher: hashlib.blake2b, index: int) -> None:
+        # random.Random.__init__ would seed the unused Mersenne Twister.
+        self._hasher = hasher
+        self._index = index
+        self._blocks = 0
+        self._words: List[int] = []
+        self.gauss_next = None
+
+    def seed(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(
+            "a draw stream is fixed by (seed, key, index); build another "
+            "with draw_rng"
+        )
+
+    def _word(self) -> int:
+        words = self._words
+        if not words:
+            words = self._words = list(
+                block_words(self._hasher, self._index, self._blocks)
+            )
+            words.reverse()
+            self._blocks += 1
+        return words.pop()
+
+    def getrandbits(self, k: int) -> int:
+        if k <= 32:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            return self._word() >> (32 - k) if k else 0
+        value = 0
+        shift = 0
+        while k > 0:
+            word = self._word()
+            if k < 32:
+                word >>= 32 - k
+            value |= word << shift
+            shift += 32
+            k -= 32
+        return value
+
+    def random(self) -> float:
+        high = self._word() >> 5
+        low = self._word() >> 6
+        return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
+def draw_rng(seed: Any, key: Any, index: int) -> DrawStream:
     """The RNG substream of draw *index* for group *key* under *seed*.
 
     The module-level form of :meth:`SamplingCampaign.rng_at`: workers in
     :mod:`repro.distributed` reproduce a coordinator's draws from just
     ``(seed, key, index)``, without holding the campaign object.
     """
-    return random.Random(f"{seed}:{_key_str(key)}#{index}")
+    return DrawStream(stream_hasher(seed, key), index)
 
 
 class CheckpointMismatchError(RuntimeError):
@@ -159,76 +268,51 @@ def campaign_fingerprint(*parts: Any) -> str:
     return digest.hexdigest()
 
 
-def generator_signature(generator: Any) -> Tuple:
-    """Best-effort semantic identity of a chain generator, in ``str`` forms.
+def generator_identity(generator: Any) -> Tuple:
+    """Best-effort semantic identity of a chain generator, in ``repr`` forms.
 
     Covers the class plus the configuration the in-repo generators
     carry (constraint set, trust mapping, preference relation).  A
     generator with an opaque payload (e.g. ``FunctionGenerator``'s
     closure) additionally contributes its object identity, so two
     distinct opaque generators never share a checkpoint — at the cost
-    of cross-process reuse for that class.  It feeds RNG stream keys and
-    checkpoint fingerprints; ``str`` prints ``1`` and ``'1'`` alike, so
-    warm chains key on :func:`generator_identity` instead.
+    of cross-process reuse for that class.  It feeds checkpoint
+    fingerprints and a shared estimator campaign's stream key; ``repr``
+    tells ``1`` from ``'1'``, which ``str`` prints alike.
     """
-    return _generator_parts(generator, str)
-
-
-def generator_identity(generator: Any) -> Tuple:
-    """:func:`generator_signature`'s parts in structural ``repr`` forms:
-    the generator half of a shared campaign's warm-chain key."""
-    return _generator_parts(generator, repr)
-
-
-def _generator_parts(generator: Any, render: Callable[[Any], str]) -> Tuple:
     parts: List[Any] = [type(generator).__qualname__]
     constraints = getattr(generator, "constraints", None)
     if constraints is not None:
-        parts.append(tuple(sorted(render(c) for c in constraints)))
+        parts.append(tuple(sorted(repr(c) for c in constraints)))
     trust = getattr(generator, "trust", None)
     if trust is not None:
         try:
             parts.append(
-                tuple(sorted((render(k), render(v)) for k, v in trust.items()))
+                tuple(sorted((repr(k), repr(v)) for k, v in trust.items()))
             )
         except AttributeError:
             parts.append(("trust", repr(trust)))
     for attr in ("default_trust", "relation"):
         value = getattr(generator, attr, None)
         if value is not None:
-            parts.append((attr, render(value)))
+            parts.append((attr, repr(value)))
     if hasattr(generator, "_fn"):
         parts.append(("identity", id(generator)))
     return tuple(parts)
 
 
-def _key_str(key: Any) -> str:
-    """A deterministic, process-independent string form of a group key:
-    the RNG stream key of :func:`draw_rng`.
-
-    Collection parts are length-prefixed before joining, so member
-    strings containing the separator cannot collide.  ``str`` prints
-    ``1`` and ``'1'`` alike, though, so two groups that print alike
-    share a substream; warm chains key on the fact set itself
-    (:meth:`SamplingCampaign.chain`), so each still walks its own chain.
-    """
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (tuple, list, set, frozenset)):
-        parts = sorted(str(item) for item in key)
-        return "|".join(f"{len(part)}#{part}" for part in parts)
-    return str(key)
-
-
 def group_key(facts: Iterable[Any]) -> str:
     """The printable name of one conflict group/component.
 
-    The encoding of its RNG substream key (:func:`_key_str` over the
-    fact set).  Groups that print alike share a name, so identity
-    checks compare the fact sets themselves; an :class:`UpdateReport`
-    only names its touched groups with it.
+    Its members' ``str`` forms, sorted and length-prefixed so member
+    strings containing the separator cannot collide.  ``str`` prints
+    ``1`` and ``'1'`` alike, so groups that print alike share a name:
+    identity checks compare the fact sets themselves, and RNG streams
+    key on the members' ``repr`` (:func:`stream_hasher`).  An
+    :class:`UpdateReport` only names its touched groups with it.
     """
-    return _key_str(frozenset(facts))
+    parts = sorted(str(item) for item in frozenset(facts))
+    return "|".join(f"{len(part)}#{part}" for part in parts)
 
 
 @dataclass(frozen=True)
@@ -430,9 +514,9 @@ class SamplingCampaign:
         """The warm chain for group *key*, built on first use.
 
         *key* is structural and hashable (a component's fact set, or an
-        estimator's generator identity and instance): never the
-        :func:`_key_str` stream key, which prints ``1`` and ``'1'``
-        alike and would hand one group another's chain.
+        estimator's stream key): never a :func:`group_key` name, which
+        prints ``1`` and ``'1'`` alike and would hand one group
+        another's chain.
         """
         chain = self._chains.get(key)
         if chain is None:

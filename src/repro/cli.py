@@ -71,21 +71,36 @@ def _build_generator(args: argparse.Namespace, constraints):
     raise SystemExit(f"unknown generator {name!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_instance(parser: argparse.ArgumentParser) -> None:
+    """The input every subcommand over an instance reads."""
     parser.add_argument("--db", required=True, help="database JSON file")
     parser.add_argument("--constraints", required=True, help="constraint text file")
+
+
+def _add_generator(
+    parser: argparse.ArgumentParser, preference_relation: bool = True
+) -> None:
+    """The chain-generator flags :func:`_build_generator` reads.
+
+    ``sql-sample`` refuses the preference generator before building
+    one, so it takes no ``--preference-relation``.
+    """
     parser.add_argument(
         "--generator",
         default="uniform",
         choices=["uniform", "deletion", "preference", "trust"],
         help="repairing Markov chain generator",
     )
-    parser.add_argument(
-        "--preference-relation",
-        default="Pref",
-        help="relation name for the preference generator",
-    )
+    if preference_relation:
+        parser.add_argument(
+            "--preference-relation",
+            default="Pref",
+            help="relation name for the preference generator",
+        )
     parser.add_argument("--trust", help="trust JSON file for the trust generator")
+
+
+def _add_max_states(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-states",
         type=int,
@@ -574,24 +589,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("violations", help="list constraint violations")
-    _add_common(p)
+    _add_instance(p)
     p.set_defaults(fn=_cmd_violations)
 
     p = sub.add_parser("diagnose", help="summarise the inconsistency of a database")
-    _add_common(p)
+    _add_instance(p)
     p.set_defaults(fn=_cmd_diagnose)
 
     p = sub.add_parser("repairs", help="exact operational repair distribution")
-    _add_common(p)
+    _add_instance(p)
+    _add_generator(p)
+    _add_max_states(p)
     p.set_defaults(fn=_cmd_repairs)
 
     p = sub.add_parser("oca", help="exact operational consistent answers")
-    _add_common(p)
+    _add_instance(p)
+    _add_generator(p)
+    _add_max_states(p)
     p.add_argument("--query", required=True, help='e.g. "Q(x) :- R(x, y)"')
     p.set_defaults(fn=_cmd_oca)
 
     p = sub.add_parser("sample", help="additive-error approximate answers")
-    _add_common(p)
+    _add_instance(p)
+    _add_generator(p)
     p.add_argument("--query", required=True)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
@@ -611,12 +631,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("chain", help="render the repairing Markov chain")
-    _add_common(p)
+    _add_instance(p)
+    _add_generator(p)
+    _add_max_states(p)
     p.add_argument("--format", choices=["ascii", "dot"], default="ascii")
     p.set_defaults(fn=_cmd_chain)
 
     p = sub.add_parser("abc", help="classical ABC repairs and certain answers")
-    _add_common(p)
+    _add_instance(p)
     p.add_argument("--query", help="optionally compute certain answers")
     p.set_defaults(fn=_cmd_abc)
 
@@ -625,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Section 5 scheme: sample repairs inside a SQL backend "
         "(TGD-free constraints)",
     )
-    _add_common(p)
+    _add_instance(p)
+    _add_generator(p, preference_relation=False)
     p.add_argument("--query", required=True)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)

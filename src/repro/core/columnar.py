@@ -9,15 +9,15 @@ provides the columnar counterparts:
   fact-code arrays with an alive bitmap, so monotone deletions kill
   edges via one vectorized membership join instead of a per-edge
   ``isdisjoint``;
-- :func:`compile_walk_table` / :class:`WalkArena` — a repairing chain's
-  reachable states flattened into successor tables.  Every draw of the
-  SQL samplers (:mod:`repro.sql.sampler`) reads its component's table,
-  which a sampler compiles once per chain shape and shares among the
-  components of that shape: a range of at least ``MIN_VECTOR_SEEDS``
-  seeds is stepped at once over pre-seeded MT19937 word columns
-  (:mod:`repro.core.mt19937`, whose batch seeding costs a fixed
-  ~10 ms), a smaller one replays each draw with its own seeded
-  ``random.Random`` (:func:`replay_walk`).
+- :func:`compile_walk_table` — a repairing chain's reachable states
+  flattened into successor tables.  Every draw of the SQL samplers
+  (:mod:`repro.sql.sampler`) reads its component's table, which a
+  sampler compiles once per chain shape and shares among the
+  components of that shape.  A draw on a table whose states are all
+  uniform reads the first 64-byte block of its counter-based stream
+  (:func:`repro.campaign.block_words`) straight into the walk; any
+  other draw replays the table with its own
+  :class:`~repro.campaign.DrawStream` (:func:`replay_walk`).
 
 Everything here is an *accelerator*, never a semantic fork: each
 consumer keeps the object path as the reference implementation, reached
@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised via the availability gate
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
 
-from repro.core import mt19937
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "numpy_available",
     "EdgeMembershipIndex",
     "WalkTable",
-    "WalkArena",
     "compile_walk_table",
     "replay_walk",
     "EVENTS",
@@ -80,10 +78,8 @@ def available() -> bool:
 
 #: How much work ran on the columnar paths, by stat (plans compiled;
 #: walk tables compiled, or shared by a component of a shape already
-#: compiled (``walk_tables_shared``); draws ``draws_vectorized``, seeded one at a time because their range
-#: was under ``MIN_VECTOR_SEEDS`` (``draws_small_range``), replayed after
-#: an exhausted word budget or on a weighted table or over-long seed
-#: (``draws_replayed``), or walked on an overflowed chain
+#: compiled (``walk_tables_shared``); draws read off a walk table
+#: (``draws_table``) or walked on an overflowed chain
 #: (``draws_walked``); vector joins, edge indexes, ...) —
 #: ``diagnostics.cache_report().columnar``.  In the default registry,
 #: not the worker one, so serial runs count too; ``always=True`` keeps it
@@ -91,8 +87,8 @@ def available() -> bool:
 EVENTS = obs_metrics.REGISTRY.counter(
     "ocqa_columnar_events_total",
     "Columnar-core events by stat (plans compiled, walk tables compiled "
-    "or shared, draws vectorized, in small ranges, replayed or walked, "
-    "vector joins, edge indexes, ...).",
+    "or shared, draws read off tables or walked, vector joins, edge "
+    "indexes, ...).",
     ("stat",),
     always=True,
 )
@@ -235,8 +231,11 @@ class WalkTable:
     reached :class:`~repro.core.state.RepairState` in ``payload`` so
     callers can project survivors/deletions once per *state* instead of
     once per walk.  Replaying the table with the draw's own
-    ``random.Random`` consumes exactly the words the object path would —
-    that is the byte-identity invariant everything above relies on.
+    :class:`~repro.campaign.DrawStream` consumes exactly the words the
+    object path would — that is the byte-identity invariant everything
+    above relies on.  A complete table (:meth:`finish`) whose states are
+    all uniform also carries ``shifts``, so a draw can apply
+    ``randrange``'s rejection rule to raw 32-bit words.
     """
 
     __slots__ = (
@@ -247,7 +246,7 @@ class WalkTable:
         "cumulative",
         "successors",
         "payload",
-        "vectorizable",
+        "shifts",
     )
 
     def __init__(self) -> None:
@@ -258,10 +257,23 @@ class WalkTable:
         self.cumulative: List[Tuple[int, ...]] = []
         self.successors: List[Tuple[int, ...]] = []
         self.payload: List[Any] = []
-        self.vectorizable = True
+        #: Per state, the shift that turns a 32-bit word into
+        #: ``randrange(counts[s])``'s candidate (it reads
+        #: ``getrandbits(counts[s].bit_length())``); ``None`` when a
+        #: state is weighted or the table is not finished.
+        self.shifts: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return len(self.absorbing)
+
+    def finish(self) -> "WalkTable":
+        """Set :attr:`shifts` once every state is appended."""
+        self.shifts = (
+            [32 - count.bit_length() for count in self.counts]
+            if all(self.uniform)
+            else None
+        )
+        return self
 
 
 def compile_walk_table(
@@ -309,7 +321,6 @@ def compile_walk_table(
             denominator, cumulative = _prepared_draw(transitions)
             table.denominators.append(denominator)
             table.cumulative.append(cumulative)
-            table.vectorizable = False
         row: List[int] = []
         for op, _ in transitions:
             successor = chain.step(state, op)
@@ -330,16 +341,14 @@ def compile_walk_table(
         table.payload.append(None)
         position += 1
     EVENTS.inc(stat="walk_tables_compiled")
-    return table
+    return table.finish()
 
 
 def replay_walk(table: WalkTable, rng: Any) -> int:
     """Walk *table* with *rng*, returning the absorbing state id.
 
-    *rng* is either a real ``random.Random`` (seeded exactly as the
-    object path would seed it) or a :class:`~repro.core.mt19937.WordStream`
-    — both expose ``randrange``; the stream raises :class:`IndexError`
-    on word exhaustion, which callers turn into a real-RNG retry.
+    *rng* is the draw's :class:`~repro.campaign.DrawStream`, keyed
+    exactly as the object path keys it, so both consume the same words.
     """
     state = 0
     while not table.absorbing[state]:
@@ -350,103 +359,3 @@ def replay_walk(table: WalkTable, rng: Any) -> int:
             choice = bisect_right(table.cumulative[state], draw)
         state = table.successors[state][choice]
     return state
-
-
-class WalkArena:
-    """Uniform walk tables concatenated for vectorized batch stepping.
-
-    Instances (one per pending draw) start at their table's initial
-    state; each iteration consumes one pre-seeded MT19937 word per
-    active instance, applies CPython's ``_randbelow`` rejection rule as
-    a mask, and steps accepted instances through the shared successor
-    matrix.  Instances that exhaust their word column are flagged for
-    per-instance replay rather than ever producing a different draw.
-    """
-
-    __slots__ = ("initial", "_absorbing", "_counts", "_shifts", "_successors")
-
-    def __init__(self, tables: Sequence[WalkTable]) -> None:
-        if any(not table.vectorizable for table in tables):
-            raise ValueError("arena requires uniform-only walk tables")
-        offsets: List[int] = []
-        total = 0
-        for table in tables:
-            offsets.append(total)
-            total += len(table)
-        self.initial = _np.asarray(offsets, dtype=_np.int64)
-        absorbing = _np.empty(total, dtype=bool)
-        counts = _np.ones(total, dtype=_np.int64)
-        shifts = _np.zeros(total, dtype=_np.int64)
-        fanout = max(
-            (table.counts[s] for table in tables for s in range(len(table))),
-            default=1,
-        )
-        successors = _np.zeros((total, max(fanout, 1)), dtype=_np.int64)
-        for table, offset in zip(tables, offsets):
-            for state in range(len(table)):
-                row = offset + state
-                absorbing[row] = table.absorbing[state]
-                if table.absorbing[state]:
-                    continue
-                count = table.counts[state]
-                counts[row] = count
-                shifts[row] = 32 - count.bit_length()
-                for choice, successor in enumerate(table.successors[state]):
-                    successors[row, choice] = offset + successor
-        self._absorbing = absorbing
-        self._counts = counts
-        self._shifts = shifts
-        self._successors = successors
-
-    def run_grid(
-        self, repeats: int, words: "_np.ndarray"
-    ) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """Walk *repeats* instances per table, tables in arena order.
-
-        Instance layout is table-major — instance ``t * repeats + r`` is
-        repeat ``r`` of table ``t`` — matching a word matrix built from
-        seeds enumerated the same way.
-        """
-        table_of = _np.repeat(
-            _np.arange(len(self.initial), dtype=_np.int64), repeats
-        )
-        return self.run(table_of, words)
-
-    def run(
-        self, table_of: "_np.ndarray", words: "_np.ndarray"
-    ) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """Walk every instance; returns ``(final_state, completed)``.
-
-        *table_of* maps instance → table index (into the construction
-        order); *words* is the ``(W, n)`` uint32 word matrix, column per
-        instance.  ``final_state[i]`` is meaningful only where
-        ``completed[i]`` — exhausted instances must be replayed.
-        """
-        word_matrix = words.astype(_np.int64)
-        budget = word_matrix.shape[0]
-        count = word_matrix.shape[1]
-        state = self.initial[table_of]
-        cursor = _np.zeros(count, dtype=_np.int64)
-        completed = _np.ones(count, dtype=bool)
-        active = ~self._absorbing[state]
-        while True:
-            indices = _np.flatnonzero(active)
-            if indices.size == 0:
-                break
-            exhausted = cursor[indices] >= budget
-            if exhausted.any():
-                dead = indices[exhausted]
-                completed[dead] = False
-                active[dead] = False
-                indices = indices[~exhausted]
-                if indices.size == 0:
-                    break
-            rows = state[indices]
-            draws = word_matrix[cursor[indices], indices] >> self._shifts[rows]
-            cursor[indices] += 1
-            accepted = draws < self._counts[rows]
-            stepped = indices[accepted]
-            if stepped.size:
-                state[stepped] = self._successors[rows[accepted], draws[accepted]]
-                active[stepped] = ~self._absorbing[state[stepped]]
-        return state, completed

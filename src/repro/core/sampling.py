@@ -198,23 +198,22 @@ class ApproximationResult:
 def _chain_key(
     generator: ChainGenerator, database: Database, private: bool
 ) -> str:
-    """The RNG stream key of an estimator call.
+    """The RNG stream key of an estimator call, and its warm chain's key.
 
-    For a *private* (per-call) campaign a constant key avoids
-    stringifying the whole instance.  A shared campaign keys on the
-    generator's semantic signature (class plus configuration — see
-    :func:`repro.campaign.generator_signature`) and the instance's
-    facts, both in ``str`` forms.  Those print ``1`` and ``'1'`` alike,
-    so the warm chain itself is keyed structurally (see
-    :func:`_run_chain_campaign`).
+    For a *private* (per-call) campaign a constant key avoids rendering
+    the whole instance.  A shared campaign keys on the generator's
+    structural identity (:func:`repro.campaign.generator_identity`) and
+    the instance's facts, both in ``repr`` forms, so instances or
+    generator configurations that print alike (``1`` and ``'1'``) draw
+    different streams and walk different chains.
     """
     if private:
         return "root"
-    from repro.campaign import campaign_fingerprint, generator_signature
+    from repro.campaign import campaign_fingerprint, generator_identity
 
     return campaign_fingerprint(
-        generator_signature(generator),
-        tuple(str(fact) for fact in database.sorted_facts),
+        generator_identity(generator),
+        tuple(sorted(repr(fact) for fact in database)),
     )
 
 
@@ -240,11 +239,12 @@ def chain_outcomes_for_range(
     not — or ``None`` for a failing walk discarded under
     *allow_failing*.
     """
-    from repro.campaign import draw_rng
+    from repro.campaign import DrawStream, stream_hasher
 
+    hasher = stream_hasher(seed, stream_key)
     outcomes: List[Any] = []
     for index in range(start, start + count):
-        walk = sample_walk(chain, draw_rng(seed, stream_key, index))
+        walk = sample_walk(chain, DrawStream(hasher, index))
         if not _accept_walk(walk, allow_failing):
             outcomes.append(None)
         elif candidate is None:
@@ -278,19 +278,16 @@ def _run_chain_campaign(
     across its workers (the caller closes it).  Either way the draws
     are :func:`chain_outcomes_for_range` over the campaign's substreams.
     """
-    from repro.campaign import SamplingCampaign, generator_identity
+    from repro.campaign import SamplingCampaign
     from repro.distributed import ShardContext
 
     private = campaign is None
     if private:
         campaign = SamplingCampaign(rng=rng, adaptive=bool(adaptive))
-    stream_key = _chain_key(generator, database, private)
     # A shared campaign reuses a chain only for the same repair
     # distribution: the same generator configuration and instance.
-    chain_key = (
-        stream_key if private else (generator_identity(generator), database)
-    )
-    chain = campaign.chain(chain_key, lambda: generator.chain(database))
+    stream_key = _chain_key(generator, database, private)
+    chain = campaign.chain(stream_key, lambda: generator.chain(database))
     if coordinator is None:
 
         def draw(batch: int):

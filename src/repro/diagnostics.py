@@ -139,11 +139,11 @@ class CacheReport:
     #: service is being pushed and what it refused rather than queued.
     overload: Dict[str, object] = field(default_factory=dict)
     #: Columnar-core counters (``ocqa_columnar_events_total``): how much
-    #: work ran on the vectorized array paths (plans compiled, walk
-    #: tables compiled or shared by a component of the same chain shape,
-    #: draws vectorized, seeded one at a time in a small range, replayed
-    #: or walked, edge-index joins) versus the object fallbacks — the
-    #: observability for ``REPRO_COLUMNAR``.
+    #: work ran on the columnar paths (plans compiled, walk tables
+    #: compiled or shared by a component of the same chain shape, draws
+    #: read off walk tables or walked on overflowed chains, edge-index
+    #: joins) versus the object fallbacks — the observability for
+    #: ``REPRO_COLUMNAR``.
     columnar: Dict[str, int] = field(default_factory=dict)
     #: Query-service result-cache counters (``ocqa_cache_*_total``),
     #: summed over every cache this process ran: hits, misses,
@@ -185,17 +185,13 @@ class CacheReport:
                 f"{self.transport.get('compressed_frames', 0)} compressed frame(s))"
             )
         if self.columnar:
-            drawn = self.columnar.get("draws_vectorized", 0)
-            small = self.columnar.get("draws_small_range", 0)
-            replayed = self.columnar.get("draws_replayed", 0)
-            walked = self.columnar.get("draws_walked", 0)
             lines.append(
                 "columnar: "
                 f"{self.columnar.get('plans_compiled', 0)} plan(s), "
                 f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s) "
                 f"compiled / {self.columnar.get('walk_tables_shared', 0)} shared, "
-                f"{drawn} draw(s) vectorized / {small} in small ranges / "
-                f"{replayed} replayed / {walked} walked, "
+                f"{self.columnar.get('draws_table', 0)} draw(s) from tables / "
+                f"{self.columnar.get('draws_walked', 0)} walked, "
                 f"{self.columnar.get('vector_joins', 0)} vector join(s), "
                 f"{self.columnar.get('edge_index_builds', 0)} edge index(es)"
             )

@@ -27,11 +27,13 @@ constructs it from key specifications, with three policies:
   generator.
 
 Every draw comes from its component's compiled walk table
-(:func:`repro.core.columnar.compile_walk_table`): a range's substreams
-are seeded one at a time with ``random.Random`` or, at
-:data:`MIN_VECTOR_SEEDS` seeds and above, in one vectorized MT19937
-batch, and the absorbing state each walk reaches indexes the
-component's precomputed survivors and deletions.  A sampler compiles
+(:func:`repro.core.columnar.compile_walk_table`): on a table whose
+states are all uniform, the draw's first 64-byte block of its
+counter-based stream (:func:`repro.campaign.block_words`) drives the
+walk directly, and any other draw replays the table with its
+:class:`~repro.campaign.DrawStream`.  The absorbing state each walk
+reaches indexes the component's precomputed survivors and deletions.
+A sampler compiles
 one table per chain *shape* (:meth:`ConstraintRepairSampler._shape_key`:
 the fact count, violation edges and ``str(op)``-ordered operation
 universe over the component's facts in ``str`` order, plus each fact's
@@ -53,7 +55,9 @@ The samplers run the same SQL on any :class:`repro.sql.backend.SQLBackend`
 (SQLite or PostgreSQL).  All per-component randomness flows through the
 campaign's draw-indexed RNG substreams
 (:meth:`repro.campaign.SamplingCampaign.rng_at`): draw
-``i`` of component ``g`` depends only on ``(campaign seed, g, i)``, so
+``i`` of component ``g`` depends only on ``(campaign seed, g, i)``,
+with ``g`` keyed by its facts' ``repr`` (so components that print
+alike draw different streams), so
 draws are independent of batch boundaries, a checkpointed campaign
 resumes with bit-identical sequences, and any draw range can be
 computed by any worker — the contract behind :mod:`repro.distributed`.
@@ -67,7 +71,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -86,15 +89,18 @@ from typing import (
 )
 
 from repro.campaign import (
+    BLOCK_WORDS,
+    DrawStream,
     SamplingCampaign,
     UpdateReport,
-    _key_str,
+    block_words,
     campaign_fingerprint,
-    generator_signature,
+    generator_identity,
+    stream_hasher,
 )
 from repro.constraints.base import ConstraintSet
 from repro.constraints.shortcuts import key as key_constraints
-from repro.core import columnar, mt19937
+from repro.core import columnar
 from repro.core.chain import ChainGenerator, RepairingChain
 from repro.core.generators import TrustGenerator, UniformGenerator
 from repro.core.justified import MAX_SUBSET_FACTS
@@ -259,10 +265,10 @@ class BaseCampaignSampler:
         #: base-table delta.
         self._columnar_plans: Dict[Any, Any] = {}
         #: Each component's draw source, shared by every compiled query
-        #: of this campaign, and the source over all components that
+        #: of this campaign, and the sources of all components that
         #: :meth:`deletions_for_range` reads; invalidated with the plans.
         self._component_draws: Dict[FrozenSet[Fact], _ComponentDraws] = {}
-        self._deletion_source: Optional[_DrawSource] = None
+        self._deletion_entries: Optional[List[_ComponentDraws]] = None
 
     def fingerprint(self) -> str:
         """The campaign identity of this sampler's semantic inputs."""
@@ -286,7 +292,7 @@ class BaseCampaignSampler:
         self._shard_contexts.clear()
         self._columnar_plans.clear()
         self._component_draws.clear()
-        self._deletion_source = None
+        self._deletion_entries = None
         if self.campaign.fingerprint:
             self.campaign.fingerprint = self.fingerprint()
 
@@ -538,7 +544,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             type(self).__name__,
             self.schema.fingerprint(),
             tuple(sorted(repr(c) for c in self.constraints)),
-            generator_signature(self.generator),
+            generator_identity(self.generator),
         )
 
     # ------------------------------------------------------------------
@@ -775,12 +781,12 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         for component in components:
             entry = cache.get(component)
             if entry is None:
-                prefix = f"{self.campaign.seed}:{_key_str(component)}#"
+                hasher = stream_hasher(self.campaign.seed, component)
                 built = walk_table(component)
                 entry = (
-                    _ComponentDraws(prefix, self._component_chain(component))
+                    _ComponentDraws(hasher, self._component_chain(component))
                     if built is None
-                    else _ComponentDraws(prefix, None, *built)
+                    else _ComponentDraws(hasher, None, *built)
                 )
                 cache[component] = entry
             entries.append(entry)
@@ -790,12 +796,12 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         self, start: int, count: int, walk_table: WalkTableFn
     ) -> List[List[Fact]]:
         """``deletions_for_range`` read off the components' states."""
-        source = self._deletion_source
-        if source is None:
-            source = _DrawSource(self._draws_for(self.components, walk_table))
-            self._deletion_source = source
+        entries = self._deletion_entries
+        if entries is None:
+            entries = self._draws_for(self.components, walk_table)
+            self._deletion_entries = entries
         per_run: List[List[Fact]] = [[] for _ in range(count)]
-        for entry, states in zip(source.entries, source.states(start, count)):
+        for entry, states in zip(entries, _draw_states(entries, start, count)):
             deletions = entry.deletions
             for run, state in zip(per_run, states):
                 run.extend(deletions[state])
@@ -938,47 +944,82 @@ class KeyRepairSampler(ConstraintRepairSampler):
 class _ComponentDraws:
     """One conflict component's draw source, built once per campaign.
 
-    ``random.Random(prefix_text + str(i))`` is exactly the component's
-    ``draw_rng(seed, component, i)``.  ``table`` is its walk table, or
-    ``None`` when the chain overflowed the table's state limit: then
-    ``chain`` is walked draw by draw, and each result not seen before
-    is appended as a new state.  ``survivors[s]`` and ``deletions[s]``
-    are the facts kept and removed at absorbing state ``s``.
+    ``hasher`` is the component's keyed stream hasher
+    (:func:`repro.campaign.stream_hasher`), so ``DrawStream(hasher, i)``
+    is exactly ``draw_rng(seed, component, i)``.  ``table`` is its walk
+    table, or ``None`` when the chain overflowed the table's state
+    limit: then ``chain`` is walked draw by draw, and each result not
+    seen before is appended as a new state.  ``survivors[s]`` and
+    ``deletions[s]`` are the facts kept and removed at absorbing state
+    ``s``.
     """
 
     __slots__ = (
-        "prefix_text",
+        "hasher",
         "chain",
         "table",
         "survivors",
         "deletions",
-        "vectorizable",
         "_reached",
     )
 
     def __init__(
         self,
-        prefix_text: str,
+        hasher: Any,
         chain: Optional[RepairingChain],
         table: Optional[columnar.WalkTable] = None,
         survivors: Sequence[Iterable[Fact]] = (),
         deletions: Sequence[List[Fact]] = (),
     ) -> None:
-        self.prefix_text = prefix_text
+        self.hasher = hasher
         self.chain = chain
         self.table = table
         self.survivors = list(survivors)
         self.deletions = list(deletions)
-        self.vectorizable = (
-            table is not None
-            and table.vectorizable
-            and len(prefix_text.encode()) <= _MAX_BATCH_PREFIX
-        )
         self._reached: Dict[Database, int] = {}
 
-    def state_at(self, index: int) -> int:
-        """Draw *index*'s absorbing state, seeded one draw at a time."""
-        rng = random.Random(self.prefix_text + str(index))
+    def states(self, start: int, count: int) -> List[int]:
+        """The absorbing states of draws ``[start, start + count)``.
+
+        On an all-uniform table (one with ``shifts``) each walk reads
+        its draw's first block and applies
+        ``Random._randbelow_with_getrandbits``'s rejection rule word by
+        word, so it reaches the state
+        :func:`repro.core.columnar.replay_walk` reaches with the draw's
+        :class:`~repro.campaign.DrawStream`; a walk that needs a 17th
+        word is replayed with one.
+        """
+        table = self.table
+        shifts = None if table is None else table.shifts
+        if shifts is None:
+            return [self._state_at(index) for index in range(start, start + count)]
+        hasher = self.hasher
+        absorbing = table.absorbing
+        counts = table.counts
+        successors = table.successors
+        states = []
+        for index in range(start, start + count):
+            words = block_words(hasher, index)
+            state = 0
+            cursor = 0
+            while not absorbing[state]:
+                bound = counts[state]
+                shift = shifts[state]
+                while cursor < BLOCK_WORDS:
+                    choice = words[cursor] >> shift
+                    cursor += 1
+                    if choice < bound:
+                        break
+                else:
+                    state = self._state_at(index)
+                    break
+                state = successors[state][choice]
+            states.append(state)
+        return states
+
+    def _state_at(self, index: int) -> int:
+        """Draw *index*'s absorbing state through its :class:`DrawStream`."""
+        rng = DrawStream(self.hasher, index)
         if self.table is not None:
             return columnar.replay_walk(self.table, rng)
         result = sample_walk(self.chain, rng).result
@@ -990,80 +1031,16 @@ class _ComponentDraws:
         return state
 
 
-class _DrawSource:
-    """The one draw generator: absorbing states per (component, draw).
-
-    A range whose vectorizable components hold at least
-    :data:`MIN_VECTOR_SEEDS` seeds between them is seeded in one
-    :func:`repro.core.mt19937.batch_words` call and stepped through a
-    :class:`repro.core.columnar.WalkArena`; a walk that exhausts its
-    word budget is replayed.  Everything else is seeded one draw at a
-    time (:meth:`_ComponentDraws.state_at`): weighted tables and
-    over-long seed prefixes, which the batch cannot take, tables in a
-    range too small to repay the batch's fixed cost, and overflowed
-    chains.  Both seedings are byte-identical to ``draw_rng``.
-    """
-
-    __slots__ = ("entries", "_vector", "_arena")
-
-    def __init__(self, entries: Sequence[_ComponentDraws]) -> None:
-        self.entries = list(entries)
-        self._vector = [i for i, entry in enumerate(self.entries) if entry.vectorizable]
-        self._arena: Optional[columnar.WalkArena] = None
-
-    def states(self, start: int, count: int) -> List[List[int]]:
-        """Each entry's absorbing state for draws ``[start, start + count)``."""
-        stats: Counter = Counter()
-        batched = len(self._vector) * count >= MIN_VECTOR_SEEDS
-        stepped = self._step_batch(start, count, stats) if batched else {}
-        states = []
-        for position, entry in enumerate(self.entries):
-            row = stepped.get(position)
-            if row is None:
-                if entry.table is None:
-                    stat = "draws_walked"
-                elif entry.vectorizable and not batched:
-                    stat = "draws_small_range"
-                else:
-                    stat = "draws_replayed"
-                stats[stat] += count
-                row = [entry.state_at(start + offset) for offset in range(count)]
-            states.append(row)
-        for stat, total in stats.items():
-            if total:
-                columnar.EVENTS.inc(total, stat=stat)
-        return states
-
-    def _step_batch(
-        self, start: int, count: int, stats: Counter
-    ) -> Dict[int, List[int]]:
-        """The vectorizable entries' states from one seeded batch."""
-        entries = self.entries
-        words = mt19937.batch_words(
-            [
-                (entries[position].prefix_text + str(start + offset)).encode()
-                for position in self._vector
-                for offset in range(count)
-            ],
-            _PLAN_WORD_BUDGET,
-        )
-        if words is None:
-            return {}
-        arena = self._arena
-        if arena is None:
-            arena = self._arena = columnar.WalkArena(
-                [entries[position].table for position in self._vector]
-            )
-        final, completed = arena.run_grid(count, words)
-        # Table-major instances: row ``slot`` holds one table's draws.
-        rows = (final.reshape(-1, count) - arena.initial[:, None]).tolist()
-        exhausted = (~completed).reshape(-1, count).nonzero()
-        for slot, offset in zip(*(axis.tolist() for axis in exhausted)):
-            rows[slot][offset] = entries[self._vector[slot]].state_at(start + offset)
-        replayed = len(exhausted[0])
-        stats["draws_vectorized"] += len(self._vector) * count - replayed
-        stats["draws_replayed"] += replayed
-        return dict(zip(self._vector, rows))
+def _draw_states(
+    entries: Sequence[_ComponentDraws], start: int, count: int
+) -> List[List[int]]:
+    """Each entry's absorbing state for draws ``[start, start + count)``."""
+    walked = count * sum(1 for entry in entries if entry.table is None)
+    if walked:
+        columnar.EVENTS.inc(walked, stat="draws_walked")
+    if len(entries) * count > walked:
+        columnar.EVENTS.inc(len(entries) * count - walked, stat="draws_table")
+    return [entry.states(start, count) for entry in entries]
 
 
 class _ColumnarDrawPlan:
@@ -1075,29 +1052,29 @@ class _ColumnarDrawPlan:
     component's surviving R facts)`` — rows outside every component can
     never be deleted, and each component's survivors depend only on
     that component's own draw substream.  So one range needs each
-    component's absorbing state per draw (:class:`_DrawSource`) and a
+    component's absorbing state per draw (:func:`_draw_states`) and a
     per-draw union of the states' precomputed projections.
     """
 
-    __slots__ = ("clean_answers", "source", "projections", "_project")
+    __slots__ = ("clean_answers", "entries", "projections", "_project")
 
     def __init__(
         self,
         clean_answers: frozenset,
-        source: _DrawSource,
+        entries: List[_ComponentDraws],
         project: Callable[[Iterable[Fact]], frozenset],
     ) -> None:
         self.clean_answers = clean_answers
-        self.source = source
+        self.entries = entries
         self._project = project
         self.projections = [
-            [project(facts) for facts in entry.survivors] for entry in source.entries
+            [project(facts) for facts in entry.survivors] for entry in entries
         ]
 
     def outcomes(self, start: int, count: int) -> List[Any]:
         per_offset: List[List[frozenset]] = [[] for _ in range(count)]
         for entry, projections, states in zip(
-            self.source.entries, self.projections, self.source.states(start, count)
+            self.entries, self.projections, _draw_states(self.entries, start, count)
         ):
             # A walked (overflowed) component may have reached new states.
             for facts in entry.survivors[len(projections) :]:
@@ -1138,45 +1115,10 @@ def _keep_one_table(component: FrozenSet[Fact]) -> ComponentTable:
         table.cumulative.append(())
         table.successors.append(())
         table.payload.append(None)
+    table.finish()
     survivors: List[Iterable[Fact]] = [()] + [(fact,) for fact in facts]
     deletions = [[]] + [facts[:i] + facts[i + 1 :] for i in range(len(facts))]
     return table, survivors, deletions
-
-
-#: Word columns pre-seeded per (component, draw); deep rejection-sampling
-#: tails beyond this fall back to per-instance replay, bit-exactly.
-_PLAN_WORD_BUDGET = min(24, mt19937.MAX_PARTIAL_WORDS)
-
-#: Longest seed prefix the batch seeder takes: longer keys would spill
-#: past the 624-word MT state, so such components seed one at a time.
-_MAX_BATCH_PREFIX = 2400
-
-MIN_VECTOR_SEEDS = 4500
-"""Fewest vectorizable (component, draw) seeds a range batch-seeds.
-
-:func:`repro.core.mt19937.batch_words` runs 1,247 sequential numpy row
-steps however small the batch, a fixed ~10 ms, where one
-``random.Random(str)`` seeding costs ~10 us.  Median times of one
-single-atom plan range, batch vs one-at-a-time seeding, outcomes equal
-(``key_conflict_workload`` groups of 2-3 facts; 2-vCPU x86-64
-container, CPython 3.11, numpy 2.4):
-
-===========================  ========  =============
-seeds (components x draws)   batch     one at a time
-===========================  ========  =============
-304 (8 x 38)                 13.9 ms   3.8 ms
-1,600 (400 x 4)              33.5 ms   24.7 ms
-3,200 (400 x 8)              49.8 ms   40.0 ms
-4,000 (400 x 10)             62.5 ms   58.4 ms
-4,800 (400 x 12)             68.5 ms   71.5 ms
-5,600 (400 x 14)             67.6 ms   77.9 ms
-10,000 (400 x 25)            125 ms    135 ms
-===========================  ========  =============
-
-So a served range (8 conflict components x at most 38 draws) seeds one
-at a time, and a pooled campaign's shards (400 components x 14-25
-draws) batch.
-"""
 
 
 def _build_columnar_plan(
@@ -1244,9 +1186,7 @@ def _build_columnar_plan(
             )
 
         plan = _ColumnarDrawPlan(
-            clean_answers,
-            _DrawSource(sampler._draws_for(components, walk_table)),
-            project,
+            clean_answers, sampler._draws_for(components, walk_table), project
         )
     except Exception:
         columnar.EVENTS.inc(stat="plan_build_errors")

@@ -8,6 +8,7 @@ draw index)`` and the coordinator re-assembles outcomes in draw-index
 order.
 """
 
+import math
 import os
 import random
 import signal
@@ -18,6 +19,7 @@ import pytest
 
 from repro import UniformGenerator
 from repro.constraints import ConstraintSet, parse_constraints
+from repro.core import repair_distribution
 from repro.core.errors import FailingSequenceError
 from repro.core.sampling import approximate_cp, approximate_oca
 from repro.db.facts import Database, Fact
@@ -462,7 +464,12 @@ class TestCoreEstimatorsDistributed:
                     coordinator.close()
 
         serial = estimate(allow_failing=True)
-        assert serial.samples == 150 and serial.failing_walks == 121
+        assert serial.samples == 150
+        # The failing share estimates the exact failing probability
+        # (3/4) to within Hoeffding's radius at delta = 0.001.
+        failing = repair_distribution(database, generator).failure_probability
+        radius = math.sqrt(math.log(2 / 0.001) / (2 * serial.samples))
+        assert abs(serial.failing_walks / serial.samples - failing) <= radius
         assert estimate(allow_failing=True, workers=2) == serial
         with pytest.raises(FailingSequenceError):
             estimate()

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet, key, parse_constraints
-from repro.core import columnar, mt19937
+from repro.core import columnar
 from repro.core.generators import TrustGenerator, UniformGenerator
 from repro.core.incremental import DeltaViolationIndex
 from repro.core.sampling import sample_walk
@@ -35,7 +35,6 @@ from repro.sql import (
     SamplerPolicy,
     SQLiteBackend,
 )
-from repro.sql import sampler as sampler_module
 from repro.workloads import key_conflict_workload
 
 from tests.property.strategies import key_sigma, key_violation_databases
@@ -170,10 +169,10 @@ class TestMonotoneDeletionParity:
 
 
 #: The sampler inputs the draw plan must agree with the object path on:
-#: the three key policies (TRUST's weighted tables take the replay
-#: entries), the generic sampler on the same keys, and the generic
-#: sampler with a cross-relation constraint, whose components span R
-#: and S while the query reads R alone.
+#: the three key policies (TRUST's weighted tables replay each draw
+#: with its ``DrawStream``), the generic sampler on the same keys, and
+#: the generic sampler with a cross-relation constraint, whose
+#: components span R and S while the query reads R alone.
 PARITY_INPUTS = (
     SamplerPolicy.OPERATIONAL_UNIFORM,
     SamplerPolicy.KEEP_ONE_UNIFORM,
@@ -194,13 +193,10 @@ NEGATION_QUERY = "Q(x) :- R(x, y, z) & !S(y)"
 
 @contextlib.contextmanager
 def _setting(name, value):
-    """Set a ``REPRO_*`` variable or a sampler-module constant for a
-    block (hypothesis cannot share the function-scoped ``monkeypatch``)."""
+    """Set a ``REPRO_*`` variable for a block (hypothesis cannot share
+    the function-scoped ``monkeypatch``)."""
     with pytest.MonkeyPatch.context() as patch:
-        if name.startswith("REPRO_"):
-            patch.setenv(name, value)
-        else:
-            patch.setattr(sampler_module, name, value)
+        patch.setenv(name, value)
         yield
 
 
@@ -269,10 +265,6 @@ def _reference(kind, clean_rows, groups, group_size, seed, query, start, count, 
             backend.close()
 
 
-#: Forces each seeding route: every range batch-seeded, or none.
-SEEDING_ROUTES = st.sampled_from([0, 10**9])
-
-
 class TestSamplerOutcomeParity:
     @given(
         kind=st.sampled_from(PARITY_INPUTS),
@@ -284,12 +276,10 @@ class TestSamplerOutcomeParity:
         seed=st.integers(min_value=0, max_value=10_000),
         start=st.integers(min_value=0, max_value=64),
         count=st.integers(min_value=1, max_value=12),
-        min_vector_seeds=SEEDING_ROUTES,
     )
     @settings(max_examples=40, deadline=None)
     def test_columnar_outcomes_equal_object_outcomes(
-        self, kind, query, clean_rows, groups, group_size, seed, start, count,
-        min_vector_seeds,
+        self, kind, query, clean_rows, groups, group_size, seed, start, count
     ):
         backend, sampler = _parity_sampler(
             kind, clean_rows, groups, group_size, seed
@@ -299,8 +289,7 @@ class TestSamplerOutcomeParity:
                 spans = [{fact.relation for fact in c} for c in sampler.components]
                 assert {"R", "S"} in spans
             compiled = sampler.compile(parse_cq(query))
-            with _setting("MIN_VECTOR_SEEDS", min_vector_seeds):
-                fast = sampler._columnar_outcomes(compiled, start, count)
+            fast = sampler._columnar_outcomes(compiled, start, count)
             reference, _ = _reference(
                 kind, clean_rows, groups, group_size, seed, parse_cq(query),
                 start, count,
@@ -319,12 +308,10 @@ class TestSamplerOutcomeParity:
         seed=st.integers(min_value=0, max_value=10_000),
         start=st.integers(min_value=0, max_value=64),
         count=st.integers(min_value=1, max_value=12),
-        min_vector_seeds=SEEDING_ROUTES,
     )
     @settings(max_examples=40, deadline=None)
     def test_table_draws_equal_the_reference_walk(
-        self, kind, negated, clean_rows, groups, group_size, seed, start, count,
-        min_vector_seeds,
+        self, kind, negated, clean_rows, groups, group_size, seed, start, count
     ):
         """Joins and first-order queries evaluate table draws in SQL."""
         text = NEGATION_QUERY if negated and kind == "cross_relation" else JOIN_QUERY
@@ -335,9 +322,8 @@ class TestSamplerOutcomeParity:
         try:
             compiled = sampler.compile(query)
             assert sampler._columnar_outcomes(compiled, start, count) is None
-            with _setting("MIN_VECTOR_SEEDS", min_vector_seeds):
-                outcomes = sampler.outcomes_for_range(compiled, start, count)
-                deletions = sampler.deletions_for_range(start, count)
+            outcomes = sampler.outcomes_for_range(compiled, start, count)
+            deletions = sampler.deletions_for_range(start, count)
             assert (outcomes, deletions) == _reference(
                 kind, clean_rows, groups, group_size, seed, query, start, count
             )
@@ -365,8 +351,8 @@ class TestSamplerOutcomeParity:
 
 
 class TestPerComponentFallback:
-    """A component the batch or the table cannot take falls back alone;
-    the rest of the range keeps its route."""
+    """A component the walk table cannot take falls back alone; the rest
+    of the range keeps its route."""
 
     QUERY = "Q(x, z) :- R(x, y, z)"
 
@@ -379,84 +365,28 @@ class TestPerComponentFallback:
         backend, sampler = _parity_sampler(*args, extra=extra)
         try:
             compiled = sampler.compile(query)
-            for min_vector_seeds in (0, 10**9):
-                with _setting("MIN_VECTOR_SEEDS", min_vector_seeds):
-                    fast = sampler._columnar_outcomes(compiled, start, count)
-                    deletions = sampler.deletions_for_range(start, count)
-                assert fast is not None
-                assert fast == reference
-                assert deletions == reference_deletions
+            fast = sampler._columnar_outcomes(compiled, start, count)
+            deletions = sampler.deletions_for_range(start, count)
+            assert fast is not None
+            assert fast == reference
+            assert deletions == reference_deletions
         finally:
             backend.close()
 
     def test_long_seed_prefix_seeds_one_at_a_time(self):
-        # Two facts whose key group's substream prefix tops 2,400 bytes,
-        # more than the batch seeder's 624-word key can hold.
+        # A key group whose members' reprs run past 2,600 bytes: its
+        # stream key digests them like any other.
         extra = [
             Fact("R", ("long", "a" * 1300, "p")),
             Fact("R", ("long", "b" * 1300, "q")),
         ]
         self._check(extra)
 
-    def test_exhausted_word_budget_replays_the_draw(self):
-        # One word per batch-seeded walk: most walks run out and replay.
-        with _setting("_PLAN_WORD_BUDGET", 1):
-            self._check([])
-
     def test_overflowing_walk_table_walks_its_chain(self):
         # A ten-fact key group reaches more than compile_walk_table's
         # 512 states.
         extra = [Fact("R", ("wide", f"v{i}", f"w{i}")) for i in range(10)]
         self._check(extra)
-
-
-class TestDrawRouting:
-    """Which seeding route a range takes follows its size."""
-
-    def _sampler(self, groups, group_size):
-        workload = key_conflict_workload(
-            clean_rows=8, conflict_groups=groups, group_size=group_size,
-            arity=2, seed=4,
-        )
-        backend = SQLiteBackend()
-        backend.load(workload.database, workload.schema)
-        sampler = ConstraintRepairSampler(
-            backend, workload.schema, workload.constraints, rng=random.Random(4)
-        )
-        return backend, sampler
-
-    def test_served_range_never_batch_seeds(self, monkeypatch):
-        def refuse(seeds, count):
-            raise AssertionError(f"batch-seeded {len(seeds)} seeds")
-
-        monkeypatch.setattr(mt19937, "batch_words", refuse)
-        # The served instance's shape: 8 components, Theorem 9's 38 draws
-        # at eps = 0.2, delta = 0.1.
-        backend, sampler = self._sampler(8, 2)
-        try:
-            for text in ("Q(x) :- R(x, y)", "Q(x) :- R(x, y) & R(z, y)"):
-                compiled = sampler.compile(parse_query(text))
-                assert len(sampler.outcomes_for_range(compiled, 0, 38)) == 38
-        finally:
-            backend.close()
-
-    def test_pooled_shard_batch_seeds(self, monkeypatch):
-        calls = []
-        batch_words = mt19937.batch_words
-
-        def recording(seeds, count):
-            calls.append(len(seeds))
-            return batch_words(seeds, count)
-
-        monkeypatch.setattr(mt19937, "batch_words", recording)
-        # campaign_pool's shard: 400 components x 25 draws.
-        backend, sampler = self._sampler(400, 3)
-        try:
-            compiled = sampler.compile(parse_query("Q(x) :- R(x, y)"))
-            assert sampler._columnar_outcomes(compiled, 0, 25) is not None
-        finally:
-            backend.close()
-        assert calls == [400 * 25]
 
 
 # ----------------------------------------------------------------------

@@ -164,6 +164,26 @@ class TestCheckpointing:
         with pytest.raises(CheckpointMismatchError):
             SamplingCampaign.resume(str(path), "x")
 
+    def test_resume_refuses_a_version_2_checkpoint(self, tmp_path):
+        """Version 2 checkpoints count draws of the seeded-Mersenne-Twister
+        streams; continuing their tallies on the counter-based streams
+        would splice two stream families into one estimate."""
+        import pickle
+
+        path = tmp_path / "campaign.ckpt"
+        payload = {
+            "version": 2, "fingerprint": "x", "seed": 1, "draw_cursor": 40,
+            "counts": {("a",): 12}, "draws_done": 40, "valid_draws": 40,
+            "discarded": 0, "estimation_key": None,
+            "estimation_complete": False, "chains": {},
+        }
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointMismatchError, match="incompatible version 2"):
+            SamplingCampaign.resume(str(path), "x")
+        # Not corrupt, so attach refuses it too instead of restarting.
+        with pytest.raises(CheckpointMismatchError):
+            SamplingCampaign.attach(str(path), "x")
+
     def test_checkpoint_written_atomically(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")
         campaign = SamplingCampaign(fingerprint="f", checkpoint_path=path)

@@ -1,9 +1,9 @@
 """Chain shapes and the structural identity of conflict components.
 
 Components of one chain shape share one compiled walk table per
-sampler, warm chains are keyed by the facts themselves, and touched
-groups are diffed as fact sets: ``str`` prints ``1`` and ``'1'`` alike,
-so no identity check may rest on it.
+sampler, warm chains are keyed by the facts themselves, RNG streams by
+their ``repr``, and touched groups are diffed as fact sets: ``str``
+prints ``1`` and ``'1'`` alike, so no identity check may rest on it.
 """
 
 import random
@@ -28,6 +28,17 @@ from repro.sql import (
 from repro.workloads import key_conflict_workload
 
 
+#: Two key groups of ``R`` that print alike, and an ``S`` row one of
+#: their members joins.
+LOOK_ALIKE = [
+    Fact("R", (1, "x")),
+    Fact("R", (1, "y")),
+    Fact("R", ("1", "x")),
+    Fact("R", ("1", "y")),
+    Fact("S", ("x",)),
+]
+
+
 def _sampler(facts, constraints, seed=3):
     database = Database(facts)
     schema = Schema.infer(database)
@@ -45,14 +56,7 @@ class TestComponentsThatPrintAlike:
     @pytest.mark.parametrize("columnar_setting", ["1", "0"])
     def test_each_component_walks_its_own_chain(self, monkeypatch, columnar_setting):
         monkeypatch.setenv("REPRO_COLUMNAR", columnar_setting)
-        facts = [
-            Fact("R", (1, "x")),
-            Fact("R", (1, "y")),
-            Fact("R", ("1", "x")),
-            Fact("R", ("1", "y")),
-            Fact("S", ("x",)),
-        ]
-        backend, sampler = _sampler(facts, ConstraintSet(key("R", 2, [0])))
+        backend, sampler = _sampler(LOOK_ALIKE, ConstraintSet(key("R", 2, [0])))
         try:
             assert len(sampler.components) == 2
             report = sampler.run(parse_query("Q(x) :- R(x, y) & S(y)"), runs=2000)
@@ -61,6 +65,45 @@ class TestComponentsThatPrintAlike:
         # Each component keeps R(c, x) with probability 1/3 (exact_oca).
         assert report.cp((1,)) == pytest.approx(1 / 3, abs=0.05)
         assert report.cp(("1",)) == pytest.approx(1 / 3, abs=0.05)
+
+    @pytest.mark.parametrize("columnar_setting", ["1", "0"])
+    def test_each_component_draws_its_own_stream(self, monkeypatch, columnar_setting):
+        monkeypatch.setenv("REPRO_COLUMNAR", columnar_setting)
+        backend, sampler = _sampler(LOOK_ALIKE, ConstraintSet(key("R", 2, [0])))
+        try:
+            draws = sampler.deletions_for_range(0, 400)
+        finally:
+            backend.close()
+
+        def deleted(deletions, constant):
+            return tuple(
+                str(fact)
+                for fact in deletions
+                if fact.relation == "R" and type(fact.values[0]) is type(constant)
+            )
+
+        mirrored = sum(deleted(run, 1) == deleted(run, "1") for run in draws)
+        # One shared substream would mirror every draw; independent
+        # components agree on a third of them (three outcomes of 1/3).
+        assert mirrored < 200
+
+    def test_shared_campaigns_over_look_alike_instances_draw_different_streams(self):
+        generator = UniformGenerator(ConstraintSet(key("R", 2, [0])))
+        query = parse_cq("Q(x) :- R(x, y)")
+        first = Database.of(Fact("R", (1, "a")), Fact("R", (1, "b")))
+        second = Database.of(Fact("R", ("1", "a")), Fact("R", ("1", "b")))
+        agreeing = 0
+        for seed in range(10):
+            # Two campaigns of one seed claim the same draw indices.
+            one = approximate_cp(
+                first, generator, query, (1,), campaign=SamplingCampaign(seed=seed)
+            )
+            two = approximate_cp(
+                second, generator, query, ("1",), campaign=SamplingCampaign(seed=seed)
+            )
+            agreeing += one.successes == two.successes
+        # One stream for both instances would agree on every seed.
+        assert agreeing <= 3
 
     def test_shared_campaign_builds_a_chain_per_instance(self):
         generator = UniformGenerator(ConstraintSet(key("R", 2, [0])))

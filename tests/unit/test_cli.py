@@ -309,6 +309,33 @@ class TestParser:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *(
+                (command, flag)
+                for command in ("violations", "diagnose", "abc")
+                for flag in (
+                    "--generator", "--preference-relation", "--trust", "--max-states",
+                )
+            ),
+            ("sample", "--max-states"),
+            ("sql-sample", "--max-states"),
+            ("sql-sample", "--preference-relation"),
+        ],
+    )
+    def test_command_refuses_flags_it_does_not_read(
+        self, capsys, key_files, command, flag
+    ):
+        db, sigma = key_files
+        argv = [command, "--db", db, "--constraints", sigma, flag, "1"]
+        if command in ("sample", "sql-sample"):
+            argv += ["--query", "Q(x) :- R(x, y)"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestTimingFlagValidation:
     """Satellite: bad --lease-timeout/--context-timeout/--deadline values

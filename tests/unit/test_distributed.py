@@ -4,6 +4,7 @@ they all rest on."""
 
 import json
 import pickle
+import random
 import socket
 import threading
 import time
@@ -555,6 +556,20 @@ class TestSubstreams:
         assert draw_rng(7, "g", 3).random() != draw_rng(7, "g", 4).random()
         assert draw_rng(7, "g", 3).random() != draw_rng(8, "g", 3).random()
         assert draw_rng(7, "g", 3).random() != draw_rng(7, "h", 3).random()
+
+    def test_draw_rng_survives_a_seeding_base_constructor(self, monkeypatch):
+        # Before CPython 3.11, random.Random's base type seeds itself from
+        # the constructor's positional arguments and takes at most one.
+        base_new = random.Random.__new__
+
+        def seeding_new(cls, *args):
+            if len(args) > 1:
+                raise TypeError(f"seed expected at most 1 argument, got {len(args)}")
+            return base_new(cls, *args)
+
+        expected = draw_rng(7, "g", 3).random()
+        monkeypatch.setattr(random.Random, "__new__", staticmethod(seeding_new))
+        assert draw_rng(7, "g", 3).random() == expected
 
     def test_campaign_rng_at_matches_module_helper(self):
         campaign = SamplingCampaign(seed=99)

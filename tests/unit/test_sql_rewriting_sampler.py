@@ -328,23 +328,23 @@ class TestLoweredQueries:
 
         ranges = REGISTRY.get("ocqa_draw_ranges_total")
         events = REGISTRY.get("ocqa_columnar_events_total")
-        frequencies, columnar_ranges, small = {}, {}, {}
+        frequencies, columnar_ranges, tabled = {}, {}, {}
         for flag in ("1", "0"):
             monkeypatch.setenv("REPRO_COLUMNAR", flag)
             before = ranges.value(path="columnar")
-            small_before = events.value(stat="draws_small_range")
+            tabled_before = events.value(stat="draws_table")
             sampler = ConstraintRepairSampler(
                 backend, Schema.of(R=2), self.SIGMA, rng=random.Random(3)
             )
             report = sampler.run(parse_query("Q(x) :- R(x, y)"), runs=40)
             frequencies[flag] = report.frequencies
             columnar_ranges[flag] = ranges.value(path="columnar") - before
-            small[flag] = events.value(stat="draws_small_range") - small_before
+            tabled[flag] = events.value(stat="draws_table") - tabled_before
         assert columnar_ranges["1"] > 0 and columnar_ranges["0"] == 0
         assert frequencies["1"] == frequencies["0"]
-        # One component x 40 draws is far under MIN_VECTOR_SEEDS: every
-        # draw was seeded on its own, and counted apart from replays.
-        assert small == {"1": 40, "0": 0}
+        # One component x 40 draws, each read off its walk table; the
+        # reference walk reads none.
+        assert tabled == {"1": 40, "0": 0}
 
     def test_join_draws_from_walk_tables(self, backend, monkeypatch):
         """A join's draws come from walk tables and are evaluated in SQL
