@@ -139,11 +139,11 @@ class CacheReport:
     #: service is being pushed and what it refused rather than queued.
     overload: Dict[str, object] = field(default_factory=dict)
     #: Columnar-core counters (``ocqa_columnar_events_total``): how much
-    #: work ran on the columnar paths (plans compiled, walk tables
-    #: compiled or shared by a component of the same chain shape, draws
-    #: read off walk tables or walked on overflowed chains, edge-index
-    #: joins) versus the object fallbacks — the observability for
-    #: ``REPRO_COLUMNAR``.
+    #: work ran on the columnar paths (plans compiled, or gated by a
+    #: ``plan_gated_*`` reason, walk tables compiled or shared by a
+    #: component of the same chain shape, draws read off walk tables or
+    #: walked on overflowed chains, edge-index joins) versus the object
+    #: fallbacks — the observability for ``REPRO_COLUMNAR``.
     columnar: Dict[str, int] = field(default_factory=dict)
     #: Query-service result-cache counters (``ocqa_cache_*_total``),
     #: summed over every cache this process ran: hits, misses,
@@ -185,9 +185,15 @@ class CacheReport:
                 f"{self.transport.get('compressed_frames', 0)} compressed frame(s))"
             )
         if self.columnar:
+            gated = sum(
+                count
+                for stat, count in self.columnar.items()
+                if stat.startswith("plan_gated_")
+            )
             lines.append(
                 "columnar: "
-                f"{self.columnar.get('plans_compiled', 0)} plan(s), "
+                f"{self.columnar.get('plans_compiled', 0)} plan(s) / "
+                f"{gated} gated, "
                 f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s) "
                 f"compiled / {self.columnar.get('walk_tables_shared', 0)} shared, "
                 f"{self.columnar.get('draws_table', 0)} draw(s) from tables / "

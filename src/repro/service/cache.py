@@ -62,7 +62,13 @@ from repro.campaign import UpdateReport, campaign_fingerprint
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["CacheHit", "CacheKey", "ResultCache", "request_cache_key"]
+__all__ = [
+    "CacheHit",
+    "CacheKey",
+    "ResultCache",
+    "constraint_fingerprint",
+    "request_cache_key",
+]
 
 _HITS = obs_metrics.REGISTRY.counter(
     "ocqa_cache_hits_total",
@@ -109,6 +115,28 @@ class CacheKey:
     runs: Optional[int] = None
     adaptive: bool = False
 
+    @classmethod
+    def of(
+        cls,
+        instance_digest: str,
+        constraint_fingerprint: str,
+        query: Any,
+        *,
+        seed: Optional[int] = None,
+        runs: Optional[int] = None,
+        adaptive: bool = False,
+    ) -> "CacheKey":
+        """The key of *query* (by its structural ``repr``) on one
+        instance state."""
+        return cls(
+            instance_digest,
+            constraint_fingerprint,
+            campaign_fingerprint(query),
+            seed,
+            runs,
+            adaptive,
+        )
+
     def base_fingerprint(self) -> str:
         return campaign_fingerprint(
             "result-cache-v1",
@@ -147,16 +175,20 @@ def request_cache_key(
     from repro.sql.digest import database_digest
 
     schema = Schema.infer(database).extend(constraints.schema())
-    return CacheKey(
-        instance_digest=database_digest(database),
-        constraint_fingerprint=campaign_fingerprint(
-            schema.fingerprint(),
-            tuple(sorted(repr(c) for c in constraints)),
-        ),
-        query_identity=campaign_fingerprint(query),
+    return CacheKey.of(
+        database_digest(database),
+        constraint_fingerprint(schema, constraints),
+        query,
         seed=seed,
         runs=runs,
         adaptive=adaptive,
+    )
+
+
+def constraint_fingerprint(schema: Any, constraints: Any) -> str:
+    """The schema and constraint part of a :class:`CacheKey`."""
+    return campaign_fingerprint(
+        schema.fingerprint(), tuple(sorted(repr(c) for c in constraints))
     )
 
 

@@ -53,7 +53,7 @@ import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import overload_stats, record_drain
@@ -63,10 +63,17 @@ from repro.service.admission import (
     RetriableServiceError,
     TenantQuota,
 )
-from repro.service.cache import CacheHit, ResultCache, request_cache_key
+from repro.service.cache import (
+    CacheHit,
+    CacheKey,
+    ResultCache,
+    constraint_fingerprint,
+    request_cache_key,
+)
 from repro.service.deadline import Deadline
 
 if TYPE_CHECKING:
+    from repro.constraints import ConstraintSet
     from repro.service.supervisor import Supervisor
 
 log = logging.getLogger(__name__)
@@ -120,6 +127,15 @@ def _finite_positive(seconds: float) -> bool:
     return math.isfinite(seconds) and seconds > 0
 
 
+class _Snapshot(NamedTuple):
+    """One state of a registered instance: what a request reads and keys on."""
+
+    database: Any
+    #: Equals ``database_digest(database)``.
+    digest: str
+    constraint_fingerprint: str
+
+
 class _ServiceInstance:
     """A named, updatable database the service holds between requests.
 
@@ -127,25 +143,50 @@ class _ServiceInstance:
     ``database``; later queries may name the instance instead of
     re-shipping the database, and ``/update`` applies base-table deltas
     through the sampler's incremental path — which is what feeds the
-    result cache's delta-driven invalidation.  ``/update`` also rolls
-    the instance digest through each delta in O(|delta|).
+    result cache's delta-driven invalidation.
+
+    The schema (the registered database's relations plus the
+    constraints') and the parsed constraint set are fixed at
+    registration, so a relation an update empties keeps its table.
+    ``snapshot`` is replaced whole, under ``lock``, by each ``/update``,
+    which rolls the digest through the delta in O(|delta|); a request
+    reads one consistent snapshot without the lock.
     """
 
-    __slots__ = ("name", "database", "constraints_text", "rolling", "lock")
+    __slots__ = ("name", "schema", "constraints", "rolling", "snapshot", "lock")
 
-    def __init__(self, name: str, database: Any, constraints_text: str) -> None:
+    def __init__(
+        self, name: str, database: Any, constraints: ConstraintSet
+    ) -> None:
+        from repro.db.schema import Schema
         from repro.sql.digest import InstanceDigest
 
         self.name = name
-        self.database = database
-        self.constraints_text = constraints_text
+        self.schema = Schema.infer(database).extend(constraints.schema())
+        self.constraints = constraints
         self.rolling = InstanceDigest.of_database(database)
+        self.snapshot = _Snapshot(
+            database,
+            self.rolling.hexdigest(),
+            constraint_fingerprint(self.schema, constraints),
+        )
         self.lock = threading.Lock()
 
     @property
     def digest(self) -> str:
         """The current instance digest (equals ``database_digest``)."""
-        return self.rolling.hexdigest()
+        return self.snapshot.digest
+
+    def apply(self, added: List[Any], removed: List[Any]) -> None:
+        """Move to the state after a normalized delta (hold ``lock``)."""
+        from repro.db.facts import Database
+
+        self.rolling.update(added, removed)
+        database = self.snapshot.database
+        self.snapshot = self.snapshot._replace(
+            database=Database((database.facts - set(removed)) | set(added)),
+            digest=self.rolling.hexdigest(),
+        )
 
 
 class QueryService:
@@ -343,14 +384,7 @@ class QueryService:
         started = time.monotonic()
         cache_key = None
         if self.result_cache is not None and request.cache_mode != "bypass":
-            cache_key = request_cache_key(
-                request.database,
-                request.constraints,
-                request.query,
-                seed=request.seed,
-                runs=request.runs,
-                adaptive=request.adaptive,
-            )
+            cache_key = request.cache_key()
             if request.cache_mode == "use":
                 hit = self.result_cache.get(
                     cache_key, request.epsilon, request.delta
@@ -427,7 +461,6 @@ class QueryService:
         servers multiplex campaigns per connection — which is what makes
         concurrent tenants cheap.
         """
-        from repro.db.schema import Schema
         from repro.distributed import Coordinator
         from repro.sql import ConstraintRepairSampler, create_backend
 
@@ -439,14 +472,11 @@ class QueryService:
                if self.lease_timeout is not None else {}),
         )
         try:
-            schema = Schema.infer(request.database).extend(
-                request.constraints.schema()
-            )
             with create_backend("sqlite") as backend:
-                backend.load(request.database, schema)
+                backend.load(request.database, request.schema)
                 sampler = ConstraintRepairSampler(
                     backend,
-                    schema,
+                    request.schema,
                     request.constraints,
                     rng=random.Random(request.seed),
                     adaptive=request.adaptive,
@@ -541,7 +571,7 @@ class QueryService:
     # Instance registry + the update path
     # ------------------------------------------------------------------
     def register_instance(
-        self, name: str, database: Any, constraints_text: str
+        self, name: str, database: Any, constraints: ConstraintSet
     ) -> "_ServiceInstance":
         """Create or replace the named instance (``/query`` side effect)."""
         with self._instances_lock:
@@ -554,7 +584,7 @@ class QueryService:
                     f"instance limit reached ({MAX_INSTANCES}); "
                     f"re-use or update an existing instance"
                 )
-            instance = _ServiceInstance(name, database, constraints_text)
+            instance = _ServiceInstance(name, database, constraints)
             self._instances[name] = instance
             return instance
 
@@ -594,10 +624,7 @@ class QueryService:
     def _apply_update(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         import dataclasses
 
-        from repro.constraints import ConstraintSet
-        from repro.constraints.parser import parse_constraints
-        from repro.db.facts import Database, Fact
-        from repro.db.schema import Schema
+        from repro.db.facts import Fact
         from repro.sql import ConstraintRepairSampler, create_backend
 
         if not isinstance(payload, dict):
@@ -635,16 +662,12 @@ class QueryService:
         if not add and not remove:
             raise ValueError("update must add or remove at least one fact")
         with instance.lock:
-            old_db = instance.database
+            old_db = instance.snapshot.database
             # Normalize the delta against what is actually there so the
             # rolled digest stays truthful under duplicate adds/removes.
             added = [f for f in add if f not in old_db]
             removed = [f for f in remove if f in old_db]
-            constraints = ConstraintSet(
-                parse_constraints(instance.constraints_text)
-            )
-            schema = Schema.infer(old_db).extend(constraints.schema())
-            known = {rel.name: rel.arity for rel in schema}
+            known = {rel.name: rel.arity for rel in instance.schema}
             for fact in added:
                 arity = known.get(fact.relation)
                 if arity is None or arity != fact.arity:
@@ -655,16 +678,13 @@ class QueryService:
             report = None
             if added or removed:
                 with create_backend("sqlite") as backend:
-                    backend.load(old_db, schema)
+                    backend.load(old_db, instance.schema)
                     sampler = ConstraintRepairSampler(
-                        backend, schema, constraints
+                        backend, instance.schema, instance.constraints
                     )
                     report = sampler.apply_update(added, removed)
                 old_digest = instance.digest
-                instance.rolling.update(added, removed)
-                instance.database = Database(
-                    (old_db.facts - set(removed)) | set(added)
-                )
+                instance.apply(added, removed)
                 report = dataclasses.replace(
                     report, old_digest=old_digest, new_digest=instance.digest
                 )
@@ -724,6 +744,8 @@ class _QueryRequest:
         "tenant",
         "database",
         "constraints",
+        "schema",
+        "snapshot",
         "query",
         "epsilon",
         "delta",
@@ -739,8 +761,7 @@ class _QueryRequest:
     @classmethod
     def parse(cls, payload: Dict[str, Any], service: QueryService) -> "_QueryRequest":
         from repro.analysis.hoeffding import sample_size
-        from repro.constraints import ConstraintSet
-        from repro.constraints.parser import parse_constraints
+        from repro.db.schema import Schema
         from repro.io import database_from_json
         from repro.queries.parser import parse_query
 
@@ -774,9 +795,19 @@ class _QueryRequest:
         for field in required:
             if field not in payload:
                 raise ValueError(f"missing required field {field!r}")
+        #: The named instance's snapshot, when the request reuses its
+        #: constraints: then its cache key needs no digest or schema.
+        self.snapshot = None
         if stored is not None:
-            self.database = stored.database
-            constraints = payload.get("constraints", stored.constraints_text)
+            snapshot = stored.snapshot
+            self.database = snapshot.database
+            if "constraints" in payload:
+                self.constraints = _parse_constraints(payload["constraints"])
+                self.schema = stored.schema.extend(self.constraints.schema())
+            else:
+                self.constraints = stored.constraints
+                self.schema = stored.schema
+                self.snapshot = snapshot
         else:
             database = payload["database"]
             if isinstance(database, str):
@@ -788,17 +819,15 @@ class _QueryRequest:
                     "'database' must be a {relation: [rows]} object or its "
                     "JSON string"
                 )
-            constraints = payload["constraints"]
-        if isinstance(constraints, list):
-            constraints = "\n".join(constraints)
-        if not isinstance(constraints, str):
-            raise ValueError(
-                "'constraints' must be constraint text (string or list "
-                "of lines)"
-            )
-        self.constraints = ConstraintSet(parse_constraints(constraints))
-        if self.instance is not None and stored is None:
-            service.register_instance(self.instance, self.database, constraints)
+            self.constraints = _parse_constraints(payload["constraints"])
+            if self.instance is not None:
+                self.schema = service.register_instance(
+                    self.instance, self.database, self.constraints
+                ).schema
+            else:
+                self.schema = Schema.infer(self.database).extend(
+                    self.constraints.schema()
+                )
         self.query = parse_query(str(payload["query"]))
         self.epsilon = float(payload.get("epsilon", 0.1))
         self.delta = float(payload.get("delta", 0.1))
@@ -829,6 +858,35 @@ class _QueryRequest:
             else sample_size(self.epsilon, self.delta)
         )
         return self
+
+    def cache_key(self) -> CacheKey:
+        """The result-cache key: from the named instance's snapshot, or
+        through :func:`request_cache_key`."""
+        options = {"seed": self.seed, "runs": self.runs, "adaptive": self.adaptive}
+        if self.snapshot is not None:
+            return CacheKey.of(
+                self.snapshot.digest,
+                self.snapshot.constraint_fingerprint,
+                self.query,
+                **options,
+            )
+        return request_cache_key(
+            self.database, self.constraints, self.query, **options
+        )
+
+
+def _parse_constraints(constraints: Any) -> Any:
+    """A ``ConstraintSet`` from constraint text (a string or its lines)."""
+    from repro.constraints import ConstraintSet
+    from repro.constraints.parser import parse_constraints
+
+    if isinstance(constraints, list):
+        constraints = "\n".join(constraints)
+    if not isinstance(constraints, str):
+        raise ValueError(
+            "'constraints' must be constraint text (string or list of lines)"
+        )
+    return ConstraintSet(parse_constraints(constraints))
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):

@@ -138,20 +138,17 @@ class SQLBackend:
 
     def create_table(self, table: str, arity: int, temp: bool = False) -> None:
         """(Re)create *table* with ``c0..c{arity-1}`` columns."""
-        cursor = self.connection.cursor()
-        cursor.execute(self.dialect.drop_table_sql(table, temp))
-        cursor.execute(self.dialect.create_table_sql(table, arity, temp))
-        self.connection.commit()
+        self.execute(self.dialect.drop_table_sql(table, temp))
+        self.execute(self.dialect.create_table_sql(table, arity, temp))
+        self.commit()
 
     def drop_table(self, table: str, temp: bool = False) -> None:
-        cursor = self.connection.cursor()
-        cursor.execute(self.dialect.drop_table_sql(table, temp))
-        self.connection.commit()
+        self.execute(self.dialect.drop_table_sql(table, temp))
+        self.commit()
 
     def clear_table(self, table: str) -> None:
         """Delete every row of *table*."""
-        cursor = self.connection.cursor()
-        cursor.execute(f"DELETE FROM {check_name(table)}")
+        self.execute(f"DELETE FROM {check_name(table)}")
 
     # insert_rows/delete_rows deliberately do not commit: they sit on the
     # per-draw hot path (deletion side tables, temp delta staging).  The

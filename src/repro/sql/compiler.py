@@ -27,8 +27,9 @@ placeholders and transports parameter values, so the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.db.atoms import Atom
 from repro.db.schema import Schema
 from repro.db.terms import Term, Var, is_var
 from repro.queries.ast import (
@@ -79,7 +80,8 @@ class CompiledQuery:
         return rows
 
 
-def _physical(relation: str, relation_map: Optional[Mapping[str, str]]) -> str:
+def physical_table(relation: str, relation_map: Optional[Mapping[str, str]]) -> str:
+    """The table (or live-view subquery) *relation* reads under *relation_map*."""
     if relation_map and relation in relation_map:
         return relation_map[relation]
     return check_name(relation)
@@ -88,56 +90,98 @@ def _physical(relation: str, relation_map: Optional[Mapping[str, str]]) -> str:
 # ----------------------------------------------------------------------
 # Conjunctive queries
 # ----------------------------------------------------------------------
+@dataclass
+class FlatJoin:
+    """One flat join over a list of atoms, atom ``i`` aliased ``t{i}``.
+
+    The join builder behind conjunctive queries, their witness queries
+    and the violation self-joins (:mod:`repro.sql.violations`).
+    """
+
+    tables: str
+    #: A repeated variable equates its columns; a constant binds a ``?``.
+    where: List[str] = field(default_factory=list)
+    #: The constants, in the order of their ``?`` in :attr:`where`.
+    parameters: List[Term] = field(default_factory=list)
+    #: Every atom column, atom by atom.
+    columns: List[str] = field(default_factory=list)
+    #: Each variable's first column.
+    first: Dict[Var, str] = field(default_factory=dict)
+
+    def select(self, parts: Sequence[str], distinct: bool = False) -> str:
+        sql = (
+            f"SELECT {'DISTINCT ' if distinct else ''}"
+            f"{', '.join(parts) if parts else '1'} FROM {self.tables}"
+        )
+        if self.where:
+            sql += f" WHERE {' AND '.join(self.where)}"
+        return sql
+
+
+def flat_join(atoms: Sequence[Atom], tables: Sequence[str]) -> FlatJoin:
+    """The join of *atoms*, atom ``i`` ranging over ``tables[i]``."""
+    join = FlatJoin(
+        ", ".join(f"{table} t{index}" for index, table in enumerate(tables))
+    )
+    for index, atom in enumerate(atoms):
+        for position, term in enumerate(atom.terms):
+            column = f"t{index}.c{position}"
+            join.columns.append(column)
+            if not is_var(term):
+                join.where.append(f"{column} = ?")
+                join.parameters.append(term)
+            elif term in join.first:
+                join.where.append(f"{column} = {join.first[term]}")
+            else:
+                join.first[term] = column
+    return join
+
+
+def _head(cq: ConjunctiveQuery, join: FlatJoin) -> Tuple[List[str], List[Term]]:
+    """*cq*'s head columns and, for its ``?`` placeholders, its head
+    constants (the ``SELECT`` list precedes the ``WHERE`` clause)."""
+    return (
+        [join.first[term] if is_var(term) else "?" for term in cq.head],
+        [term for term in cq.head if not is_var(term)],
+    )
+
+
 def compile_cq(
     cq: ConjunctiveQuery,
     relation_map: Optional[Mapping[str, str]] = None,
 ) -> CompiledQuery:
     """Compile a conjunctive query into one flat join."""
-    from_parts: List[str] = []
-    where: List[str] = []
-    first_occurrence: Dict[Var, str] = {}
-    for index, atom in enumerate(cq.body):
-        alias = f"t{index}"
-        from_parts.append(f"{_physical(atom.relation, relation_map)} {alias}")
-        for position, term in enumerate(atom.terms):
-            column = f"{alias}.c{position}"
-            if is_var(term):
-                if term in first_occurrence:
-                    where.append(f"{column} = {first_occurrence[term]}")
-                else:
-                    first_occurrence[term] = column
-            else:
-                where.append(f"{column} = ?")
-    select_parts: List[str] = []
-    for term in cq.head:
-        if is_var(term):
-            select_parts.append(first_occurrence[term])
-        else:
-            select_parts.append("?")
-    # Positional parameters must follow their textual position: the SELECT
-    # list (head constants) precedes the WHERE clause (body constants).
-    params = _cq_parameters_in_order(cq)
-    select = ", ".join(select_parts) if select_parts else "1"
-    sql = f"SELECT DISTINCT {select} FROM {', '.join(from_parts)}"
-    if where:
-        sql += f" WHERE {' AND '.join(where)}"
+    join = flat_join(
+        cq.body, [physical_table(atom.relation, relation_map) for atom in cq.body]
+    )
+    select, constants = _head(cq, join)
     return CompiledQuery(
-        sql=sql,
-        parameters=tuple(params),
+        sql=join.select(select, distinct=True),
+        parameters=tuple(constants + join.parameters),
         arity=cq.arity,
         source=cq,
         relation_map=relation_map,
     )
 
 
-def _cq_parameters_in_order(cq: ConjunctiveQuery) -> List[Term]:
-    """Constants in the order their placeholders appear in the SQL text."""
-    params: List[Term] = [t for t in cq.head if not is_var(t)]
-    for atom in cq.body:
-        for term in atom.terms:
-            if not is_var(term):
-                params.append(term)
-    return params
+def compile_witnesses(
+    cq: ConjunctiveQuery, limit: int
+) -> Tuple[str, Tuple[Term, ...]]:
+    """SQL listing at most *limit* of *cq*'s witnesses over the base
+    tables.
+
+    Each row is one witness: the answer's head values, then every body
+    atom's columns, atom by atom — the facts the body maps onto.  Rows
+    are not made distinct; the draw plan deduplicates witnesses itself.
+    The limit is an integer literal: PostgreSQL's tagged parameters
+    would not cast to one.
+    """
+    join = flat_join(cq.body, [check_name(atom.relation) for atom in cq.body])
+    select, constants = _head(cq, join)
+    return (
+        f"{join.select(select + join.columns)} LIMIT {int(limit)}",
+        tuple(constants + join.parameters),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +203,7 @@ class _FOContext:
         """``WITH`` the values of every live column plus *constants*."""
         parts = [
             f"SELECT d.c{position} FROM "
-            f"{_physical(relation.name, self.relation_map)} d"
+            f"{physical_table(relation.name, self.relation_map)} d"
             for relation in schema
             for position in range(relation.arity)
         ]
@@ -231,7 +275,7 @@ def _compile_formula(
         return "1 = 0"
     if isinstance(formula, AtomFormula):
         alias = ctx.fresh_alias()
-        table = _physical(formula.atom.relation, ctx.relation_map)
+        table = physical_table(formula.atom.relation, ctx.relation_map)
         conditions = []
         for position, term in enumerate(formula.atom.terms):
             conditions.append(f"{alias}.c{position} = {_term_sql(term, env, ctx)}")

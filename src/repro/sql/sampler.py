@@ -8,7 +8,9 @@ one small chain per component — the "localization of repairs"
 optimization the paper's Section 6 points to — so each sampling run
 draws one repair by walking every component's chain independently,
 materialises the removed tuples in the ``R__del`` tables, and evaluates
-the query rewritten over ``R EXCEPT R__del``; tuple frequencies over
+the query rewritten over ``R EXCEPT R__del`` (or, for a conjunctive
+query, reads the same answers off its witnesses; see below); tuple
+frequencies over
 ``n`` runs estimate ``CP`` with the additive Hoeffding guarantee (or the
 empirical-Bernstein adaptive variant — see
 :class:`repro.campaign.SamplingCampaign`).
@@ -41,15 +43,25 @@ trust under TRUST): components with equal keys share one table and one
 list of survivor and deletion positions, relabelled into their own
 facts, for the sampler's life.  A component with a non-local
 generator, a term that is not a ``str`` or ``int``, or two facts or
-operations that print alike compiles its own chain.  A single-atom
-conjunctive query (``parse_query`` returns one for any conjunctive
-text) then needs no per-draw SQL: its answers are the clean rows plus
-each state's projected survivors (:func:`_build_columnar_plan`).
-Every other query marks each draw's deletions and evaluates in SQL; a
-first-order query ranges over each sampled repair's own live domain
+operations that print alike compiles its own chain.
+
+A conjunctive query (``parse_query`` returns one for any conjunctive
+text) then needs no per-draw SQL.  One flat join over the base tables
+lists its *witnesses* once per instance: each is an answer plus the
+facts the body maps onto, the answer's lineage.  An answer with a
+witness of clean facts alone is certain, and otherwise holds on a draw
+when some witness keeps all its facts; each conflict component is an
+independent block of that lineage, as in probabilistic databases
+(Dalvi and Suciu, JACM 2012).  Witnesses inside one component fold
+into per-state answer sets (a single-atom query's projected
+survivors), and those spanning components are checked against each
+draw's states (:func:`_build_columnar_plan`, whose gates count their
+reasons).  A first-order query, or a conjunctive one a gate refuses,
+marks each draw's deletions and evaluates in SQL; a first-order query
+ranges over each sampled repair's own live domain
 (:mod:`repro.sql.compiler`).  With ``REPRO_COLUMNAR=0`` the draws walk
-the chains fact by fact instead, the reference every table route is
-byte-identical to.
+the chains fact by fact and every query evaluates in SQL, the
+reference every table route is byte-identical to.
 
 The samplers run the same SQL on any :class:`repro.sql.backend.SQLBackend`
 (SQLite or PostgreSQL).  All per-component randomness flows through the
@@ -84,6 +96,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -108,13 +121,18 @@ from repro.core.localization import LOCAL_GENERATOR_TYPES
 from repro.core.sampling import sample_walk
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
-from repro.db.terms import Term, is_var
+from repro.db.terms import Term
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.query import Query
 from repro.sql.backend import SQLBackend
-from repro.sql.compiler import CompiledQuery, compile_cq, compile_fo_query
+from repro.sql.compiler import (
+    CompiledQuery,
+    compile_cq,
+    compile_fo_query,
+    compile_witnesses,
+)
 from repro.sql.rewriting import DeletionRewriter
 from repro.sql.violations import SQLDeltaViolationIndex
 
@@ -136,14 +154,25 @@ WalkTableFn = Callable[[FrozenSet[Fact]], Optional[ComponentTable]]
 #: and deleted at each state, into a component's facts in ``str`` order.
 ChainShape = Tuple[columnar.WalkTable, List[Tuple[int, ...]], List[Tuple[int, ...]]]
 
-#: ``columnar``: walk-table draws answered without SQL (single-atom
-#: CQs); ``table``: walk-table draws evaluated by per-draw SQL;
-#: ``object``: the reference walk (``REPRO_COLUMNAR=0``).
+#: ``columnar``: walk-table draws answered without SQL (conjunctive
+#: queries, from their witnesses); ``table``: walk-table draws evaluated
+#: by per-draw SQL (first-order queries and gated plans); ``object``:
+#: the reference walk (``REPRO_COLUMNAR=0``).
 _DRAW_RANGES = obs_metrics.REGISTRY.counter(
     "ocqa_draw_ranges_total",
     "Draw ranges executed, by evaluation path.",
     ("path",),
 )
+
+
+#: The witness rows a draw plan fetches at most, unless the queried
+#: relations hold more rows than that: a single-atom query has at most
+#: one witness per row, so every one plans.  Past the budget (a join
+#: whose rows multiply) the query keeps per-draw SQL; its witness query
+#: stops one row past the budget, so no build holds more rows than this
+#: or than it already read of the queried tables (a join of two
+#: three-column atoms peaks near 13 MiB at the budget).
+MAX_WITNESSES = 1 << 14
 
 
 def instance_digest(backend: SQLBackend, schema: Schema) -> str:
@@ -333,10 +362,10 @@ class BaseCampaignSampler:
 
         When the columnar core applies (:mod:`repro.core.columnar`,
         ``REPRO_COLUMNAR`` unset/1), the deletions come from the
-        components' walk tables, and a single-atom CQ's answer sets come
-        straight from its compiled draw plan with no SQL at all; both
-        are byte-identical to the reference walk ``REPRO_COLUMNAR=0``
-        runs.
+        components' walk tables, and a conjunctive query's answer sets
+        come straight from its witness-lineage draw plan with no SQL at
+        all; both are byte-identical to the reference walk
+        ``REPRO_COLUMNAR=0`` runs.
         """
         fast = self._columnar_outcomes(compiled, start, count)
         if fast is not None:
@@ -818,7 +847,8 @@ class ConstraintRepairSampler(BaseCampaignSampler):
 
         The plan is built once per (compiled query, instance) and gated
         conservatively — any precondition it cannot prove falls back to
-        per-draw SQL (see :func:`_build_columnar_plan`).
+        per-draw SQL (see :func:`_build_columnar_plan`).  It only reads
+        the backend, so a planned campaign writes nothing.
         """
         if count <= 0 or not columnar.available():
             return None
@@ -829,11 +859,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             self._columnar_plans[key] = plan
         if plan is False:
             return None
-        outcomes = plan.outcomes(start, count)
-        # The reference loop leaves the rewriter cleared; match it so
-        # interleaved object-path callers see the same backend state.
-        self.rewriter.clear()
-        return outcomes
+        return plan.outcomes(start, count)
 
 
 def _positions(built: ComponentTable, facts: Sequence[Fact]) -> ChainShape:
@@ -1044,49 +1070,102 @@ def _draw_states(
 
 
 class _ColumnarDrawPlan:
-    """A single-atom CQ's ``outcomes_for_range`` with no per-draw SQL.
+    """A conjunctive query's ``outcomes_for_range`` with no per-draw SQL.
 
-    Built by :func:`_build_columnar_plan`.  The observation: with the
-    rewriting's ``R EXCEPT R__del`` set semantics, a draw's answer set
-    is exactly ``clean_answers ∪ (projections of each conflict
-    component's surviving R facts)`` — rows outside every component can
-    never be deleted, and each component's survivors depend only on
-    that component's own draw substream.  So one range needs each
-    component's absorbing state per draw (:func:`_draw_states`) and a
-    per-draw union of the states' precomputed projections.
+    Built by :func:`_build_columnar_plan` from the query's witnesses
+    (see the module docstring).  Under the rewriting's ``R EXCEPT
+    R__del`` set semantics an answer holds on a draw exactly when one of
+    its witnesses keeps all its facts, and only conflict facts are ever
+    deleted, each by its own component's draw substream.  So one range
+    needs each component's absorbing state per draw
+    (:func:`_draw_states`).
+
+    ``requirements[i]`` maps a fact of ``entries[i]`` to the fact sets
+    (containing it) that witnesses need kept in that component, each
+    with the answers of the witnesses that need nothing else and, when
+    a spanning witness needs it, its id; ``spanning`` lists each
+    remaining answer's spanning witnesses as sets of those ids.
     """
 
-    __slots__ = ("clean_answers", "entries", "projections", "_project")
+    __slots__ = (
+        "certain",
+        "entries",
+        "spanning",
+        "_requirements",
+        "_linked",
+        "_answers",
+        "_met",
+    )
 
     def __init__(
         self,
-        clean_answers: frozenset,
+        certain: frozenset,
         entries: List[_ComponentDraws],
-        project: Callable[[Iterable[Fact]], frozenset],
+        requirements: List[Dict[Fact, List[Tuple]]],
+        spanning: List[Tuple[Tuple, List[FrozenSet[int]]]],
     ) -> None:
-        self.clean_answers = clean_answers
+        self.certain = certain
         self.entries = entries
-        self._project = project
-        self.projections = [
-            [project(facts) for facts in entry.survivors] for entry in entries
+        self.spanning = spanning
+        self._requirements = requirements
+        #: The entries some spanning witness needs a fact set of.
+        self._linked = [
+            index
+            for index, needs in enumerate(requirements)
+            if any(rid is not None for group in needs.values() for _, _, rid in group)
         ]
+        #: Per entry and state: the answers its kept facts give, and
+        #: the requirement ids they meet (both extended lazily, as a
+        #: walked component reaches new states).
+        self._answers: List[List[frozenset]] = [[] for _ in entries]
+        self._met: List[List[FrozenSet[int]]] = [[] for _ in entries]
+
+    def _fold(self, index: int) -> List[frozenset]:
+        """Entry *index*'s per-state answers, covering every state it
+        has reached."""
+        answers, met = self._answers[index], self._met[index]
+        requirements = self._requirements[index]
+        for facts in self.entries[index].survivors[len(answers) :]:
+            kept = frozenset(facts)
+            heads = set()
+            ids = set()
+            for fact in kept:
+                for needed, local, rid in requirements.get(fact, ()):
+                    if needed <= kept:
+                        heads.update(local)
+                        if rid is not None:
+                            ids.add(rid)
+            answers.append(frozenset(heads))
+            met.append(frozenset(ids))
+        return answers
 
     def outcomes(self, start: int, count: int) -> List[Any]:
+        states = _draw_states(self.entries, start, count)
         per_offset: List[List[frozenset]] = [[] for _ in range(count)]
-        for entry, projections, states in zip(
-            self.entries, self.projections, _draw_states(self.entries, start, count)
-        ):
-            # A walked (overflowed) component may have reached new states.
-            for facts in entry.survivors[len(projections) :]:
-                projections.append(self._project(facts))
-            for extras, state in zip(per_offset, states):
-                extra = projections[state]
+        for index, reached in enumerate(states):
+            answers = self._fold(index)
+            for extras, state in zip(per_offset, reached):
+                extra = answers[state]
                 if extra:
                     extras.append(extra)
-        clean = self.clean_answers
-        return [
-            clean.union(*extras) if extras else clean for extras in per_offset
+        certain = self.certain
+        outcomes = [
+            certain.union(*extras) if extras else certain for extras in per_offset
         ]
+        if self.spanning:
+            linked = [(self._met[index], states[index]) for index in self._linked]
+            for offset, outcome in enumerate(outcomes):
+                met = frozenset().union(
+                    *(ids[reached[offset]] for ids, reached in linked)
+                )
+                found = [
+                    answer
+                    for answer, witnesses in self.spanning
+                    if answer not in outcome and any(w <= met for w in witnesses)
+                ]
+                if found:
+                    outcomes[offset] = outcome.union(found)
+        return outcomes
 
 
 def _keep_one_table(component: FrozenSet[Fact]) -> ComponentTable:
@@ -1121,6 +1200,12 @@ def _keep_one_table(component: FrozenSet[Fact]) -> ComponentTable:
     return table, survivors, deletions
 
 
+def _gated(reason: str) -> None:
+    """Count a plan gate (``plan_gated_<reason>``); the query keeps
+    per-draw SQL."""
+    columnar.EVENTS.inc(stat=f"plan_gated_{reason}")
+
+
 def _build_columnar_plan(
     sampler: ConstraintRepairSampler,
     compiled: CompiledQuery,
@@ -1128,65 +1213,113 @@ def _build_columnar_plan(
 ) -> Optional[_ColumnarDrawPlan]:
     """Compile a :class:`_ColumnarDrawPlan`, or ``None`` when gated.
 
-    *walk_table* gives each conflict component's table and the facts
-    surviving at each state.  Components without a fact of the queried
-    relation never change the answer, so the plan skips them.  Every
-    gate is a precondition of the clean/survivor decomposition: a
-    single-atom CQ with distinct variable terms (so answers are plain
-    row projections), the compiled query built against this sampler's
-    live rewriting, and every component fact of the queried relation
-    resolvable to exactly one base row.
+    One flat join over the base tables (:func:`compile_witnesses`)
+    lists the witnesses; *walk_table* gives each conflict component's
+    table and the facts surviving at each state, and only components a
+    witness needs are drawn.  Each gate is a precondition of the
+    lineage decomposition and counts its own ``plan_gated_*`` stat on
+    ``ocqa_columnar_events_total``: ``first_order`` (not a conjunctive
+    query), ``relation_map`` (not compiled against this sampler's live
+    rewriting), ``unresolved_fact`` and ``shared_row`` (a conflict fact
+    of a queried relation resolves to no base row, or to one another
+    fact resolves to: marking a fact deleted removes its row), and
+    ``witness_budget`` (the join has more rows than
+    :data:`MAX_WITNESSES` and than the queried relations hold).
     """
     try:
         source = compiled.source
-        if not isinstance(source, ConjunctiveQuery) or len(source.body) != 1:
-            return None
-        atom = source.body[0]
-        if not source.head or not atom.terms:
-            return None
-        if any(not is_var(term) for term in atom.terms):
-            return None
-        if len(set(atom.terms)) != len(atom.terms):
-            return None
-        if any(not is_var(term) for term in source.head):
-            return None
-        position_of = {term: pos for pos, term in enumerate(atom.terms)}
-        if any(term not in position_of for term in source.head):
-            return None
+        if not isinstance(source, ConjunctiveQuery):
+            return _gated("first_order")
         if compiled.relation_map != sampler.rewriter.relation_map():
-            return None
-        rows = {tuple(row) for row in sampler.backend.select_all(atom.relation)}
-        components = []
-        mapped: Dict[Fact, Tuple] = {}
-        for component in sampler.components:
-            queried = [fact for fact in component if fact.relation == atom.relation]
-            if not queried:
-                continue
-            components.append(component)
-            for fact in queried:
+            return _gated("relation_map")
+        backend = sampler.backend
+        rows = {
+            relation: {tuple(row) for row in backend.select_all(relation)}
+            for relation in {atom.relation for atom in source.body}
+        }
+        # Each conflict fact of a queried relation, numbered, by the row
+        # it deletes.
+        numbered: Dict[str, Dict[Tuple, int]] = {relation: {} for relation in rows}
+        conflict: List[Fact] = []
+        component_of: List[int] = []
+        for index, component in enumerate(sampler.components):
+            for fact in component:
+                base = rows.get(fact.relation)
+                if base is None:
+                    continue
                 row = tuple(fact.values)
-                if row not in rows:
+                if row not in base:
                     row = tuple(str(value) for value in fact.values)
-                    if row not in rows:
-                        return None
-                mapped[fact] = row
-        if len(set(mapped.values())) != len(mapped):
-            return None
-        projection = tuple(position_of[term] for term in source.head)
-        clean_answers = frozenset(
-            tuple(row[p] for p in projection)
-            for row in rows - set(mapped.values())
-        )
-
-        def project(survivors: Iterable[Fact]) -> frozenset:
-            return frozenset(
-                tuple(mapped[fact][p] for p in projection)
-                for fact in survivors
-                if fact in mapped
+                    if row not in base:
+                        return _gated("unresolved_fact")
+                if row in numbered[fact.relation]:
+                    return _gated("shared_row")
+                numbered[fact.relation][row] = len(conflict)
+                conflict.append(fact)
+                component_of.append(index)
+        # Each witness row is the answer, then one row per atom; only
+        # atoms over a relation with conflict facts are looked up.
+        arity = source.arity
+        spans = []
+        start = arity
+        for atom in source.body:
+            if numbered[atom.relation]:
+                spans.append((numbered[atom.relation], start, start + atom.arity))
+            start += atom.arity
+        budget = max(MAX_WITNESSES, sum(map(len, rows.values())))
+        witnesses = backend.execute(*compile_witnesses(source, budget + 1))
+        if len(witnesses) > budget:
+            return _gated("witness_budget")
+        # Split each witness by component: a requirement is the facts one
+        # component must keep, and a witness of one requirement folds
+        # into that component's per-state answers.
+        certain = set()
+        needs: Dict[Tuple[int, FrozenSet[int]], list] = {}
+        spanning: Dict[Tuple, Set[FrozenSet[int]]] = {}
+        next_rid = 0
+        for row in witnesses:
+            parts: Dict[int, Set[int]] = {}
+            for numbers, begin, end in spans:
+                number = numbers.get(row[begin:end])
+                if number is not None:
+                    parts.setdefault(component_of[number], set()).add(number)
+            answer = row[:arity]
+            if not parts:
+                certain.add(answer)
+                continue
+            shares = [
+                needs.setdefault((index, frozenset(part)), [set(), None])
+                for index, part in parts.items()
+            ]
+            if len(shares) == 1:
+                shares[0][0].add(answer)
+                continue
+            for share in shares:
+                if share[1] is None:
+                    share[1] = next_rid
+                    next_rid += 1
+            spanning.setdefault(answer, set()).add(
+                frozenset(share[1] for share in shares)
             )
-
+        # A certain answer needs no witness of its own.
+        requirements: Dict[int, Dict[Fact, List[Tuple]]] = {}
+        for (index, part), (heads, rid) in needs.items():
+            heads = frozenset(heads - certain)
+            if heads or rid is not None:
+                facts = frozenset(conflict[number] for number in part)
+                requirements.setdefault(index, {}).setdefault(
+                    next(iter(facts)), []
+                ).append((facts, heads, rid))
+        used = sorted(requirements)
         plan = _ColumnarDrawPlan(
-            clean_answers, sampler._draws_for(components, walk_table), project
+            frozenset(certain),
+            sampler._draws_for([sampler.components[i] for i in used], walk_table),
+            [requirements[index] for index in used],
+            [
+                (answer, list(witnesses))
+                for answer, witnesses in spanning.items()
+                if answer not in certain
+            ],
         )
     except Exception:
         columnar.EVENTS.inc(stat="plan_build_errors")

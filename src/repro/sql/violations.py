@@ -33,8 +33,9 @@ from repro.constraints.dc import DC
 from repro.constraints.egd import EGD
 from repro.core import columnar
 from repro.db.facts import Fact
-from repro.db.terms import Term, Var, is_var
+from repro.db.terms import Term, is_var
 from repro.sql.backend import SQLBackend
+from repro.sql.compiler import flat_join, physical_table
 from repro.sql.dialect import check_name
 
 
@@ -62,53 +63,20 @@ def compile_violation_query(
         )
     if (delta_atom is None) != (delta_table is None):
         raise ValueError("delta_atom and delta_table must be given together")
-    select_parts: List[str] = []
-    from_parts: List[str] = []
-    where: List[str] = []
-    params: List[Term] = []
-    first_occurrence: Dict[Var, str] = {}
-    for index, atom in enumerate(constraint.body):
-        alias = f"t{index}"
-        if index == delta_atom:
-            physical = check_name(delta_table)
-        else:
-            physical = (
-                relation_map[atom.relation]
-                if relation_map and atom.relation in relation_map
-                else check_name(atom.relation)
-            )
-        from_parts.append(f"{physical} {alias}")
-        for position, term in enumerate(atom.terms):
-            column = f"{alias}.c{position}"
-            select_parts.append(column)
-            if is_var(term):
-                if term in first_occurrence:
-                    where.append(f"{column} = {first_occurrence[term]}")
-                else:
-                    first_occurrence[term] = column
-            else:
-                where.append(f"{column} = ?")
-                params.append(term)
+    tables = [physical_table(atom.relation, relation_map) for atom in constraint.body]
+    if delta_atom is not None:
+        tables[delta_atom] = check_name(delta_table)
+    join = flat_join(constraint.body, tables)
     if isinstance(constraint, EGD):
-        left = (
-            first_occurrence[constraint.left]
-            if is_var(constraint.left)
-            else "?"
-        )
-        if left == "?":
-            params.append(constraint.left)
-        right = (
-            first_occurrence[constraint.right]
-            if is_var(constraint.right)
-            else "?"
-        )
-        if right == "?":
-            params.append(constraint.right)
-        where.append(f"NOT ({left} = {right})")
-    sql = f"SELECT {', '.join(select_parts)} FROM {', '.join(from_parts)}"
-    if where:
-        sql += f" WHERE {' AND '.join(where)}"
-    return sql, tuple(params)
+        sides = []
+        for side in (constraint.left, constraint.right):
+            if is_var(side):
+                sides.append(join.first[side])
+            else:
+                sides.append("?")
+                join.parameters.append(side)
+        join.where.append(f"NOT ({sides[0]} = {sides[1]})")
+    return join.select(join.columns), tuple(join.parameters)
 
 
 def _rows_to_edges(constraint: Constraint, rows) -> Set[FrozenSet[Fact]]:

@@ -17,6 +17,7 @@ from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
 from repro.queries.parser import parse_cq, parse_query
 from repro.sql import KeyRepairSampler, SamplerPolicy, SQLiteBackend
+from repro.sql.sampler import KeySpec
 from repro.sql.compiler import compile_cq
 from repro.sql.dialect import POSTGRES_DIALECT
 from repro.workloads import integration_workload, key_conflict_workload
@@ -133,6 +134,36 @@ class TestSamplerParity:
                 rng=random.Random(seed),
             )
             reports[name] = sampler.run(query, runs=60)
+        assert reports["postgres"].frequencies == reports["sqlite"].frequencies
+        reference.close()
+
+    @pytest.mark.parametrize(
+        "text", ["Q(x, u) :- R(x, y) & R(u, y)", "Q() :- R(1, y) & R(3, w)"]
+    )
+    def test_join_plans_match_sqlite_exactly(self, backend, text):
+        """Joins plan from their witnesses on both backends; integer
+        keys cross PostgreSQL's TEXT columns through the tagged
+        transport, and the shared ``a`` links two key groups."""
+        database = Database.from_tuples(
+            {"R": [(1, "a"), (1, "b"), (2, "c"), (3, "a"), (3, "d"), (4, "e")]}
+        )
+        schema = Schema.infer(database)
+        query = parse_query(text)
+        planned, reports = {}, {}
+        reference = SQLiteBackend()
+        for name, be in (("sqlite", reference), ("postgres", backend)):
+            be.load(database, schema)
+            sampler = KeyRepairSampler(
+                be,
+                schema,
+                [KeySpec("R", 2, (0,))],
+                policy=SamplerPolicy.OPERATIONAL_UNIFORM,
+                rng=random.Random(4),
+            )
+            planned[name] = sampler._columnar_outcomes(sampler.compile(query), 0, 8)
+            reports[name] = sampler.run(query, runs=60)
+        assert planned["postgres"] is not None
+        assert planned["postgres"] == planned["sqlite"]
         assert reports["postgres"].frequencies == reports["sqlite"].frequencies
         reference.close()
 

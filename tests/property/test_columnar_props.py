@@ -10,13 +10,15 @@ byte-identity of sampler outcome streams, which the distributed lease
 table's duplicate-drop correctness rests on.
 """
 
+import collections
 import contextlib
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet, key, parse_constraints
@@ -26,15 +28,18 @@ from repro.core.incremental import DeltaViolationIndex
 from repro.core.sampling import sample_walk
 from repro.core.operations import Operation
 from repro.core.violations import violations
+from repro.db.atoms import Atom
 from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
-from repro.queries import parse_cq, parse_query
+from repro.db.terms import Var
+from repro.queries import ConjunctiveQuery, parse_cq, parse_query
 from repro.sql import (
     ConstraintRepairSampler,
     KeyRepairSampler,
     SamplerPolicy,
     SQLiteBackend,
 )
+from repro.sql.sampler import MAX_WITNESSES
 from repro.workloads import key_conflict_workload
 
 from tests.property.strategies import key_sigma, key_violation_databases
@@ -181,12 +186,12 @@ PARITY_INPUTS = (
     "cross_relation",
 )
 
-#: Queries the single-atom plan answers without SQL.
+#: Single-atom queries, which every input plans.
 PLAN_QUERIES = ("Q(x) :- R(x, y, z)", "Q(x, z) :- R(x, y, z)")
 
-#: Queries whose table draws are evaluated by per-draw SQL: a join
-#: across components, and (``cross_relation`` only, the input with an
-#: ``S``) a first-order query with negation.
+#: A self-join, which plans from its witnesses, and (``cross_relation``
+#: only, the input with an ``S``) a first-order query with negation,
+#: whose table draws are evaluated by per-draw SQL.
 JOIN_QUERY = "Q(x, u) :- R(x, y, z) & R(u, y, w)"
 NEGATION_QUERY = "Q(x) :- R(x, y, z) & !S(y)"
 
@@ -313,20 +318,25 @@ class TestSamplerOutcomeParity:
     def test_table_draws_equal_the_reference_walk(
         self, kind, negated, clean_rows, groups, group_size, seed, start, count
     ):
-        """Joins and first-order queries evaluate table draws in SQL."""
-        text = NEGATION_QUERY if negated and kind == "cross_relation" else JOIN_QUERY
-        query = parse_query(text)
+        """A join plans from its witnesses; a first-order query evaluates
+        its table draws in SQL."""
+        first_order = negated and kind == "cross_relation"
+        query = parse_query(NEGATION_QUERY if first_order else JOIN_QUERY)
         backend, sampler = _parity_sampler(
             kind, clean_rows, groups, group_size, seed
         )
         try:
             compiled = sampler.compile(query)
-            assert sampler._columnar_outcomes(compiled, start, count) is None
+            planned = sampler._columnar_outcomes(compiled, start, count)
+            assert (planned is None) == first_order
             outcomes = sampler.outcomes_for_range(compiled, start, count)
             deletions = sampler.deletions_for_range(start, count)
-            assert (outcomes, deletions) == _reference(
+            reference = _reference(
                 kind, clean_rows, groups, group_size, seed, query, start, count
             )
+            assert (outcomes, deletions) == reference
+            if planned is not None:
+                assert planned == reference[0]
         finally:
             backend.close()
 
@@ -348,6 +358,187 @@ class TestSamplerOutcomeParity:
             assert fast == reference
         finally:
             backend.close()
+
+
+#: Rows that share values across key groups (and with a clean row), so
+#: self-joins have witnesses spanning components.
+_SHARED = [
+    Fact("R", ("dup0", "s1", "s2")),
+    Fact("R", ("dup1", "s1", "s3")),
+    Fact("R", ("c0", "s2", "s1")),
+]
+
+#: A ten-fact key group, past ``compile_walk_table``'s 512 states under
+#: the chain policies, one of whose rows shares ``s1``.
+_WIDE = [
+    Fact("R", ("wide", "s1" if i == 0 else f"v{i}", f"w{i}")) for i in range(10)
+]
+
+
+@st.composite
+def _random_cqs(draw, facts):
+    """A CQ that 1-3 of *facts* satisfy: equal values become one shared
+    variable (a join) or, position by position, fresh variables (so
+    the atoms may not join at all), at most one value stays a body
+    constant, and the head holds 0-2 of the variables."""
+    chosen = draw(st.lists(st.sampled_from(facts), min_size=1, max_size=3))
+    constant_at = draw(st.none() | st.integers(0, sum(f.arity for f in chosen) - 1))
+    positions = itertools.count()
+    shared = {}
+    variables = []
+    body = []
+    for fact in chosen:
+        terms = []
+        for value in fact.values:
+            if next(positions) == constant_at:
+                terms.append(value)
+                continue
+            if draw(st.booleans()):
+                var = shared.setdefault(value, Var(f"v{len(shared)}"))
+            else:
+                var = Var(f"f{len(variables)}")
+            variables.append(var)
+            terms.append(var)
+        body.append(Atom(fact.relation, tuple(terms)))
+    names = sorted(set(variables), key=str)
+    head = (
+        draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+        if names
+        else []
+    )
+    return ConjunctiveQuery(head, body)
+
+
+def _plan(sampler, compiled):
+    """The draw plan *sampler* built for *compiled* (``False``: gated)."""
+    return sampler._columnar_plans[(compiled.sql, tuple(compiled.parameters))]
+
+
+_GATE_STATS = (
+    "plan_gated_first_order",
+    "plan_gated_relation_map",
+    "plan_gated_unresolved_fact",
+    "plan_gated_shared_row",
+    "plan_gated_witness_budget",
+    "plan_build_errors",
+)
+
+
+def _gate_counts():
+    """The count of each plan gate and of ``plan_build_errors``."""
+    return collections.Counter(
+        {stat: columnar.EVENTS.value(stat=stat) for stat in _GATE_STATS}
+    )
+
+
+class TestWitnessPlans:
+    """A conjunctive query plans from its witnesses unless a gate refuses
+    it, and either way its outcomes equal the reference walk evaluated
+    by per-draw SQL."""
+
+    @given(
+        kind=st.sampled_from(PARITY_INPUTS),
+        clean_rows=st.integers(min_value=0, max_value=4),
+        groups=st.integers(min_value=1, max_value=3),
+        group_size=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        start=st.integers(min_value=0, max_value=64),
+        count=st.integers(min_value=1, max_value=8),
+        wide=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_cqs_equal_the_reference(
+        self, kind, clean_rows, groups, group_size, seed, start, count, wide, data
+    ):
+        extra = _SHARED + (_WIDE if wide else [])
+        args = (kind, clean_rows, groups, group_size, seed)
+        backend, sampler = _parity_sampler(*args, extra=extra)
+        try:
+            facts = sorted(backend.fetch_database(sampler.schema), key=str)
+            query = data.draw(_random_cqs(facts))
+            compiled = sampler.compile(query)
+            before = _gate_counts()
+            planned = sampler._columnar_outcomes(compiled, start, count)
+            counted = _gate_counts() - before
+            # A plan is built or refused by a gate; none fails to build.
+            assert not counted["plan_build_errors"]
+            plan = _plan(sampler, compiled)
+            if plan is False:
+                assert sum(counted.values()) == 1, counted
+                event(f"gated: {next(iter(counted))}")
+            else:
+                assert not counted
+                event("spanning" if plan.spanning else "planned")
+            reference, _ = _reference(
+                *args, query, start, count, extra=extra
+            )
+            if planned is not None:
+                assert planned == reference
+            assert sampler.outcomes_for_range(compiled, start, count) == reference
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kind", PARITY_INPUTS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Q() :- R('dup0', y, z) & R('dup1', u, w)",
+            "Q(x, u) :- R(x, y, z) & R(u, y, w)",
+            "Q(x) :- R(x, y, z) & R(u, y, w) & R(u, v, s)",
+        ],
+    )
+    def test_spanning_witnesses_plan(self, kind, text):
+        """Witnesses spanning components (one of them walked past the
+        table limit under the chain policies) are checked per draw."""
+        extra = _SHARED + _WIDE
+        args = (kind, 2, 2, 2, 5)
+        query = parse_query(text)
+        backend, sampler = _parity_sampler(*args, extra=extra)
+        try:
+            compiled = sampler.compile(query)
+            planned = sampler._columnar_outcomes(compiled, 3, 24)
+            assert planned is not None
+            # cross_relation's S(s1) puts every row sharing s1 in one
+            # component.
+            assert bool(_plan(sampler, compiled).spanning) == (
+                kind != "cross_relation"
+            )
+            reference, _ = _reference(*args, query, 3, 24, extra=extra)
+            assert planned == reference
+        finally:
+            backend.close()
+
+    def test_cross_product_over_the_budget_keeps_per_draw_sql(self):
+        """Witness rows past the budget gate, clean ones included, and a
+        plan build fetches at most one row past it."""
+        query = parse_query("Q(x, u) :- R(x, y, z) & R(u, v, w)")
+        gated = columnar.EVENTS.value(stat="plan_gated_witness_budget")
+        # 140 rows join into 140^2 witness rows; 132 rows into 132^2, of
+        # which only 132^2 - 130^2 touch a conflict fact; 8 rows into 8^2.
+        assert 132**2 > MAX_WITNESSES > max(132**2 - 130**2, 8**2)
+        cases = ((40, 50, False), (130, 1, False), (4, 2, True))
+        for clean_rows, groups, planned in cases:
+            args = (SamplerPolicy.OPERATIONAL_UNIFORM, clean_rows, groups, 2, 3)
+            backend, sampler = _parity_sampler(*args)
+            fetched = []
+
+            def record(sql, *rest, _execute=backend.execute):
+                rows = _execute(sql, *rest)
+                fetched.append(len(rows))
+                return rows
+
+            backend.execute = record
+            try:
+                compiled = sampler.compile(query)
+                fast = sampler._columnar_outcomes(compiled, 0, 6)
+                assert (fast is not None) == planned
+                assert 0 < max(fetched) <= MAX_WITNESSES + 1
+                reference, _ = _reference(*args, query, 0, 6)
+                assert sampler.outcomes_for_range(compiled, 0, 6) == reference
+            finally:
+                backend.close()
+        assert columnar.EVENTS.value(stat="plan_gated_witness_budget") == gated + 2
 
 
 class TestPerComponentFallback:

@@ -275,6 +275,49 @@ class TestQueryServiceHandling:
         _, second = service.handle_query(_query_payload(runs=40))
         assert first["frequencies"] == second["frequencies"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Q(x) :- R(x, y) & S(y)",
+            "Q(x, y) :- R(x, y) & S(y)",
+            "Q(x, u) :- R(x, y) & R(u, y)",
+            "Q() :- R('k1', y) & R('k3', w)",
+        ],
+    )
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_join_bodies_equal_their_object_path_twins(
+        self, monkeypatch, text, adaptive
+    ):
+        """A served join answers from its witnesses (``path="columnar"``)
+        with the body the reference walk and per-draw SQL give."""
+        pytest.importorskip("numpy")
+        import repro.sql.sampler  # noqa: F401 - registers the route counter
+
+        ranges = obs_metrics.REGISTRY.get("ocqa_draw_ranges_total")
+        payload = _query_payload(
+            database={
+                "R": [["k1", "v1"], ["k1", "v2"], ["k2", "v1"], ["k3", "v3"],
+                      ["k3", "v2"], ["k4", "v4"]],
+                "S": [["v1"], ["v3"]],
+            },
+            query=text,
+            epsilon=0.2,
+            delta=0.1,
+            adaptive=adaptive,
+            cache="bypass",
+        )
+        del payload["runs"]
+        bodies = {}
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_COLUMNAR", flag)
+            before = ranges.value(path="columnar")
+            status, body = QueryService().handle_query(payload)
+            assert status == 200
+            assert (ranges.value(path="columnar") > before) == (flag == "1")
+            body.pop("elapsed_seconds")
+            bodies[flag] = body
+        assert bodies["1"] == bodies["0"]
+
     def test_missing_field_is_400(self):
         service = QueryService()
         payload = _query_payload()

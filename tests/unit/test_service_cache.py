@@ -227,16 +227,17 @@ class TestInstancesAndUpdates:
         assert status == 400 and "ghost" in body["error"]
 
     def test_instance_limit_enforced(self):
+        from repro.constraints.base import ConstraintSet
         from repro.db.facts import Database
 
         service = QueryService()
         empty = Database(frozenset())
         for i in range(MAX_INSTANCES):
-            service.register_instance(f"i{i}", empty, "")
+            service.register_instance(f"i{i}", empty, ConstraintSet([]))
         with pytest.raises(ValueError, match="instance limit"):
-            service.register_instance("overflow", empty, "")
+            service.register_instance("overflow", empty, ConstraintSet([]))
         # Replacing an existing instance is still allowed.
-        service.register_instance("i0", empty, "")
+        service.register_instance("i0", empty, ConstraintSet([]))
 
     def test_update_requires_an_instance(self):
         service = QueryService()
@@ -364,6 +365,95 @@ class TestInstancesAndUpdates:
             {"instance": "inv", "add": {"R": [["z", "z"]]}}
         )
         assert status == 503 and body["draining"]
+
+
+class TestInstanceSnapshots:
+    """A registered instance keeps its schema, parsed constraints and
+    cache-key parts; only a request that sends its own constraints keys
+    through ``request_cache_key``."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        from repro.service import server
+
+        calls = []
+        real = server.request_cache_key
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server, "request_cache_key", counted)
+        return calls, real
+
+    def test_snapshot_keys_equal_request_cache_key_across_hot_schedule(
+        self, monkeypatch
+    ):
+        import itertools
+
+        from perfbench import inputs
+        from repro.service.server import _QueryRequest
+
+        service = QueryService()
+        status, _ = service.handle_query(inputs.registration_payload(5))
+        assert status == 200
+        calls, real = self._counting(monkeypatch)
+        standing = inputs.standing_queries(5)
+        updates = 0
+        for kind, item in itertools.islice(inputs.hot_schedule(5), 80):
+            if kind == "update":
+                status, _ = service.handle_update(item.payload())
+                assert status == 200
+                updates += 1
+                continue
+            payload = standing[item]
+            request = _QueryRequest.parse(payload, service)
+            assert request.cache_key() == real(
+                request.database,
+                request.constraints,
+                request.query,
+                seed=request.seed,
+                runs=request.runs,
+                adaptive=request.adaptive,
+            )
+            status, _ = service.handle_query(payload)
+            assert status == 200
+        assert updates >= 2
+        assert len(calls) == 0
+
+    def test_a_request_with_constraints_keys_through_request_cache_key(
+        self, monkeypatch
+    ):
+        service = QueryService()
+        service.handle_query(_payload(instance="inv"))
+        calls, _ = self._counting(monkeypatch)
+        named = {"instance": "inv", "query": "Q(x) :- R(x, y)", "runs": 10}
+        service.handle_query(named)
+        assert len(calls) == 0
+        service.handle_query(dict(named, constraints="R(x, y), R(x, z) -> y = z"))
+        assert len(calls) == 1
+
+    def test_a_relation_an_update_empties_keeps_its_table(self):
+        """``S`` is in no constraint: once an update removes its last
+        fact it still answers, and it still takes facts."""
+        service = QueryService()
+        service.handle_query(_payload(instance="inv"))
+        queries = [
+            {"instance": "inv", "query": text, "runs": 10, "seed": 1}
+            for text in ("Q(x) :- S(x)", "Q(x) :- R(x, y) & S(x)")
+        ]
+        status, _ = service.handle_update(
+            {"instance": "inv", "remove": {"S": [["a"], ["d"]]}}
+        )
+        assert status == 200
+        for query in queries:
+            status, body = service.handle_query(query)
+            assert status == 200 and body["frequencies"] == []
+        status, _ = service.handle_update({"instance": "inv", "add": {"S": [["d"]]}})
+        assert status == 200
+        for query in queries:
+            status, body = service.handle_query(query)
+            assert status == 200 and body["frequencies"] == [[["d"], 1.0]]
 
 
 class TestStatusSurface:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.constraints import ConstraintSet, key
+from repro.constraints import ConstraintSet, key, parse_constraints
 from repro.core.generators import TrustGenerator, UniformGenerator
 from repro.core.oca import exact_oca
 from repro.db.facts import Database, Fact
@@ -347,27 +347,122 @@ class TestLoweredQueries:
         assert tabled == {"1": 40, "0": 0}
 
     def test_join_draws_from_walk_tables(self, backend, monkeypatch):
-        """A join's draws come from walk tables and are evaluated in SQL
-        (``path="table"``); only ``REPRO_COLUMNAR=0`` walks the chains
-        (``path="object"``)."""
+        """A join's draws are answered from its witnesses with no SQL
+        (``path="columnar"``), a first-order negation's are evaluated by
+        per-draw SQL (``path="table"``), and only ``REPRO_COLUMNAR=0``
+        walks the chains (``path="object"``)."""
         pytest.importorskip("numpy")
         from repro.obs.metrics import REGISTRY
 
         ranges = REGISTRY.get("ocqa_draw_ranges_total")
         paths = ("columnar", "table", "object")
+        queries = {
+            "columnar": parse_query("Q(x, z) :- R(x, y) & R(z, y)"),
+            "table": parse_query("Q(x) :- R(x, y) & !R(y, x)"),
+        }
         frequencies, counted = {}, {}
         for flag in ("1", "0"):
             monkeypatch.setenv("REPRO_COLUMNAR", flag)
-            before = {path: ranges.value(path=path) for path in paths}
-            sampler = ConstraintRepairSampler(
-                backend, Schema.of(R=2), self.SIGMA, rng=random.Random(3)
-            )
-            report = sampler.run(parse_query("Q(x, z) :- R(x, y) & R(z, y)"), runs=40)
-            frequencies[flag] = report.frequencies
-            counted[flag] = {
-                path: ranges.value(path=path) - before[path] for path in paths
-            }
-        assert counted["1"]["table"] > 0 and counted["0"]["object"] > 0
-        assert counted["1"]["columnar"] == counted["1"]["object"] == 0
-        assert counted["0"]["columnar"] == counted["0"]["table"] == 0
-        assert frequencies["1"] == frequencies["0"]
+            for route, query in queries.items():
+                before = {path: ranges.value(path=path) for path in paths}
+                sampler = ConstraintRepairSampler(
+                    backend, Schema.of(R=2), self.SIGMA, rng=random.Random(3)
+                )
+                report = sampler.run(query, runs=40)
+                frequencies[flag, route] = report.frequencies
+                counted[flag, route] = {
+                    path
+                    for path in paths
+                    if ranges.value(path=path) > before[path]
+                }
+        for route in queries:
+            assert counted["1", route] == {route}
+            assert counted["0", route] == {"object"}
+            assert frequencies["1", route] == frequencies["0", route]
+
+
+class TestPlanGates:
+    """Each reason a conjunctive query keeps per-draw SQL counts its own
+    ``plan_gated_*`` stat, and the query still answers through SQL.
+    Plans need the columnar core, so each test turns it on (the suite
+    also runs with ``REPRO_COLUMNAR=0``)."""
+
+    STATS = (
+        "plan_gated_first_order",
+        "plan_gated_relation_map",
+        "plan_gated_unresolved_fact",
+        "plan_gated_shared_row",
+        "plan_gated_witness_budget",
+        "plan_build_errors",
+    )
+
+    def _gates(self, sampler, compiled):
+        """The stats one plan build raised, after checking the query
+        still answers through per-draw SQL."""
+        pytest.importorskip("numpy")
+        from repro.obs.metrics import REGISTRY
+
+        events = REGISTRY.get("ocqa_columnar_events_total")
+        before = {stat: events.value(stat=stat) for stat in self.STATS}
+        assert sampler._columnar_outcomes(compiled, 0, 4) is None
+        assert len(sampler.outcomes_for_range(compiled, 0, 4)) == 4
+        return {stat for stat in self.STATS if events.value(stat=stat) > before[stat]}
+
+    def test_first_order_and_foreign_relation_map(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+        sampler = ConstraintRepairSampler(
+            backend, Schema.of(R=2), ConstraintSet(key("R", 2, [0]))
+        )
+        hand_built = sampler.compile(first_order("Q(x) :- R(x, y)"))
+        assert self._gates(sampler, hand_built) == {"plan_gated_first_order"}
+        raw = sampler.compile_original(parse_query("Q(x) :- R(x, y)"))
+        assert self._gates(sampler, raw) == {"plan_gated_relation_map"}
+
+    def test_conflict_facts_must_resolve_to_their_own_rows(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+        # R(1, a) and R('1', a) violate the FD and print alike.  A row
+        # deleted behind the sampler's back leaves its fact unresolved:
+        # without ('1', a), R('1', a) matches no row; without (1, a),
+        # R(1, a) matches only through its str form, R('1', a)'s row.
+        sigma = ConstraintSet(
+            parse_constraints("R(x, y), R(z, y) -> x = z")
+        )
+        facts = [Fact("R", (1, "a")), Fact("R", ("1", "a")), Fact("R", (2, "b"))]
+        query = parse_query("Q(x) :- R(x, y)")
+        for vanished, gate in (
+            (Fact("R", ("1", "a")), "plan_gated_unresolved_fact"),
+            (Fact("R", (1, "a")), "plan_gated_shared_row"),
+        ):
+            with SQLiteBackend() as backend:
+                backend.load(Database(facts))
+                sampler = ConstraintRepairSampler(backend, Schema.of(R=2), sigma)
+                backend.delete_facts([vanished])
+                assert self._gates(sampler, sampler.compile(query)) == {gate}
+
+
+class TestPlannedCampaignIsReadOnly:
+    """A planned campaign reads its backend and writes nothing, so one
+    warm instance can serve concurrent queries."""
+
+    @pytest.mark.parametrize(
+        "text", ["Q(x, z) :- R(x, y) & R(z, y)", "Q(x) :- R(x, y)"]
+    )
+    def test_only_selects_run(self, backend, monkeypatch, text):
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+        sampler = ConstraintRepairSampler(
+            backend, Schema.of(R=2), ConstraintSet(key("R", 2, [0])),
+            rng=random.Random(11),
+        )
+        statements = []
+        for name in ("execute", "executemany"):
+            run = getattr(backend, name)
+
+            def record(sql, *args, _run=run):
+                statements.append(sql)
+                return _run(sql, *args)
+
+            monkeypatch.setattr(backend, name, record)
+        sampler.run(parse_query(text), runs=40)
+        assert statements
+        assert [s for s in statements if not s.startswith("SELECT ")] == []
