@@ -280,10 +280,6 @@ def scenario_columnar(repeat: int) -> dict:
     """
     import os as _os
 
-    from repro.core import columnar
-
-    if not columnar.numpy_available():  # honest degradation, never fake keys
-        return {}
     runs = 40
     query = parse_cq("Q(x) :- R(x, y, z)")
     out = {}
@@ -1129,15 +1125,14 @@ def main() -> int:
         if key.endswith(("_fraction", "_overhead", "_speedup")):
             continue  # a ratio, not a wall clock
         print(f"  {key}: {value * 1000:.2f} ms")
-    if "e12_columnar_groups_40_speedup" in scenarios:
-        print(
-            "  E12 columnar draw engine: "
-            f"{scenarios['e12_object_groups_40_seconds'] * 1000:.0f} ms object "
-            f"vs {scenarios['e12_columnar_groups_40_seconds'] * 1000:.0f} ms "
-            "columnar at 40 groups "
-            f"({scenarios['e12_columnar_groups_40_speedup']}x), "
-            f"{scenarios['e12_columnar_groups_80_speedup']}x at 80"
-        )
+    print(
+        "  E12 columnar draw engine: "
+        f"{scenarios['e12_object_groups_40_seconds'] * 1000:.0f} ms object "
+        f"vs {scenarios['e12_columnar_groups_40_seconds'] * 1000:.0f} ms "
+        "columnar at 40 groups "
+        f"({scenarios['e12_columnar_groups_40_speedup']}x), "
+        f"{scenarios['e12_columnar_groups_80_speedup']}x at 80"
+    )
     if "adaptive_draws" in report:
         adaptive = report["adaptive_draws"]
         print(

@@ -1,23 +1,17 @@
-"""Columnar fact core: vectorized edge survival and compiled walks.
+"""Columnar fact core: compiled walk tables.
 
 The object path represents everything as per-:class:`~repro.db.facts.Fact`
-Python objects — flexible, but every hot loop (violation-edge survival,
-repair walks) pays a Python-level iteration per fact.  This module
-provides the columnar counterparts:
-
-- :class:`EdgeMembershipIndex` — violation/conflict edges as sorted
-  fact-code arrays with an alive bitmap, so monotone deletions kill
-  edges via one vectorized membership join instead of a per-edge
-  ``isdisjoint``;
-- :func:`compile_walk_table` — a repairing chain's reachable states
-  flattened into successor tables.  Every draw of the SQL samplers
-  (:mod:`repro.sql.sampler`) reads its component's table, which a
-  sampler compiles once per chain shape and shares among the
-  components of that shape.  A draw on a table whose states are all
-  uniform reads the first 64-byte block of its counter-based stream
-  (:func:`repro.campaign.block_words`) straight into the walk; any
-  other draw replays the table with its own
-  :class:`~repro.campaign.DrawStream` (:func:`replay_walk`).
+Python objects and walks each repairing chain step by step.  This module
+provides the columnar counterpart, in pure Python:
+:func:`compile_walk_table` flattens a repairing chain's reachable states
+into successor tables.  Every draw of the SQL samplers
+(:mod:`repro.sql.sampler`) reads its component's table, which a sampler
+compiles once per chain shape and shares among the components of that
+shape.  A draw on a table whose states are all uniform reads the first
+64-byte block of its counter-based stream
+(:func:`repro.campaign.block_words`) straight into the walk; any other
+draw replays the table with its own :class:`~repro.campaign.DrawStream`
+(:func:`replay_walk`).
 
 Everything here is an *accelerator*, never a semantic fork: each
 consumer keeps the object path as the reference implementation, reached
@@ -31,30 +25,17 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised via the availability gate
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
-    "available",
     "enabled",
-    "numpy_available",
-    "EdgeMembershipIndex",
     "WalkTable",
     "compile_walk_table",
     "replay_walk",
     "EVENTS",
 ]
-
-
-def numpy_available() -> bool:
-    """Whether numpy importable (hard dependency, but stay honest)."""
-    return _np is not None
 
 
 def enabled() -> bool:
@@ -71,148 +52,21 @@ def enabled() -> bool:
     )
 
 
-def available() -> bool:
-    """Whether columnar fast paths may run right now."""
-    return _np is not None and enabled()
-
-
 #: How much work ran on the columnar paths, by stat (plans compiled;
 #: walk tables compiled, or shared by a component of a shape already
 #: compiled (``walk_tables_shared``); draws read off a walk table
 #: (``draws_table``) or walked on an overflowed chain
-#: (``draws_walked``); vector joins, edge indexes, ...) —
+#: (``draws_walked``); plan gates, violation rows fetched, ...) —
 #: ``diagnostics.cache_report().columnar``.  In the default registry,
 #: not the worker one, so serial runs count too; ``always=True`` keeps it
 #: counting under ``REPRO_METRICS=0``.
 EVENTS = obs_metrics.REGISTRY.counter(
     "ocqa_columnar_events_total",
     "Columnar-core events by stat (plans compiled, walk tables compiled "
-    "or shared, draws read off tables or walked, vector joins, edge "
-    "indexes, ...).",
+    "or shared, draws read off tables or walked, plan gates, ...).",
     ("stat",),
     always=True,
 )
-
-
-# --------------------------------------------------------------------------
-# Vectorized edge survival (violation / conflict hyperedges)
-# --------------------------------------------------------------------------
-
-
-class EdgeMembershipIndex:
-    """Hyperedges over facts, with vectorized monotone deletion.
-
-    Built once from a set of edges; each edge carries a *payload* (by
-    default the member set itself — violation indexes pass the
-    :class:`~repro.core.violations.Violation` whose body image the edge
-    is).  :meth:`remove_facts` kills every edge touching a removed fact
-    via one sorted-array membership join; :meth:`payloads_disjoint_from`
-    answers the same question *purely*, so one index serves many
-    "what survives deleting X?" probes against the same edge set.
-    Insertion invalidates the index — callers rebuild (edges only
-    shrink between inserts on the delta paths this serves).
-    """
-
-    __slots__ = (
-        "payloads",
-        "alive",
-        "live_count",
-        "_codes",
-        "_fact_codes",
-        "_edge_ids",
-    )
-
-    def __init__(
-        self,
-        edges: Iterable[Any],
-        members: Optional[Any] = None,
-    ) -> None:
-        """Index *edges*; ``members(edge)`` yields its facts (default:
-        the edge itself is the fact collection)."""
-        self.payloads: List[Any] = list(edges)
-        self.alive = _np.ones(len(self.payloads), dtype=bool)
-        self.live_count = len(self.payloads)
-        self._codes: Dict[Any, int] = {}
-        codes = self._codes
-        pair_codes: List[int] = []
-        pair_edges: List[int] = []
-        for edge_id, edge in enumerate(self.payloads):
-            for fact in members(edge) if members is not None else edge:
-                code = codes.get(fact)
-                if code is None:
-                    code = len(codes)
-                    codes[fact] = code
-                pair_codes.append(code)
-                pair_edges.append(edge_id)
-        fact_codes = _np.asarray(pair_codes, dtype=_np.int64)
-        edge_ids = _np.asarray(pair_edges, dtype=_np.int64)
-        order = _np.argsort(fact_codes, kind="stable")
-        self._fact_codes = fact_codes[order]
-        self._edge_ids = edge_ids[order]
-        EVENTS.inc(stat="edge_index_builds")
-        EVENTS.inc(len(self.payloads), stat="edge_index_edges")
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-    def _touched_edges(self, removed: Iterable[Any]) -> Optional["_np.ndarray"]:
-        """Edge ids containing any removed fact (``None``: no overlap)."""
-        codes = [
-            code
-            for code in (self._codes.get(fact) for fact in removed)
-            if code is not None
-        ]
-        if not codes:
-            return None
-        probes = _np.asarray(sorted(codes), dtype=_np.int64)
-        positions = _np.searchsorted(probes, self._fact_codes)
-        positions[positions == len(probes)] = 0
-        hit = probes[positions] == self._fact_codes
-        EVENTS.inc(stat="vector_joins")
-        if not hit.any():
-            return None
-        return self._edge_ids[hit]
-
-    def remove_facts(self, removed: Iterable[Any]) -> bool:
-        """Kill every live edge containing a removed fact.
-
-        Returns whether any edge died (i.e. the surviving set changed).
-        """
-        touched = self._touched_edges(removed)
-        if touched is None:
-            return False
-        alive = self.alive
-        live = touched[alive[touched]]
-        if live.size == 0:
-            return False
-        alive[live] = False
-        self.live_count -= int(_np.unique(live).size)
-        return True
-
-    def surviving(self) -> List[Any]:
-        """The live edges' payloads, in construction order."""
-        if self.live_count == len(self.payloads):
-            return list(self.payloads)
-        alive = self.alive
-        return [
-            payload
-            for edge_id, payload in enumerate(self.payloads)
-            if alive[edge_id]
-        ]
-
-    def payloads_disjoint_from(self, removed: Iterable[Any]) -> List[Any]:
-        """Payloads of edges disjoint from *removed* — without mutating
-        the index (every edge counts, dead or alive)."""
-        touched = self._touched_edges(removed)
-        if touched is None:
-            return list(self.payloads)
-        dead = _np.zeros(len(self.payloads), dtype=bool)
-        dead[touched] = True
-        return [
-            payload
-            for edge_id, payload in enumerate(self.payloads)
-            if not dead[edge_id]
-        ]
 
 
 # --------------------------------------------------------------------------

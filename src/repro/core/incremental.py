@@ -38,13 +38,10 @@ reuses the cached entry verbatim.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.constraints.base import Constraint, ConstraintSet
 from repro.constraints.tgd import TGD
-from repro.core import columnar
 from repro.core.justified import justified_deletions_for, justified_insertions_for
 from repro.core.operations import Operation
 from repro.core.violations import Violation, violations
@@ -60,51 +57,17 @@ from repro.db.terms import Term
 class DeltaViolationIndex:
     """Maintains ``V(D, Sigma)`` across single-operation updates.
 
-    Stateless with respect to any particular database — the caller keeps
-    ``(D, V(D, Sigma))`` pairs (they live on
-    :class:`repro.core.state.RepairState`) and asks for the successor
+    Stateless — the caller keeps ``(D, V(D, Sigma))`` pairs (they live
+    on :class:`repro.core.state.RepairState`) and asks for the successor
     set.  One index is shared by an entire
-    :class:`repro.core.engine.RepairEngine`.
+    :class:`repro.core.engine.RepairEngine`.  Without TGDs a deletion
+    keeps exactly the violations whose body image is disjoint from the
+    removed facts, one ``isdisjoint`` per violation.
     """
-
-    #: Violation sets below this size stay on the plain Python loop —
-    #: building code arrays costs more than it saves.
-    MONOTONE_INDEX_THRESHOLD = 32
-    #: Bound on cached per-violation-set membership indexes.
-    MONOTONE_INDEX_CACHE = 64
 
     def __init__(self, constraints: ConstraintSet) -> None:
         self.constraints = constraints
         self._no_tgds = constraints.deletion_only()
-        # id(violation frozenset) -> (pinned frozenset, membership index).
-        # Warm chains revisit the same cached violation frozensets across
-        # thousands of walk steps, so the sorted-code arrays amortize;
-        # pinning the frozenset keeps its id from being recycled.
-        self._monotone_indexes: "OrderedDict[int, Tuple[FrozenSet[Violation], columnar.EdgeMembershipIndex]]" = (
-            OrderedDict()
-        )
-        self._monotone_lock = threading.Lock()
-
-    def _monotone_survivors(
-        self, old_violations: FrozenSet[Violation], changed: FrozenSet[Fact]
-    ) -> FrozenSet[Violation]:
-        """Deletion survivors via the columnar membership index."""
-        key = id(old_violations)
-        with self._monotone_lock:
-            entry = self._monotone_indexes.get(key)
-            if entry is not None:
-                self._monotone_indexes.move_to_end(key)
-        if entry is None:
-            index = columnar.EdgeMembershipIndex(
-                old_violations, members=lambda violation: violation.facts
-            )
-            with self._monotone_lock:
-                self._monotone_indexes[key] = (old_violations, index)
-                while len(self._monotone_indexes) > self.MONOTONE_INDEX_CACHE:
-                    self._monotone_indexes.popitem(last=False)
-        else:
-            index = entry[1]
-        return frozenset(index.payloads_disjoint_from(changed))
 
     # ------------------------------------------------------------------
     # Entry point
@@ -135,11 +98,6 @@ class DeltaViolationIndex:
             # image meets the removed facts — no per-constraint analysis
             # needed (violations of untouched constraints are trivially
             # disjoint from the removed facts).
-            if (
-                len(old_violations) >= self.MONOTONE_INDEX_THRESHOLD
-                and columnar.available()
-            ):
-                return self._monotone_survivors(old_violations, changed)
             return frozenset(
                 v for v in old_violations if v.facts.isdisjoint(changed)
             )

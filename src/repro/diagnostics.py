@@ -142,8 +142,8 @@ class CacheReport:
     #: work ran on the columnar paths (plans compiled, or gated by a
     #: ``plan_gated_*`` reason, walk tables compiled or shared by a
     #: component of the same chain shape, draws read off walk tables or
-    #: walked on overflowed chains, edge-index joins) versus the object
-    #: fallbacks — the observability for ``REPRO_COLUMNAR``.
+    #: walked on overflowed chains) versus the object fallbacks — the
+    #: observability for ``REPRO_COLUMNAR``.
     columnar: Dict[str, int] = field(default_factory=dict)
     #: Query-service result-cache counters (``ocqa_cache_*_total``),
     #: summed over every cache this process ran: hits, misses,
@@ -197,9 +197,7 @@ class CacheReport:
                 f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s) "
                 f"compiled / {self.columnar.get('walk_tables_shared', 0)} shared, "
                 f"{self.columnar.get('draws_table', 0)} draw(s) from tables / "
-                f"{self.columnar.get('draws_walked', 0)} walked, "
-                f"{self.columnar.get('vector_joins', 0)} vector join(s), "
-                f"{self.columnar.get('edge_index_builds', 0)} edge index(es)"
+                f"{self.columnar.get('draws_walked', 0)} walked"
             )
         if self.result_cache:
             hits = self.result_cache.get("hits", 0)

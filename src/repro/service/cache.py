@@ -49,7 +49,7 @@ surface every decision; :meth:`ResultCache.stats` feeds ``/status``.
 
 from __future__ import annotations
 
-import copy
+import json
 import math
 import threading
 import time
@@ -199,7 +199,9 @@ class _Entry:
     delta: float
     draws: int
     relations: Optional[FrozenSet[str]]
-    body: Dict[str, Any]
+    #: The body as JSON text: stored once, and every hit parses its own
+    #: copy, so no caller can mutate what the cache holds.
+    body: str
     created: float
 
 
@@ -296,7 +298,7 @@ class ResultCache:
                 exact=exact,
             )
             return CacheHit(
-                body=copy.deepcopy(entry.body),
+                body=json.loads(entry.body),
                 age_seconds=age,
                 draws=entry.draws,
                 epsilon=entry.epsilon,
@@ -350,14 +352,18 @@ class ResultCache:
         relations: Optional[FrozenSet[str]],
         body: Dict[str, Any],
     ) -> None:
-        """Insert (or refresh) the entry for *key* at ``(eps, delta)``."""
+        """Insert (or refresh) the entry for *key* at ``(eps, delta)``.
+
+        *body* must be built from JSON values; it is stored as its JSON
+        text.
+        """
         entry = _Entry(
             key=key,
             epsilon=float(epsilon),
             delta=float(delta),
             draws=int(draws),
             relations=None if relations is None else frozenset(relations),
-            body=copy.deepcopy(body),
+            body=json.dumps(body),
             created=self._clock(),
         )
         fingerprint = key.fingerprint(entry.epsilon, entry.delta)

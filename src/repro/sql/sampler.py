@@ -371,7 +371,7 @@ class BaseCampaignSampler:
         if fast is not None:
             _DRAW_RANGES.inc(path="columnar")
             return fast
-        _DRAW_RANGES.inc(path="table" if columnar.available() else "object")
+        _DRAW_RANGES.inc(path="table" if columnar.enabled() else "object")
         return self._sql_outcomes(compiled, start, count)
 
     def _sql_outcomes(
@@ -640,7 +640,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         walk table instead (:meth:`_table_deletions`); the loop below is
         the reference both routes agree with byte for byte.
         """
-        if columnar.available():
+        if columnar.enabled():
             return self._table_deletions(start, count, self._chain_table)
         per_run: List[List[Fact]] = [[] for _ in range(count)]
         for component in self.components:
@@ -850,7 +850,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         per-draw SQL (see :func:`_build_columnar_plan`).  It only reads
         the backend, so a planned campaign writes nothing.
         """
-        if count <= 0 or not columnar.available():
+        if count <= 0 or not columnar.enabled():
             return None
         key = (compiled.sql, tuple(compiled.parameters))
         plan = self._columnar_plans.get(key)
@@ -946,7 +946,7 @@ class KeyRepairSampler(ConstraintRepairSampler):
         ``KEEP_ONE_UNIFORM`` reference."""
         if self.policy is not SamplerPolicy.KEEP_ONE_UNIFORM:
             return super().deletions_for_range(start, count)
-        if columnar.available():
+        if columnar.enabled():
             return self._table_deletions(start, count, _keep_one_table)
         per_run: List[List[Fact]] = [[] for _ in range(count)]
         for component in self.components:

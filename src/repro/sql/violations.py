@@ -195,7 +195,8 @@ class SQLDeltaViolationIndex:
     current under fact-level deltas:
 
     - a **deletion** kills exactly the edges meeting the removed facts —
-      resolved in memory, no SQL at all;
+      one in-memory ``isdisjoint`` per edge of each touched constraint,
+      no SQL at all;
     - an **insertion** can only create violations *using* an inserted
       fact, so the new rows are staged into a per-relation ``TEMP`` delta
       table and, for each constraint whose body mentions a touched
@@ -234,18 +235,11 @@ class SQLDeltaViolationIndex:
             for c in constraints
         }
         self._delta_tables: Dict[Tuple[str, int], str] = {}
-        #: Columnar edge-membership indexes, built lazily per constraint
-        #: on the delete path and invalidated whenever the edge set can
-        #: grow (inserts, refresh).
-        self._edge_indexes: Dict[Constraint, "columnar.EdgeMembershipIndex"] = {}
         #: Diagnostics: full joins run, pinned delta joins run,
         #: and constraints skipped by the touched-relation filter.
         self.full_queries = len(self._edges)
         self.delta_queries = 0
         self.skipped_constraints = 0
-
-    #: Edge sets below this stay on the per-edge ``isdisjoint`` loop.
-    EDGE_INDEX_THRESHOLD = 64
 
     # ------------------------------------------------------------------
     # Current state
@@ -267,7 +261,6 @@ class SQLDeltaViolationIndex:
 
     def refresh(self) -> None:
         """Rebuild every edge set by full detection (resync point)."""
-        self._edge_indexes.clear()
         for constraint in self._edges:
             self._edges[constraint] = set(
                 violating_fact_sets(self.backend, constraint, self.relation_map)
@@ -287,24 +280,9 @@ class SQLDeltaViolationIndex:
             if not (touched & constraint.body_relations):
                 self.skipped_constraints += 1
                 continue
-            if (
-                len(edges) >= self.EDGE_INDEX_THRESHOLD
-                and columnar.available()
-            ):
-                index = self._edge_indexes.get(constraint)
-                if index is None:
-                    index = columnar.EdgeMembershipIndex(edges)
-                    self._edge_indexes[constraint] = index
-                if index.remove_facts(removed):
-                    self._edges[constraint] = set(index.surviving())
-                # Compaction: once most of the index is dead weight, the
-                # joins scan mostly-tombstone arrays — rebuild small.
-                if index.live_count * 4 < len(index):
-                    self._edge_indexes.pop(constraint, None)
-            else:
-                self._edges[constraint] = {
-                    edge for edge in edges if edge.isdisjoint(removed)
-                }
+            self._edges[constraint] = {
+                edge for edge in edges if edge.isdisjoint(removed)
+            }
 
     def apply_insert(self, facts: Iterable[Fact]) -> None:
         """Facts just added to the live view: find the edges they create."""
@@ -319,7 +297,6 @@ class SQLDeltaViolationIndex:
             if not (set(by_relation) & constraint.body_relations):
                 self.skipped_constraints += 1
                 continue
-            self._edge_indexes.pop(constraint, None)
             for index, atom in enumerate(constraint.body):
                 rows = by_relation.get(atom.relation)
                 if not rows:

@@ -64,9 +64,11 @@ def _run_once(backend_name, database, constraints, query, seed, runs):
             backend, schema, constraints, rng=random.Random(seed)
         )
         report = sampler.run(query, runs=runs)
+    # JSON values only, as the service builds its bodies: the cache
+    # stores each body as JSON text.
     return {
         "frequencies": sorted(
-            (tuple(str(t) for t in candidate), frequency)
+            [[str(t) for t in candidate], frequency]
             for candidate, frequency in report.items()
         ),
         "runs": report.runs,

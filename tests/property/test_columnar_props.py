@@ -2,10 +2,10 @@
 
 The columnar accelerators (:mod:`repro.core.columnar` and the sampler
 draw plans built on them) are never allowed to be a semantic fork: every
-vectorized answer must equal what the plain-Python object path computes,
-on *every* input, not just the benchmark shapes.  Hypothesis drives
-random edge sets, deletion deltas, and full sampler workloads through
-both implementations and asserts exact agreement — including the
+columnar answer must equal what the object path computes, on *every*
+input, not just the benchmark shapes.  Hypothesis drives random
+deletion deltas and full sampler workloads through both
+implementations and asserts exact agreement — including the
 byte-identity of sampler outcome streams, which the distributed lease
 table's duplicate-drop correctness rests on.
 """
@@ -45,80 +45,11 @@ from repro.workloads import key_conflict_workload
 from tests.property.strategies import key_sigma, key_violation_databases
 
 pytestmark = pytest.mark.skipif(
-    not columnar.available(), reason="the columnar core needs numpy"
+    not columnar.enabled(), reason="REPRO_COLUMNAR=0 turns the columnar core off"
 )
 
 # ----------------------------------------------------------------------
-# Strategies
-# ----------------------------------------------------------------------
-
-#: A small shared fact pool; edges and deletions both draw from it so
-#: overlaps are common (the interesting case for membership joins).
-_POOL = [Fact("R", (f"k{i % 4}", f"v{i}")) for i in range(12)]
-
-fact_subsets = st.frozensets(st.sampled_from(_POOL), max_size=5)
-
-edge_lists = st.lists(
-    st.frozensets(st.sampled_from(_POOL), min_size=1, max_size=4),
-    max_size=12,
-)
-
-#: Removal probes mix pool facts with strangers the index never saw.
-removals = st.frozensets(
-    st.one_of(
-        st.sampled_from(_POOL),
-        st.sampled_from([Fact("S", ("x",)), Fact("R", ("other", "z"))]),
-    ),
-    max_size=6,
-)
-
-
-# ----------------------------------------------------------------------
-# EdgeMembershipIndex == set algebra
-# ----------------------------------------------------------------------
-
-
-class TestEdgeMembershipIndex:
-    @given(edges=edge_lists, removed=removals)
-    @settings(max_examples=120, deadline=None)
-    def test_pure_probe_equals_the_isdisjoint_filter(self, edges, removed):
-        index = columnar.EdgeMembershipIndex(edges)
-        expected = [edge for edge in edges if edge.isdisjoint(removed)]
-        assert index.payloads_disjoint_from(removed) == expected
-        # Pure: probing never changes what survives.
-        assert index.surviving() == list(edges)
-
-    @given(
-        edges=edge_lists,
-        waves=st.lists(removals, min_size=1, max_size=4),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_sequential_removal_tracks_the_object_set(self, edges, waves):
-        index = columnar.EdgeMembershipIndex(edges)
-        survivors = list(edges)
-        for wave in waves:
-            expected = [edge for edge in survivors if edge.isdisjoint(wave)]
-            changed = index.remove_facts(wave)
-            assert changed == (len(expected) != len(survivors))
-            survivors = expected
-            assert index.surviving() == survivors
-            assert index.live_count == len(survivors)
-
-    @given(edges=edge_lists, removed=removals)
-    @settings(max_examples=60, deadline=None)
-    def test_members_extractor_indexes_payload_fact_sets(self, edges, removed):
-        # Payloads that are not themselves fact collections (the shape
-        # the violation index uses: Violation objects with a ``.facts``).
-        payloads = [(f"edge{i}", edge) for i, edge in enumerate(edges)]
-        index = columnar.EdgeMembershipIndex(
-            payloads, members=lambda payload: payload[1]
-        )
-        expected = [p for p in payloads if p[1].isdisjoint(removed)]
-        assert index.payloads_disjoint_from(removed) == expected
-
-
-# ----------------------------------------------------------------------
-# DeltaViolationIndex: vectorized monotone deletion == the genexpr
+# DeltaViolationIndex: monotone deletion == detection from scratch
 # ----------------------------------------------------------------------
 
 
@@ -137,35 +68,16 @@ class TestMonotoneDeletionParity:
             return
         op = Operation.delete(victims)
         new_db = op.apply(db)
-        # Force the columnar path regardless of the size threshold ...
-        index = DeltaViolationIndex(sigma)
-        index.MONOTONE_INDEX_THRESHOLD = 0
-        vectorized = index.violations_after(db, old, op, new_db)
-        # ... and pin it to both the genexpr semantics and a fresh
-        # from-scratch detection on the mutated database.
+        survivors = DeltaViolationIndex(sigma).violations_after(
+            db, old, op, new_db
+        )
+        # Pin the monotone filter to both the genexpr semantics and a
+        # fresh from-scratch detection on the mutated database.
         expected = frozenset(
             v for v in old if v.facts.isdisjoint(victims & db.facts)
         )
-        assert vectorized == expected
-        assert vectorized == violations(new_db, sigma)
-
-    @given(db=key_violation_databases())
-    @settings(max_examples=40, deadline=None)
-    def test_repeated_probes_reuse_one_cached_index(self, db):
-        sigma = key_sigma()
-        old = violations(db, sigma)
-        if not db.facts:
-            return
-        index = DeltaViolationIndex(sigma)
-        index.MONOTONE_INDEX_THRESHOLD = 0
-        for victim in sorted(db.facts, key=str)[:3]:
-            op = Operation.delete(victim)
-            new_db = op.apply(db)
-            assert index.violations_after(db, old, op, new_db) == frozenset(
-                v for v in old if victim not in v.facts
-            )
-        if old:
-            assert len(index._monotone_indexes) == 1
+        assert survivors == expected
+        assert survivors == violations(new_db, sigma)
 
 
 # ----------------------------------------------------------------------

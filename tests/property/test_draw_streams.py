@@ -25,7 +25,7 @@ from repro.db.facts import Database, Fact
 from repro.sql.sampler import _ComponentDraws, _keep_one_table
 
 pytestmark = pytest.mark.skipif(
-    not columnar.available(), reason="walk tables are columnar"
+    not columnar.enabled(), reason="REPRO_COLUMNAR=0 turns walk tables off"
 )
 
 DRAWS = 100_000

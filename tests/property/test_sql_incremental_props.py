@@ -71,6 +71,33 @@ def test_delta_index_tracks_random_delete_restore_sequences():
     backend.close()
 
 
+def test_delta_index_deletion_waves_track_full_detection():
+    """Waves of deletions over a constraint with many edges keep exactly
+    the edges the full self-join finds, down to none, with no SQL."""
+    workload = key_conflict_workload(
+        clean_rows=10, conflict_groups=30, group_size=3, arity=3, seed=13
+    )
+    backend = _loaded_backend(workload)
+    sigma = workload.key_spec.constraints()
+    rewriter = DeletionRewriter(backend, workload.schema)
+    relation_map = rewriter.relation_map()
+    index = SQLDeltaViolationIndex(backend, sigma, relation_map)
+    assert len(index.current()) == 90
+    rng = random.Random(17)
+    live = sorted(workload.database.facts, key=str)
+    while live:
+        wave = set(rng.sample(live, min(len(live), rng.randint(1, 12))))
+        live = [fact for fact in live if fact not in wave]
+        rewriter.mark_deleted(sorted(wave, key=str))
+        index.apply_delete(wave)
+        assert index.current() == conflict_hypergraph_sql(
+            backend, sigma, relation_map
+        )
+    assert index.current() == frozenset()
+    assert index.delta_queries == 0
+    backend.close()
+
+
 def test_delta_index_skips_untouched_constraints():
     db, sigma = preference_workload(products=20, edges=40, conflicts=6, seed=3)
     backend = SQLiteBackend()

@@ -141,7 +141,9 @@ class TestComponentsThatPrintAlike:
         assert len(report.touched_groups) == 1
 
 
-@pytest.mark.skipif(not columnar.available(), reason="walk tables are columnar")
+@pytest.mark.skipif(
+    not columnar.enabled(), reason="REPRO_COLUMNAR=0 turns walk tables off"
+)
 class TestWalkTableSharing:
     QUERY = parse_cq("Q(x) :- R(x, y, z)")
 

@@ -1,9 +1,14 @@
 """Unit tests for the ocqa command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.db.facts import Database, Fact
 from repro.io import save_database
@@ -459,3 +464,27 @@ class TestStatusCommand:
             main(["status"])
         assert excinfo.value.code != 0
         assert "--service" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_no_module_imports_numpy(self):
+        """The runtime is pure Python: neither the CLI nor any other
+        module of the package pulls in numpy."""
+        probe = (
+            "import importlib, pkgutil, sys\n"
+            "import repro.cli\n"
+            "assert 'numpy' not in sys.modules, 'repro.cli'\n"
+            "import repro\n"
+            "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(module.name)\n"
+            "    assert 'numpy' not in sys.modules, module.name\n"
+        )
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

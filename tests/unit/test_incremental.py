@@ -2,6 +2,8 @@
 the position-value fact index, structural-sharing database updates, and
 the pinned homomorphism entry point."""
 
+import random
+
 import pytest
 
 from repro.constraints import DC, ConstraintSet, key, parse_constraints
@@ -223,3 +225,47 @@ class TestDeltaViolationIndex:
         assert (
             incremental_violations(db, old, Operation.delete(R_BA), sigma) == old
         )
+
+    @staticmethod
+    def _key_groups(groups, size):
+        """*groups* keys with *size* conflicting rows each."""
+        return Database.of(
+            *(Fact("R", (f"k{g}", f"v{i}")) for g in range(groups) for i in range(size))
+        )
+
+    def test_one_index_serves_many_deletion_probes(self):
+        """Deletions probed one after another against the same violation
+        set (as sibling walk steps do) each keep exactly what detection
+        from scratch finds: nothing carries over between probes."""
+        sigma = ConstraintSet(key("R", 2, [0]))
+        db = self._key_groups(groups=20, size=3)
+        old = violations(db, sigma)
+        assert len(old) >= 60
+        index = DeltaViolationIndex(sigma)
+        facts = sorted(db.facts, key=str)
+        for victims in (facts[:1], facts[1:4], facts[::5], facts[2:3], facts[:1]):
+            op = Operation.delete(victims)
+            new_db = op.apply(db)
+            assert index.violations_after(db, old, op, new_db) == violations(
+                new_db, sigma
+            )
+
+    def test_deletion_chains_track_detection_from_scratch(self):
+        """Each step's survivors feed the next deletion, down to a
+        consistent database, and every step stays exact."""
+        sigma = ConstraintSet(key("R", 2, [0]))
+        db = self._key_groups(groups=20, size=3)
+        current = violations(db, sigma)
+        index = DeltaViolationIndex(sigma)
+        rng = random.Random(5)
+        steps = 0
+        while current:
+            involved = sorted(set().union(*(v.facts for v in current)), key=str)
+            op = Operation.delete(rng.choice(involved))
+            new_db = op.apply(db)
+            current = index.violations_after(db, current, op, new_db)
+            assert current == violations(new_db, sigma), f"step {steps}"
+            db = new_db
+            steps += 1
+        # Two of each group's three rows had to go.
+        assert steps == 40

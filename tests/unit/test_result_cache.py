@@ -161,6 +161,31 @@ class TestResultCacheBasics:
         second = cache.get(key, 0.1, 0.1)
         assert second.body == _body()
 
+    def test_bodies_come_back_as_json_values(self):
+        """A body is stored once as its JSON text, so a hit returns the
+        JSON form of what was put: tuples come back as lists."""
+        cache = ResultCache(8, name="t-json")
+        key = _key()
+        body = {"ok": True, "frequencies": [(("a", 1), 0.5)], "seed": None}
+        cache.put(key, 0.1, 0.1, draws=10, relations=None, body=body)
+        assert cache.get(key, 0.1, 0.1).body == {
+            "ok": True,
+            "frequencies": [[["a", 1], 0.5]],
+            "seed": None,
+        }
+
+    def test_put_refuses_a_body_that_is_not_json(self):
+        """A body with a non-JSON value fails at ``put`` and leaves no
+        entry behind."""
+        cache = ResultCache(8, name="t-not-json")
+        with pytest.raises(TypeError):
+            cache.put(
+                _key(), 0.1, 0.1, draws=10, relations=None,
+                body={"ok": True, "rows": {("a",)}},
+            )
+        assert len(cache) == 0
+        assert cache.get(_key(), 0.1, 0.1) is None
+
     def test_distinct_keys_do_not_alias(self):
         cache = ResultCache(8, name="t-alias")
         cache.put(_key(query="q0"), 0.1, 0.1, draws=10, relations=None, body=_body("a"))
@@ -263,6 +288,18 @@ class TestInvalidation:
         assert cache.get(_key(digest="d1"), 0.1, 0.1) is not None
         assert cache.get(old_key, 0.1, 0.1) is None
         assert cache.stats()["migrations"] == 1
+
+    def test_migrated_entries_keep_their_body(self):
+        cache = ResultCache(8, name="t-mig-body")
+        cache.put(
+            _key(digest="d0"), 0.1, 0.1, draws=1,
+            relations=frozenset({"S"}), body=_body("kept"),
+        )
+        cache.apply_update(_report(relations=("R",)))
+        first = cache.get(_key(digest="d1"), 0.1, 0.1)
+        assert first.body == _body("kept")
+        first.body["frequencies"].clear()
+        assert cache.get(_key(digest="d1"), 0.1, 0.1).body == _body("kept")
 
     def test_unknown_footprint_is_conservatively_invalidated(self):
         cache = ResultCache(8, name="t-none")

@@ -290,7 +290,6 @@ class TestQueryServiceHandling:
     ):
         """A served join answers from its witnesses (``path="columnar"``)
         with the body the reference walk and per-draw SQL give."""
-        pytest.importorskip("numpy")
         import repro.sql.sampler  # noqa: F401 - registers the route counter
 
         ranges = obs_metrics.REGISTRY.get("ocqa_draw_ranges_total")

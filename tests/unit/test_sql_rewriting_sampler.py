@@ -323,7 +323,6 @@ class TestLoweredQueries:
     def test_single_atom_text_draws_columnar(self, backend, monkeypatch):
         """Forces each path, so it also runs where ``REPRO_COLUMNAR=0``
         is set for the whole suite."""
-        pytest.importorskip("numpy")
         from repro.obs.metrics import REGISTRY
 
         ranges = REGISTRY.get("ocqa_draw_ranges_total")
@@ -351,7 +350,6 @@ class TestLoweredQueries:
         (``path="columnar"``), a first-order negation's are evaluated by
         per-draw SQL (``path="table"``), and only ``REPRO_COLUMNAR=0``
         walks the chains (``path="object"``)."""
-        pytest.importorskip("numpy")
         from repro.obs.metrics import REGISTRY
 
         ranges = REGISTRY.get("ocqa_draw_ranges_total")
@@ -399,7 +397,6 @@ class TestPlanGates:
     def _gates(self, sampler, compiled):
         """The stats one plan build raised, after checking the query
         still answers through per-draw SQL."""
-        pytest.importorskip("numpy")
         from repro.obs.metrics import REGISTRY
 
         events = REGISTRY.get("ocqa_columnar_events_total")
@@ -448,7 +445,6 @@ class TestPlannedCampaignIsReadOnly:
         "text", ["Q(x, z) :- R(x, y) & R(z, y)", "Q(x) :- R(x, y)"]
     )
     def test_only_selects_run(self, backend, monkeypatch, text):
-        pytest.importorskip("numpy")
         monkeypatch.setenv("REPRO_COLUMNAR", "1")
         sampler = ConstraintRepairSampler(
             backend, Schema.of(R=2), ConstraintSet(key("R", 2, [0])),
