@@ -26,9 +26,7 @@ the serial baseline).
 
 PR 5 additions (always recorded): ``outcome_compression`` runs one
 fat-answer-set campaign over a real socket worker and records its wall
-clock, the raw vs shipped result-payload bytes and their ratio; ``straggler_relief`` runs a fixed draw range over a
-two-worker fleet with one induced 25x straggler, with and without
-speculative re-lease, and records the wall-clock win.
+clock, the raw vs shipped result-payload bytes and their ratio.
 
 PR 6 additions (always recorded): ``scenario_chaos_overhead`` times the
 identical socket-worker campaign with a failpoint armed but never hit
@@ -528,84 +526,6 @@ def scenario_compression(quick: bool) -> dict:
     }
 
 
-def scenario_straggler(quick: bool) -> dict:
-    """Speculative re-lease on an induced slow shard (E14).
-
-    A two-worker fleet where one worker adds a fixed lag per shard: the
-    drained-queue speculation duplicates the straggler's shard onto the
-    idle fast worker, and the coordinator returns when the table — not
-    the straggler thread — is done.  Both configurations are asserted
-    byte-identical; the delta is the straggler wall-clock the campaign
-    no longer pays.
-    """
-    import time as _time
-
-    from repro.distributed import Coordinator, InlineTransport
-    from repro.distributed.worker import ShardContext
-
-    class SlowInline(InlineTransport):
-        def __init__(self, delay, name):
-            super().__init__(name)
-            self.delay = delay
-
-        def run_shard(
-            self, context, shard_id, start, count, timeout=None, deadline=None
-        ):
-            result = super().run_shard(
-                context, shard_id, start, count, timeout, deadline=deadline
-            )
-            _time.sleep(self.delay)
-            return result
-
-    draws = 60 if quick else 120
-    fast_delay = 0.02
-    slow_delay = 0.5
-    workload = key_conflict_workload(
-        clean_rows=0, conflict_groups=6, group_size=2, arity=2, seed=33
-    )
-    generator = UniformGenerator(workload.constraints)
-    context = ShardContext.create(
-        "chain",
-        {
-            "facts": tuple(workload.database),
-            "generator": generator,
-            "query": parse_cq("Q(x) :- R(x, y)"),
-            "candidate": None,
-            "allow_failing": False,
-            "seed": 5,
-            "stream_key": "root",
-        },
-    )
-    out = {
-        "draws": draws,
-        "fast_delay_seconds": fast_delay,
-        "slow_delay_seconds": slow_delay,
-    }
-    outcomes = {}
-    for label, speculate in (("speculate_off", False), ("speculate_on", True)):
-        fleet = [
-            SlowInline(fast_delay, name="fast"),
-            SlowInline(slow_delay, name="slow"),
-        ]
-        coordinator = Coordinator(fleet, shard_size=10, speculate=speculate)
-        try:
-            start = time.perf_counter()
-            outcomes[label] = coordinator.run_range(context, 0, draws)
-            out[f"e14_straggler_{label}_seconds"] = time.perf_counter() - start
-            if speculate:
-                out["e14_speculations"] = coordinator.speculations
-                out["e14_speculation_wins"] = coordinator.speculation_wins
-        finally:
-            coordinator.close()
-    assert outcomes["speculate_off"] == outcomes["speculate_on"], (
-        "speculative re-lease changed the outcomes"
-    )
-    off = out["e14_straggler_speculate_off_seconds"]
-    on = out["e14_straggler_speculate_on_seconds"]
-    out["e14_straggler_speedup"] = round(off / on, 2) if on else None
-    return out
-
-
 def scenario_chaos_overhead(repeat: int) -> dict:
     """No-fault cost of the robustness rails (E15).
 
@@ -1059,9 +979,6 @@ def main() -> int:
     print("timing E13 outcome-stream compression ...", flush=True)
     outcome_compression = scenario_compression(args.quick)
     note_rss("E13")
-    print("timing E14 speculative straggler re-lease ...", flush=True)
-    straggler_relief = scenario_straggler(args.quick)
-    note_rss("E14")
     print("timing E15 chaos-hardening no-fault overhead ...", flush=True)
     scenarios.update(scenario_chaos_overhead(args.repeat))
     note_rss("E15")
@@ -1101,7 +1018,6 @@ def main() -> int:
         "backend": args.backend,
         "scenarios_seconds": scenarios,
         "outcome_compression": outcome_compression,
-        "straggler_relief": straggler_relief,
         "seed_baseline_seconds": SEED_BASELINE_SECONDS,
         "speedup_vs_seed": {
             key: round(SEED_BASELINE_SECONDS[key] / value, 2)
@@ -1151,15 +1067,6 @@ def main() -> int:
         f"{compression['e13_payload_wire_bytes']} B shipped "
         f"({compression['e13_shipped_bytes_ratio']}x smaller) in "
         f"{compression['e13_outcome_shipping_seconds'] * 1000:.0f} ms"
-    )
-    straggler = report["straggler_relief"]
-    print(
-        "  E14 straggler range: "
-        f"{straggler['e14_straggler_speculate_off_seconds'] * 1000:.0f} ms "
-        "without speculation vs "
-        f"{straggler['e14_straggler_speculate_on_seconds'] * 1000:.0f} ms with "
-        f"({straggler['e14_straggler_speedup']}x, "
-        f"{straggler['e14_speculation_wins']} speculation win(s))"
     )
     overhead = scenarios["e15_chaos_overhead_fraction"]
     print(

@@ -14,7 +14,7 @@ leased shards:
    reset the timer, silence or a broken pipe expires it;
 3. an expired or failed lease is released back and re-leased to another
    worker — draws are index-deterministic, so the replacement produces
-   byte-identical outcomes (a racing duplicate is simply dropped);
+   byte-identical outcomes;
 4. outcomes are re-assembled in draw-index order, so the campaign's
    estimation loop consumes exactly the sequence a serial run would —
    tallies, adaptive-stopping boundaries, and checkpoints merge into
@@ -56,7 +56,7 @@ from repro.service.deadline import Deadline, DeadlineExpired
 
 _SHARD_LEASES = obs_metrics.REGISTRY.counter(
     "ocqa_shard_leases_total",
-    "Shard leases checked out (re-leases and speculation included).",
+    "Shard leases checked out (re-leases included).",
 )
 _SHARD_COMPLETIONS = obs_metrics.REGISTRY.counter(
     "ocqa_shard_completions_total", "Shards completed with merged outcomes."
@@ -166,7 +166,6 @@ class Coordinator:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         max_attempts: int = 4,
         fallback_inline: bool = True,
-        speculate: bool = True,
         reconnect: Optional[ReconnectPolicy] = None,
     ) -> None:
         if shard_size < 1:
@@ -178,10 +177,6 @@ class Coordinator:
         self.lease_timeout = lease_timeout
         self.max_attempts = max_attempts
         self.fallback_inline = fallback_inline
-        #: Re-lease the slowest outstanding shard to idle workers once
-        #: the pending queue drains (straggler mitigation; exact —
-        #: duplicate completions are dropped byte-identically).
-        self.speculate = speculate
         #: This coordinator's campaign/connection tag, stamped on every
         #: frame its transports exchange with (multiplexing) workers.
         self.campaign_id = f"c{next(_campaign_counter)}"
@@ -201,9 +196,6 @@ class Coordinator:
         #: Shards the campaign computed inline after losing every worker
         #: (survives :meth:`close`, unlike the executor itself).
         self.inline_shards = 0
-        #: Speculative duplicate leases issued / won (observability).
-        self.speculations = 0
-        self.speculation_wins = 0
         #: Per-worker failure messages, in observation order.
         self.failure_log: List[str] = []
         self._fatal_lock = threading.Lock()
@@ -211,17 +203,19 @@ class Coordinator:
         #: Lazily-built executor for the all-workers-dead fallback; kept
         #: across batches so its warm contexts amortize like a worker's.
         self._inline: Optional[InlineTransport] = None
-        #: Driver threads still winding down a shard from a *previous*
-        #: range (speculated stragglers), keyed by transport identity
-        #: (``id()`` — names may collide when the same address is listed
-        #: twice).  A transport whose recorded thread is alive is
-        #: skipped when dispatching the next range and rejoins the fleet
-        #: as soon as the thread exits — one slow shard never blocks the
-        #: campaign, and no transport ever serves two threads.
-        #: ``is_alive()`` is the ground truth, so there is no release
-        #: race to lose a transport to.  (Dispatch itself is
-        #: single-threaded: one ``run_range`` at a time per coordinator,
-        #: as the samplers use it.)
+        #: Driver threads that outlived a *previous* range, keyed by
+        #: transport identity (``id()`` — names may collide when the
+        #: same address is listed twice).  ``run_range`` returns once
+        #: its table is done, and a thread can still be busy then: one
+        #: whose reconnect probe is in flight (a probe revives
+        #: ``alive`` on connect, before its ping is answered), or one
+        #: still computing when the deadline expired.  A transport whose
+        #: recorded thread is alive is skipped when dispatching the next
+        #: range and rejoins the fleet once the thread exits, so no
+        #: transport ever serves two threads.  ``is_alive()`` is the
+        #: ground truth, so there is no release race to lose a transport
+        #: to.  (Dispatch itself is single-threaded: one ``run_range`` at
+        #: a time per coordinator, as the samplers use it.)
         self._lagging: Dict[int, threading.Thread] = {}
 
     # ------------------------------------------------------------------
@@ -282,10 +276,9 @@ class Coordinator:
         widened ``(eps, delta)`` accounting.
 
         Returns as soon as every shard has outcomes — NOT when every
-        driver thread has exited: a straggler whose shard was
-        speculatively recomputed elsewhere finishes its (dropped)
-        duplicate in the background, with its transport marked busy and
-        skipped until then.
+        driver thread has exited: a thread still probing its lost worker
+        finishes in the background, with its transport skipped until
+        then.
         """
         if count <= 0:
             return []
@@ -299,11 +292,7 @@ class Coordinator:
         if deadline is not None:
             deadline.check(f"campaign range [{start}, {start + count})")
         table = LeaseTable(
-            start,
-            count,
-            self.shard_size,
-            max_attempts=self.max_attempts,
-            speculate=self.speculate and len(self.transports) > 1,
+            start, count, self.shard_size, max_attempts=self.max_attempts
         )
         self._lagging = {
             key: thread
@@ -332,9 +321,10 @@ class Coordinator:
                 break
         for transport, thread in threads:
             if thread.is_alive():
-                # Grace join: a thread in its post-completion microsecond
-                # window is not a straggler — only classify it lagging if
-                # it is still running after a short wait.
+                # Grace join: a thread returning from ``checkout`` or a
+                # backoff step is about to exit; only one still busy
+                # after a short wait (a reconnect probe in flight, or a
+                # shard the deadline cut short) is lagging.
                 thread.join(timeout=0.05)
             if thread.is_alive():
                 self._lagging[id(transport)] = thread
@@ -365,7 +355,6 @@ class Coordinator:
                     "fallback disabled: " + "; ".join(table.failure_log())
                 )
             self._finish_inline(context, table, leftovers, deadline)
-        self.speculation_wins += table.speculation_wins
         return table.assemble()
 
     def _drive(
@@ -403,9 +392,6 @@ class Coordinator:
                 if lease is None:
                     return
             self._note_lease(transport.name, lease)
-            if lease.speculative:
-                with self._fatal_lock:
-                    self.speculations += 1
             try:
                 while True:
                     try:
@@ -520,7 +506,6 @@ class Coordinator:
             worker=worker,
             start=lease.start,
             count=lease.count,
-            speculative=lease.speculative,
         )
 
     def _note_complete(self, worker: str, lease: ShardLease) -> None:

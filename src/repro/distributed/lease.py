@@ -11,20 +11,9 @@ source of truth for shard state:
 
 Because every draw is a pure function of ``(campaign seed, group key,
 draw index)`` (see :meth:`repro.campaign.SamplingCampaign.rng_at`),
-re-leasing is always safe: a shard recomputed by a different worker — or
-computed twice because a slow worker raced its replacement — yields the
-exact same outcomes, so the table simply keeps the first completion and
-drops duplicates.
-
-That exactness also enables **speculative re-lease** (``speculate=True``):
-when the pending queue is drained but leases are still outstanding, an
-idle worker checks out a *duplicate* lease on the slowest outstanding
-shard instead of waiting — a single straggler (slow machine, cold cache,
-GC pause) no longer gates the whole batch.  Whichever copy finishes
-first wins; the loser's completion is dropped, and a speculative
-failure neither requeues the shard (the original holder still has it)
-nor burns the shard's retry budget.  Byte-identical determinism is
-preserved by construction: both copies compute the same draws.
+re-leasing is always safe: a shard recomputed by a different worker
+yields the exact same outcomes.  A shard is held by one worker at a
+time, and only its holder releases or completes it.
 
 The table is thread-safe: the coordinator drives one thread per worker,
 all checking out of and completing into the same table.
@@ -33,7 +22,6 @@ all checking out of and completing into the same table.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -52,10 +40,6 @@ class ShardLease:
     count: int
     attempts: int = 0
     worker: Optional[str] = None
-    leased_at: Optional[float] = None
-    #: A duplicate lease raced against a straggler's primary lease; its
-    #: failures do not requeue the shard or count toward max_attempts.
-    speculative: bool = False
     #: Human-readable failure trail (worker name + error per attempt),
     #: surfaced in :class:`DistributedSamplingError` messages.
     failures: List[str] = field(default_factory=list)
@@ -70,7 +54,6 @@ class LeaseTable:
         count: int,
         shard_size: int,
         max_attempts: int = 4,
-        speculate: bool = False,
     ) -> None:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -81,9 +64,6 @@ class LeaseTable:
         self.start = start
         self.count = count
         self.max_attempts = max_attempts
-        self.speculate = speculate
-        #: Completed speculative duplicates that beat their primary lease.
-        self.speculation_wins = 0
         self._shards: List[ShardLease] = []
         offset = start
         shard_id = 0
@@ -95,13 +75,6 @@ class LeaseTable:
         self._pending: List[int] = list(range(len(self._shards)))
         self._outcomes: Dict[int, List[Any]] = {}
         self._failed: Optional[ShardLease] = None
-        #: shard_id -> worker currently holding a speculative duplicate
-        #: (at most one duplicate per shard at a time).
-        self._speculating: Dict[int, str] = {}
-        #: Shards whose speculative duplicate already failed once: not
-        #: offered again, so a fast-failing speculator cannot hammer the
-        #: same shard in a tight retry loop while the primary computes.
-        self._spec_failed: set = set()
         self._lock = threading.Lock()
         self._progress = threading.Condition(self._lock)
 
@@ -114,11 +87,7 @@ class LeaseTable:
         Returns ``None`` once every shard is done (or a shard failed
         terminally).  With *wait*, blocks while other workers still hold
         active leases — their shard may yet be released back (worker
-        death), in which case this worker picks it up.  With
-        ``speculate=True``, an otherwise-idle worker instead receives a
-        *duplicate* lease on the slowest outstanding shard (see the
-        module docs); duplicates are bounded to one per shard, and never
-        handed to the shard's own primary holder.
+        death), in which case this worker picks it up.
         """
         with self._progress:
             while True:
@@ -128,49 +97,13 @@ class LeaseTable:
                     lease = self._shards[self._pending.pop(0)]
                     lease.attempts += 1
                     lease.worker = worker
-                    lease.leased_at = time.monotonic()
                     return lease
-                if self.speculate:
-                    duplicate = self._speculate_locked(worker)
-                    if duplicate is not None:
-                        return duplicate
                 if not wait:
                     return None
                 self._progress.wait(timeout=0.5)
 
-    def _speculate_locked(self, worker: str) -> Optional[ShardLease]:
-        """A duplicate lease on the slowest outstanding shard, if any."""
-        candidates = [
-            shard
-            for shard in self._shards
-            if shard.shard_id not in self._outcomes
-            and shard.worker is not None
-            and shard.worker != worker
-            and shard.leased_at is not None
-            and shard.shard_id not in self._speculating
-            and shard.shard_id not in self._spec_failed
-        ]
-        if not candidates:
-            return None
-        slowest = min(candidates, key=lambda shard: shard.leased_at)
-        self._speculating[slowest.shard_id] = worker
-        return ShardLease(
-            shard_id=slowest.shard_id,
-            start=slowest.start,
-            count=slowest.count,
-            attempts=slowest.attempts,
-            worker=worker,
-            leased_at=time.monotonic(),
-            speculative=True,
-        )
-
-    def complete(self, lease: ShardLease, outcomes: List[Any]) -> bool:
-        """Record a finished shard; returns ``False`` for duplicates.
-
-        Duplicate completions (a re-leased shard whose original worker
-        finished after all) are dropped — both copies are byte-identical
-        by construction, so first-wins is exact, not approximate.
-        """
+    def complete(self, lease: ShardLease, outcomes: List[Any]) -> None:
+        """Record a finished shard's outcomes."""
         if len(outcomes) != lease.count:
             raise DistributedSamplingError(
                 f"shard {lease.shard_id} returned {len(outcomes)} outcome(s) "
@@ -178,44 +111,19 @@ class LeaseTable:
                 "the draw-index contract"
             )
         with self._progress:
-            if lease.speculative and self._speculating.get(lease.shard_id) == lease.worker:
-                del self._speculating[lease.shard_id]
-            if lease.shard_id in self._outcomes:
-                return False
             self._outcomes[lease.shard_id] = list(outcomes)
-            if lease.speculative:
-                self.speculation_wins += 1
             self._progress.notify_all()
-            return True
 
     def release(self, lease: ShardLease, error: str) -> None:
         """Return a leased shard to the pending queue after a failure.
 
         A shard that has burnt :attr:`max_attempts` leases marks the
         whole table failed — every ``checkout`` then returns ``None``
-        and :meth:`assemble` raises with the failure trail.  A failed
-        *speculative* duplicate does neither: the primary holder still
-        has the shard, so the failure is only logged (on the primary's
-        trail, for :meth:`failure_log` visibility).
+        and :meth:`assemble` raises with the failure trail.
         """
         with self._progress:
-            if lease.speculative:
-                if self._speculating.get(lease.shard_id) == lease.worker:
-                    del self._speculating[lease.shard_id]
-                self._spec_failed.add(lease.shard_id)
-                primary = self._shards[lease.shard_id]
-                primary.failures.append(
-                    f"{lease.worker or '?'} (speculative): {error}"
-                )
-                self._progress.notify_all()
-                return
             lease.failures.append(f"{lease.worker or '?'}: {error}")
             lease.worker = None
-            lease.leased_at = None
-            if lease.shard_id in self._outcomes:
-                # A racing duplicate already completed it; nothing to redo.
-                self._progress.notify_all()
-                return
             if lease.attempts >= self.max_attempts:
                 self._failed = lease
             else:
@@ -231,8 +139,9 @@ class LeaseTable:
     def wait_progress(self, timeout: float = 0.5) -> None:
         """Block until the table changes state (a completion, release, or
         failure), or *timeout* elapses.  The coordinator's dispatch loop
-        waits here instead of joining worker threads, so a speculated
-        straggler's thread no longer gates the batch."""
+        waits here instead of joining worker threads, so it returns once
+        the table is done even while a driver thread is still probing a
+        lost worker."""
         with self._progress:
             if not self.complete_locked() and self._failed is None:
                 self._progress.wait(timeout)

@@ -431,7 +431,10 @@ class _Heartbeat:
 
     The coordinator's lease timer treats any frame as liveness, so a
     long shard on a healthy worker never expires its lease, while a
-    killed worker stops heartbeating immediately.
+    killed worker stops heartbeating immediately.  While telemetry is
+    on, each beat carries a cumulative snapshot taken as it is sent, so
+    a parent scraped mid-shard shows live fleet counters (keep-latest on
+    the parent makes each beat replace the last).
     """
 
     def __init__(
@@ -445,8 +448,11 @@ class _Heartbeat:
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
+            beat = dict(self._header)
+            if obs_metrics.metrics_enabled():
+                beat["metrics"] = worker_metrics_snapshot()
             try:
-                self._send(dict(self._header))
+                self._send(beat)
             except OSError:
                 return
 
@@ -859,11 +865,6 @@ class WorkerServer:
                 return True
             try:
                 heartbeat = tagged({"type": "heartbeat", "shard": shard_id})
-                if obs_metrics.metrics_enabled():
-                    # A cumulative snapshot rides every heartbeat, so a
-                    # parent scraped mid-shard shows live fleet counters.
-                    # Keep-latest on the parent makes re-sends harmless.
-                    heartbeat["metrics"] = worker_metrics_snapshot()
                 with _Heartbeat(send, self.heartbeat_interval, heartbeat):
                     try:
                         outcomes = self.executor.run_shard(

@@ -74,6 +74,7 @@ from repro.service.deadline import Deadline
 
 if TYPE_CHECKING:
     from repro.constraints import ConstraintSet
+    from repro.db.facts import Fact
     from repro.service.supervisor import Supervisor
 
 log = logging.getLogger(__name__)
@@ -125,6 +126,53 @@ def _bad_request(message: str) -> Tuple[int, Dict[str, Any]]:
 def _finite_positive(seconds: float) -> bool:
     """Whether *seconds* is a usable duration (NaN and infinity are not)."""
     return math.isfinite(seconds) and seconds > 0
+
+
+def _convert(field: str, value: Any, convert: type) -> Any:
+    """``convert(value)`` for a numeric request field; a value of the
+    wrong type is a ``ValueError`` (a 400) that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field!r} must be a number, got {value!r}") from None
+
+
+def _cell_ok(cell: Any) -> bool:
+    """Whether *cell* can be a fact's value: a string, a 64-bit integer
+    (a SQL column holds no more), a finite number or a boolean."""
+    if isinstance(cell, (str, bool)):
+        return True
+    if isinstance(cell, int):
+        return -(1 << 63) <= cell < 1 << 63
+    return isinstance(cell, float) and math.isfinite(cell)
+
+
+def _decode_facts(spec: Any, field: str) -> List["Fact"]:
+    """The facts of a ``{relation: [rows]}`` request field: ``/query``'s
+    ``database`` and ``/update``'s ``add`` and ``remove``.
+
+    ``null`` cells are refused: SQL's ``NULL = NULL`` is not true, so
+    the SQL and chain engines would disagree about which facts conflict.
+    """
+    from repro.db.facts import Fact
+
+    if not isinstance(spec, dict):
+        raise ValueError(f"'{field}' must be a {{relation: [rows]}} object")
+    facts = []
+    for relation, rows in spec.items():
+        if not isinstance(rows, list):
+            raise ValueError(f"'{field}.{relation}' must be a list of rows")
+        for row in rows:
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"'{field}.{relation}' rows must be arrays")
+            for cell in row:
+                if not _cell_ok(cell):
+                    raise ValueError(
+                        f"'{field}.{relation}' cell {cell!r} is not a string, "
+                        "64-bit integer, finite number or boolean"
+                    )
+            facts.append(Fact(str(relation), tuple(row)))
+    return facts
 
 
 class _Snapshot(NamedTuple):
@@ -624,7 +672,6 @@ class QueryService:
     def _apply_update(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         import dataclasses
 
-        from repro.db.facts import Fact
         from repro.sql import ConstraintRepairSampler, create_backend
 
         if not isinstance(payload, dict):
@@ -639,34 +686,18 @@ class QueryService:
                 f"carrying both 'instance' and 'database'"
             )
 
-        def _facts(field: str) -> List[Fact]:
-            spec = payload.get(field) or {}
-            if not isinstance(spec, dict):
-                raise ValueError(
-                    f"'{field}' must be a {{relation: [rows]}} object"
-                )
-            out = []
-            for relation, rows in spec.items():
-                if not isinstance(rows, list):
-                    raise ValueError(f"'{field}.{relation}' must be a list of rows")
-                for row in rows:
-                    if not isinstance(row, (list, tuple)):
-                        raise ValueError(
-                            f"'{field}.{relation}' rows must be arrays"
-                        )
-                    out.append(Fact(str(relation), tuple(row)))
-            return out
-
-        add = _facts("add")
-        remove = _facts("remove")
+        add = _decode_facts(payload.get("add") or {}, "add")
+        remove = set(_decode_facts(payload.get("remove") or {}, "remove"))
         if not add and not remove:
             raise ValueError("update must add or remove at least one fact")
         with instance.lock:
             old_db = instance.snapshot.database
             # Normalize the delta against what is actually there so the
             # rolled digest stays truthful under duplicate adds/removes.
-            added = [f for f in add if f not in old_db]
-            removed = [f for f in remove if f in old_db]
+            added = [f for f in dict.fromkeys(add) if f not in old_db]
+            # Removals roll the tokens of the facts the instance holds:
+            # R(1, 'a') and R(1.0, 'a') are one fact but two tokens.
+            removed = [f for f in old_db.facts if f in remove]
             known = {rel.name: rel.arity for rel in instance.schema}
             for fact in added:
                 arity = known.get(fact.relation)
@@ -761,8 +792,8 @@ class _QueryRequest:
     @classmethod
     def parse(cls, payload: Dict[str, Any], service: QueryService) -> "_QueryRequest":
         from repro.analysis.hoeffding import sample_size
+        from repro.db.facts import Database
         from repro.db.schema import Schema
-        from repro.io import database_from_json
         from repro.queries.parser import parse_query
 
         if not isinstance(payload, dict):
@@ -811,14 +842,8 @@ class _QueryRequest:
         else:
             database = payload["database"]
             if isinstance(database, str):
-                self.database = database_from_json(database)
-            elif isinstance(database, dict):
-                self.database = database_from_json(json.dumps(database))
-            else:
-                raise ValueError(
-                    "'database' must be a {relation: [rows]} object or its "
-                    "JSON string"
-                )
+                database = json.loads(database)
+            self.database = Database(_decode_facts(database, "database"))
             self.constraints = _parse_constraints(payload["constraints"])
             if self.instance is not None:
                 self.schema = service.register_instance(
@@ -829,20 +854,22 @@ class _QueryRequest:
                     self.constraints.schema()
                 )
         self.query = parse_query(str(payload["query"]))
-        self.epsilon = float(payload.get("epsilon", 0.1))
-        self.delta = float(payload.get("delta", 0.1))
+        self.epsilon = _convert("epsilon", payload.get("epsilon", 0.1), float)
+        self.delta = _convert("delta", payload.get("delta", 0.1), float)
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         runs = payload.get("runs")
-        self.runs = None if runs is None else int(runs)
+        self.runs = None if runs is None else _convert("runs", runs, int)
         if self.runs is not None and self.runs < 1:
             raise ValueError(f"runs must be positive, got {self.runs}")
         self.adaptive = bool(payload.get("adaptive", False))
         seed = payload.get("seed")
-        self.seed = None if seed is None else int(seed)
-        deadline = float(payload.get("deadline", service.default_deadline))
+        self.seed = None if seed is None else _convert("seed", seed, int)
+        deadline = _convert(
+            "deadline", payload.get("deadline", service.default_deadline), float
+        )
         if not _finite_positive(deadline):
             raise ValueError(
                 f"deadline must be positive finite seconds, got {deadline}"
@@ -880,7 +907,9 @@ def _parse_constraints(constraints: Any) -> Any:
     from repro.constraints import ConstraintSet
     from repro.constraints.parser import parse_constraints
 
-    if isinstance(constraints, list):
+    if isinstance(constraints, list) and all(
+        isinstance(line, str) for line in constraints
+    ):
         constraints = "\n".join(constraints)
     if not isinstance(constraints, str):
         raise ValueError(

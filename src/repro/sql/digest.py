@@ -10,13 +10,16 @@ delta without rehashing the instance.
 
 :class:`InstanceDigest` therefore folds per-fact SHA-256 tokens with
 modular addition — a commutative, invertible accumulator.  Insertion
-order never matters, removal subtracts the same token addition added,
-and two digests agree exactly when the fact multisets agree (facts live
-in sets here, so: when the instances are equal).  The token binds the
-relation name and every value position with length prefixes, so no two
-distinct facts collide by concatenation tricks; the 256-bit accumulator
-makes accidental cancellation astronomically unlikely (this is a cache
-key, not an adversarial MAC).
+order never matters, and removal subtracts the same token addition
+added.  The token binds the relation name and every value position with
+length prefixes, so no two distinct facts collide by concatenation
+tricks, and each value by its ``repr``, which binds its type:
+``R(1, 'b')`` and ``R('1', 'b')`` print alike under ``str`` but answer
+differently, and even ``R(1, 'b')`` and ``R(1.0, 'b')``, one fact to a
+set, print their answers differently.  So two digests agree exactly
+when the instances hold the same facts with the same value types; the
+256-bit accumulator makes accidental cancellation astronomically
+unlikely (this is a cache key, not an adversarial MAC).
 
 :func:`database_digest` of a :class:`~repro.db.facts.Database` equals
 the digest rolled from any other instance through the delta that turns
@@ -41,7 +44,7 @@ def fact_token(fact: Fact) -> int:
     """The additive token one fact contributes to an instance digest."""
     parts = [f"{len(fact.relation)}#{fact.relation}"]
     for value in fact.values:
-        text = str(value)
+        text = repr(value)
         parts.append(f"{len(text)}#{text}")
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest, "big")

@@ -28,8 +28,10 @@ from repro.distributed import (
     Coordinator,
     InlineTransport,
     LocalPoolTransport,
+    ReconnectPolicy,
     ShardExecutor,
     WorkerServer,
+    WorkerUnavailable,
 )
 from repro.distributed.coordinator import _map_worker_error
 from repro.distributed.protocol import WorkerError
@@ -301,61 +303,99 @@ def _chain_context(seed=77):
     )
 
 
-class TestSpeculativeReLease:
-    def test_straggler_is_speculated_and_results_identical(self):
-        context = _chain_context()
-        serial = Coordinator([InlineTransport()], speculate=False)
-        baseline = serial.run_range(context, 0, 40)
-        serial.close()
+class _ProbeInFlight(InlineTransport):
+    """Loses its first shard, then answers the reconnect probe only after
+    *probe_seconds*.  Like a socket probe, it is ``alive`` again on
+    connect, before the ping returns.  ``overlaps`` counts calls that
+    found another thread still using the transport."""
 
-        # Both workers have latency so both genuinely hold leases; the
-        # straggler is 20x slower.
-        fleet = [_SlowInline(0.04, name="fast"), _SlowInline(0.8, name="slow")]
-        coordinator = Coordinator(fleet, shard_size=5, speculate=True)
-        start = time.perf_counter()
-        try:
-            outcomes = coordinator.run_range(context, 0, 40)
-            elapsed = time.perf_counter() - start
-            assert outcomes == baseline
-            # The fast worker stole the straggler's shard once the queue
-            # drained; run_range returned without waiting out the lag.
-            assert coordinator.speculations >= 1
-            assert coordinator.speculation_wins >= 1
-            assert elapsed < 0.7  # the non-speculative floor is >= 0.8s
-        finally:
-            coordinator.close()
+    def __init__(self, probe_seconds: float, name: str = "probing") -> None:
+        super().__init__(name)
+        self.probe_seconds = probe_seconds
+        self.lost = False
+        self.shards = 0
+        self.overlaps = 0
+        self._busy = threading.Lock()
 
-    def test_busy_straggler_rejoins_on_a_later_range(self):
-        context = _chain_context()
-        fleet = [InlineTransport(name="fast"), _SlowInline(0.4, name="slow")]
-        coordinator = Coordinator(fleet, shard_size=5, speculate=True)
+    def _enter(self) -> None:
+        if not self._busy.acquire(blocking=False):
+            self.overlaps += 1
+            self._busy.acquire()
+
+    def run_shard(
+        self, context, shard_id, start, count, timeout=None, deadline=None
+    ):
+        self._enter()
         try:
-            first = coordinator.run_range(context, 0, 20)
-            # Immediately dispatch again: the straggler may still be
-            # winding down its duplicate — the range must still complete
-            # correctly (and byte-identically) without it.
-            second = coordinator.run_range(context, 20, 20)
-            serial = Coordinator([InlineTransport()], speculate=False)
-            assert first + second == serial.run_range(context, 0, 40)
-            serial.close()
-            # Once quiescent, the straggler is available again.
-            time.sleep(0.9)
-            assert not any(
-                thread.is_alive() for thread in coordinator._lagging.values()
+            if not self.lost:
+                self.lost = True
+                self.alive = False
+                raise WorkerUnavailable(f"{self.name}: connection reset")
+            self.shards += 1
+            return super().run_shard(
+                context, shard_id, start, count, timeout, deadline=deadline
             )
         finally:
-            coordinator.close()
+            self._busy.release()
 
-    def test_speculation_off_still_completes(self):
-        context = _chain_context()
-        fleet = [InlineTransport(name="fast"), _SlowInline(0.1, name="slow")]
-        coordinator = Coordinator(fleet, shard_size=5, speculate=False)
+    def reconnect(self) -> bool:
+        self._enter()
         try:
-            outcomes = coordinator.run_range(context, 0, 20)
-            assert len(outcomes) == 20
-            assert coordinator.speculations == 0
+            self.alive = True
+            time.sleep(self.probe_seconds)
+            return True
+        finally:
+            self._busy.release()
+
+
+class TestSlowWorkers:
+    def test_slow_worker_is_byte_identical_to_serial(self):
+        context = _chain_context()
+        serial = Coordinator([InlineTransport()])
+        try:
+            baseline = serial.run_range(context, 0, 40)
+        finally:
+            serial.close()
+        fleet = [InlineTransport(name="fast"), _SlowInline(0.1, name="slow")]
+        coordinator = Coordinator(fleet, shard_size=5)
+        try:
+            assert coordinator.run_range(context, 0, 40) == baseline
+            # Slow is not lost: nothing was re-leased.
+            assert coordinator.degradation_report()["releases"] == 0
         finally:
             coordinator.close()
+
+    def test_probing_transport_sits_out_the_next_range(self):
+        """A driver thread whose reconnect probe outlives its range keeps
+        its transport out of the next range, and the transport rejoins
+        once the probe ends."""
+        context = _chain_context()
+        serial = Coordinator([InlineTransport()])
+        try:
+            baseline = serial.run_range(context, 0, 60)
+        finally:
+            serial.close()
+        probing = _ProbeInFlight(1.0)
+        coordinator = Coordinator(
+            [_SlowInline(0.05, name="fast"), probing],
+            shard_size=5,
+            reconnect=ReconnectPolicy(base_delay=0.01, jitter=0.0),
+        )
+        try:
+            first = coordinator.run_range(context, 0, 20)
+            assert id(probing) in coordinator._lagging
+            assert probing.alive  # revived mid-probe: only the thread tells
+            second = coordinator.run_range(context, 20, 20)
+            for thread in coordinator._lagging.values():
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            third = coordinator.run_range(context, 40, 20)
+        finally:
+            coordinator.close()
+        assert first + second + third == baseline
+        assert probing.overlaps == 0
+        assert coordinator.reconnects == 1
+        assert probing.shards > 0
 
 
 class TestCheckpointResume:

@@ -282,7 +282,6 @@ class TestCoordinatorReconnect:
             [dead, healthy],
             shard_size=10,
             fallback_inline=True,
-            speculate=False,
             reconnect=ReconnectPolicy(retry_budget=3, base_delay=0.01),
         )
         try:

@@ -58,6 +58,28 @@ def _raw_frame(header: dict, blob: bytes = b"", magic: bytes = MAGIC) -> bytes:
     return FRAME_PREFIX.pack(magic, len(header_bytes), len(blob)) + header_bytes + blob
 
 
+def _chain_context() -> ShardContext:
+    from repro import UniformGenerator
+    from repro.queries import parse_cq
+    from repro.workloads import key_conflict_workload
+
+    workload = key_conflict_workload(
+        clean_rows=2, conflict_groups=2, group_size=2, arity=2, seed=4
+    )
+    return ShardContext.create(
+        "chain",
+        {
+            "facts": tuple(workload.database),
+            "generator": UniformGenerator(workload.constraints),
+            "query": parse_cq("Q(x) :- R(x, y)"),
+            "candidate": None,
+            "allow_failing": False,
+            "seed": 5,
+            "stream_key": "root",
+        },
+    )
+
+
 def _with_hcrc(header: dict) -> dict:
     """*header* plus the header checksum a real sender would add."""
     probe = {**header, "hcrc": 0}
@@ -376,26 +398,9 @@ class TestTransportCounters:
         """Transport counters are cumulative process-wide counters, not
         per-campaign snapshots: closing a campaign keeps its bytes, and
         the report, the registry and the transports' own counts agree."""
-        from repro import UniformGenerator
         from repro.distributed import Coordinator
-        from repro.queries import parse_cq
-        from repro.workloads import key_conflict_workload
 
-        workload = key_conflict_workload(
-            clean_rows=2, conflict_groups=2, group_size=2, arity=2, seed=4
-        )
-        context = ShardContext.create(
-            "chain",
-            {
-                "facts": tuple(workload.database),
-                "generator": UniformGenerator(workload.constraints),
-                "query": parse_cq("Q(x) :- R(x, y)"),
-                "candidate": None,
-                "allow_failing": False,
-                "seed": 5,
-                "stream_key": "root",
-            },
-        )
+        context = _chain_context()
         obs_metrics.REGISTRY.reset()
         server = WorkerServer()
         thread = server.start()
@@ -424,55 +429,74 @@ class TestTransportCounters:
         assert cache_report().transport == registry
 
 
-class TestSpeculativeLease:
-    def test_idle_worker_gets_duplicate_of_slowest_shard(self):
-        table = LeaseTable(start=0, count=4, shard_size=2, speculate=True)
-        slow = table.checkout("straggler", wait=False)
-        fast = table.checkout("fast", wait=False)
-        table.complete(fast, ["c", "d"])
-        duplicate = table.checkout("fast", wait=False)
-        assert duplicate is not None
-        assert duplicate.speculative
-        assert duplicate.shard_id == slow.shard_id
-        assert table.complete(duplicate, ["a", "b"]) is True
-        assert table.speculation_wins == 1
-        # The straggler finishing later is the dropped duplicate.
-        assert table.complete(slow, ["a", "b"]) is False
-        assert table.assemble() == ["a", "b", "c", "d"]
+class TestHeartbeats:
+    """A heartbeat's telemetry snapshot is taken when the beat is sent."""
 
-    def test_at_most_one_duplicate_per_shard(self):
-        table = LeaseTable(start=0, count=2, shard_size=2, speculate=True)
-        table.checkout("straggler", wait=False)
-        first = table.checkout("idle-1", wait=False)
-        assert first is not None and first.speculative
-        assert table.checkout("idle-2", wait=False) is None
-
-    def test_primary_holder_never_self_speculates(self):
-        table = LeaseTable(start=0, count=2, shard_size=2, speculate=True)
-        lease = table.checkout("only", wait=False)
-        assert lease is not None
-        assert table.checkout("only", wait=False) is None
-
-    def test_speculative_failure_does_not_requeue_or_burn_attempts(self):
-        table = LeaseTable(
-            start=0, count=2, shard_size=2, max_attempts=2, speculate=True
+    @staticmethod
+    def _run_shard(server, context):
+        """The frames a run frame for 10 draws of *context* answers with."""
+        frames = []
+        server.executor.ensure_context(context)
+        server._handle(
+            {
+                "type": "run",
+                "context": context.context_id,
+                "shard": 0,
+                "start": 0,
+                "count": 10,
+            },
+            None,
+            lambda reply, payload=None: frames.append((reply, payload)),
         )
-        primary = table.checkout("straggler", wait=False)
-        duplicate = table.checkout("flaky", wait=False)
-        assert duplicate.speculative
-        table.release(duplicate, "speculator died")
-        # The shard is still exclusively the primary's: not pending, not
-        # failed, attempts untouched.
-        assert primary.attempts == 1
-        assert table.checkout("straggler", wait=False) is None
-        table.complete(primary, ["x", "y"])
-        assert table.assemble() == ["x", "y"]
-        assert any("speculative" in line for line in table.failure_log())
+        return frames
 
-    def test_speculation_disabled_by_default(self):
-        table = LeaseTable(start=0, count=2, shard_size=2)
-        table.checkout("straggler", wait=False)
-        assert table.checkout("idle", wait=False) is None
+    def test_a_fast_shard_takes_only_its_results_snapshot(self, monkeypatch):
+        from repro.distributed import worker
+
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        taken = []
+        real = worker.worker_metrics_snapshot
+        monkeypatch.setattr(
+            worker, "worker_metrics_snapshot", lambda: taken.append(1) or real()
+        )
+        server = WorkerServer(heartbeat_interval=5.0)
+        thread = server.start()
+        try:
+            frames = self._run_shard(server, _chain_context())
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert [reply["type"] for reply, _ in frames] == ["result"]
+        assert "metrics" in frames[0][1]
+        assert len(taken) == 1
+
+    def test_a_slow_shards_later_beat_carries_a_fresh_snapshot(self, monkeypatch):
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        shards = obs_metrics.WORKER_REGISTRY.get("ocqa_worker_shards_total")
+        server = WorkerServer(heartbeat_interval=0.05)
+        compute = server.executor.run_shard
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            shards.inc()  # another connection's shard finishes meanwhile
+            time.sleep(0.2)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(server.executor, "run_shard", slow)
+        thread = server.start()
+        try:
+            frames = self._run_shard(server, _chain_context())
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        beats = [reply for reply, _ in frames if reply["type"] == "heartbeat"]
+        assert len(beats) >= 4
+
+        def count(beat):
+            family = beat["metrics"]["ocqa_worker_shards_total"]
+            return sum(value for _, value in family["series"])
+
+        assert count(beats[-1]) == count(beats[0]) + 1
 
 
 class TestLeaseTable:
@@ -509,12 +533,10 @@ class TestLeaseTable:
         table.complete(replacement, [1, 2, 3, 4])
         assert table.assemble() == [1, 2, 3, 4]
 
-    def test_duplicate_completion_dropped(self):
+    def test_idle_worker_waits_while_the_last_shard_is_leased(self):
         table = LeaseTable(start=0, count=2, shard_size=2)
-        lease = table.checkout("slow", wait=False)
-        assert table.complete(lease, ["x", "y"]) is True
-        assert table.complete(lease, ["x", "y"]) is False
-        assert table.assemble() == ["x", "y"]
+        table.checkout("slow", wait=False)
+        assert table.checkout("idle", wait=False) is None
 
     def test_exhausted_attempts_fail_the_table(self):
         table = LeaseTable(start=0, count=2, shard_size=2, max_attempts=2)

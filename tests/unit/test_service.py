@@ -332,6 +332,33 @@ class TestQueryServiceHandling:
         assert status == 400
         assert "epsilon" in body["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", None),
+            ("deadline", None),
+            ("runs", [1]),
+            ("runs", float("inf")),
+            ("seed", {}),
+            ("constraints", [1, 2]),
+            ("database", {"R": 5}),
+            ("database", {"R": [[None, "a"], [None, "b"]]}),
+            ("database", {"R": [[["a"], "b"]]}),
+            ("database", {"R": [[{"a": 1}, "b"]]}),
+            ("database", {"R": [[float("nan"), "b"]]}),
+            ("database", {"R": [[1 << 63, "b"]]}),
+            ("database", '{"R": [[null, "a"]]}'),
+        ],
+    )
+    def test_wrong_field_type_is_400_and_counted_invalid(self, field, value):
+        service = QueryService()
+        status, body = service.handle_query(_query_payload(**{field: value}))
+        assert status == 400, body
+        assert field in body["error"] and not body["retriable"]
+        queries = obs_metrics.REGISTRY.get("ocqa_queries_total")
+        assert queries.value(tenant="default", status="invalid") == 1
+        assert queries.value(tenant="default", status="error") == 0
+
     def test_admission_shed_is_429_with_typed_body(self):
         service = QueryService(
             admission=AdmissionController(
@@ -427,10 +454,10 @@ class TestQueryServiceHandling:
 class TestQueryServiceHTTP:
     """One end-to-end pass over the real HTTP surface."""
 
-    def _post(self, address, payload, timeout=30.0):
+    def _post(self, address, payload, timeout=30.0, path="/query"):
         host, port = address
         request = urllib.request.Request(
-            f"http://{host}:{port}/query",
+            f"http://{host}:{port}{path}",
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -480,6 +507,27 @@ class TestQueryServiceHTTP:
                 assert status == 400, body
                 assert "deadline" in body["error"] and not body["retriable"]
         assert service.queries_served == 0
+
+    def test_wrong_field_types_are_400_over_http(self):
+        with QueryService() as service:
+            status, body = self._post(service.address, _query_payload(epsilon=None))
+            assert status == 400 and "epsilon" in body["error"]
+            status, _ = self._post(service.address, _query_payload(instance="inv"))
+            assert status == 200
+            status, body = self._post(
+                service.address,
+                {"instance": "inv", "add": {"R": [[["a"], "b"]]}},
+                path="/update",
+            )
+            assert status == 400 and "add.R" in body["error"]
+        invalid = {
+            name: obs_metrics.REGISTRY.get(name).value(**labels)
+            for name, labels in (
+                ("ocqa_queries_total", {"tenant": "default", "status": "invalid"}),
+                ("ocqa_updates_total", {"status": "invalid"}),
+            )
+        }
+        assert invalid == {"ocqa_queries_total": 1, "ocqa_updates_total": 1}
 
     def test_bad_json_is_400(self):
         with QueryService() as service:

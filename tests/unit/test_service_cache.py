@@ -174,6 +174,15 @@ class TestStructuralIdentity:
         )
         assert served["frequencies"] == [[["b"], 1.0]]
 
+    def test_print_alike_instances_do_not_share_answers(self):
+        query = "Q(x, y) :- R(x, y)"
+        served = self._second_matches_bypass(
+            QueryService(),
+            _payload(database={"R": [[1, "a"], ["1", "b"]]}, query=query),
+            _payload(database={"R": [[1, "a"], [1, "b"]]}, query=query),
+        )
+        assert all(frequency < 1.0 for _, frequency in served["frequencies"])
+
     def test_a_quoted_constant_is_not_a_variable(self):
         database = {"R": [["a", "v1"], ["b", "c"]]}
         served = self._second_matches_bypass(
@@ -356,6 +365,39 @@ class TestInstancesAndUpdates:
         assert body["cache"] == {"invalidated": 0, "migrated": 0, "flushed": 0}
         _, hit = service.handle_query(_payload(instance="inv"))
         assert hit["cached"] is True
+
+    def test_rolled_digest_tracks_the_stored_facts(self):
+        """``R(1.0, 'a')`` removes the stored ``R(1, 'a')``, and a fact
+        listed twice is added once: either way the rolled digest stays
+        the digest of the instance's own snapshot."""
+        from repro.sql.digest import database_digest
+
+        service = QueryService()
+        database = {"R": [[1, "a"], [1, "b"], [2, "c"]]}
+        service.handle_query(_payload(instance="inv", database=database))
+        for delta in (
+            {"remove": {"R": [[1.0, "a"]]}},
+            {"add": {"R": [[3, "d"], [3, "d"]]}},
+        ):
+            status, body = service.handle_update(dict(delta, instance="inv"))
+            assert status == 200 and body["removed"] + body["added"] == 1
+            snapshot = service.get_instance("inv").snapshot
+            assert snapshot.digest == database_digest(snapshot.database), delta
+
+    @pytest.mark.parametrize("cell", [None, ["z"], {"z": 1}, float("inf")])
+    @pytest.mark.parametrize("field", ["add", "remove"])
+    def test_update_refuses_a_bad_cell(self, field, cell):
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.REGISTRY.reset()
+        service = QueryService()
+        service.handle_query(_payload(instance="inv"))
+        status, body = service.handle_update(
+            {"instance": "inv", field: {"R": [[cell, "a"]]}}
+        )
+        assert status == 400 and f"{field}.R" in body["error"], body
+        updates = obs_metrics.REGISTRY.get("ocqa_updates_total")
+        assert updates.value(status="invalid") == 1
 
     def test_update_while_draining_is_503(self):
         service = QueryService()
