@@ -835,7 +835,29 @@ def scenario_cache(repeat: int) -> dict:
                 status, body = service.handle_query(dict(base))
                 assert status == 200 and body["cached"] is True, body
 
-        out["e16_cache_hit_seconds"] = _timed(hit_loop, max(repeat, 3)) / 200
+        # The hit-speedup floor guards against a hit path that started
+        # recomputing: the hits must run no campaign and load no backend.
+        from repro.sql.backend import SQLBackend
+        from repro.sql.sampler import BaseCampaignSampler
+
+        recomputes = []
+        originals = [
+            (owner, name, vars(owner)[name])
+            for owner, name in ((SQLBackend, "load"), (BaseCampaignSampler, "run"))
+        ]
+        for owner, name, method in originals:
+
+            def counted(*args, _method=method, **kwargs):
+                recomputes.append(_method.__name__)
+                return _method(*args, **kwargs)
+
+            setattr(owner, name, counted)
+        try:
+            out["e16_cache_hit_seconds"] = _timed(hit_loop, max(repeat, 3)) / 200
+        finally:
+            for owner, name, method in originals:
+                setattr(owner, name, method)
+        assert not recomputes, f"cache hits recomputed: {recomputes[:3]}"
         out["e16_cache_hit_speedup"] = round(
             out["e16_cache_recompute_seconds"] / out["e16_cache_hit_seconds"], 2
         )

@@ -528,6 +528,8 @@ class SamplingCampaign:
         """Drop chains whose groups no longer exist (a regenerated group
         rebuilds its chain; its draws stay the same pure function of
         ``(seed, group, index)``)."""
+        if not self._chains:
+            return
         keep = set(live_keys)
         for stale in [key for key in self._chains if key not in keep]:
             del self._chains[stale]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Union
 
 from repro.constraints.base import ConstraintSet
 from repro.constraints.parser import parse_constraints
@@ -31,16 +32,50 @@ def database_to_json(database: Database) -> str:
     return json.dumps(grouped, indent=2, sort_keys=True, default=str)
 
 
-def database_from_json(text: str) -> Database:
-    """Parse a database from its JSON representation."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("database JSON must be an object of relation -> rows")
+def _cell_ok(cell: Any) -> bool:
+    """Whether *cell* can be a fact's value: a string, a 64-bit integer
+    (a SQL column holds no more), a finite number or a boolean."""
+    if isinstance(cell, (str, bool)):
+        return True
+    if isinstance(cell, int):
+        return -(1 << 63) <= cell < 1 << 63
+    return isinstance(cell, float) and math.isfinite(cell)
+
+
+def decode_facts(spec: Any, field: str) -> List[Fact]:
+    """The facts of a decoded ``{relation: [rows]}`` JSON value; *field*
+    names it in errors.
+
+    Both front doors read databases through it: the CLI's ``--db`` file
+    and the service's ``/query`` ``database`` and ``/update`` ``add`` and
+    ``remove``.  ``null`` cells are refused: SQL's ``NULL = NULL`` is not
+    true, so the SQL and chain engines would disagree about which facts
+    conflict.  So are arrays, objects, non-finite numbers and integers
+    wider than 64 bits.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"'{field}' must be a {{relation: [rows]}} object")
     facts = []
-    for relation, rows in data.items():
+    for relation, rows in spec.items():
+        if not isinstance(rows, list):
+            raise ValueError(f"'{field}.{relation}' must be a list of rows")
         for row in rows:
-            facts.append(Fact(relation, tuple(row)))
-    return Database(facts)
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"'{field}.{relation}' rows must be arrays")
+            for cell in row:
+                if not _cell_ok(cell):
+                    raise ValueError(
+                        f"'{field}.{relation}' cell {cell!r} is not a string, "
+                        "64-bit integer, finite number or boolean"
+                    )
+            facts.append(Fact(str(relation), tuple(row)))
+    return facts
+
+
+def database_from_json(text: str) -> Database:
+    """Parse a database from its JSON representation (cells as
+    :func:`decode_facts` accepts them)."""
+    return Database(decode_facts(json.loads(text), "database"))
 
 
 def save_database(database: Database, path: PathLike) -> None:

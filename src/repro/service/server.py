@@ -46,6 +46,7 @@ trusted networks only (see the README's "Failure semantics").
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -53,8 +54,9 @@ import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.caching import LRUCache
 from repro.obs import metrics as obs_metrics
 from repro.obs import overload_stats, record_drain
 from repro.obs.httpd import CONTENT_TYPE as METRICS_CONTENT_TYPE
@@ -73,9 +75,11 @@ from repro.service.cache import (
 from repro.service.deadline import Deadline
 
 if TYPE_CHECKING:
+    from repro.campaign import UpdateReport
     from repro.constraints import ConstraintSet
     from repro.db.facts import Fact
     from repro.service.supervisor import Supervisor
+    from repro.sql import ConstraintRepairSampler
 
 log = logging.getLogger(__name__)
 
@@ -137,51 +141,26 @@ def _convert(field: str, value: Any, convert: type) -> Any:
         raise ValueError(f"{field!r} must be a number, got {value!r}") from None
 
 
-def _cell_ok(cell: Any) -> bool:
-    """Whether *cell* can be a fact's value: a string, a 64-bit integer
-    (a SQL column holds no more), a finite number or a boolean."""
-    if isinstance(cell, (str, bool)):
-        return True
-    if isinstance(cell, int):
-        return -(1 << 63) <= cell < 1 << 63
-    return isinstance(cell, float) and math.isfinite(cell)
+def _load_sampler(
+    database: Any, schema: Any, constraints: ConstraintSet
+) -> "ConstraintRepairSampler":
+    """A sampler over *database* in a new SQLite backend it owns (close
+    ``sampler.backend`` when done): the one load path of inline queries
+    and named instances.
 
-
-def _decode_facts(spec: Any, field: str) -> List["Fact"]:
-    """The facts of a ``{relation: [rows]}`` request field: ``/query``'s
-    ``database`` and ``/update``'s ``add`` and ``remove``.
-
-    ``null`` cells are refused: SQL's ``NULL = NULL`` is not true, so
-    the SQL and chain engines would disagree about which facts conflict.
+    The backend may be used from any thread, one at a time: a named
+    instance's requests arrive on the HTTP server's threads and
+    serialize on the instance's lock.
     """
-    from repro.db.facts import Fact
+    from repro.sql import ConstraintRepairSampler, create_backend
 
-    if not isinstance(spec, dict):
-        raise ValueError(f"'{field}' must be a {{relation: [rows]}} object")
-    facts = []
-    for relation, rows in spec.items():
-        if not isinstance(rows, list):
-            raise ValueError(f"'{field}.{relation}' must be a list of rows")
-        for row in rows:
-            if not isinstance(row, (list, tuple)):
-                raise ValueError(f"'{field}.{relation}' rows must be arrays")
-            for cell in row:
-                if not _cell_ok(cell):
-                    raise ValueError(
-                        f"'{field}.{relation}' cell {cell!r} is not a string, "
-                        "64-bit integer, finite number or boolean"
-                    )
-            facts.append(Fact(str(relation), tuple(row)))
-    return facts
-
-
-class _Snapshot(NamedTuple):
-    """One state of a registered instance: what a request reads and keys on."""
-
-    database: Any
-    #: Equals ``database_digest(database)``.
-    digest: str
-    constraint_fingerprint: str
+    backend = create_backend("sqlite", check_same_thread=False)
+    try:
+        backend.load(database, schema)
+        return ConstraintRepairSampler(backend, schema, constraints)
+    except BaseException:
+        backend.close()
+        raise
 
 
 class _ServiceInstance:
@@ -196,15 +175,40 @@ class _ServiceInstance:
     The schema (the registered database's relations plus the
     constraints') and the parsed constraint set are fixed at
     registration, so a relation an update empties keeps its table.
-    ``snapshot`` is replaced whole, under ``lock``, by each ``/update``,
-    which rolls the digest through the delta in O(|delta|); a request
-    reads one consistent snapshot without the lock.
+    The instance keeps one *warm* sampler (:meth:`warm`): its SQLite
+    copy, violation index, components, walk tables and witness plans,
+    built once by the first request that needs it and moved by each
+    ``/update`` in place.  Every query runs a fresh campaign over it
+    (:meth:`~repro.sql.ConstraintRepairSampler.new_campaign`).
+
+    ``lock`` covers every use of the warm sampler and every change of
+    ``facts`` and ``digest``: a serial campaign holds it throughout, a
+    sharded one until its shard context is built.  ``digest`` (a
+    ``str``, replaced whole) may be read without it.  ``facts`` maps
+    each stored fact to itself, so a removal finds the fact the
+    instance holds (``R(1.0, 'a')`` removes the stored ``R(1, 'a')``)
+    and the digest rolls that fact's token.
     """
 
-    __slots__ = ("name", "schema", "constraints", "rolling", "snapshot", "lock")
+    __slots__ = (
+        "name",
+        "schema",
+        "constraints",
+        "constraint_fingerprint",
+        "facts",
+        "rolling",
+        "digest",
+        "sampler",
+        "plan_limit",
+        "lock",
+    )
 
     def __init__(
-        self, name: str, database: Any, constraints: ConstraintSet
+        self,
+        name: str,
+        database: Any,
+        constraints: ConstraintSet,
+        plan_limit: Optional[int] = None,
     ) -> None:
         from repro.db.schema import Schema
         from repro.sql.digest import InstanceDigest
@@ -212,28 +216,66 @@ class _ServiceInstance:
         self.name = name
         self.schema = Schema.infer(database).extend(constraints.schema())
         self.constraints = constraints
+        self.constraint_fingerprint = constraint_fingerprint(self.schema, constraints)
+        self.facts: Dict["Fact", "Fact"] = {fact: fact for fact in database.facts}
         self.rolling = InstanceDigest.of_database(database)
-        self.snapshot = _Snapshot(
-            database,
-            self.rolling.hexdigest(),
-            constraint_fingerprint(self.schema, constraints),
-        )
+        #: Equals ``database_digest(self.database())``.
+        self.digest = self.rolling.hexdigest()
+        self.sampler: Optional["ConstraintRepairSampler"] = None
+        #: The most witness plans the warm sampler keeps.
+        self.plan_limit = plan_limit
         self.lock = threading.Lock()
 
-    @property
-    def digest(self) -> str:
-        """The current instance digest (equals ``database_digest``)."""
-        return self.snapshot.digest
+    def close(self) -> None:
+        """Close the warm sampler's backend, unless a campaign still
+        holds the lock (one outliving a drain timeout keeps it)."""
+        if not self.lock.acquire(blocking=False):
+            return
+        try:
+            if self.sampler is not None:
+                self.sampler.backend.close()
+                self.sampler = None
+        finally:
+            self.lock.release()
 
-    def apply(self, added: List[Any], removed: List[Any]) -> None:
-        """Move to the state after a normalized delta (hold ``lock``)."""
+    def database(self) -> Any:
+        """A copy of the instance's facts (hold ``lock``)."""
         from repro.db.facts import Database
 
+        return Database(self.facts)
+
+    def warm(self) -> "ConstraintRepairSampler":
+        """The warm sampler, built on first use (hold ``lock``)."""
+        if self.sampler is None:
+            sampler = _load_sampler(self.database(), self.schema, self.constraints)
+            sampler.plan_limit = self.plan_limit
+            self.sampler = sampler
+        return self.sampler
+
+    def apply(self, added: List[Any], removed: List[Any]) -> "UpdateReport":
+        """Apply a normalized delta (hold ``lock``): to the warm sampler,
+        then to ``facts`` and the rolled digest.
+
+        A delta the sampler fails to apply leaves the instance as it
+        was: the sampler is dropped, and the next request rebuilds it
+        from ``facts``.
+        """
+        sampler = self.warm()
+        try:
+            report = sampler.apply_update(added, removed)
+        except BaseException:
+            self.sampler = None
+            sampler.backend.close()
+            raise
+        old_digest = self.digest
+        for fact in removed:
+            del self.facts[fact]
+        for fact in added:
+            self.facts[fact] = fact
         self.rolling.update(added, removed)
-        database = self.snapshot.database
-        self.snapshot = self.snapshot._replace(
-            database=Database((database.facts - set(removed)) | set(added)),
-            digest=self.rolling.hexdigest(),
+        self.digest = self.rolling.hexdigest()
+        return dataclasses.replace(
+            report, old_digest=old_digest, new_digest=self.digest
         )
 
 
@@ -300,6 +342,13 @@ class QueryService:
             if cache_size > 0
             else None
         )
+        #: Bounds the parsed-query memo and each instance's witness
+        #: plans, as it bounds the result cache (0 keeps none).
+        self.cache_size = cache_size
+        self._parsed: Optional[LRUCache[str, Any]] = (
+            LRUCache(cache_size) if cache_size > 0 else None
+        )
+        self._parsed_lock = threading.Lock()
         self._instances: Dict[str, _ServiceInstance] = {}
         self._instances_lock = threading.Lock()
         self.queries_served = 0
@@ -394,6 +443,10 @@ class QueryService:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
+        with self._instances_lock:
+            instances = list(self._instances.values())
+        for instance in instances:
+            instance.close()
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -456,8 +509,12 @@ class QueryService:
         token = obs_metrics.set_tenant(request.tenant)
         try:
             with ticket:
-                body = self._run_admitted(request)
+                body, digest = self._run_admitted(request)
             if cache_key is not None:
+                if digest is not None:
+                    # An /update may have landed since the lookup: the
+                    # body belongs to the state its campaign read.
+                    cache_key = dataclasses.replace(cache_key, instance_digest=digest)
                 self._store_result(cache_key, request, body)
             body["cached"] = False
             self.queries_served += 1
@@ -501,16 +558,20 @@ class QueryService:
             return self.worker_addresses
         return self.worker_addresses + self.fleet.addresses
 
-    def _run_admitted(self, request: "_QueryRequest") -> Dict[str, Any]:
-        """Run one admitted query against a fresh sampler + coordinator.
+    def _run_admitted(
+        self, request: "_QueryRequest"
+    ) -> Tuple[Dict[str, Any], Optional[str]]:
+        """Run one admitted query; returns its body and, for a named
+        instance, the digest of the state its campaign read.
 
-        Each query gets its own coordinator (dispatch is single-threaded
-        per coordinator); the workers behind it are shared — their
-        servers multiplex campaigns per connection — which is what makes
-        concurrent tenants cheap.
+        A named instance's query runs a fresh campaign over the
+        instance's warm sampler under its lock; any other loads its
+        database into a throwaway sampler.  Each query gets its own
+        coordinator (dispatch is single-threaded per coordinator); the
+        workers behind it are shared — their servers multiplex campaigns
+        per connection — which is what makes concurrent tenants cheap.
         """
         from repro.distributed import Coordinator
-        from repro.sql import ConstraintRepairSampler, create_backend
 
         deadline = Deadline.after(request.deadline_seconds)
         started = time.monotonic()
@@ -519,24 +580,46 @@ class QueryService:
             **({"lease_timeout": self.lease_timeout}
                if self.lease_timeout is not None else {}),
         )
+
+        def estimate(sampler: "ConstraintRepairSampler") -> Any:
+            return sampler.run(
+                request.query,
+                runs=request.runs,
+                epsilon=request.epsilon,
+                delta=request.delta,
+                deadline=deadline,
+            )
+
+        def campaign(sampler: "ConstraintRepairSampler") -> Any:
+            return sampler.new_campaign(
+                rng=random.Random(request.seed),
+                adaptive=request.adaptive,
+                coordinator=coordinator,
+            )
+
+        digest = None
         try:
-            with create_backend("sqlite") as backend:
-                backend.load(request.database, request.schema)
-                sampler = ConstraintRepairSampler(
-                    backend,
-                    request.schema,
-                    request.constraints,
-                    rng=random.Random(request.seed),
-                    adaptive=request.adaptive,
-                    coordinator=coordinator,
+            instance = request.stored
+            if instance is None:
+                sampler = _load_sampler(
+                    request.database, request.schema, request.constraints
                 )
-                report = sampler.run(
-                    request.query,
-                    runs=request.runs,
-                    epsilon=request.epsilon,
-                    delta=request.delta,
-                    deadline=deadline,
-                )
+                try:
+                    report = estimate(campaign(sampler))
+                finally:
+                    sampler.backend.close()
+            else:
+                with instance.lock:
+                    digest = instance.digest
+                    sampler = campaign(instance.warm())
+                    if coordinator is None:
+                        report = estimate(sampler)
+                    else:
+                        # The workers' draws read nothing else of the
+                        # instance: an /update may go ahead meanwhile.
+                        sampler.shard_context(request.query)
+                if coordinator is not None:
+                    report = estimate(sampler)
         finally:
             if coordinator is not None:
                 coordinator.close()
@@ -556,7 +639,7 @@ class QueryService:
             "deadline_expired": report.deadline_expired,
             "achieved_epsilon": report.achieved_epsilon,
             "elapsed_seconds": round(time.monotonic() - started, 6),
-        }
+        }, digest
 
     # ------------------------------------------------------------------
     # Result cache
@@ -615,26 +698,42 @@ class QueryService:
             body=core,
         )
 
+    def parse_query(self, text: str) -> Any:
+        """``parse_query(text)``, memoized per text and bounded by
+        ``cache_size``; a text that fails to parse is never kept.  Parsed
+        queries are never mutated, so requests share them."""
+        from repro.queries.parser import parse_query
+
+        if self._parsed is None:
+            return parse_query(text)
+        with self._parsed_lock:
+            query = self._parsed.get(text)
+        if query is None:
+            query = parse_query(text)
+            with self._parsed_lock:
+                self._parsed.put(text, query)
+        return query
+
     # ------------------------------------------------------------------
     # Instance registry + the update path
     # ------------------------------------------------------------------
     def register_instance(
         self, name: str, database: Any, constraints: ConstraintSet
     ) -> "_ServiceInstance":
-        """Create or replace the named instance (``/query`` side effect)."""
+        """Create or replace the named instance (``/query`` side effect).
+
+        The instance is built before the registry lock is taken, and its
+        warm sampler by the first request that reads it.
+        """
+        instance = _ServiceInstance(name, database, constraints, self.cache_size)
         with self._instances_lock:
-            existing = self._instances.get(name)
-            if (
-                existing is None
-                and len(self._instances) >= MAX_INSTANCES
-            ):
+            if name not in self._instances and len(self._instances) >= MAX_INSTANCES:
                 raise ValueError(
                     f"instance limit reached ({MAX_INSTANCES}); "
                     f"re-use or update an existing instance"
                 )
-            instance = _ServiceInstance(name, database, constraints)
             self._instances[name] = instance
-            return instance
+        return instance
 
     def get_instance(self, name: str) -> Optional["_ServiceInstance"]:
         with self._instances_lock:
@@ -670,9 +769,7 @@ class QueryService:
             }
 
     def _apply_update(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        import dataclasses
-
-        from repro.sql import ConstraintRepairSampler, create_backend
+        from repro.io import decode_facts
 
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -686,47 +783,34 @@ class QueryService:
                 f"carrying both 'instance' and 'database'"
             )
 
-        add = _decode_facts(payload.get("add") or {}, "add")
-        remove = set(_decode_facts(payload.get("remove") or {}, "remove"))
+        add = decode_facts(payload.get("add") or {}, "add")
+        remove = decode_facts(payload.get("remove") or {}, "remove")
         if not add and not remove:
             raise ValueError("update must add or remove at least one fact")
-        with instance.lock:
-            old_db = instance.snapshot.database
-            # Normalize the delta against what is actually there so the
-            # rolled digest stays truthful under duplicate adds/removes.
-            added = [f for f in dict.fromkeys(add) if f not in old_db]
-            # Removals roll the tokens of the facts the instance holds:
-            # R(1, 'a') and R(1.0, 'a') are one fact but two tokens.
-            removed = [f for f in old_db.facts if f in remove]
-            known = {rel.name: rel.arity for rel in instance.schema}
-            for fact in added:
-                arity = known.get(fact.relation)
-                if arity is None or arity != fact.arity:
-                    raise ValueError(
-                        f"added fact {fact} does not fit the instance "
-                        f"schema (known relations: {sorted(known)})"
-                    )
-            report = None
-            if added or removed:
-                with create_backend("sqlite") as backend:
-                    backend.load(old_db, instance.schema)
-                    sampler = ConstraintRepairSampler(
-                        backend, instance.schema, instance.constraints
-                    )
-                    report = sampler.apply_update(added, removed)
-                old_digest = instance.digest
-                instance.apply(added, removed)
-                report = dataclasses.replace(
-                    report, old_digest=old_digest, new_digest=instance.digest
+        known = {rel.name: rel.arity for rel in instance.schema}
+        for fact in add:
+            if known.get(fact.relation) != fact.arity:
+                raise ValueError(
+                    f"added fact {fact} does not fit the instance "
+                    f"schema (known relations: {sorted(known)})"
                 )
+        with instance.lock:
+            stored = instance.facts
+            # Normalize the delta against what is actually there so the
+            # rolled digest stays truthful under duplicate adds/removes;
+            # a removal names the fact the instance stores.
+            added = [f for f in dict.fromkeys(add) if f not in stored]
+            removed = [stored[f] for f in dict.fromkeys(remove) if f in stored]
+            report = instance.apply(added, removed) if added or removed else None
             cache_outcome = {"invalidated": 0, "migrated": 0, "flushed": 0}
             if report is not None and self.result_cache is not None:
                 cache_outcome = self.result_cache.apply_update(report)
+            digest = instance.digest
         _UPDATES.inc(status="ok")
         return 200, {
             "ok": True,
             "instance": instance.name,
-            "digest": instance.digest,
+            "digest": digest,
             "added": len(added),
             "removed": len(removed),
             "touched_groups": len(report.touched_groups) if report else 0,
@@ -776,7 +860,8 @@ class _QueryRequest:
         "database",
         "constraints",
         "schema",
-        "snapshot",
+        "stored",
+        "digest",
         "query",
         "epsilon",
         "delta",
@@ -794,7 +879,7 @@ class _QueryRequest:
         from repro.analysis.hoeffding import sample_size
         from repro.db.facts import Database
         from repro.db.schema import Schema
-        from repro.queries.parser import parse_query
+        from repro.io import decode_facts
 
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -826,34 +911,44 @@ class _QueryRequest:
         for field in required:
             if field not in payload:
                 raise ValueError(f"missing required field {field!r}")
-        #: The named instance's snapshot, when the request reuses its
-        #: constraints: then its cache key needs no digest or schema.
-        self.snapshot = None
+        #: The named instance the request reads through its warm
+        #: sampler (``None``: it loads ``database`` itself), and the
+        #: instance digest a cache lookup keys on.
+        self.stored = None
+        self.digest = None
         if stored is not None:
-            snapshot = stored.snapshot
-            self.database = snapshot.database
             if "constraints" in payload:
+                # Other constraints: a throwaway over the instance's facts.
                 self.constraints = _parse_constraints(payload["constraints"])
                 self.schema = stored.schema.extend(self.constraints.schema())
+                with stored.lock:
+                    self.database = stored.database()
             else:
                 self.constraints = stored.constraints
                 self.schema = stored.schema
-                self.snapshot = snapshot
+                self.database = None
+                self.stored = stored
+                self.digest = stored.digest
         else:
             database = payload["database"]
             if isinstance(database, str):
                 database = json.loads(database)
-            self.database = Database(_decode_facts(database, "database"))
+            self.database = Database(decode_facts(database, "database"))
             self.constraints = _parse_constraints(payload["constraints"])
             if self.instance is not None:
-                self.schema = service.register_instance(
+                # The registering query runs on the new instance, and
+                # builds its warm sampler.
+                self.stored = service.register_instance(
                     self.instance, self.database, self.constraints
-                ).schema
+                )
+                self.schema = self.stored.schema
+                self.digest = self.stored.digest
+                self.database = None
             else:
                 self.schema = Schema.infer(self.database).extend(
                     self.constraints.schema()
                 )
-        self.query = parse_query(str(payload["query"]))
+        self.query = service.parse_query(str(payload["query"]))
         self.epsilon = _convert("epsilon", payload.get("epsilon", 0.1), float)
         self.delta = _convert("delta", payload.get("delta", 0.1), float)
         if not 0 < self.epsilon < 1:
@@ -887,13 +982,13 @@ class _QueryRequest:
         return self
 
     def cache_key(self) -> CacheKey:
-        """The result-cache key: from the named instance's snapshot, or
-        through :func:`request_cache_key`."""
+        """The result-cache key: from the named instance's digest and
+        constraints, or through :func:`request_cache_key`."""
         options = {"seed": self.seed, "runs": self.runs, "adaptive": self.adaptive}
-        if self.snapshot is not None:
+        if self.stored is not None:
             return CacheKey.of(
-                self.snapshot.digest,
-                self.snapshot.constraint_fingerprint,
+                self.digest,
+                self.stored.constraint_fingerprint,
                 self.query,
                 **options,
             )

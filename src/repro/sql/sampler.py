@@ -81,6 +81,7 @@ single-process run.  The caller that builds a coordinator closes it.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 from dataclasses import dataclass
@@ -94,6 +95,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -288,9 +290,9 @@ class BaseCampaignSampler:
         #: that built it closes it.
         self.coordinator = coordinator
         self._shard_contexts: Dict[str, Any] = {}
-        #: Per-compiled-query columnar draw plans (``False`` marks a
-        #: query the columnar gate rejected, so it is not re-analyzed
-        #: every batch).  Invalidated with the shard contexts on every
+        #: Per-compiled-query columnar draw plans bound to this
+        #: campaign's draw sources (``False`` marks a query the columnar
+        #: gate rejected).  Invalidated with the shard contexts on every
         #: base-table delta.
         self._columnar_plans: Dict[Any, Any] = {}
         #: Each component's draw source, shared by every compiled query
@@ -377,17 +379,27 @@ class BaseCampaignSampler:
     def _sql_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
     ) -> List[Any]:
-        """Per-draw SQL: mark each draw's deletions, run the query."""
+        """Per-draw SQL: mark each draw's deletions, run the query.
+
+        The deletion tables are empty between draws, whatever a draw
+        raises: a backend outlives the campaign that marked it.
+        """
         outcomes: List[Any] = []
         for deletions in self.deletions_for_range(start, count):
-            self.rewriter.clear()
-            self.rewriter.mark_deleted(deletions)
-            outcomes.append(compiled.run(self.backend))
-        self.rewriter.clear()
+            try:
+                self.rewriter.mark_deleted(deletions)
+                outcomes.append(compiled.run(self.backend))
+            finally:
+                self.rewriter.clear()
         return outcomes
 
-    def _shard_context(self, query: AnyQuery):
-        """The (cached) distributed context describing this campaign."""
+    def shard_context(self, query: AnyQuery):
+        """The (cached) distributed context describing this campaign.
+
+        A sharded campaign reads nothing else of its instance: build
+        the context first, and whatever guards the instance can be
+        released while the workers draw.
+        """
         from repro.distributed import ShardContext
 
         cache_key = campaign_fingerprint(query, self.campaign.seed)
@@ -457,7 +469,7 @@ class BaseCampaignSampler:
             distributed=self.coordinator is not None,
         )
         if self.coordinator is not None:
-            context = self._shard_context(query)
+            context = self.shard_context(query)
 
             def draw(batch: int):
                 start = self.campaign.claim_draws(batch)
@@ -496,11 +508,12 @@ class BaseCampaignSampler:
 
     def sample_repair(self) -> Database:
         """Draw one full repaired instance (useful for inspection/tests)."""
-        self.rewriter.clear()
-        self.rewriter.mark_deleted(self.sample_deletions())
-        repaired = self.rewriter.live_database()
-        self.rewriter.clear()
-        return repaired
+        deletions = self.sample_deletions()
+        try:
+            self.rewriter.mark_deleted(deletions)
+            return self.rewriter.live_database()
+        finally:
+            self.rewriter.clear()
 
 
 class ConstraintRepairSampler(BaseCampaignSampler):
@@ -520,6 +533,20 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     (:meth:`_chain_table`); a component that needs its chain keeps one
     per campaign, so every draw's walk shares the engine's
     delta-maintained state.
+
+    The fields split into *instance state*, which only
+    :meth:`apply_update` changes — the backend, the rewriting, the
+    violation index and its components, the walk tables by shape and by
+    component, and each compiled query's witness plan — and *campaign
+    state*: the RNG, the :class:`~repro.campaign.SamplingCampaign`, the
+    coordinator, shard contexts, and the draw sources and plans bound
+    to the campaign's seed.  :meth:`new_campaign` returns a sampler
+    sharing this one's instance state with a campaign of its own, so a
+    long-lived instance pays for its load, self-joins, tables and
+    witness joins once, and each campaign only for its seeded draws.
+    Samplers sharing instance state must not run at the same time,
+    except a sharded campaign whose :meth:`shard_context` is built: it
+    reads nothing else of the instance.
     """
 
     def __init__(
@@ -543,19 +570,23 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         self.schema = schema
         self.constraints = constraints
         self.generator = generator_factory(constraints)
-        self.rng = rng or random.Random()
         self.rewriter = DeletionRewriter(backend, schema)
-        self._init_campaign(campaign, checkpoint_path, adaptive, coordinator)
         self.violation_index = SQLDeltaViolationIndex(backend, constraints)
-        self.components: Tuple[FrozenSet[Fact], ...] = (
-            self.violation_index.components()
-        )
         #: Walk tables by chain shape (:meth:`_shape_key`); ``None``
         #: marks a shape past the table's state limit.  A key holds no
-        #: fact, so the cache outlives every :meth:`apply_update`.
+        #: fact, so entries outlive :meth:`apply_update`; there are at
+        #: most as many as live components.
         self._shapes: Dict[Tuple, Optional[ChainShape]] = {}
-        #: Each conflict fact's violation edges (:meth:`_edges_by_fact`).
-        self._fact_edges: Optional[Dict[Fact, List[FrozenSet[Fact]]]] = None
+        #: Each drawn component's :data:`ComponentTable` (``None``: its
+        #: chain is walked), from the one walk-table function this
+        #: sampler's policy draws with; dropped with the component.
+        self._tables: Dict[FrozenSet[Fact], Optional[ComponentTable]] = {}
+        #: Each compiled query's witness plan (``False``: gated), least
+        #: recently used first; cleared by every :meth:`apply_update`.
+        self._witness_plans: Dict[Tuple, Union["_WitnessPlan", bool]] = {}
+        #: The most witness plans kept (``None``: no bound), for an
+        #: owner that bounds its caches.
+        self.plan_limit: Optional[int] = None
         #: Whether components may share shapes at all: the generator's
         #: weights are component-local (its exact type; a subclass may
         #: reweigh), and its engine checks the violation index's
@@ -567,6 +598,27 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             and self.generator.constraints == constraints
             and all(type(value) in (str, int) for value in constraints.constants)
         )
+        self.rng = rng or random.Random()
+        self._init_campaign(campaign, checkpoint_path, adaptive, coordinator)
+
+    @property
+    def components(self) -> Tuple[FrozenSet[Fact], ...]:
+        """The conflict components of the current instance."""
+        return self.violation_index.components()
+
+    def new_campaign(
+        self,
+        rng: Optional[random.Random] = None,
+        adaptive: bool = False,
+        coordinator=None,
+    ) -> "ConstraintRepairSampler":
+        """A sampler over this one's instance state with a fresh campaign
+        (see the class docstring): byte-identical to a sampler built
+        from scratch over the same instance with the same arguments."""
+        sampler = copy.copy(self)
+        sampler.rng = rng or random.Random()
+        sampler._init_campaign(None, None, adaptive, coordinator)
+        return sampler
 
     def _fingerprint_parts(self) -> Tuple:
         return (
@@ -586,29 +638,31 @@ class ConstraintRepairSampler(BaseCampaignSampler):
 
         Deletions drop dead violation edges in memory; insertions run
         pinned delta joins only for the constraints whose bodies mention
-        a touched relation.  Components are then recomputed from the
-        maintained edge sets (pure union-find — no SQL), and only
-        components whose fact sets changed lose their cached chains.
-        Returns an :class:`repro.campaign.UpdateReport` naming the
-        changed components for result-cache invalidation; whoever keeps
-        the instance's digest fills in its digests.
+        a touched relation.  The index then re-derives only the
+        components the delta touched (pure union-find — no SQL), and
+        only those lose their cached tables and chains; every witness
+        plan is dropped.  Apart from the SQL statements, the cost grows
+        with the delta and the components it touched, not with the
+        instance.  Returns an :class:`repro.campaign.UpdateReport`
+        naming the changed components for result-cache invalidation;
+        whoever keeps the instance's digest fills in its digests.
         """
         added = list(added)
         removed = list(removed)
-        old_components = self.components
         if removed:
             self.backend.delete_facts(removed)
             self.violation_index.apply_delete(removed)
         if added:
             self.backend.insert_facts(added)
             self.violation_index.apply_insert(added)
-        self.components = self.violation_index.components()
-        self._fact_edges = None
+        gone, born = self.violation_index.regroup()
+        for component in gone:
+            self._tables.pop(component, None)
+        self._witness_plans.clear()
+        _trim(self._shapes, len(self.components))
         self.campaign.prune_chains(self.components)
         self._refresh_campaign_identity()
-        return UpdateReport.from_groups(
-            added, removed, old_components, self.components
-        )
+        return UpdateReport.from_groups(added, removed, gone, born)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -704,6 +758,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         if key not in self._shapes:
             built = self._compiled_table(component)
             self._shapes[key] = None if built is None else _positions(built, facts)
+            _trim(self._shapes, len(self.components))
             return built
         shape = self._shapes[key]
         if shape is None:
@@ -740,7 +795,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         ):
             return None
         position = {fact: i for i, fact in enumerate(facts)}
-        by_fact = self._edges_by_fact()
+        by_fact = self.violation_index.fact_edges
         edges = sorted(
             {
                 tuple(sorted(position[member] for member in edge))
@@ -777,15 +832,6 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         )
         return len(facts), tuple(edges), tuple(s for _, s in named), trust
 
-    def _edges_by_fact(self) -> Dict[Fact, List[FrozenSet[Fact]]]:
-        """Each conflict fact's violation edges (rebuilt per instance)."""
-        if self._fact_edges is None:
-            self._fact_edges = {}
-            for edge in self.violation_index.current():
-                for fact in edge:
-                    self._fact_edges.setdefault(fact, []).append(edge)
-        return self._fact_edges
-
     def _compiled_table(self, component: FrozenSet[Fact]) -> Optional[ComponentTable]:
         """:meth:`_chain_table` compiled from the component's own chain."""
         chain = self._component_chain(component)
@@ -804,14 +850,19 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     def _draws_for(
         self, components: Iterable[FrozenSet[Fact]], walk_table: WalkTableFn
     ) -> List["_ComponentDraws"]:
-        """The (cached) draw source of each of *components*."""
+        """The (cached) draw source of each of *components*: its table
+        comes from the instance state, its stream from the campaign."""
         cache = self._component_draws
+        tables = self._tables
         entries = []
         for component in components:
             entry = cache.get(component)
             if entry is None:
+                if component in tables:
+                    built = tables[component]
+                else:
+                    built = tables[component] = walk_table(component)
                 hasher = stream_hasher(self.campaign.seed, component)
-                built = walk_table(component)
                 entry = (
                     _ComponentDraws(hasher, self._component_chain(component))
                     if built is None
@@ -845,21 +896,42 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     ) -> Optional[List[Any]]:
         """Run the plan built over *walk_table*'s per-component tables.
 
-        The plan is built once per (compiled query, instance) and gated
-        conservatively — any precondition it cannot prove falls back to
-        per-draw SQL (see :func:`_build_columnar_plan`).  It only reads
-        the backend, so a planned campaign writes nothing.
+        The witness plan is built once per (compiled query, instance
+        state) and gated conservatively — any precondition it cannot
+        prove falls back to per-draw SQL (see
+        :func:`_build_columnar_plan`); each campaign binds it to its own
+        draw sources.  It only reads the backend, so a planned campaign
+        writes nothing.
         """
         if count <= 0 or not columnar.enabled():
             return None
         key = (compiled.sql, tuple(compiled.parameters))
         plan = self._columnar_plans.get(key)
         if plan is None:
-            plan = _build_columnar_plan(self, compiled, walk_table) or False
+            plans = self._witness_plans
+            witnesses = plans.pop(key, None)
+            if witnesses is None:
+                witnesses = _build_columnar_plan(self, compiled) or False
+            plans[key] = witnesses
+            if self.plan_limit is not None:
+                _trim(plans, self.plan_limit)
+            plan = (
+                False
+                if witnesses is False
+                else _ColumnarDrawPlan(
+                    witnesses, self._draws_for(witnesses.components, walk_table)
+                )
+            )
             self._columnar_plans[key] = plan
         if plan is False:
             return None
         return plan.outcomes(start, count)
+
+
+def _trim(cache: Dict, limit: int) -> None:
+    """Drop *cache*'s oldest entries past *limit*."""
+    while len(cache) > limit:
+        del cache[next(iter(cache))]
 
 
 def _positions(built: ComponentTable, facts: Sequence[Fact]) -> ChainShape:
@@ -977,7 +1049,8 @@ class _ComponentDraws:
     limit: then ``chain`` is walked draw by draw, and each result not
     seen before is appended as a new state.  ``survivors[s]`` and
     ``deletions[s]`` are the facts kept and removed at absorbing state
-    ``s``.
+    ``s``; a table's lists are the instance's, shared and never
+    extended.
     """
 
     __slots__ = (
@@ -1000,8 +1073,8 @@ class _ComponentDraws:
         self.hasher = hasher
         self.chain = chain
         self.table = table
-        self.survivors = list(survivors)
-        self.deletions = list(deletions)
+        self.survivors = survivors if table is not None else list(survivors)
+        self.deletions = deletions if table is not None else list(deletions)
         self._reached: Dict[Database, int] = {}
 
     def states(self, start: int, count: int) -> List[int]:
@@ -1069,22 +1142,37 @@ def _draw_states(
     return [entry.states(start, count) for entry in entries]
 
 
+class _WitnessPlan(NamedTuple):
+    """A conjunctive query's witnesses split by component: the seed-free
+    half of a draw plan, built by :func:`_build_columnar_plan` once per
+    instance state.
+
+    ``requirements[i]`` maps a fact of ``components[i]`` to the fact
+    sets (containing it) that witnesses need kept in that component,
+    each with the answers of the witnesses that need nothing else and,
+    when a spanning witness needs it, its id; ``spanning`` lists each
+    remaining answer's spanning witnesses as sets of those ids, and
+    ``linked`` the indexes of the components some spanning witness
+    needs a fact set of.
+    """
+
+    certain: frozenset
+    components: List[FrozenSet[Fact]]
+    requirements: List[Dict[Fact, List[Tuple]]]
+    spanning: List[Tuple[Tuple, List[FrozenSet[int]]]]
+    linked: List[int]
+
+
 class _ColumnarDrawPlan:
     """A conjunctive query's ``outcomes_for_range`` with no per-draw SQL.
 
-    Built by :func:`_build_columnar_plan` from the query's witnesses
-    (see the module docstring).  Under the rewriting's ``R EXCEPT
-    R__del`` set semantics an answer holds on a draw exactly when one of
-    its witnesses keeps all its facts, and only conflict facts are ever
-    deleted, each by its own component's draw substream.  So one range
-    needs each component's absorbing state per draw
-    (:func:`_draw_states`).
-
-    ``requirements[i]`` maps a fact of ``entries[i]`` to the fact sets
-    (containing it) that witnesses need kept in that component, each
-    with the answers of the witnesses that need nothing else and, when
-    a spanning witness needs it, its id; ``spanning`` lists each
-    remaining answer's spanning witnesses as sets of those ids.
+    A :class:`_WitnessPlan` bound to one campaign's draw sources
+    ``entries``, one per component (see the module docstring).  Under
+    the rewriting's ``R EXCEPT R__del`` set semantics an answer holds
+    on a draw exactly when one of its witnesses keeps all its facts,
+    and only conflict facts are ever deleted, each by its own
+    component's draw substream.  So one range needs each component's
+    absorbing state per draw (:func:`_draw_states`).
     """
 
     __slots__ = (
@@ -1098,22 +1186,13 @@ class _ColumnarDrawPlan:
     )
 
     def __init__(
-        self,
-        certain: frozenset,
-        entries: List[_ComponentDraws],
-        requirements: List[Dict[Fact, List[Tuple]]],
-        spanning: List[Tuple[Tuple, List[FrozenSet[int]]]],
+        self, witnesses: _WitnessPlan, entries: List[_ComponentDraws]
     ) -> None:
-        self.certain = certain
+        self.certain = witnesses.certain
         self.entries = entries
-        self.spanning = spanning
-        self._requirements = requirements
-        #: The entries some spanning witness needs a fact set of.
-        self._linked = [
-            index
-            for index, needs in enumerate(requirements)
-            if any(rid is not None for group in needs.values() for _, _, rid in group)
-        ]
+        self.spanning = witnesses.spanning
+        self._requirements = witnesses.requirements
+        self._linked = witnesses.linked
         #: Per entry and state: the answers its kept facts give, and
         #: the requirement ids they meet (both extended lazily, as a
         #: walked component reaches new states).
@@ -1207,17 +1286,14 @@ def _gated(reason: str) -> None:
 
 
 def _build_columnar_plan(
-    sampler: ConstraintRepairSampler,
-    compiled: CompiledQuery,
-    walk_table: WalkTableFn,
-) -> Optional[_ColumnarDrawPlan]:
-    """Compile a :class:`_ColumnarDrawPlan`, or ``None`` when gated.
+    sampler: ConstraintRepairSampler, compiled: CompiledQuery
+) -> Optional[_WitnessPlan]:
+    """Compile a :class:`_WitnessPlan`, or ``None`` when gated.
 
     One flat join over the base tables (:func:`compile_witnesses`)
-    lists the witnesses; *walk_table* gives each conflict component's
-    table and the facts surviving at each state, and only components a
-    witness needs are drawn.  Each gate is a precondition of the
-    lineage decomposition and counts its own ``plan_gated_*`` stat on
+    lists the witnesses, split by the conflict components they need
+    kept; only those components are drawn.  Each gate is a precondition
+    of the lineage decomposition and counts its own ``plan_gated_*`` stat on
     ``ocqa_columnar_events_total``: ``first_order`` (not a conjunctive
     query), ``relation_map`` (not compiled against this sampler's live
     rewriting), ``unresolved_fact`` and ``shared_row`` (a conflict fact
@@ -1242,7 +1318,8 @@ def _build_columnar_plan(
         numbered: Dict[str, Dict[Tuple, int]] = {relation: {} for relation in rows}
         conflict: List[Fact] = []
         component_of: List[int] = []
-        for index, component in enumerate(sampler.components):
+        components = sampler.components
+        for index, component in enumerate(components):
             for fact in component:
                 base = rows.get(fact.relation)
                 if base is None:
@@ -1311,14 +1388,23 @@ def _build_columnar_plan(
                     next(iter(facts)), []
                 ).append((facts, heads, rid))
         used = sorted(requirements)
-        plan = _ColumnarDrawPlan(
+        plan = _WitnessPlan(
             frozenset(certain),
-            sampler._draws_for([sampler.components[i] for i in used], walk_table),
+            [components[index] for index in used],
             [requirements[index] for index in used],
             [
                 (answer, list(witnesses))
                 for answer, witnesses in spanning.items()
                 if answer not in certain
+            ],
+            [
+                position
+                for position, index in enumerate(used)
+                if any(
+                    rid is not None
+                    for group in requirements[index].values()
+                    for _, _, rid in group
+                )
             ],
         )
     except Exception:

@@ -26,6 +26,7 @@ oracle.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.constraints.base import Constraint, ConstraintSet
@@ -148,6 +149,14 @@ def components_from_edges(
     the union-find's internal pointers; the components come back sorted
     by their members' ``str`` forms.
     """
+    return tuple(component for _, component in _ordered_components(edges))
+
+
+def _ordered_components(
+    edges: Iterable[FrozenSet[Fact]],
+) -> List[Tuple[List[str], FrozenSet[Fact]]]:
+    """:func:`components_from_edges` with each component's sort key: its
+    members' ``str`` forms, sorted."""
     parent: Dict[Fact, Fact] = {}
 
     def find(fact: Fact) -> Fact:
@@ -167,11 +176,12 @@ def components_from_edges(
     for fact in parent:
         groups.setdefault(find(fact), set()).add(fact)
     names = {fact: str(fact) for fact in parent}
-    return tuple(
-        sorted(
-            (frozenset(group) for group in groups.values()),
-            key=lambda g: sorted(names[fact] for fact in g),
-        )
+    return sorted(
+        (
+            (sorted(names[fact] for fact in group), frozenset(group))
+            for group in groups.values()
+        ),
+        key=lambda pair: pair[0],
     )
 
 
@@ -194,9 +204,9 @@ class SQLDeltaViolationIndex:
     (body images) are materialized once by full self-joins, then kept
     current under fact-level deltas:
 
-    - a **deletion** kills exactly the edges meeting the removed facts —
-      one in-memory ``isdisjoint`` per edge of each touched constraint,
-      no SQL at all;
+    - a **deletion** kills exactly the edges meeting the removed facts,
+      found through the fact-to-edges map :attr:`fact_edges` — no SQL
+      and no scan of the other edges;
     - an **insertion** can only create violations *using* an inserted
       fact, so the new rows are staged into a per-relation ``TEMP`` delta
       table and, for each constraint whose body mentions a touched
@@ -205,6 +215,11 @@ class SQLDeltaViolationIndex:
       view given by *relation_map*);
     - constraints mentioning none of the touched relations are skipped
       entirely (the per-constraint touched-relation filter).
+
+    The conflict components are maintained too: a delta marks the facts
+    of the edges it killed or created, and :meth:`regroup` re-derives
+    only the components holding a marked fact, so a delta costs Python
+    time in the size of the components it touched, not of the instance.
 
     The caller is responsible for ordering: apply the delta to the live
     view (base tables / deletion side-tables) *before* calling
@@ -230,16 +245,14 @@ class SQLDeltaViolationIndex:
         self.relation_map: Optional[Mapping[str, str]] = (
             dict(relation_map) if relation_map else None
         )
-        self._edges: Dict[Constraint, Set[FrozenSet[Fact]]] = {
-            c: set(violating_fact_sets(backend, c, self.relation_map))
-            for c in constraints
-        }
+        self._edges: Dict[Constraint, Set[FrozenSet[Fact]]] = {}
         self._delta_tables: Dict[Tuple[str, int], str] = {}
         #: Diagnostics: full joins run, pinned delta joins run,
         #: and constraints skipped by the touched-relation filter.
-        self.full_queries = len(self._edges)
+        self.full_queries = 0
         self.delta_queries = 0
         self.skipped_constraints = 0
+        self.refresh()
 
     # ------------------------------------------------------------------
     # Current state
@@ -256,16 +269,98 @@ class SQLDeltaViolationIndex:
         return frozenset(self._edges[constraint])
 
     def components(self) -> Tuple[FrozenSet[Fact], ...]:
-        """Connected components of the maintained hypergraph."""
-        return components_from_edges(self.current())
+        """Connected components of the maintained hypergraph, ordered as
+        :func:`components_from_edges` orders them."""
+        self.regroup()
+        if self._snapshot is None:
+            self._snapshot = tuple(self._ordered)
+        return self._snapshot
+
+    def regroup(
+        self,
+    ) -> Tuple[Tuple[FrozenSet[Fact], ...], Tuple[FrozenSet[Fact], ...]]:
+        """Re-derive the components the deltas since the last call
+        touched; returns the components that vanished and those that
+        appeared.
+
+        The region re-derived is every old component holding a fact of
+        a killed or created edge, plus the created edges' facts: any
+        edge meeting that region lies inside it, so union-find over the
+        region's edges gives its new components.
+        """
+        dirty = self._dirty
+        if not dirty:
+            return (), ()
+        self._dirty = set()
+        component_of = self._component_of
+        touched = {component_of[fact] for fact in dirty if fact in component_of}
+        region = set(dirty)
+        region.update(*touched)
+        fact_edges = self.fact_edges
+        regrouped = _ordered_components(
+            {
+                edge
+                for fact in region
+                if fact in fact_edges
+                for edge in fact_edges[fact]
+            }
+        )
+        fresh = {component for _, component in regrouped}
+        gone = tuple(component for component in touched if component not in fresh)
+        for component in gone:
+            self._unlist(component)
+            for fact in component:
+                if component_of.get(fact) is component:
+                    del component_of[fact]
+        born = []
+        for order, component in regrouped:
+            if component in touched:
+                continue
+            self._order[component] = order
+            bisect.insort(self._ordered, component, key=self._order.__getitem__)
+            for fact in component:
+                component_of[fact] = component
+            born.append(component)
+        if gone or born:
+            self._snapshot = None
+        return gone, tuple(born)
+
+    def _unlist(self, component: FrozenSet[Fact]) -> None:
+        """Remove *component* from the ordered list (equal keys are
+        scanned past to find it)."""
+        order = self._order
+        index = bisect.bisect_left(
+            self._ordered, order[component], key=order.__getitem__
+        )
+        while self._ordered[index] != component:
+            index += 1
+        del self._ordered[index]
+        del order[component]
 
     def refresh(self) -> None:
-        """Rebuild every edge set by full detection (resync point)."""
-        for constraint in self._edges:
+        """Rebuild every edge set and component by full detection (resync
+        point)."""
+        for constraint in self.constraints:
             self._edges[constraint] = set(
                 violating_fact_sets(self.backend, constraint, self.relation_map)
             )
             self.full_queries += 1
+        #: Each conflict fact's live edges (every constraint's), for
+        #: deletions and chain shapes to read; do not mutate.
+        self.fact_edges: Dict[Fact, Set[FrozenSet[Fact]]] = {}
+        for edges in self._edges.values():
+            for edge in edges:
+                for fact in edge:
+                    self.fact_edges.setdefault(fact, set()).add(edge)
+        ordered = _ordered_components(self.current())
+        self._ordered: List[FrozenSet[Fact]] = [c for _, c in ordered]
+        self._order: Dict[FrozenSet[Fact], List[str]] = {c: o for o, c in ordered}
+        self._component_of: Dict[Fact, FrozenSet[Fact]] = {
+            fact: component for component in self._ordered for fact in component
+        }
+        self._snapshot: Optional[Tuple[FrozenSet[Fact], ...]] = None
+        #: Facts of the edges killed or created since the last regroup.
+        self._dirty: Set[Fact] = set()
 
     # ------------------------------------------------------------------
     # Deltas
@@ -275,14 +370,24 @@ class SQLDeltaViolationIndex:
         removed = frozenset(facts)
         if not removed:
             return
+        fact_edges = self.fact_edges
+        dead: Set[FrozenSet[Fact]] = set()
+        for fact in removed:
+            dead.update(fact_edges.pop(fact, ()))
         touched = frozenset(f.relation for f in removed)
         for constraint, edges in self._edges.items():
             if not (touched & constraint.body_relations):
                 self.skipped_constraints += 1
                 continue
-            self._edges[constraint] = {
-                edge for edge in edges if edge.isdisjoint(removed)
-            }
+            edges.difference_update(dead)
+        for edge in dead:
+            for fact in edge:
+                live = fact_edges.get(fact)
+                if live is not None:
+                    live.discard(edge)
+                    if not live:
+                        del fact_edges[fact]
+            self._dirty.update(edge)
 
     def apply_insert(self, facts: Iterable[Fact]) -> None:
         """Facts just added to the live view: find the edges they create."""
@@ -312,9 +417,12 @@ class SQLDeltaViolationIndex:
                     delta_atom=index,
                     delta_table=table,
                 )
-                edges.update(
-                    _rows_to_edges(constraint, self.backend.execute(sql, params))
-                )
+                found = _rows_to_edges(constraint, self.backend.execute(sql, params))
+                for edge in found - edges:
+                    edges.add(edge)
+                    for fact in edge:
+                        self.fact_edges.setdefault(fact, set()).add(edge)
+                    self._dirty.update(edge)
                 self.delta_queries += 1
 
     # ------------------------------------------------------------------

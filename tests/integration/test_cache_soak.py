@@ -168,3 +168,161 @@ def test_cache_soak_consistency(service):
     assert "ocqa_cache_hits_total" in metrics
     assert "ocqa_cache_misses_total" in metrics
     assert "ocqa_cache_invalidations_total" in metrics
+
+
+#: The warm-instance soak's instance, texts and delta cycle.  Every
+#: delta adds or removes rows of ``R`` only, merging and splitting the
+#: ``k``/``g``/``m`` components; ``S`` keeps its facts.
+WARM_DATABASE = {
+    "R": [
+        ["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"], ["g", "h"],
+        ["k1", "b"], ["k1", "e"], ["k1", "n"], ["m", "n"],
+    ],
+    "S": [["b"], ["e"], ["n"], ["z"]],
+}
+WARM_TEXTS = (
+    "Q(x) :- R(x, y)",
+    "Q(x, y) :- R(x, y) & S(y)",
+    "Q() :- R(x, y) & S(y)",
+    "Q(x) :- R(x, y) & !S(y)",
+    "Q(y) :- !R('k1', y)",
+    "Q(x) :- forall y (R(x, y) -> S(y))",
+)
+WARM_DELTAS = (
+    {"add": {"R": [["g", "i"]]}},
+    {"remove": {"R": [["k1", "b"], ["k1", "e"]]}},
+    {"add": {"R": [["k1", "c"], ["m", "b"]]}, "remove": {"R": [["g", "i"]]}},
+    {"add": {"R": [["k1", "b"], ["k1", "e"]]}, "remove": {"R": [["m", "b"], ["k1", "c"]]}},
+)
+
+
+def test_warm_instance_soak(service, monkeypatch):
+    """Threads mix ``/update`` deltas with conjunctive and first-order
+    queries (fixed and adaptive, ``use`` and ``bypass``) on one
+    instance.  Each answer equals an inline-database ``bypass``
+    recompute at a digest the instance held while the request was in
+    flight, and no request after registration loads a backend."""
+    import random
+    import sys
+    import threading
+    import time
+
+    from repro.sql.backend import SQLBackend
+
+    address = service.address
+    status, first = _post(
+        address,
+        "/query",
+        _query(
+            WARM_TEXTS[0],
+            instance="warm",
+            database=WARM_DATABASE,
+            constraints=CONSTRAINTS,
+        ),
+    )
+    assert status == 200, first
+    state = frozenset(
+        (relation, tuple(row)) for relation, rows in WARM_DATABASE.items() for row in rows
+    )
+    #: Each digest the instance held: its facts, the time the update
+    #: that made it was sent, and the time the next update returned.
+    held = [[service.get_instance("warm").digest, state, 0.0, float("inf")]]
+    loads = []
+    original_load = SQLBackend.load
+
+    def counted_load(self, *args, **kwargs):
+        loads.append(threading.current_thread().name)
+        return original_load(self, *args, **kwargs)
+
+    monkeypatch.setattr(SQLBackend, "load", counted_load)
+    answers = []
+    failures = []
+    lock = threading.Lock()
+
+    def updater():
+        nonlocal state
+        for step in range(12):
+            delta = WARM_DELTAS[step % len(WARM_DELTAS)]
+            sent = time.monotonic()
+            status, body = _post(address, "/update", dict(delta, instance="warm"))
+            returned = time.monotonic()
+            if status != 200:
+                failures.append(("update", status, body))
+                return
+            removed = {("R", tuple(row)) for row in delta.get("remove", {}).get("R", [])}
+            added = {("R", tuple(row)) for row in delta.get("add", {}).get("R", [])}
+            state = (state - removed) | added
+            with lock:
+                held[-1][3] = returned
+                held.append([body["digest"], state, sent, float("inf")])
+            time.sleep(0.02)
+
+    def asker(seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            payload = _query(
+                rng.choice(WARM_TEXTS),
+                instance="warm",
+                runs=rng.choice([12, None]),
+                adaptive=rng.random() < 0.5,
+                seed=rng.randrange(4),
+            )
+            if payload["runs"] is None:
+                del payload["runs"]
+            if rng.random() < 0.5:
+                payload["cache"] = "bypass"
+            started = time.monotonic()
+            status, body = _post(address, "/query", payload)
+            ended = time.monotonic()
+            if status != 200:
+                failures.append(("query", status, body))
+                return
+            with lock:
+                answers.append((payload, started, ended, body))
+
+    threads = [threading.Thread(target=updater, name="updater")] + [
+        threading.Thread(target=asker, args=(seed,), name=f"asker-{seed}")
+        for seed in range(3)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.undo()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert loads == [], "a named-instance request loaded a backend"
+    assert len(answers) == 60 and len(held) == 13
+
+    recomputed = {}
+
+    def recompute(payload, facts):
+        key = (json.dumps(payload, sort_keys=True), facts)
+        if key not in recomputed:
+            database = {}
+            for relation, row in sorted(facts):
+                database.setdefault(relation, []).append(list(row))
+            inline = dict(payload, cache="bypass", database=database)
+            inline["constraints"] = CONSTRAINTS
+            del inline["instance"]
+            status, body = _post(address, "/query", inline)
+            assert status == 200, body
+            recomputed[key] = _core(body)
+        return recomputed[key]
+
+    for payload, started, ended, body in answers:
+        plain = {k: v for k, v in payload.items() if k != "cache"}
+        candidates = [
+            facts
+            for _, facts, since, until in held
+            if since <= ended and until >= started
+        ]
+        assert candidates, payload
+        assert any(
+            _core(body) == recompute(plain, facts) for facts in candidates
+        ), payload

@@ -11,11 +11,14 @@ chain.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import UniformGenerator
 from repro.analysis import max_absolute_error
+from repro.constraints import ConstraintSet, parse_constraints
 from repro.core.oca import exact_oca
-from repro.db.facts import Fact
+from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
 from repro.queries import parse_cq
 from repro.sql import (
@@ -24,6 +27,7 @@ from repro.sql import (
     SamplerPolicy,
     SQLDeltaViolationIndex,
     SQLiteBackend,
+    components_from_edges,
     conflict_components_sql,
     conflict_hypergraph_sql,
 )
@@ -108,6 +112,45 @@ def test_delta_index_skips_untouched_constraints():
     assert index.skipped_constraints > before
     assert index.current() == conflict_hypergraph_sql(backend, sigma)
     backend.close()
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_maintained_components_follow_random_delta_waves(seed):
+    """Waves of inserts and deletes that merge and split components: the
+    components the index maintains equal ``components_from_edges`` over
+    its edges, and the components a wave reports gone and born are
+    exactly the difference."""
+    sigma = ConstraintSet(
+        parse_constraints("R(x, y), R(x, z) -> y = z\nR(x, y), S(y) -> false")
+    )
+    rng = random.Random(seed)
+    universe = [Fact("R", (f"k{i}", f"v{j}")) for i in range(6) for j in range(4)]
+    universe += [Fact("S", (f"v{j}",)) for j in range(4)]
+    live = set(rng.sample(universe, 12))
+    backend = SQLiteBackend()
+    backend.load(Database(live), Schema.of(R=2, S=1))
+    index = SQLDeltaViolationIndex(backend, sigma)
+    try:
+        for _ in range(12):
+            before = set(index.components())
+            removed = set(
+                rng.sample(sorted(live, key=str), min(len(live), rng.randint(0, 3)))
+            )
+            added = set(rng.sample(universe, rng.randint(0, 3))) - live
+            live = (live - removed) | added
+            backend.delete_facts(removed)
+            index.apply_delete(removed)
+            backend.insert_facts(added)
+            index.apply_insert(added)
+            gone, born = index.regroup()
+            components = index.components()
+            assert components == components_from_edges(index.current())
+            assert index.current() == conflict_hypergraph_sql(backend, sigma)
+            assert set(gone) == before - set(components)
+            assert set(born) == set(components) - before
+    finally:
+        backend.close()
 
 
 def test_generic_sampler_apply_update_matches_fresh_detection():

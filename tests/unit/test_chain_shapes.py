@@ -173,6 +173,8 @@ class TestWalkTableSharing:
             assert len(report.touched_groups) == 2
             sampler.run(self.QUERY, runs=8)
             assert columnar.EVENTS.value(stat="walk_tables_compiled") - compiled == 1
-            assert columnar.EVENTS.value(stat="walk_tables_shared") - shared == 799
+            # Only the new group looks its shape up; the 399 untouched
+            # groups keep their tables across the update.
+            assert columnar.EVENTS.value(stat="walk_tables_shared") - shared == 400
         finally:
             backend.close()

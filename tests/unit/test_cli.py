@@ -276,6 +276,28 @@ class TestSQLSample:
                 ]
             )
 
+    def test_refuses_a_null_cell(self, tmp_path, key_files):
+        """SQL's ``NULL = NULL`` finds no conflict in this key group, so
+        ``sql-sample`` would print ``~CP = 1.0000`` where ``oca`` gives
+        1/3: the ``--db`` loader refuses the cell instead."""
+        _, sigma = key_files
+        db_path = tmp_path / "nulls.json"
+        db_path.write_text('{"R": [[null, "a"], [null, "b"]]}')
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "sql-sample",
+                "--db", str(db_path), "--constraints", sigma,
+                "--query", "Q(x, y) :- R(x, y)", "--runs", "400", "--seed", "3",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode != 0, result.stdout
+        assert "'database.R' cell None" in result.stderr
+
     def test_rejects_tgds(self, tmp_path, key_files):
         db, _ = key_files
         sigma_path = tmp_path / "tgd.txt"

@@ -38,6 +38,23 @@ class TestJSON:
         with pytest.raises(ValueError):
             database_from_json("[1, 2, 3]")
 
+    @pytest.mark.parametrize(
+        "cell",
+        ["null", '["z"]', '{"z": 1}', "NaN", "Infinity", str(1 << 63)],
+    )
+    def test_load_refuses_a_cell_no_fact_can_hold(self, tmp_path, cell):
+        path = tmp_path / "db.json"
+        path.write_text('{"R": [["a", 1], [%s, "b"]]}' % cell)
+        with pytest.raises(ValueError, match=r"'database\.R' cell"):
+            load_database(path)
+
+    def test_load_keeps_every_cell_a_fact_can_hold(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text('{"R": [["a", %d, -1.5, true]]}' % ((1 << 63) - 1))
+        assert load_database(path) == Database(
+            [Fact("R", ("a", (1 << 63) - 1, -1.5, True))]
+        )
+
     def test_deterministic_output(self, db):
         assert database_to_json(db) == database_to_json(db)
 

@@ -369,7 +369,7 @@ class TestInstancesAndUpdates:
     def test_rolled_digest_tracks_the_stored_facts(self):
         """``R(1.0, 'a')`` removes the stored ``R(1, 'a')``, and a fact
         listed twice is added once: either way the rolled digest stays
-        the digest of the instance's own snapshot."""
+        the digest of the instance's own facts."""
         from repro.sql.digest import database_digest
 
         service = QueryService()
@@ -381,8 +381,8 @@ class TestInstancesAndUpdates:
         ):
             status, body = service.handle_update(dict(delta, instance="inv"))
             assert status == 200 and body["removed"] + body["added"] == 1
-            snapshot = service.get_instance("inv").snapshot
-            assert snapshot.digest == database_digest(snapshot.database), delta
+            instance = service.get_instance("inv")
+            assert instance.digest == database_digest(instance.database()), delta
 
     @pytest.mark.parametrize("cell", [None, ["z"], {"z": 1}, float("inf")])
     @pytest.mark.parametrize("field", ["add", "remove"])
@@ -451,7 +451,7 @@ class TestInstanceSnapshots:
             payload = standing[item]
             request = _QueryRequest.parse(payload, service)
             assert request.cache_key() == real(
-                request.database,
+                request.stored.database(),
                 request.constraints,
                 request.query,
                 seed=request.seed,
