@@ -458,15 +458,17 @@ def scenario_workers(repeat: int, quick: bool, max_workers: int) -> dict:
 
 
 def scenario_compression(quick: bool) -> dict:
-    """Outcome-stream shipping over a real socket worker (E13).
+    """Result shipping over a real socket worker (E13).
 
     One fat-answer-set campaign (many clean rows, whole-row query — the
-    regime where outcome shipping dominates cheap draws, see ``e12_*``
-    vs ``cpu_count`` in ``BENCH_PR4.json``) runs over a real socket
-    worker, whose result frames are always interned and, above the
-    protocol's threshold, zlib-compressed.  Records the wall clock and
-    the result payload bytes before compression (raw) and as shipped
-    (wire), and asserts the estimates equal a serial run's.
+    regime where shipping per-draw answer sets dominated cheap draws,
+    see ``e12_*`` vs ``cpu_count`` in ``BENCH_PR4.json``) runs over a
+    real socket worker.  Each result frame carries its shard's tally,
+    which holds each answer once with its count, and a frame of at
+    least the protocol's threshold is zlib-compressed.  Records the
+    wall clock and the result payload bytes before compression (raw)
+    and as shipped (wire), and asserts the estimates equal a serial
+    run's.
     """
     import random as _random
 

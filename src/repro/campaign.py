@@ -50,6 +50,7 @@ A :class:`SamplingCampaign`
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import random
@@ -72,8 +73,8 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -388,10 +389,59 @@ class UpdateReport:
         )
 
 
-#: ``draw(batch)`` returns one outcome per draw: an iterable of observed
-#: answer tuples, or ``None`` for a discarded draw (failing walk under
-#: ``allow_failing``).
-DrawFn = Callable[[int], Sequence[Optional[Iterable[Tuple]]]]
+class Tally(NamedTuple):
+    """What a draw range contributes to Theorem 9's estimate.
+
+    ``draws`` draws, of which ``valid`` were kept (a failing walk under
+    ``allow_failing`` is discarded), and ``counts[t]``: how many kept
+    draws answered ``t``.  Equal answers (``1``, ``1.0``, ``True``)
+    share one key, whose representation is the first occurrence in
+    draw order; summing ranges with :func:`add_tallies` in draw order
+    keeps it.
+    """
+
+    draws: int
+    valid: int
+    counts: Dict[Tuple, int]
+
+
+def tally_outcomes(outcomes: Iterable[Optional[Iterable[Tuple]]]) -> Tally:
+    """The tally of per-draw outcomes: each draw's answer set, or
+    ``None`` for a discarded draw."""
+    counts: Dict[Tuple, int] = {}
+    draws = valid = 0
+    for outcome in outcomes:
+        draws += 1
+        if outcome is not None:
+            valid += 1
+            _count_elements(counts, outcome)
+    return Tally(draws, valid, counts)
+
+
+def add_counts(total: Dict[Tuple, int], counts: Dict[Tuple, int]) -> None:
+    """Add *counts* into *total*; a key already in *total* keeps its
+    representation there."""
+    if not total:
+        total.update(counts)
+        return
+    get = total.get
+    for answer, count in counts.items():
+        total[answer] = get(answer, 0) + count
+
+
+def add_tallies(tallies: Iterable[Tally]) -> Tally:
+    """The sum of consecutive ranges' tallies, given in draw order."""
+    draws = valid = 0
+    counts: Dict[Tuple, int] = {}
+    for tally in tallies:
+        draws += tally.draws
+        valid += tally.valid
+        add_counts(counts, tally.counts)
+    return Tally(draws, valid, counts)
+
+
+#: ``draw(batch)`` returns the :class:`Tally` of the batch's draws.
+DrawFn = Callable[[int], Tally]
 
 
 @dataclass
@@ -449,6 +499,10 @@ class SamplingCampaign:
         self.draws_done = 0
         self.valid_draws = 0
         self.discarded = 0
+        #: The latest report's answers, and whether every member of
+        #: every one is a ``str`` (see :meth:`_frequencies`).
+        self._answers: Dict[Tuple, Tuple] = {}
+        self._plain_answers = True
         #: Identity of the estimand the current tallies belong to (e.g. a
         #: digest of the compiled query).  Guards against resuming an
         #: in-progress estimation with a *different* query: merged
@@ -621,7 +675,7 @@ class SamplingCampaign:
                 deadline_expired = True
                 break
             try:
-                outcomes = draw(batch)
+                tally = draw(batch)
             except DeadlineExpired:
                 # The batch expired mid-flight (a worker or the
                 # coordinator abandoned it).  The claimed draw indices
@@ -630,40 +684,20 @@ class SamplingCampaign:
                 deadline_expired = True
                 break
             _DRAW_BATCHES.inc()
-            _DRAWS.inc(len(outcomes), tenant=obs_metrics.current_tenant())
+            _DRAWS.inc(tally.draws, tenant=obs_metrics.current_tenant())
             obs_trace.span(
                 "draw_batch",
                 fingerprint=self.fingerprint[:12],
                 tenant=obs_metrics.current_tenant(),
                 batch=batch,
-                drawn=len(outcomes),
-                done=self.draws_done + len(outcomes),
+                drawn=tally.draws,
+                done=self.draws_done + tally.draws,
             )
-            # Tally batching: repeated outcome objects (interned answer
-            # sets from workers, the columnar path's shared clean-answer
-            # frozenset) normalize their tuples once, and the counting
-            # itself runs in C (`collections._count_elements`).  The
-            # memo is per-batch and `pinned` keeps its keys alive, so
-            # the id() keys cannot be recycled mid-batch.
-            prepared_memo: Dict[int, List[Tuple]] = {}
-            pinned = []
-            for outcome in outcomes:
-                self.draws_done += 1
-                consumed += 1
-                if outcome is None:
-                    self.discarded += 1
-                    continue
-                self.valid_draws += 1
-                prepared = prepared_memo.get(id(outcome))
-                if prepared is None:
-                    prepared = [
-                        answer if type(answer) is tuple else tuple(answer)
-                        for answer in outcome
-                    ]
-                    prepared_memo[id(outcome)] = prepared
-                    pinned.append(outcome)
-                _count_elements(self.counts, prepared)
-            del prepared_memo, pinned
+            self.draws_done += tally.draws
+            consumed += tally.draws
+            self.valid_draws += tally.valid
+            self.discarded += tally.draws - tally.valid
+            add_counts(self.counts, tally.counts)
             if self.checkpoint_path:
                 self.save_checkpoint()
             if (
@@ -682,11 +716,7 @@ class SamplingCampaign:
         )
         if self.checkpoint_path:
             self.save_checkpoint()
-        frequencies = (
-            {t: c / self.valid_draws for t, c in self.counts.items()}
-            if self.valid_draws
-            else {}
-        )
+        frequencies = self._frequencies()
         achieved: Optional[float] = None
         if deadline_expired:
             from repro.analysis.bernstein import widened_epsilon
@@ -707,6 +737,35 @@ class SamplingCampaign:
             deadline_expired=deadline_expired,
             achieved_epsilon=achieved,
         )
+
+    def _frequencies(self) -> Dict[Tuple, float]:
+        """Each answer's ``count / valid``, sharing objects across reports.
+
+        A caller may keep every report it was given, so a report holds
+        one float per distinct count, and an answer the previous
+        estimation also returned reuses that estimation's tuple when
+        their members' types agree: ``1``, ``1.0`` and ``True`` are
+        equal, and a report holds the representation its own draws
+        produced.  Equal answers whose members are all ``str`` agree
+        member by member, so only other answers compare types.
+        """
+        counts = self.counts
+        valid = self.valid_draws
+        shares = {count: count / valid for count in set(counts.values())}
+        plain = set(map(type, itertools.chain.from_iterable(counts))) <= {str}
+        trusted = plain and self._plain_answers
+        known = self._answers
+        frequencies: Dict[Tuple, float] = {}
+        for answer, count in counts.items():
+            shared = known.get(answer)
+            if shared is not None and (
+                trusted or tuple(map(type, shared)) == tuple(map(type, answer))
+            ):
+                answer = shared
+            frequencies[answer] = shares[count]
+        self._answers = {answer: answer for answer in frequencies}
+        self._plain_answers = plain
+        return frequencies
 
     def reset_tallies(self) -> None:
         """Start a fresh estimation (warm chains and draw cursor kept)."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chain import ChainGenerator, RepairingChain
 from repro.core.errors import FailingSequenceError, InvalidGeneratorError
@@ -31,6 +31,9 @@ from repro.core.operations import Operation
 from repro.core.state import RepairState
 from repro.db.facts import Database
 from repro.db.terms import Term
+
+if TYPE_CHECKING:
+    from repro.campaign import Tally
 
 
 @dataclass
@@ -226,32 +229,34 @@ def chain_outcomes_for_range(
     stream_key: str,
     start: int,
     count: int,
-) -> List[Any]:
-    """Outcomes of the estimators' walks ``[start, start + count)``.
+) -> Tally:
+    """The :class:`~repro.campaign.Tally` of the estimators' walks
+    ``[start, start + count)``.
 
     Walk ``i`` draws from the ``(seed, stream_key, i)`` substream
     (:func:`repro.campaign.draw_rng`) and nothing else, so any range can
     be computed by any process.  The serial estimators and a worker's
     chain runtime (:mod:`repro.distributed.worker`) both run exactly
     this function, which is why serial and distributed runs are
-    byte-identical.  An outcome is the walk's answer set — with a
-    *candidate*, ``((),)`` if the candidate is an answer and ``()`` if
-    not — or ``None`` for a failing walk discarded under
-    *allow_failing*.
+    byte-identical.  A walk counts its answer set — with a *candidate*,
+    the answer ``()`` when the candidate is an answer — and a failing
+    walk discarded under *allow_failing* counts as drawn, not valid.
     """
-    from repro.campaign import DrawStream, stream_hasher
+    from repro.campaign import DrawStream, stream_hasher, tally_outcomes
 
     hasher = stream_hasher(seed, stream_key)
-    outcomes: List[Any] = []
-    for index in range(start, start + count):
-        walk = sample_walk(chain, DrawStream(hasher, index))
-        if not _accept_walk(walk, allow_failing):
-            outcomes.append(None)
-        elif candidate is None:
-            outcomes.append(query.answers(walk.result))
-        else:
-            outcomes.append(((),) if query.holds(walk.result, candidate) else ())
-    return outcomes
+
+    def outcomes():
+        for index in range(start, start + count):
+            walk = sample_walk(chain, DrawStream(hasher, index))
+            if not _accept_walk(walk, allow_failing):
+                yield None
+            elif candidate is None:
+                yield query.answers(walk.result)
+            else:
+                yield ((),) if query.holds(walk.result, candidate) else ()
+
+    return tally_outcomes(outcomes())
 
 
 def _run_chain_campaign(

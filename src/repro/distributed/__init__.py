@@ -56,8 +56,6 @@ from repro.distributed.protocol import (
     FrameIntegrityError,
     ProtocolError,
     WorkerError,
-    intern_outcomes,
-    restore_outcomes,
 )
 from repro.distributed.transport import (
     InlineTransport,
@@ -80,8 +78,6 @@ __all__ = [
     "FailpointError",
     "FaultPlan",
     "FrameIntegrityError",
-    "intern_outcomes",
-    "restore_outcomes",
     "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_SHARD_SIZE",
     "InlineTransport",

@@ -14,19 +14,20 @@ leased shards:
    reset the timer, silence or a broken pipe expires it;
 3. an expired or failed lease is released back and re-leased to another
    worker — draws are index-deterministic, so the replacement produces
-   byte-identical outcomes;
-4. outcomes are re-assembled in draw-index order, so the campaign's
-   estimation loop consumes exactly the sequence a serial run would —
-   tallies, adaptive-stopping boundaries, and checkpoints merge into
-   the *existing* campaign/checkpoint format with no distributed
-   special-casing;
+   the same tally;
+4. each shard returns a :class:`~repro.campaign.Tally` — its draw
+   count, kept-draw count and per-answer counts — and the shards'
+   tallies are summed in draw order, so the campaign's estimation loop
+   adds exactly the tally a serial run of the range would: counts, the
+   first representation of equal answers, adaptive-stopping boundaries
+   and checkpoints all agree, with no distributed special-casing;
 5. the telemetry snapshot riding each result (worker metrics and memo
    counters) is merged into :data:`repro.obs.metrics.REGISTRY`, so
    ``GET /metrics`` and :func:`repro.diagnostics.cache_report` cover
    the whole fleet instead of only the parent process.
 
 If every worker dies mid-range, the coordinator finishes the remaining
-shards inline (same executor code path, same outcomes) rather than
+shards inline (same executor code path, same tallies) rather than
 failing the campaign — disable with ``fallback_inline=False`` to surface
 the failure instead.
 """
@@ -40,6 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.campaign import Tally
 from repro.distributed.lease import DistributedSamplingError, LeaseTable, ShardLease
 from repro.distributed.protocol import WorkerError
 from repro.distributed.transport import (
@@ -156,7 +158,7 @@ class ReconnectPolicy:
 
 
 class Coordinator:
-    """Shards draw ranges across workers and merges their outcomes."""
+    """Shards draw ranges across workers and sums their tallies."""
 
     def __init__(
         self,
@@ -217,6 +219,11 @@ class Coordinator:
         #: to.  (Dispatch itself is single-threaded: one ``run_range`` at
         #: a time per coordinator, as the samplers use it.)
         self._lagging: Dict[int, threading.Thread] = {}
+        #: Transports lost when their range finished before their
+        #: reconnect ladder did, keyed like :attr:`_lagging`, with the
+        #: probes they have spent.  The next range drives each one
+        #: again, starting with a probe (see :meth:`_await_reconnect`).
+        self._lost: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -259,8 +266,9 @@ class Coordinator:
         start: int,
         count: int,
         deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
-        """Outcomes for draws ``[start, start + count)``, index-ordered.
+    ) -> Tally:
+        """The tally of draws ``[start, start + count)``, summed over its
+        shards in draw order.
 
         Retryable worker failures re-lease shards; fatal worker errors
         (deterministic exceptions such as a failing repair sequence)
@@ -275,13 +283,13 @@ class Coordinator:
         campaign layer turns that into a best-effort estimate with
         widened ``(eps, delta)`` accounting.
 
-        Returns as soon as every shard has outcomes — NOT when every
+        Returns as soon as every shard has its tally — NOT when every
         driver thread has exited: a thread still probing its lost worker
         finishes in the background, with its transport skipped until
         then.
         """
         if count <= 0:
-            return []
+            return Tally(0, 0, {})
         obs_trace.span(
             "campaign_range",
             campaign=self.campaign_id,
@@ -300,7 +308,9 @@ class Coordinator:
             if thread.is_alive()
         }
         live = [
-            t for t in self.transports if t.alive and id(t) not in self._lagging
+            t
+            for t in self.transports
+            if (t.alive or id(t) in self._lost) and id(t) not in self._lagging
         ]
         threads = [
             (
@@ -373,6 +383,10 @@ class Coordinator:
         the worker's suggested ``retry_after`` on the *same* lease —
         they never burn the shard's retry budget.
         """
+        if id(transport) in self._lost and not self._await_reconnect(
+            transport, table
+        ):
+            return
         busy_waited = 0.0
         while True:
             with self._fatal_lock:
@@ -395,7 +409,7 @@ class Coordinator:
             try:
                 while True:
                     try:
-                        outcomes = transport.run_shard(
+                        tally = transport.run_shard(
                             context,
                             lease.shard_id,
                             lease.start,
@@ -469,7 +483,7 @@ class Coordinator:
                 table.release(lease, str(exc))
                 continue  # transient worker-side error; keep serving
             busy_waited = 0.0
-            table.complete(lease, outcomes)
+            table.complete(lease, tally)
             self._note_complete(transport.name, lease)
 
     def _pause(
@@ -542,26 +556,34 @@ class Coordinator:
 
         Runs on the worker's own driver thread, so the rest of the fleet
         keeps computing (and can finish the table, which short-circuits
-        the wait).  The jittered exponential schedule is seeded per
-        campaign/worker pair: deterministic for a given run, decorrelated
-        across workers.
+        the wait).  A worker the range finished without keeps the rest
+        of its budget in :attr:`_lost`: the next range drives it again,
+        and since its backoff ran while no range needed it, that range
+        probes it at once.  The jittered exponential schedule is seeded
+        per campaign/worker pair: deterministic for a given run,
+        decorrelated across workers.
         """
         policy = self.reconnect_policy
         if policy.retry_budget < 1:
             return False
+        with self._fatal_lock:
+            spent = self._lost.pop(id(transport), None)
+        resumed = spent is not None
         rng = random.Random(f"{self.campaign_id}:{transport.name}")
-        delay = policy.base_delay
-        for attempt in range(1, policy.retry_budget + 1):
+        for attempt in range(1 + (spent or 0), policy.retry_budget + 1):
+            delay = min(
+                policy.base_delay * 2.0 ** (attempt - 1), policy.max_delay
+            )
             deadline = time.monotonic() + delay * (
                 1.0 + policy.jitter * rng.random()
             )
-            while time.monotonic() < deadline:
-                if table.done:
-                    return False
+            while not resumed and time.monotonic() < deadline:
                 with self._fatal_lock:
-                    if self._fatal is not None:
+                    if table.done or self._fatal is not None:
+                        self._lost[id(transport)] = attempt - 1
                         return False
                 time.sleep(0.05)
+            resumed = False
             if transport.reconnect():
                 with self._fatal_lock:
                     self.reconnects += 1
@@ -577,7 +599,6 @@ class Coordinator:
                     attempt=attempt,
                 )
                 return True
-            delay = min(delay * 2.0, policy.max_delay)
         with self._fatal_lock:
             self.degradation_log.append(
                 f"{transport.name}: abandoned after "
@@ -614,11 +635,11 @@ class Coordinator:
             "(no live worker finished them)"
         )
         for lease in leftovers:
-            outcomes = self._inline.run_shard(
+            tally = self._inline.run_shard(
                 context, lease.shard_id, lease.start, lease.count,
                 deadline=deadline,
             )
-            table.complete(lease, outcomes)
+            table.complete(lease, tally)
             self._note_complete(self._inline.name, lease)
 
     def transport_report(self) -> Dict[str, int]:

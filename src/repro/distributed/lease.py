@@ -7,13 +7,14 @@ source of truth for shard state:
 
 - **pending** — not yet assigned (or released back after a failure);
 - **leased** — held by a named worker until its deadline;
-- **done** — outcomes recorded.
+- **done** — its :class:`~repro.campaign.Tally` recorded.
 
 Because every draw is a pure function of ``(campaign seed, group key,
 draw index)`` (see :meth:`repro.campaign.SamplingCampaign.rng_at`),
 re-leasing is always safe: a shard recomputed by a different worker
-yields the exact same outcomes.  A shard is held by one worker at a
-time, and only its holder releases or completes it.
+yields the exact same tally.  A shard is held by one worker at a
+time, and only its holder releases or completes it.  Once every shard
+is done, :meth:`LeaseTable.assemble` sums their tallies in draw order.
 
 The table is thread-safe: the coordinator drives one thread per worker,
 all checking out of and completing into the same table.
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
+
+from repro.campaign import Tally, add_tallies
 
 
 class DistributedSamplingError(RuntimeError):
@@ -73,7 +76,7 @@ class LeaseTable:
             shard_id += 1
             offset += size
         self._pending: List[int] = list(range(len(self._shards)))
-        self._outcomes: Dict[int, List[Any]] = {}
+        self._tallies: Dict[int, Tally] = {}
         self._failed: Optional[ShardLease] = None
         self._lock = threading.Lock()
         self._progress = threading.Condition(self._lock)
@@ -102,16 +105,16 @@ class LeaseTable:
                     return None
                 self._progress.wait(timeout=0.5)
 
-    def complete(self, lease: ShardLease, outcomes: List[Any]) -> None:
-        """Record a finished shard's outcomes."""
-        if len(outcomes) != lease.count:
+    def complete(self, lease: ShardLease, tally: Tally) -> None:
+        """Record a finished shard's tally."""
+        if tally.draws != lease.count:
             raise DistributedSamplingError(
-                f"shard {lease.shard_id} returned {len(outcomes)} outcome(s) "
+                f"shard {lease.shard_id} tallied {tally.draws} draw(s) "
                 f"for a {lease.count}-draw range — a worker is not honouring "
                 "the draw-index contract"
             )
         with self._progress:
-            self._outcomes[lease.shard_id] = list(outcomes)
+            self._tallies[lease.shard_id] = tally
             self._progress.notify_all()
 
     def release(self, lease: ShardLease, error: str) -> None:
@@ -134,7 +137,7 @@ class LeaseTable:
     # Coordinator-side state
     # ------------------------------------------------------------------
     def complete_locked(self) -> bool:
-        return len(self._outcomes) == len(self._shards)
+        return len(self._tallies) == len(self._shards)
 
     def wait_progress(self, timeout: float = 0.5) -> None:
         """Block until the table changes state (a completion, release, or
@@ -148,7 +151,7 @@ class LeaseTable:
 
     @property
     def done(self) -> bool:
-        """Whether every shard has recorded outcomes."""
+        """Whether every shard has recorded its tally."""
         with self._lock:
             return self.complete_locked()
 
@@ -163,12 +166,12 @@ class LeaseTable:
             return self._failed is not None
 
     def unfinished(self) -> List[ShardLease]:
-        """Shards without outcomes (for inline fallback / diagnostics)."""
+        """Shards without a tally (for inline fallback / diagnostics)."""
         with self._lock:
             return [
                 shard
                 for shard in self._shards
-                if shard.shard_id not in self._outcomes
+                if shard.shard_id not in self._tallies
             ]
 
     def failure_log(self) -> List[str]:
@@ -176,13 +179,14 @@ class LeaseTable:
         with self._lock:
             return [line for shard in self._shards for line in shard.failures]
 
-    def assemble(self) -> List[Any]:
-        """All outcomes, in global draw-index order.
+    def assemble(self) -> Tally:
+        """The range's tally: the shards' tallies summed in draw order.
 
-        The index-ordered concatenation is what makes the distributed
-        estimation loop consume *exactly* the sequence a serial run
-        would, so tallies, adaptive-stopping boundaries, and checkpoints
-        all agree byte for byte.
+        Summing in draw order keeps, for answers that are equal but
+        typed differently (``1``, ``1.0``, ``True``), the
+        representation a serial tally of the range keeps, so tallies,
+        adaptive-stopping boundaries, and checkpoints all agree byte
+        for byte with a serial run.
         """
         with self._lock:
             if self._failed is not None:
@@ -197,12 +201,11 @@ class LeaseTable:
                 missing = [
                     s.shard_id
                     for s in self._shards
-                    if s.shard_id not in self._outcomes
+                    if s.shard_id not in self._tallies
                 ]
                 raise DistributedSamplingError(
                     f"shards {missing} never completed (all workers lost?)"
                 )
-            ordered: List[Any] = []
-            for shard in self._shards:
-                ordered.extend(self._outcomes[shard.shard_id])
-            return ordered
+            return add_tallies(
+                self._tallies[shard.shard_id] for shard in self._shards
+            )

@@ -30,6 +30,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.campaign import Tally
 from repro.distributed.protocol import WorkerError
 from repro.distributed.transport import (
     WorkerTransport,
@@ -179,7 +180,7 @@ class LocalPoolTransport(WorkerTransport):
         self, context: ShardContext, shard_id: int, start: int, count: int,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
+    ) -> Tally:
         self.ensure_context(context)
         request = {
             "context": context.context_id,
@@ -214,7 +215,7 @@ class LocalPoolTransport(WorkerTransport):
         with self._telemetry_lock:
             if self.alive:
                 _record_pushed_metrics(self.name, data.get("metrics"))
-        return data["outcomes"]
+        return data["tally"]
 
     def close(self) -> None:
         if self.alive and self._process.is_alive():

@@ -5,17 +5,17 @@ Every message is one *frame*:
 ====================  =======================================================
 bytes                 meaning
 ====================  =======================================================
-``4``                 magic ``b"RPW2"`` (protocol version 2)
+``4``                 magic ``b"RPW3"`` (protocol version 3)
 ``4``                 header length ``H`` (big-endian unsigned)
 ``4``                 blob length ``B`` (big-endian unsigned)
 ``H``                 UTF-8 JSON header — always an object with a ``"type"``
                       key plus small scalar fields (ids, ranges, counts)
 ``B``                 optional pickle blob carrying the Python payload
-                      (shard contexts, outcome lists, cache counters)
+                      (shard contexts, range tallies, cache counters)
 ====================  =======================================================
 
 Control flow lives in the JSON header so a frame is inspectable without
-unpickling; bulk payloads (facts, schemas, answer sets) ride the pickle
+unpickling; bulk payloads (facts, schemas, tallies) ride the pickle
 blob.  Message types:
 
 - ``hello`` / ``welcome`` — connection handshake (campaign tag, worker
@@ -26,7 +26,7 @@ blob.  Message types:
 - ``heartbeat`` — sent by the worker *while computing* a shard, so the
   coordinator's lease timer distinguishes a slow shard from a dead
   worker;
-- ``result`` — the shard's outcomes (blob) plus the worker's cache
+- ``result`` — the shard's tally (blob) plus the worker's cache
   counters;
 - ``error`` — a Python exception from the worker; ``fatal`` marks
   errors that re-leasing cannot fix (e.g. a failing repair sequence),
@@ -39,7 +39,7 @@ blob.  Message types:
 
 Frame features
 --------------
-The coordinator and its workers are one deployment, so version 2 has no
+The coordinator and its workers are one deployment, so version 3 has no
 optional features and nothing to negotiate.  Every frame carries:
 
 - a header checksum ``"hcrc"``, always the last header field: the CRC32
@@ -76,16 +76,17 @@ On top of the frame layer:
   ``"retry_after"`` (seconds, for backpressure rejections),
   ``"deadline_expired"``, and ``"draining"`` so the coordinator can
   tell back-off-and-retry from re-lease-elsewhere from give-up;
-- ``result`` bodies are ``{"outcomes_interned": ...}``: answer sets
-  are dictionary-encoded (:func:`intern_outcomes`) so each distinct one
-  ships once;
+- ``result`` bodies are ``{"tally": (draws, valid, counts)}``, the
+  shard's :class:`repro.campaign.Tally`: each answer ships once per
+  shard with its count, however many draws it holds on (version 2
+  shipped every draw's answer set);
 - while the worker's own telemetry is on (``REPRO_METRICS``), it
   attaches its cumulative ``ocqa_worker_*`` snapshot (see
   :mod:`repro.obs.metrics`; its shared memo counters included) to
   ``result`` bodies (``"metrics"``) and a snapshot to ``heartbeat``
   headers; a parent whose telemetry is off ignores them.
 
-A peer speaking another version (e.g. a version-1 ``RPW1`` build) is
+A peer speaking another version (e.g. a version-2 ``RPW2`` build) is
 refused by its magic with a :class:`ProtocolError` naming both versions.
 
 Pickle is trusted here by design: the coordinator and its workers are
@@ -102,10 +103,10 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 #: Protocol magic + version; bumped on any frame-layout change.
-MAGIC = b"RPW2"
+MAGIC = b"RPW3"
 
 #: The fixed frame prefix: magic, header length, blob length.
 FRAME_PREFIX = struct.Struct("!4sII")
@@ -120,10 +121,8 @@ MAX_FRAME_BYTES = 1 << 30
 #: bodies) showed deflate overhead without a meaningful byte win.
 COMPRESS_THRESHOLD = 8192
 
-#: zlib level for compressed blobs.  Level 1 keeps ~90% of level 6's
-#: ratio on interned outcome streams at a small fraction of the CPU (the
-#: streams are dictionary-coded already, so deeper match searching buys
-#: almost nothing).
+#: zlib level for compressed blobs: the cheapest level, since a blob is
+#: compressed on the shard's critical path.
 COMPRESS_LEVEL = 1
 
 
@@ -285,7 +284,7 @@ def recv_message_ex(sock: socket.socket) -> Tuple[dict, Any, FrameStats]:
             f"frame of {header_len + blob_len} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap; refusing to read it"
         )
-    # Every version-2 sender writes a JSON object carrying its hcrc, so a
+    # Every version-3 sender writes a JSON object carrying its hcrc, so a
     # header that does not decode to one was corrupted in flight.
     header_bytes = _recv_exact(sock, header_len)
     try:
@@ -346,54 +345,6 @@ def recv_message_ex(sock: socket.socket) -> Tuple[dict, Any, FrameStats]:
         compressed=compressed,
     )
     return header, payload, stats
-
-
-# ----------------------------------------------------------------------
-# Answer-set interning
-# ----------------------------------------------------------------------
-
-def intern_outcomes(outcomes: List[Any]) -> Dict[str, Any]:
-    """Dictionary-encode a shard's outcome list.
-
-    Outcome streams are highly repetitive: on cheap draws most repairs
-    yield one of a handful of distinct answer sets (often *the* full
-    answer set, over and over).  Pickle's memo only collapses duplicates
-    by object *identity*, so equal-but-distinct answer sets each ship in
-    full.  Interning collapses them by *equality*: the result carries
-    each distinct outcome once in ``"table"`` plus an index per draw in
-    ``"codes"`` — typically shrinking the shipped payload by the repeat
-    factor before compression even runs.
-
-    Outcomes are keyed by their *pickled form*, not ``==``: equality
-    would collapse distinct representations that compare equal (``1`` ==
-    ``1.0`` == ``True``), silently changing the restored stream's value
-    types and breaking the byte-identical-outcomes contract the lease
-    table's duplicate drop rests on.  Pickle bytes key exactly what
-    would have shipped, so restoration is representation-faithful; the
-    dedup win is unaffected in practice because repeated answer sets
-    come out of one deterministic evaluation path and pickle
-    identically.  :func:`restore_outcomes` inverts the encoding,
-    returning one table *reference* per code (safe: the sampling
-    pipeline never mutates outcome objects).
-    """
-    table: List[Any] = []
-    codes: List[int] = []
-    index_of: Dict[bytes, int] = {}
-    for outcome in outcomes:
-        key = pickle.dumps(outcome)
-        code = index_of.get(key)
-        if code is None:
-            code = len(table)
-            index_of[key] = code
-            table.append(outcome)
-        codes.append(code)
-    return {"table": table, "codes": codes}
-
-
-def restore_outcomes(encoded: Dict[str, Any]) -> List[Any]:
-    """Invert :func:`intern_outcomes`."""
-    table = encoded["table"]
-    return [table[code] for code in encoded["codes"]]
 
 
 class WorkerError(RuntimeError):

@@ -22,7 +22,7 @@ without confusing each other's campaigns.
 
 Transport failures (:class:`WorkerUnavailable`) are *retryable*: the
 shard is re-leased to another worker and, because draws are
-index-deterministic, the replacement produces byte-identical outcomes.
+index-deterministic, the replacement produces the same tally.
 Worker-reported *fatal* errors (:class:`~repro.distributed.protocol.WorkerError`
 with ``fatal=True``) are not retried — the same draw would fail the
 same way anywhere.
@@ -31,8 +31,9 @@ same way anywhere.
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro.campaign import Tally
 from repro.distributed.protocol import (
     ConnectionClosed,
     FrameIntegrityError,
@@ -40,7 +41,6 @@ from repro.distributed.protocol import (
     WorkerError,
     recv_message,
     recv_message_ex,
-    restore_outcomes,
     send_message,
 )
 from repro.distributed.worker import ShardContext, ShardExecutor
@@ -109,8 +109,8 @@ class WorkerTransport:
         self, context: ShardContext, shard_id: int, start: int, count: int,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
-        """Execute one shard; raises :class:`WorkerUnavailable` on death.
+    ) -> Tally:
+        """Tally one shard; raises :class:`WorkerUnavailable` on death.
 
         With a *deadline*, the worker abandons the shard once the budget
         is gone (raising
@@ -154,7 +154,7 @@ class InlineTransport(WorkerTransport):
         self, context: ShardContext, shard_id: int, start: int, count: int,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
+    ) -> Tally:
         self.ensure_context(context)
         return self.executor.run_shard(
             context.context_id, start, count, deadline=deadline
@@ -400,7 +400,7 @@ class SocketTransport(WorkerTransport):
         self, context: ShardContext, shard_id: int, start: int, count: int,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
+    ) -> Tally:
         self.ensure_context(context, timeout=timeout)
         sock = self._connection()
         try:
@@ -465,7 +465,7 @@ class SocketTransport(WorkerTransport):
                         )
                     if kind == "result":
                         _record_pushed_metrics(self.name, payload.get("metrics"))
-                        return restore_outcomes(payload["outcomes_interned"])
+                        return payload["tally"]
                     raise ProtocolError(
                         f"unexpected {kind!r} frame while awaiting a result"
                     )

@@ -10,7 +10,7 @@ Draw determinism: a shard is a contiguous range of global draw indices,
 and every draw is computed from
 :func:`repro.campaign.draw_rng`'s ``(seed, group, index)`` substreams —
 so the same shard computed by any worker (or by the coordinator inline)
-yields byte-identical outcomes.
+yields the same tally, key representations included.
 
 One worker, many campaigns: :class:`WorkerServer` runs one thread per
 coordinator connection over a single shared :class:`ShardExecutor`, so
@@ -47,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.campaign import SamplingCampaign
+from repro.campaign import SamplingCampaign, Tally
 from repro.core.errors import FailingSequenceError
 from repro.distributed.chaos import FailpointError, failpoint
 from repro.distributed.protocol import (
@@ -55,7 +55,6 @@ from repro.distributed.protocol import (
     ConnectionClosed,
     FrameIntegrityError,
     ProtocolError,
-    intern_outcomes,
     recv_message,
     send_message,
 )
@@ -164,7 +163,7 @@ class _ChainRuntime:
         self.stream_key = payload.get("stream_key", "root")
         self.chain = payload["generator"].chain(Database(payload["facts"]))
 
-    def outcomes(self, start: int, count: int) -> List[Any]:
+    def tally(self, start: int, count: int) -> Tally:
         from repro.core.sampling import chain_outcomes_for_range
 
         return chain_outcomes_for_range(
@@ -200,7 +199,7 @@ class _SamplerRuntime:
         )
         self.compiled = self.sampler.compile(payload["query"])
 
-    def outcomes(self, start: int, count: int) -> List[Any]:
+    def tally(self, start: int, count: int) -> Tally:
         return self.sampler.outcomes_for_range(self.compiled, start, count)
 
     def close(self) -> None:
@@ -380,8 +379,8 @@ class ShardExecutor:
         start: int,
         count: int,
         deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
-        """Outcomes for draws ``[start, start + count)`` of a context.
+    ) -> Tally:
+        """The tally of draws ``[start, start + count)`` of a context.
 
         With a *deadline*, the shard is abandoned (raising
         :class:`repro.service.deadline.DeadlineExpired`) if the budget is
@@ -408,10 +407,10 @@ class ShardExecutor:
             with slot.lock:
                 if deadline is not None and deadline.expired:
                     self._abandon_expired(start, count)
-                outcomes = slot.runtime.outcomes(start, count)
+                tally = slot.runtime.tally(start, count)
             _W_SHARDS.inc()
-            _W_DRAWS.inc(len(outcomes))
-            return outcomes
+            _W_DRAWS.inc(tally.draws)
+            return tally
         finally:
             with self._lock:
                 slot.active -= 1
@@ -867,7 +866,7 @@ class WorkerServer:
                 heartbeat = tagged({"type": "heartbeat", "shard": shard_id})
                 with _Heartbeat(send, self.heartbeat_interval, heartbeat):
                     try:
-                        outcomes = self.executor.run_shard(
+                        tally = self.executor.run_shard(
                             context_id, start, count, deadline=deadline
                         )
                     except UnknownContextError:
@@ -907,13 +906,11 @@ class WorkerServer:
                             )
                         )
                         return True
-                # The after-result-before-ack crash window: outcomes
-                # computed but never sent.  Re-leasing recomputes them
+                # The after-result-before-ack crash window: a tally
+                # computed but never sent.  Re-leasing recomputes it
                 # byte-identically.
                 failpoint("worker.after_result")
-                body: Dict[str, Any] = {
-                    "outcomes_interned": intern_outcomes(outcomes),
-                }
+                body: Dict[str, Any] = {"tally": tally}
                 if obs_metrics.metrics_enabled():
                     body["metrics"] = worker_metrics_snapshot()
                 send(
@@ -921,7 +918,7 @@ class WorkerServer:
                         {
                             "type": "result",
                             "shard": shard_id,
-                            "count": len(outcomes),
+                            "count": tally.draws,
                             "worker": self.name,
                         }
                     ),
@@ -1057,13 +1054,13 @@ def pool_worker_main(conn) -> None:
                             if budget > 0
                             else Deadline(0.0)
                         )
-                    outcomes = executor.run_shard(
+                    tally = executor.run_shard(
                         data["context"],
                         data["start"],
                         data["count"],
                         deadline=deadline,
                     )
-                    result = {"shard": data["shard"], "outcomes": outcomes}
+                    result = {"shard": data["shard"], "tally": tally}
                     if obs_metrics.metrics_enabled():
                         result["metrics"] = worker_metrics_snapshot()
                     conn.send(("result", result))

@@ -93,6 +93,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -107,11 +108,14 @@ from repro.campaign import (
     BLOCK_WORDS,
     DrawStream,
     SamplingCampaign,
+    Tally,
     UpdateReport,
+    _count_elements,
     block_words,
     campaign_fingerprint,
     generator_identity,
     stream_hasher,
+    tally_outcomes,
 )
 from repro.constraints.base import ConstraintSet
 from repro.constraints.shortcuts import key as key_constraints
@@ -352,46 +356,46 @@ class BaseCampaignSampler:
     # ------------------------------------------------------------------
     def outcomes_for_range(
         self, compiled: CompiledQuery, start: int, count: int
-    ) -> List[Any]:
-        """Answer sets for draws ``[start, start + count)``.
+    ) -> Tally:
+        """The :class:`~repro.campaign.Tally` of draws ``[start, start + count)``.
 
         The unit of work a shard executes: sample each draw's deletions
-        from the draw-indexed substreams, mark them in the rewriter, and
-        evaluate the compiled query.  Workers in :mod:`repro.distributed`
-        run exactly this method on a rebuilt sampler, which is why a
-        distributed campaign's outcome stream is byte-identical to a
-        local one.
+        from the draw-indexed substreams, mark them in the rewriter,
+        evaluate the compiled query, and count each answer once per draw
+        it holds on.  Workers in :mod:`repro.distributed` run exactly
+        this method on a rebuilt sampler, which is why a distributed
+        campaign's tallies equal a local one's, key representations
+        included.
 
         When the columnar core applies (:mod:`repro.core.columnar`,
         ``REPRO_COLUMNAR`` unset/1), the deletions come from the
-        components' walk tables, and a conjunctive query's answer sets
-        come straight from its witness-lineage draw plan with no SQL at
-        all; both are byte-identical to the reference walk
-        ``REPRO_COLUMNAR=0`` runs.
+        components' walk tables, and a conjunctive query's tally comes
+        straight from its witness-lineage draw plan with no SQL at all;
+        both equal the tally of the reference walk ``REPRO_COLUMNAR=0``
+        runs.
         """
         fast = self._columnar_outcomes(compiled, start, count)
         if fast is not None:
             _DRAW_RANGES.inc(path="columnar")
             return fast
         _DRAW_RANGES.inc(path="table" if columnar.enabled() else "object")
-        return self._sql_outcomes(compiled, start, count)
+        return tally_outcomes(self._sql_outcomes(compiled, start, count))
 
     def _sql_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
-    ) -> List[Any]:
+    ) -> Iterator[FrozenSet[Tuple]]:
         """Per-draw SQL: mark each draw's deletions, run the query.
 
         The deletion tables are empty between draws, whatever a draw
         raises: a backend outlives the campaign that marked it.
         """
-        outcomes: List[Any] = []
         for deletions in self.deletions_for_range(start, count):
             try:
                 self.rewriter.mark_deleted(deletions)
-                outcomes.append(compiled.run(self.backend))
+                answers = compiled.run(self.backend)
             finally:
                 self.rewriter.clear()
-        return outcomes
+            yield answers
 
     def shard_context(self, query: AnyQuery):
         """The (cached) distributed context describing this campaign.
@@ -410,10 +414,6 @@ class BaseCampaignSampler:
             self._shard_contexts[cache_key] = context
         return context
 
-    def _draw_answer_sets(self, compiled: CompiledQuery, batch: int):
-        """*batch* draws: mark deletions, evaluate, collect answer sets."""
-        start = self.campaign.claim_draws(batch)
-        return self.outcomes_for_range(compiled, start, batch)
 
     def run(
         self,
@@ -444,10 +444,10 @@ class BaseCampaignSampler:
         different query is rejected rather than merged.
 
         With a *coordinator* attached, each batch's draw range is
-        sharded across its workers and the merged outcome stream — hence
-        every tally, adaptive stop, and checkpoint — is byte-identical
-        to the serial run, regardless of worker count or mid-shard
-        deaths.
+        sharded across its workers and their tallies are summed in draw
+        order — so every tally, adaptive stop, and checkpoint is
+        byte-identical to the serial run, regardless of worker count or
+        mid-shard deaths.
 
         A *deadline* (:class:`repro.service.deadline.Deadline`)
         propagates into the coordinator and over the wire to workers;
@@ -482,7 +482,8 @@ class BaseCampaignSampler:
             def draw(batch: int):
                 if deadline is not None:
                     deadline.check("serial draw batch")
-                return self._draw_answer_sets(compiled, batch)
+                start = self.campaign.claim_draws(batch)
+                return self.outcomes_for_range(compiled, start, batch)
 
         result = self.campaign.estimate(
             draw,
@@ -733,11 +734,12 @@ class ConstraintRepairSampler(BaseCampaignSampler):
     # ------------------------------------------------------------------
     def _columnar_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
-    ) -> Optional[List[Any]]:
-        """Answer sets via a compiled columnar draw plan, or ``None``.
+    ) -> Optional[Tally]:
+        """The range's tally from a compiled columnar draw plan, or
+        ``None`` when no plan serves the query.
 
-        ``tests/property/test_columnar_props.py`` pins its outcomes to
-        the ``REPRO_COLUMNAR=0`` reference.
+        ``tests/property/test_columnar_props.py`` pins its tallies,
+        draw by draw, to the ``REPRO_COLUMNAR=0`` reference.
         """
         return self._plan_outcomes(compiled, start, count, self._chain_table)
 
@@ -893,8 +895,9 @@ class ConstraintRepairSampler(BaseCampaignSampler):
         start: int,
         count: int,
         walk_table: WalkTableFn,
-    ) -> Optional[List[Any]]:
-        """Run the plan built over *walk_table*'s per-component tables.
+    ) -> Optional[Tally]:
+        """Tally the range with the plan built over *walk_table*'s
+        per-component tables.
 
         The witness plan is built once per (compiled query, instance
         state) and gated conservatively — any precondition it cannot
@@ -925,7 +928,7 @@ class ConstraintRepairSampler(BaseCampaignSampler):
             self._columnar_plans[key] = plan
         if plan is False:
             return None
-        return plan.outcomes(start, count)
+        return plan.tally(start, count)
 
 
 def _trim(cache: Dict, limit: int) -> None:
@@ -1031,7 +1034,7 @@ class KeyRepairSampler(ConstraintRepairSampler):
 
     def _columnar_outcomes(
         self, compiled: CompiledQuery, start: int, count: int
-    ) -> Optional[List[Any]]:
+    ) -> Optional[Tally]:
         """The plan over ``KEEP_ONE_UNIFORM``'s one-step tables, or the
         parent's chain-table plan for the chain policies."""
         if self.policy is not SamplerPolicy.KEEP_ONE_UNIFORM:
@@ -1173,6 +1176,12 @@ class _ColumnarDrawPlan:
     and only conflict facts are ever deleted, each by its own
     component's draw substream.  So one range needs each component's
     absorbing state per draw (:func:`_draw_states`).
+
+    A range's tally counts each certain answer once, with multiplicity
+    the range's draw count.  Per draw it counts the union of the
+    answers the components' states add and the spanning answers the
+    draw meets; neither holds a certain answer, and an answer two
+    components add on one draw counts once.
     """
 
     __slots__ = (
@@ -1218,33 +1227,32 @@ class _ColumnarDrawPlan:
             met.append(frozenset(ids))
         return answers
 
-    def outcomes(self, start: int, count: int) -> List[Any]:
+    def tally(self, start: int, count: int) -> Tally:
         states = _draw_states(self.entries, start, count)
-        per_offset: List[List[frozenset]] = [[] for _ in range(count)]
-        for index, reached in enumerate(states):
-            answers = self._fold(index)
-            for extras, state in zip(per_offset, reached):
-                extra = answers[state]
-                if extra:
-                    extras.append(extra)
-        certain = self.certain
-        outcomes = [
-            certain.union(*extras) if extras else certain for extras in per_offset
-        ]
-        if self.spanning:
-            linked = [(self._met[index], states[index]) for index in self._linked]
-            for offset, outcome in enumerate(outcomes):
+        # Each draw's row: what every component's state adds on it.
+        rows = zip(
+            *(
+                map(self._fold(index).__getitem__, reached)
+                for index, reached in enumerate(states)
+            )
+        )
+        counts = dict.fromkeys(self.certain, count)
+        linked = [(self._met[index], states[index]) for index in self._linked]
+        for offset, row in enumerate(rows):
+            drawn = frozenset().union(*row)
+            if self.spanning:
                 met = frozenset().union(
                     *(ids[reached[offset]] for ids, reached in linked)
                 )
                 found = [
                     answer
                     for answer, witnesses in self.spanning
-                    if answer not in outcome and any(w <= met for w in witnesses)
+                    if answer not in drawn and any(w <= met for w in witnesses)
                 ]
                 if found:
-                    outcomes[offset] = outcome.union(found)
-        return outcomes
+                    drawn = drawn.union(found)
+            _count_elements(counts, drawn)
+        return Tally(count, count, counts)
 
 
 def _keep_one_table(component: FrozenSet[Fact]) -> ComponentTable:

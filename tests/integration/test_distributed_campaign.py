@@ -4,7 +4,7 @@ The load-bearing property throughout: a seeded distributed campaign —
 any worker count, any transport, including induced worker deaths —
 produces **byte-identical** estimates to the single-process campaign,
 because every draw is a pure function of ``(campaign seed, group key,
-draw index)`` and the coordinator re-assembles outcomes in draw-index
+draw index)`` and the coordinator sums the shards' tallies in draw-index
 order.
 """
 
@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro import UniformGenerator
+from repro.campaign import add_tallies
 from repro.constraints import ConstraintSet, parse_constraints
 from repro.core import repair_distribution
 from repro.core.errors import FailingSequenceError
@@ -392,7 +393,7 @@ class TestSlowWorkers:
             third = coordinator.run_range(context, 40, 20)
         finally:
             coordinator.close()
-        assert first + second + third == baseline
+        assert add_tallies([first, second, third]) == baseline
         assert probing.overlaps == 0
         assert coordinator.reconnects == 1
         assert probing.shards > 0

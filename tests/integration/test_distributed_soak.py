@@ -51,7 +51,7 @@ CAMPAIGN_B = dict(
 #: outcome interning/compression exists for.
 CAMPAIGN_FAT = dict(
     workload=key_conflict_workload(
-        clean_rows=150, conflict_groups=8, group_size=2, seed=5
+        clean_rows=400, conflict_groups=8, group_size=2, seed=5
     ),
     query=parse_cq("Q(x, y, z) :- R(x, y, z)"),
     rng_seed=13,
@@ -236,8 +236,9 @@ class TestChurn:
 class TestFatOutcomeShipping:
     def test_matches_serial(self):
         """A fat-answer-set campaign over a real worker: estimates equal
-        the serial run's, and its interned result stream ships
-        compressed, in fewer bytes than it pickles to."""
+        the serial run's, and its result tallies (each answer once per
+        shard, 400-odd per tally) ship compressed, in fewer bytes than
+        they pickle to."""
         server = WorkerServer()
         server.start()
         try:

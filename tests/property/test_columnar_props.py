@@ -5,9 +5,11 @@ draw plans built on them) are never allowed to be a semantic fork: every
 columnar answer must equal what the object path computes, on *every*
 input, not just the benchmark shapes.  Hypothesis drives random
 deletion deltas and full sampler workloads through both
-implementations and asserts exact agreement — including the
-byte-identity of sampler outcome streams, which the distributed lease
-table's duplicate-drop correctness rests on.
+implementations and asserts exact agreement.  A draw range returns a
+tally, so the sampler tests compare one-draw ranges: each draw's answers
+still meet the ``REPRO_COLUMNAR=0`` reference on their own, and
+:class:`TestRangeTallies` checks that a longer range's tally is the sum
+of its draws'.
 """
 
 import collections
@@ -21,11 +23,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import add_tallies, draw_rng, tally_outcomes
 from repro.constraints import ConstraintSet, key, parse_constraints
 from repro.core import columnar
 from repro.core.generators import TrustGenerator, UniformGenerator
 from repro.core.incremental import DeltaViolationIndex
-from repro.core.sampling import sample_walk
+from repro.core.sampling import chain_outcomes_for_range, sample_walk
 from repro.core.operations import Operation
 from repro.core.violations import violations
 from repro.db.atoms import Atom
@@ -166,8 +169,15 @@ def _parity_sampler(kind, clean_rows, groups, group_size, seed, extra=()):
     return backend, sampler
 
 
+def _per_draw(range_tally, start, count):
+    """*range_tally*'s one-draw ranges over ``[start, start + count)``:
+    each draw's answers, counted on their own."""
+    return [range_tally(index, 1) for index in range(start, start + count)]
+
+
 def _reference(kind, clean_rows, groups, group_size, seed, query, start, count, extra=()):
-    """A twin sampler's ``REPRO_COLUMNAR=0`` outcomes: the reference walk."""
+    """A twin sampler's ``REPRO_COLUMNAR=0`` one-draw tallies and
+    deletions: the reference walk."""
     with _setting("REPRO_COLUMNAR", "0"):
         backend, twin = _parity_sampler(
             kind, clean_rows, groups, group_size, seed, extra
@@ -175,11 +185,34 @@ def _reference(kind, clean_rows, groups, group_size, seed, query, start, count, 
         try:
             compiled = twin.compile(query)
             return (
-                twin.outcomes_for_range(compiled, start, count),
+                _per_draw(
+                    functools.partial(twin.outcomes_for_range, compiled),
+                    start,
+                    count,
+                ),
                 twin.deletions_for_range(start, count),
             )
         finally:
             backend.close()
+
+
+def _planned(sampler, compiled, start, count):
+    """The columnar plan's one-draw tallies, or ``None`` when no plan
+    serves *compiled*."""
+    tallies = _per_draw(
+        functools.partial(sampler._columnar_outcomes, compiled), start, count
+    )
+    if all(tally is None for tally in tallies):
+        return None
+    assert None not in tallies
+    return tallies
+
+
+def _outcomes(sampler, compiled, start, count):
+    """``outcomes_for_range``'s one-draw tallies."""
+    return _per_draw(
+        functools.partial(sampler.outcomes_for_range, compiled), start, count
+    )
 
 
 class TestSamplerOutcomeParity:
@@ -206,7 +239,7 @@ class TestSamplerOutcomeParity:
                 spans = [{fact.relation for fact in c} for c in sampler.components]
                 assert {"R", "S"} in spans
             compiled = sampler.compile(parse_cq(query))
-            fast = sampler._columnar_outcomes(compiled, start, count)
+            fast = _planned(sampler, compiled, start, count)
             reference, _ = _reference(
                 kind, clean_rows, groups, group_size, seed, parse_cq(query),
                 start, count,
@@ -239,9 +272,9 @@ class TestSamplerOutcomeParity:
         )
         try:
             compiled = sampler.compile(query)
-            planned = sampler._columnar_outcomes(compiled, start, count)
+            planned = _planned(sampler, compiled, start, count)
             assert (planned is None) == first_order
-            outcomes = sampler.outcomes_for_range(compiled, start, count)
+            outcomes = _outcomes(sampler, compiled, start, count)
             deletions = sampler.deletions_for_range(start, count)
             reference = _reference(
                 kind, clean_rows, groups, group_size, seed, query, start, count
@@ -264,9 +297,9 @@ class TestSamplerOutcomeParity:
             # The delta invalidated the plan cache; the rebuilt plan must
             # agree with the reference loop on the mutated instance.
             compiled = sampler.compile(parse_cq("Q(x) :- R(x, y, z)"))
-            fast = sampler._columnar_outcomes(compiled, 0, 6)
+            fast = _planned(sampler, compiled, 0, 6)
             with _setting("REPRO_COLUMNAR", "0"):
-                reference = sampler.outcomes_for_range(compiled, 0, 6)
+                reference = _outcomes(sampler, compiled, 0, 6)
             assert fast == reference
         finally:
             backend.close()
@@ -371,7 +404,7 @@ class TestWitnessPlans:
             query = data.draw(_random_cqs(facts))
             compiled = sampler.compile(query)
             before = _gate_counts()
-            planned = sampler._columnar_outcomes(compiled, start, count)
+            planned = _planned(sampler, compiled, start, count)
             counted = _gate_counts() - before
             # A plan is built or refused by a gate; none fails to build.
             assert not counted["plan_build_errors"]
@@ -387,7 +420,17 @@ class TestWitnessPlans:
             )
             if planned is not None:
                 assert planned == reference
-            assert sampler.outcomes_for_range(compiled, start, count) == reference
+                # A certain answer counts once per draw: never again
+                # among the answers a draw's states or spanning
+                # witnesses add.
+                whole = sampler.outcomes_for_range(compiled, start, count)
+                for answer in plan.certain:
+                    assert whole.counts[answer] == count
+                drawn = {answer for answer, _ in plan.spanning}
+                for answers in plan._answers:
+                    drawn.update(*answers)
+                assert drawn.isdisjoint(plan.certain)
+            assert _outcomes(sampler, compiled, start, count) == reference
         finally:
             backend.close()
 
@@ -409,7 +452,7 @@ class TestWitnessPlans:
         backend, sampler = _parity_sampler(*args, extra=extra)
         try:
             compiled = sampler.compile(query)
-            planned = sampler._columnar_outcomes(compiled, 3, 24)
+            planned = _planned(sampler, compiled, 3, 24)
             assert planned is not None
             # cross_relation's S(s1) puts every row sharing s1 in one
             # component.
@@ -443,11 +486,11 @@ class TestWitnessPlans:
             backend.execute = record
             try:
                 compiled = sampler.compile(query)
-                fast = sampler._columnar_outcomes(compiled, 0, 6)
+                fast = _planned(sampler, compiled, 0, 6)
                 assert (fast is not None) == planned
                 assert 0 < max(fetched) <= MAX_WITNESSES + 1
                 reference, _ = _reference(*args, query, 0, 6)
-                assert sampler.outcomes_for_range(compiled, 0, 6) == reference
+                assert _outcomes(sampler, compiled, 0, 6) == reference
             finally:
                 backend.close()
         assert columnar.EVENTS.value(stat="plan_gated_witness_budget") == gated + 2
@@ -468,7 +511,7 @@ class TestPerComponentFallback:
         backend, sampler = _parity_sampler(*args, extra=extra)
         try:
             compiled = sampler.compile(query)
-            fast = sampler._columnar_outcomes(compiled, start, count)
+            fast = _planned(sampler, compiled, start, count)
             deletions = sampler.deletions_for_range(start, count)
             assert fast is not None
             assert fast == reference
@@ -490,6 +533,123 @@ class TestPerComponentFallback:
         # 512 states.
         extra = [Fact("R", ("wide", f"v{i}", f"w{i}")) for i in range(10)]
         self._check(extra)
+
+
+# ----------------------------------------------------------------------
+# Range tallies: a range counts its draws, however it is cut
+# ----------------------------------------------------------------------
+
+
+def _split(range_tally, start, count, cuts):
+    """*range_tally* over ``[start, start + count)`` cut after each of
+    *cuts* draws, the pieces summed in draw order."""
+    bounds = sorted({0, count, *(cut for cut in cuts if cut < count)})
+    return add_tallies(
+        range_tally(start + low, high - low)
+        for low, high in zip(bounds, bounds[1:])
+    )
+
+
+def _keyed(tally):
+    """*tally* with its answers' representations as keys, so answers
+    that are equal but typed differently stay apart."""
+    return (
+        tally.draws,
+        tally.valid,
+        {repr(answer): count for answer, count in tally.counts.items()},
+    )
+
+
+class TestRangeTallies:
+    @given(
+        kind=st.sampled_from(PARITY_INPUTS),
+        text=st.sampled_from(PLAN_QUERIES + (JOIN_QUERY,)),
+        negated=st.booleans(),
+        clean_rows=st.integers(min_value=0, max_value=6),
+        groups=st.integers(min_value=1, max_value=4),
+        group_size=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        start=st.integers(min_value=0, max_value=64),
+        count=st.integers(min_value=1, max_value=12),
+        cuts=st.lists(st.integers(min_value=1, max_value=11), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_range_tally_counts_the_reference_draws_and_splits(
+        self, kind, text, negated, clean_rows, groups, group_size, seed,
+        start, count, cuts,
+    ):
+        """A range's tally counts each answer once per reference draw it
+        holds on, and the range cut into shards anywhere sums back to
+        it: counts and key representations."""
+        if negated and kind == "cross_relation":
+            text = NEGATION_QUERY
+        query = parse_query(text)
+        args = (kind, clean_rows, groups, group_size, seed)
+        backend, sampler = _parity_sampler(*args)
+        try:
+            compiled = sampler.compile(query)
+            whole = sampler.outcomes_for_range(compiled, start, count)
+            split = _split(
+                functools.partial(sampler.outcomes_for_range, compiled),
+                start,
+                count,
+                cuts,
+            )
+        finally:
+            backend.close()
+        with _setting("REPRO_COLUMNAR", "0"):
+            backend, twin = _parity_sampler(*args)
+            try:
+                reference = tally_outcomes(
+                    twin._sql_outcomes(twin.compile(query), start, count)
+                )
+            finally:
+                backend.close()
+        assert _keyed(whole) == _keyed(reference)
+        assert _keyed(split) == _keyed(whole)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        start=st.integers(min_value=0, max_value=64),
+        count=st.integers(min_value=1, max_value=16),
+        cuts=st.lists(st.integers(min_value=1, max_value=15), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chain_range_tally_keeps_discarded_draws(
+        self, seed, start, count, cuts
+    ):
+        """Under ``allow_failing`` about half of these walks fail: a
+        chain range counts them as drawn but not valid, its tally counts
+        the answers of the walks that succeed, and any cut of the range
+        sums back to it."""
+        constraints = ConstraintSet(
+            parse_constraints(
+                "R(x) -> T(x)\nT(x) -> false\nS(x, y), S(x, z) -> y = z"
+            )
+        )
+        database = Database.of(
+            Fact("R", ("a",)),
+            Fact("S", ("k", 1)),
+            Fact("S", ("k", 1.5)),
+            Fact("S", ("j", "v")),
+            Fact("S", ("j", "w")),
+        )
+        chain = UniformGenerator(constraints).chain(database)
+        query = parse_query("Q(y) :- S(x, y)")
+        range_tally = functools.partial(
+            chain_outcomes_for_range, chain, query, None, True, seed, "root"
+        )
+        walks = [
+            sample_walk(chain, draw_rng(seed, "root", index))
+            for index in range(start, start + count)
+        ]
+        reference = tally_outcomes(
+            query.answers(walk.result) if walk.successful else None
+            for walk in walks
+        )
+        whole = range_tally(start, count)
+        assert _keyed(whole) == _keyed(reference)
+        assert _keyed(_split(range_tally, start, count, cuts)) == _keyed(whole)
 
 
 # ----------------------------------------------------------------------

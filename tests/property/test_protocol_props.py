@@ -1,30 +1,29 @@
 """Property tests for the distributed wire protocol.
 
-Version-2 frames always carry header and blob checksums, zlib-compress
-blobs above :data:`COMPRESS_THRESHOLD`, and ship interned outcome
-tables.  Hypothesis drives random headers, payloads, and outcome
-streams through the real encoder/decoder (over a real socket pair):
-every frame must round-trip losslessly on either side of the
-compression threshold, and any single flipped bit past the fixed prefix
-must surface as a :class:`FrameIntegrityError`.
+Version-3 frames always carry header and blob checksums, zlib-compress
+blobs above :data:`COMPRESS_THRESHOLD`, and ship each shard's tally.
+Hypothesis drives random headers, payloads, and outcome streams through
+the real encoder/decoder (over a real socket pair): every frame must
+round-trip losslessly on either side of the compression threshold,
+shipped shard tallies must sum to the serial tally, and any single
+flipped bit past the fixed prefix must surface as a
+:class:`FrameIntegrityError`.
 """
 
-import pickle
 import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import add_tallies, tally_outcomes
 from repro.distributed.protocol import (
     COMPRESS_THRESHOLD,
     FRAME_PREFIX,
     FrameIntegrityError,
     encode_frame,
     encode_frame_ex,
-    intern_outcomes,
     recv_message_ex,
-    restore_outcomes,
 )
 
 # ----------------------------------------------------------------------
@@ -52,18 +51,19 @@ headers = st.fixed_dictionaries(
     },
 )
 
-#: One answer tuple, as the samplers produce them.
+#: One answer tuple, as the samplers produce them; ``1``, ``1.0`` and
+#: ``True`` are equal answers of different types.
 answer_tuples = st.tuples(
-    st.one_of(st.text(max_size=8), st.integers(min_value=-100, max_value=100))
+    st.one_of(
+        st.text(max_size=8),
+        st.integers(min_value=-100, max_value=100),
+        st.sampled_from([1, 1.0, True, 0, 0.0, False]),
+    )
 )
 
-#: One draw outcome: None (discarded draw) or a set/sequence of answers.
+#: One draw outcome: None (discarded draw) or its answer set.
 outcomes_strategy = st.lists(
-    st.one_of(
-        st.none(),
-        st.frozensets(answer_tuples, max_size=6),
-        st.lists(answer_tuples, max_size=6),  # unhashable outcome form
-    ),
+    st.one_of(st.none(), st.frozensets(answer_tuples, max_size=6)),
     max_size=40,
 )
 
@@ -157,39 +157,48 @@ class TestFrameRoundtrip:
             _over_socket(bytes(frame))
 
 
-class TestInterningProperties:
-    @given(outcomes=outcomes_strategy)
+def _items(tally):
+    """A tally's counts with their keys' representations, in order."""
+    return [(repr(answer), count) for answer, count in tally.counts.items()]
+
+
+class TestTallyFrames:
+    @given(
+        outcomes=outcomes_strategy,
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+        padding=st.one_of(st.just(b""), threshold_padding),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_intern_restore_is_identity(self, outcomes):
-        assert restore_outcomes(intern_outcomes(outcomes)) == outcomes
+    def test_shipped_shard_tallies_sum_to_the_serial_tally(
+        self, outcomes, cuts, padding
+    ):
+        """A range cut into shards at any points, each shard's tally
+        shipped in a ``result`` frame and the received tallies summed
+        in draw order, equals the range's serial tally: counts, key
+        types and key order."""
+        serial = tally_outcomes(outcomes)
+        bounds = sorted({0, len(outcomes), *(c for c in cuts if c < len(outcomes))})
+        received = []
+        for shard, (low, high) in enumerate(zip(bounds, bounds[1:])):
+            header = {"type": "result", "shard": shard, "campaign": "c42"}
+            body = {"tally": tally_outcomes(outcomes[low:high]), "pad": padding}
+            frame = encode_frame(header, body)
+            answered, payload, _stats = _over_socket(frame)
+            assert answered["campaign"] == "c42"
+            assert payload == body
+            received.append(payload["tally"])
+        merged = add_tallies(received)
+        assert merged == serial
+        assert _items(merged) == _items(serial)
+        assert merged.draws == len(outcomes)
+        assert merged.draws - merged.valid == outcomes.count(None)
 
-    @given(outcomes=outcomes_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_table_holds_only_distinct_representations(self, outcomes):
-        encoded = intern_outcomes(outcomes)
-        table = encoded["table"]
-        assert len(table) <= len(outcomes) or not outcomes
-        # Distinct by *pickled representation*: equal-but-distinctly-typed
-        # values (1 vs 1.0 vs True) must never share a table slot.
-        pickles = [pickle.dumps(entry) for entry in table]
-        assert len(set(pickles)) == len(pickles)
-        assert all(0 <= code < len(table) for code in encoded["codes"])
-        assert len(encoded["codes"]) == len(outcomes)
-
-    def test_equal_but_differently_typed_values_keep_their_types(self):
-        outcomes = [((1,),), ((1.0,),), ((True,),), ((1,),)]
-        restored = restore_outcomes(intern_outcomes(outcomes))
-        types = [type(outcome[0][0]) for outcome in restored]
-        assert types == [int, float, bool, int]
-        assert restored == outcomes
-
-    @given(outcomes=outcomes_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_interned_campaign_result_frame_roundtrips_compressed(self, outcomes):
-        # The full worker result path: interned + checksummed + tagged.
-        header = {"type": "result", "shard": 7, "campaign": "c42"}
-        payload = {"outcomes_interned": intern_outcomes(outcomes)}
-        frame = encode_frame(header, payload)
-        received, received_payload, _stats = _over_socket(frame)
-        assert received["campaign"] == "c42"
-        assert restore_outcomes(received_payload["outcomes_interned"]) == outcomes
+    def test_equal_but_differently_typed_answers_keep_the_first(self):
+        outcomes = [frozenset({(1.0,)}), None, frozenset({(1,), ("x",)})]
+        tallies = [tally_outcomes([outcome]) for outcome in outcomes]
+        merged = add_tallies(
+            _over_socket(encode_frame({"type": "result"}, tally))[1]
+            for tally in tallies
+        )
+        assert merged == (3, 2, {(1,): 2, ("x",): 1})
+        assert _items(merged) == [("(1.0,)", 2), ("('x',)", 1)]

@@ -10,6 +10,7 @@ from repro.campaign import (
     CheckpointMismatchError,
     SamplingCampaign,
     campaign_fingerprint,
+    tally_outcomes,
 )
 from repro.core.generators import UniformGenerator
 from repro.core.sampling import approximate_cp, approximate_oca
@@ -84,7 +85,7 @@ class TestEstimate:
     def test_fixed_target_counts_and_frequencies(self):
         campaign = SamplingCampaign(seed=0)
         result = campaign.estimate(
-            lambda batch: [[("t",)] for _ in range(batch)], runs=20
+            lambda batch: tally_outcomes([("t",)] for _ in range(batch)), runs=20
         )
         assert isinstance(result, CampaignResult)
         assert result.draws == 20
@@ -97,7 +98,8 @@ class TestEstimate:
             [None, [("t",)], [("t",)], None, [()], [("t",)], [("t",)], [("t",)]]
         )
         result = campaign.estimate(
-            lambda batch: [next(outcomes) for _ in range(batch)], runs=8
+            lambda batch: tally_outcomes(next(outcomes) for _ in range(batch)),
+            runs=8,
         )
         assert result.discarded == 2
         assert result.valid == 6
@@ -105,10 +107,35 @@ class TestEstimate:
 
     def test_new_estimate_resets_completed_tallies(self):
         campaign = SamplingCampaign(seed=0)
-        campaign.estimate(lambda b: [[("t",)]] * b, runs=10)
-        result = campaign.estimate(lambda b: [[("u",)]] * b, runs=5)
+        campaign.estimate(lambda b: tally_outcomes([[("t",)]] * b), runs=10)
+        result = campaign.estimate(lambda b: tally_outcomes([[("u",)]] * b), runs=5)
         assert result.draws == 5
         assert set(result.frequencies) == {("u",)}
+
+    def test_reports_share_answers_and_floats(self):
+        """Each report holds one float per distinct count, and an answer
+        the previous estimation returned is that report's tuple, unless
+        its members' types differ."""
+        campaign = SamplingCampaign(seed=0)
+
+        def draws(*answers):
+            # A fresh tuple per batch, as unpickled shard tallies are.
+            return lambda b: tally_outcomes(
+                [{tuple(list(answer)) for answer in answers}] * b
+            )
+
+        first = campaign.estimate(draws(("a", 1), ("b", 1), ("c", 2)), runs=4)
+        second = campaign.estimate(draws(("a", 1), ("b", 1.0), ("d", 3)), runs=4)
+        firsts = {answer: answer for answer in first.frequencies}
+        seconds = {answer: answer for answer in second.frequencies}
+        assert seconds[("a", 1)] is firsts[("a", 1)]
+        assert seconds[("b", 1)] is not firsts[("b", 1)]
+        assert type(seconds[("b", 1)][1]) is float
+        values = list(second.frequencies.values())
+        assert values == [1.0, 1.0, 1.0]
+        assert all(value is values[0] for value in values)
+        third = campaign.estimate(draws(("b", 1.0)), runs=2)
+        assert next(iter(third.frequencies)) is seconds[("b", 1)]
 
 
 class TestCheckpointing:
@@ -257,7 +284,7 @@ class TestReviewRegressions:
             if calls["n"] == 1:
                 raise RuntimeError("simulated crash")
             calls["n"] += 1
-            return [[("t",)] for _ in range(batch)]
+            return tally_outcomes([("t",)] for _ in range(batch))
 
         with pytest.raises(RuntimeError):
             campaign.estimate(crashing_draw, runs=20, adaptive=True)
@@ -266,7 +293,9 @@ class TestReviewRegressions:
         assert not resumed.estimation_complete
         before = resumed.draws_done
         result = resumed.estimate(
-            lambda b: [[("t",)] for _ in range(b)], runs=20, adaptive=True
+            lambda b: tally_outcomes([("t",)] for _ in range(b)),
+            runs=20,
+            adaptive=True,
         )
         assert result.draws >= before  # continued, not reset
         assert result.complete

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro import UniformGenerator
+from repro.campaign import add_tallies
 from repro.distributed import (
     Coordinator,
     InlineTransport,
@@ -215,7 +216,7 @@ class TestCoordinatorReconnect:
             outcomes = coordinator.run_range(context, 0, 40)
         finally:
             coordinator.close()
-        assert len(outcomes) == 40
+        assert outcomes.draws == 40
         assert flaky.reconnect_calls == 0
         report = coordinator.degradation_report()
         assert report["inline_fallback"]
@@ -244,7 +245,7 @@ class TestCoordinatorReconnect:
             outcomes = coordinator.run_range(context, 0, 40)
         finally:
             coordinator.close()
-        assert len(outcomes) == 40
+        assert outcomes.draws == 40
         assert dead.reconnect_calls == 2
         report = coordinator.degradation_report()
         assert any("abandoned" in event for event in report["events"])
@@ -302,6 +303,72 @@ class TestCoordinatorReconnect:
             w for w in report["workers"] if w["name"] == "dead"
         )
         assert not dead_report["alive"]
+
+
+    class _SteadyInline(InlineTransport):
+        """A worker that takes 0.02 s per shard: a range of a few
+        shards ends well inside the first 0.25-s reconnect backoff."""
+
+        def run_shard(self, context, shard_id, start, count, timeout=None,
+                      deadline=None):
+            time.sleep(0.02)
+            return super().run_shard(context, shard_id, start, count,
+                                     timeout=timeout, deadline=deadline)
+
+    def test_worker_lost_late_in_a_range_is_probed_at_the_next(self):
+        """A worker lost while the rest of the fleet finishes its range
+        keeps its reconnect budget: the next range probes it at once,
+        and it serves shards again."""
+        context = _chain_context()
+        serial = InlineTransport().run_shard(context, 0, 0, 100)
+        flaky = _FlakyTransport()
+        coordinator = Coordinator(
+            [self._SteadyInline(name="steady"), flaky], shard_size=5
+        )
+        try:
+            tallies = [
+                coordinator.run_range(context, start, 20)
+                for start in range(0, 100, 20)
+            ]
+        finally:
+            coordinator.close()
+        assert add_tallies(tallies) == serial
+        assert flaky.reconnect_calls == 1
+        assert flaky.inner.executor.shards_run > 0
+        report = coordinator.degradation_report()
+        assert report["releases"] == 1
+        assert report["reconnects"] == 1
+        assert report["events"] == ["flaky: reconnected on attempt 1/6"]
+        assert all(worker["alive"] for worker in report["workers"])
+
+    def test_budget_spent_across_ranges_abandons_once(self):
+        """A lost worker that never answers spends its budget one probe
+        per range, is abandoned once, and is not probed after that."""
+        context = _chain_context()
+
+        class _DeadForever(_FlakyTransport):
+            def __init__(self):
+                super().__init__(name="dead")
+                self.failures_left = 10**9
+
+            def reconnect(self):
+                self.reconnect_calls += 1
+                return False
+
+        dead = _DeadForever()
+        coordinator = Coordinator(
+            [self._SteadyInline(name="steady"), dead],
+            shard_size=5,
+            reconnect=ReconnectPolicy(retry_budget=3),
+        )
+        try:
+            for start in range(0, 240, 20):
+                coordinator.run_range(context, start, 20)
+        finally:
+            coordinator.close()
+        assert dead.reconnect_calls == 3
+        events = coordinator.degradation_report()["events"]
+        assert events == ["dead: abandoned after 3 reconnect attempt(s)"]
 
 
 class TestChaosTransport:

@@ -12,7 +12,7 @@ import zlib
 
 import pytest
 
-from repro.campaign import SamplingCampaign, draw_rng
+from repro.campaign import SamplingCampaign, Tally, draw_rng
 from repro.diagnostics import cache_report
 from repro.distributed import (
     DistributedSamplingError,
@@ -32,10 +32,8 @@ from repro.distributed.protocol import (
     WorkerError,
     encode_frame,
     encode_frame_ex,
-    intern_outcomes,
     recv_message,
     recv_message_ex,
-    restore_outcomes,
     send_message,
 )
 from repro.obs import FAULTS
@@ -182,7 +180,7 @@ class TestCompressedFrames:
         payload = {"outcomes": [None, ((),)]}
         plain = encode_frame(header, payload)
         magic, hlen, blen = FRAME_PREFIX.unpack(plain[: FRAME_PREFIX.size])
-        assert magic == b"RPW2"
+        assert magic == b"RPW3"
         body = plain[FRAME_PREFIX.size :]
         wire_header = json.loads(body[:hlen])
         blob = body[hlen:]
@@ -320,17 +318,18 @@ class TestFrameIntegrity:
 
 
 class TestVersionRefusal:
-    """Version 2 speaks to version 2 only: a version-1 peer is refused by
-    its magic, loudly on the coordinator side and as a counted malformed
-    frame on the worker side."""
+    """Version 3 speaks to version 3 only: a version-2 peer, whose result
+    bodies carry per-draw outcomes, is refused by its magic, loudly on
+    the coordinator side and as a counted malformed frame on the worker
+    side."""
 
-    def test_worker_drops_a_version_1_hello(self):
+    def test_worker_drops_a_version_2_hello(self):
         server = WorkerServer()
         thread = server.start()
         try:
             address = (server.host, server.port)
             with socket.create_connection(address, timeout=5) as sock:
-                sock.sendall(_raw_frame({"type": "hello"}, magic=b"RPW1"))
+                sock.sendall(_raw_frame({"type": "hello"}, magic=b"RPW2"))
                 try:
                     reply = sock.recv(4096)
                 except ConnectionResetError:  # closed with the hello unread
@@ -345,52 +344,26 @@ class TestVersionRefusal:
             thread.join(timeout=5)
             FAULTS.reset()
 
-    def test_transport_refuses_a_version_1_worker_naming_both_versions(self):
+    def test_transport_refuses_a_version_2_worker_naming_both_versions(self):
         listener = socket.create_server(("127.0.0.1", 0))
 
-        def version_1_worker():
+        def version_2_worker():
             conn, _ = listener.accept()
             with conn:
                 conn.recv(65536)  # the hello
-                conn.sendall(_raw_frame({"type": "welcome"}, magic=b"RPW1"))
+                conn.sendall(_raw_frame({"type": "welcome"}, magic=b"RPW2"))
 
-        thread = threading.Thread(target=version_1_worker, daemon=True)
+        thread = threading.Thread(target=version_2_worker, daemon=True)
         thread.start()
         transport = SocketTransport(*listener.getsockname())
         try:
-            with pytest.raises(WorkerUnavailable, match="RPW1.*RPW2"):
+            with pytest.raises(WorkerUnavailable, match="RPW2.*RPW3"):
                 transport.ensure_context(ShardContext.create("chain", {}))
         finally:
             transport.close()
             thread.join(timeout=5)
             listener.close()
         assert not thread.is_alive()
-
-
-class TestInterning:
-    def test_roundtrip_preserves_order_and_values(self):
-        a, b = frozenset({("x",)}), frozenset({("y",), ("z",)})
-        outcomes = [a, b, a, None, a, b, None]
-        encoded = intern_outcomes(outcomes)
-        assert len(encoded["table"]) == 3  # a, b, None — each shipped once
-        assert restore_outcomes(encoded) == outcomes
-
-    def test_unhashable_outcomes_survive(self):
-        outcomes = [[("x",), ("y",)], [("x",), ("y",)], None]
-        encoded = intern_outcomes(outcomes)
-        assert len(encoded["table"]) == 2
-        assert restore_outcomes(encoded) == outcomes
-
-    def test_interning_shrinks_repetitive_payloads(self):
-        # Equal but *distinct* answer sets: pickle's identity memo cannot
-        # collapse these — interning by equality is what shrinks them.
-        outcomes = [
-            frozenset({(f"v{i}", i) for i in range(50)}) for _ in range(200)
-        ]
-        plain = len(pickle.dumps({"outcomes": outcomes}))
-        interned = len(pickle.dumps({"outcomes_interned": intern_outcomes(outcomes)}))
-        assert len(intern_outcomes(outcomes)["table"]) == 1
-        assert interned < plain / 10
 
 
 class TestTransportCounters:
@@ -508,7 +481,7 @@ class TestLeaseTable:
             if lease is None:
                 break
             leases.append(lease)
-            table.complete(lease, [None] * lease.count)
+            table.complete(lease, Tally(lease.count, 0, {}))
         assert [(l.start, l.count) for l in leases] == [(10, 10), (20, 10), (30, 3)]
         assert table.done
 
@@ -517,11 +490,16 @@ class TestLeaseTable:
         first = table.checkout("a", wait=False)
         second = table.checkout("b", wait=False)
         third = table.checkout("c", wait=False)
-        # Complete out of order.
-        table.complete(third, ["e", "f"])
-        table.complete(first, ["a", "b"])
-        table.complete(second, ["c", "d"])
-        assert table.assemble() == ["a", "b", "c", "d", "e", "f"]
+        # Complete out of order; equal answers of different types keep
+        # the representation of the earliest draws.
+        table.complete(third, Tally(2, 2, {(True,): 2, ("e",): 1}))
+        table.complete(first, Tally(2, 1, {("a",): 1}))
+        table.complete(second, Tally(2, 2, {(1.0,): 1, ("a",): 2}))
+        assembled = table.assemble()
+        assert assembled == (6, 5, {("a",): 3, (1,): 3, ("e",): 1})
+        assert [repr(answer) for answer in assembled.counts] == [
+            "('a',)", "(1.0,)", "('e',)"
+        ]
 
     def test_release_requeues_for_other_workers(self):
         table = LeaseTable(start=0, count=4, shard_size=4)
@@ -530,8 +508,8 @@ class TestLeaseTable:
         replacement = table.checkout("healthy", wait=False)
         assert replacement is lease
         assert replacement.attempts == 2
-        table.complete(replacement, [1, 2, 3, 4])
-        assert table.assemble() == [1, 2, 3, 4]
+        table.complete(replacement, Tally(4, 4, {("x",): 4}))
+        assert table.assemble() == (4, 4, {("x",): 4})
 
     def test_idle_worker_waits_while_the_last_shard_is_leased(self):
         table = LeaseTable(start=0, count=2, shard_size=2)
@@ -551,7 +529,7 @@ class TestLeaseTable:
         table = LeaseTable(start=0, count=5, shard_size=5)
         lease = table.checkout("w", wait=False)
         with pytest.raises(DistributedSamplingError, match="draw-index contract"):
-            table.complete(lease, [1, 2])
+            table.complete(lease, Tally(2, 2, {}))
 
     def test_blocked_checkout_wakes_on_release(self):
         table = LeaseTable(start=0, count=3, shard_size=3)
@@ -561,7 +539,7 @@ class TestLeaseTable:
         def second_worker():
             picked["lease"] = table.checkout("second")
             if picked["lease"] is not None:
-                table.complete(picked["lease"], [0, 1, 2])
+                table.complete(picked["lease"], Tally(3, 3, {}))
 
         thread = threading.Thread(target=second_worker)
         thread.start()

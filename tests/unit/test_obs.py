@@ -633,7 +633,7 @@ class TestTraceMatchesDegradation:
             report = coordinator.degradation_report()
             coordinator.close()
             obs_trace.reset()
-        assert len(outcomes) == 40
+        assert outcomes.draws == 40
         events = [
             json.loads(line)
             for line in open(trace_path, encoding="utf-8").read().splitlines()

@@ -4,7 +4,7 @@ One multiplexing worker process serves many coordinator connections from
 one executor, so its warm-context LRU is hammered concurrently: builds,
 runs, and evictions all race.  These tests drive that executor from many
 threads with a context limit far below the working set and assert that
-(a) nothing crashes or deadlocks, (b) every shard's outcomes are
+(a) nothing crashes or deadlocks, (b) every shard's tally is
 byte-identical to a serial run of the same draws, and (c) eviction never
 closes a runtime mid-shard.
 """
@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.campaign import Tally
 from repro.distributed.worker import (
     ShardContext,
     ShardExecutor,
@@ -27,9 +28,9 @@ class _Runtime:
         self.tag = payload["tag"]
         self.closed = False
 
-    def outcomes(self, start, count):
+    def tally(self, start, count):
         assert not self.closed, "executor ran a shard on an evicted runtime"
-        return [(self.tag, index) for index in range(start, start + count)]
+        return _expected(self.tag, start, count)
 
     def close(self):
         self.closed = True
@@ -40,6 +41,14 @@ def fake_runtime(monkeypatch):
     monkeypatch.setattr(
         "repro.distributed.worker._build_runtime",
         lambda context: _Runtime(context.payload),
+    )
+
+
+def _expected(tag, start, count):
+    """The tally a serial run of the stand-in runtime gives: draw *i*
+    answers ``(tag, i)``."""
+    return Tally(
+        count, count, {(tag, index): 1 for index in range(start, start + count)}
     )
 
 
@@ -71,11 +80,9 @@ class TestShardExecutorThreads:
                             break
                         except UnknownContextError:
                             continue
-                    expected = [
-                        (context.payload["tag"], index)
-                        for index in range(step * 5, step * 5 + 5)
-                    ]
-                    assert outcomes == expected
+                    assert outcomes == _expected(
+                        context.payload["tag"], step * 5, 5
+                    )
                     out.append(outcomes)
                 results[worker_id] = out
             except BaseException as exc:  # noqa: BLE001 - surfaced below
@@ -107,11 +114,9 @@ class TestShardExecutorThreads:
             try:
                 barrier.wait(timeout=10)
                 executor.ensure_context(context)
-                assert executor.run_shard(context.context_id, 0, 3) == [
-                    ("shared", 0),
-                    ("shared", 1),
-                    ("shared", 2),
-                ]
+                assert executor.run_shard(context.context_id, 0, 3) == _expected(
+                    "shared", 0, 3
+                )
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -161,14 +166,14 @@ class TestShardExecutorThreads:
         slot = executor._slots[slow_context.context_id]
         entered = threading.Event()
         release = threading.Event()
-        original = slot.runtime.outcomes
+        original = slot.runtime.tally
 
-        def slow_outcomes(start, count):
+        def slow_tally(start, count):
             entered.set()
             assert release.wait(timeout=30)
             return original(start, count)
 
-        slot.runtime.outcomes = slow_outcomes
+        slot.runtime.tally = slow_tally
         result = {}
 
         def run_slow():
@@ -184,7 +189,7 @@ class TestShardExecutorThreads:
         assert not slot.runtime.closed
         release.set()
         thread.join(timeout=30)
-        assert result["outcomes"] == [("slow", 0), ("slow", 1)]
+        assert result["outcomes"] == _expected("slow", 0, 2)
         # Once idle, the next operation trims the cache back to its limit.
         executor.run_shard(other.context_id, 0, 1)
         assert len(executor._slots) <= executor.context_limit

@@ -402,7 +402,7 @@ class TestPlanGates:
         events = REGISTRY.get("ocqa_columnar_events_total")
         before = {stat: events.value(stat=stat) for stat in self.STATS}
         assert sampler._columnar_outcomes(compiled, 0, 4) is None
-        assert len(sampler.outcomes_for_range(compiled, 0, 4)) == 4
+        assert sampler.outcomes_for_range(compiled, 0, 4).draws == 4
         return {stat for stat in self.STATS if events.value(stat=stat) > before[stat]}
 
     def test_first_order_and_foreign_relation_map(self, backend, monkeypatch):

@@ -354,17 +354,17 @@ class TestStateRules:
         same time, and each equals its serial answer."""
         spans = []
         lock = threading.Lock()
-        original = worker_module._SamplerRuntime.outcomes
+        original = worker_module._SamplerRuntime.tally
 
         def slow(self, start, count):
             began = time.monotonic()
             time.sleep(0.15)
-            outcomes = original(self, start, count)
+            tally = original(self, start, count)
             with lock:
                 spans.append((self.sampler.campaign.seed, began, time.monotonic()))
-            return outcomes
+            return tally
 
-        monkeypatch.setattr(worker_module._SamplerRuntime, "outcomes", slow)
+        monkeypatch.setattr(worker_module._SamplerRuntime, "tally", slow)
         server = WorkerServer()
         server.start()
         try:
