@@ -494,18 +494,9 @@ def _add_distribution(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="seconds a worker may hold a shard lease before it is "
-        "re-leased elsewhere; also bounds per-frame socket waits "
-        "(default: 60)",
-    )
-    parser.add_argument(
-        "--context-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds to wait for a worker to load a shipped campaign "
-        "context (cold caches on slow links may need more; default: "
-        "scales with the lease timeout)",
+        help="seconds a worker may go silent (no heartbeat, no answer) "
+        "while it builds a context or holds a shard lease before the "
+        "shard is re-leased elsewhere (default: 60)",
     )
     parser.add_argument(
         "--deadline",
@@ -531,11 +522,7 @@ def _validate_distribution(args: argparse.Namespace) -> None:
     """
     if args.workers is not None and args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
-    _check_seconds(
-        lease_timeout=args.lease_timeout,
-        context_timeout=args.context_timeout,
-        deadline=args.deadline,
-    )
+    _check_seconds(lease_timeout=args.lease_timeout, deadline=args.deadline)
     deadline = getattr(args, "deadline", None)
     lease = getattr(args, "lease_timeout", None)
     if deadline is not None:
@@ -562,9 +549,9 @@ def _deadline_from(args: argparse.Namespace):
 def _build_coordinator(args: argparse.Namespace):
     """The coordinator implied by the CLI's distribution flags.
 
-    Built here (not inside the samplers) so ``--lease-timeout`` and
-    ``--context-timeout`` reach it.  Returns ``None`` for the serial
-    path; the caller owns (and must close) a returned coordinator.
+    Built here (not inside the samplers) so ``--lease-timeout`` reaches
+    it.  Returns ``None`` for the serial path; the caller owns (and must
+    close) a returned coordinator.
     """
     from repro.distributed import Coordinator
 
@@ -575,7 +562,6 @@ def _build_coordinator(args: argparse.Namespace):
     return Coordinator.from_options(
         workers=args.workers,
         worker_addresses=args.worker or (),
-        context_timeout=args.context_timeout,
         **kwargs,
     )
 

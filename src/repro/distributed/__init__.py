@@ -5,12 +5,14 @@ and one machine — without giving up determinism:
 
 - :class:`Coordinator` cuts a campaign's draw budget into leased shards
   and dispatches them over :class:`WorkerTransport` implementations;
-- :class:`~repro.distributed.pool.LocalPoolTransport` runs persistent
-  local worker processes (the only local parallel fan-out);
 - :class:`~repro.distributed.transport.SocketTransport` reaches
   ``ocqa worker --listen host:port`` processes on other machines over a
   small length-prefixed JSON/pickle protocol with heartbeats and lease
   timeouts;
+- :class:`~repro.distributed.pool.LocalPoolTransport` runs persistent
+  local worker processes (the only local parallel fan-out): each is a
+  socket worker forked onto one end of a socketpair, so it speaks the
+  same protocol, heartbeats and lease rule;
 - every draw is a pure function of ``(campaign seed, group key, draw
   index)``, so any shard can be computed anywhere — or recomputed after
   a worker death — and the merged estimates are byte-identical to a

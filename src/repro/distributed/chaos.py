@@ -490,6 +490,8 @@ class ChaosTransport:
     chaos-wrapped fleet heals on the coordinator's schedule.
     """
 
+    can_reconnect = True
+
     def __init__(self, inner: Any, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan

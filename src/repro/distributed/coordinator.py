@@ -11,7 +11,8 @@ leased shards:
    campaign's :class:`~repro.distributed.worker.ShardContext` (once per
    worker — contexts stay warm across batches *and* across ``run``
    calls), and executes them with a lease timeout; worker heartbeats
-   reset the timer, silence or a broken pipe expires it;
+   (sent while a context builds or a shard computes) reset the timer,
+   silence or a broken connection expires it;
 3. an expired or failed lease is released back and re-leased to another
    worker — draws are index-deterministic, so the replacement produces
    the same tally;
@@ -125,9 +126,10 @@ def _publish_lease_gauges() -> None:
 #: 2-worker run interleaves, large enough that framing cost stays noise.
 DEFAULT_SHARD_SIZE = 25
 
-#: Seconds of silence (no heartbeat, no result) after which a worker's
-#: lease is considered dead.  Workers heartbeat every ~2s while
-#: computing, so expiry genuinely means a dead or wedged worker.
+#: Seconds of silence (no heartbeat, no answer) after which a worker's
+#: lease is considered dead.  Workers heartbeat every ~2s while they
+#: build a context or compute a shard, so expiry genuinely means a dead
+#: or wedged worker.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
 #: Monotonic source of campaign/connection ids: distinct per coordinator
@@ -233,7 +235,6 @@ class Coordinator:
         cls,
         workers: Optional[int] = None,
         worker_addresses: Sequence[str] = (),
-        context_timeout: Optional[float] = None,
         **kwargs,
     ) -> Optional["Coordinator"]:
         """The coordinator implied by the fan-out options.
@@ -250,8 +251,7 @@ class Coordinator:
         if not workers and not worker_addresses:
             return None
         transports: List[WorkerTransport] = [
-            SocketTransport.parse(address, context_timeout=context_timeout)
-            for address in worker_addresses
+            SocketTransport.parse(address) for address in worker_addresses
         ]
         if workers:
             transports.extend(LocalPoolTransport.spawn(workers))
@@ -552,7 +552,8 @@ class Coordinator:
         self, transport: WorkerTransport, table: LeaseTable
     ) -> bool:
         """Back off and probe a lost worker until it answers, the retry
-        budget runs out, or the range finishes without it.
+        budget runs out, or the range finishes without it.  A worker
+        that can never reconnect (a pool process) is abandoned at once.
 
         Runs on the worker's own driver thread, so the rest of the fleet
         keeps computing (and can finish the table, which short-circuits
@@ -565,6 +566,12 @@ class Coordinator:
         """
         policy = self.reconnect_policy
         if policy.retry_budget < 1:
+            return False
+        if not transport.can_reconnect:
+            with self._fatal_lock:
+                self.degradation_log.append(
+                    f"{transport.name}: abandoned at once (it cannot reconnect)"
+                )
             return False
         with self._fatal_lock:
             spent = self._lost.pop(id(transport), None)

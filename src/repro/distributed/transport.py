@@ -7,12 +7,14 @@ operations — ship a context, run a shard, close.  Implementations:
   process.  The zero-worker special case, and the fallback the
   coordinator uses to finish a run after every real worker has died.
 - :class:`SocketTransport` — a remote worker over TCP, speaking
-  :mod:`repro.distributed.protocol`.  Liveness is heartbeat-based: any
-  frame (heartbeat or result) resets the lease timer; silence beyond
-  the lease timeout means the worker is gone and raises
-  :class:`WorkerUnavailable` so the coordinator re-leases the shard.
-- :class:`repro.distributed.pool.LocalPoolTransport` — a persistent
-  local process over a pipe.
+  :mod:`repro.distributed.protocol`.  Liveness is heartbeat-based: the
+  worker heartbeats while it builds a context or computes a shard, any
+  frame resets the lease timer, and silence beyond the lease timeout
+  means the worker is gone and raises :class:`WorkerUnavailable` so the
+  coordinator re-leases the shard.
+- :class:`repro.distributed.pool.LocalPoolTransport` — a
+  :class:`SocketTransport` to a forked local worker over a socketpair:
+  the same frames, heartbeats and lease rule.
 
 Each socket transport is one *connection* to a (possibly shared)
 worker: it tags its frames with the owning coordinator's campaign id
@@ -51,14 +53,15 @@ from repro.service.deadline import Deadline, DeadlineExpired
 
 _CONTEXT_SHIPS = obs_metrics.REGISTRY.counter(
     "ocqa_context_ships_total",
-    "Shard contexts shipped to remote workers (cache misses on the "
-    "worker side force a re-ship, counted here too).",
+    "Shard contexts shipped to socket and pool workers (cache misses on "
+    "the worker side force a re-ship, counted here too).",
 )
 _TRANSPORT_EVENTS = obs_metrics.REGISTRY.counter(
     "ocqa_transport_events_total",
-    "Socket-transport counters by stat, summed over every transport: "
-    "frames and bytes sent/received, result payload bytes raw vs shipped, "
-    "compressed frames, integrity faults, reconnects, stale frames.",
+    "Socket-transport counters by stat, summed over every socket and pool "
+    "transport: frames and bytes sent/received, result payload bytes raw "
+    "vs shipped, compressed frames, integrity faults, reconnects, stale "
+    "frames.",
     ("stat",),
     always=True,
 )
@@ -94,6 +97,10 @@ class WorkerTransport:
     #: The campaign tag stamped on this transport's frames; assigned by
     #: the coordinator that owns it (see :meth:`bind_campaign`).
     campaign_id: Optional[str] = None
+    #: ``False`` when :meth:`reconnect` can never succeed (a pool worker
+    #: is a process that is gone once lost): the coordinator then
+    #: abandons the worker at once instead of backing off on it.
+    can_reconnect: bool = True
 
     def bind_campaign(self, campaign_id: str) -> None:
         """Adopt the owning coordinator's campaign id for frame tags."""
@@ -124,7 +131,7 @@ class WorkerTransport:
 
         Returns ``True`` when the worker answered again (the coordinator
         then resumes leasing shards to it).  The base implementation
-        cannot: an inline or pool worker that died is gone.
+        never does.
         """
         return False
 
@@ -169,10 +176,11 @@ class SocketTransport(WorkerTransport):
 
     The connection is opened lazily on first use and kept for the
     transport's lifetime; contexts are shipped once and cached by
-    content id on the worker.  While a shard computes, the worker
-    heartbeats every few seconds — the receive loop treats any frame as
-    liveness and only declares the worker dead after *timeout* seconds
-    of silence.
+    content id on the worker.  While a context builds or a shard
+    computes, the worker heartbeats every few seconds — the receive
+    loops treat any frame as liveness and only declare the worker dead
+    after *timeout* seconds of silence (``None``: wait as long as it
+    takes).
 
     Shipped-byte counters accumulate in :attr:`stats`
     (``payload_raw_bytes`` vs ``payload_wire_bytes`` is the compression
@@ -188,17 +196,11 @@ class SocketTransport(WorkerTransport):
         *,
         name: Optional[str] = None,
         connect_timeout: float = 10.0,
-        context_timeout: Optional[float] = None,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.name = name or f"{host}:{port}"
         self.connect_timeout = connect_timeout
-        #: Receive timeout while awaiting a ``context_ok``.  ``None``
-        #: derives it from the lease timeout the caller passes through
-        #: (see :meth:`ensure_context`); set explicitly when context
-        #: builds legitimately outlast the lease timeout.
-        self.context_timeout = context_timeout
         self._sock: Optional[socket.socket] = None
         self._shipped: set = set()
         #: Cumulative byte accounting across the transport's lifetime.
@@ -256,6 +258,10 @@ class SocketTransport(WorkerTransport):
         self.stats[stat] += amount
         _TRANSPORT_EVENTS.inc(amount, stat=stat)
 
+    def _push_metrics(self, snapshot: Any) -> None:
+        """Keep the telemetry snapshot a heartbeat or result carried."""
+        _record_pushed_metrics(self.name, snapshot)
+
     def _connection(self) -> socket.socket:
         if self._sock is not None:
             return self._sock
@@ -303,22 +309,13 @@ class SocketTransport(WorkerTransport):
         if context.context_id in self._shipped:
             return
         sock = self._connection()
-        # Waiting for context_ok: an explicit context_timeout wins, then
-        # the lease timeout the coordinator passed through, then the old
-        # connect-derived fallback — so a short lease timeout is no
-        # longer silently overridden by a six-fold connect timeout.
-        effective = self.context_timeout
-        if effective is None:
-            effective = timeout
-        if effective is None:
-            effective = self.connect_timeout * 6
         try:
             self._send(sock, {"type": "context"}, context)
-            sock.settimeout(effective)
+            sock.settimeout(timeout)
             while True:
                 header, _ = self._recv(sock)
                 if self._is_stale(header, expect="context_ok"):
-                    continue
+                    continue  # a build heartbeat resets the lease timer
                 break
         except WorkerError:
             raise
@@ -372,7 +369,7 @@ class SocketTransport(WorkerTransport):
         """
         kind = header.get("type")
         if kind == "heartbeat":
-            _record_pushed_metrics(self.name, header.get("metrics"))
+            self._push_metrics(header.get("metrics"))
             return True
         stale = (
             (kind == "pong" and expect != "pong")
@@ -464,7 +461,7 @@ class SocketTransport(WorkerTransport):
                             ),
                         )
                     if kind == "result":
-                        _record_pushed_metrics(self.name, payload.get("metrics"))
+                        self._push_metrics(payload.get("metrics"))
                         return payload["tally"]
                     raise ProtocolError(
                         f"unexpected {kind!r} frame while awaiting a result"

@@ -22,13 +22,15 @@ while two connections racing the *same* campaign context serialize on
 that context's lock (a warm runtime is stateful: scratch backend,
 chains, memo caches).
 
-Three hosting modes share the same :class:`ShardExecutor`:
+Two hosting modes share the same :class:`ShardExecutor`:
 
-- **socket service** — ``ocqa worker --listen host:port`` runs
-  :func:`serve`, speaking :mod:`repro.distributed.protocol` to remote
-  coordinators (heartbeat frames flow while a shard computes);
-- **local pool** — :mod:`repro.distributed.pool` forks persistent
-  processes that run :func:`pool_worker_main` over a pipe;
+- **socket** — a :class:`WorkerHost` speaks
+  :mod:`repro.distributed.protocol` on each connection, with heartbeat
+  frames flowing while a context builds or a shard computes.
+  ``ocqa worker --listen host:port`` runs :func:`serve`, whose
+  :class:`WorkerServer` accepts remote coordinators over TCP; a local
+  pool worker (:mod:`repro.distributed.pool`) is a forked process
+  serving its end of a socketpair;
 - **inline** — :class:`repro.distributed.transport.InlineTransport`
   executes shards in the coordinator's own process (the zero-worker
   special case, and the fallback when every worker has died).
@@ -44,8 +46,9 @@ import socket
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.campaign import SamplingCampaign, Tally
 from repro.core.errors import FailingSequenceError
@@ -426,64 +429,100 @@ class ShardExecutor:
 
 
 class _Heartbeat:
-    """Background thread sending heartbeat frames while a shard computes.
+    """One connection's heartbeat: a thread that sends a heartbeat frame
+    every *interval* seconds while a request on the connection is in
+    flight.
 
     The coordinator's lease timer treats any frame as liveness, so a
-    long shard on a healthy worker never expires its lease, while a
-    killed worker stops heartbeating immediately.  While telemetry is
-    on, each beat carries a cumulative snapshot taken as it is sent, so
-    a parent scraped mid-shard shows live fleet counters (keep-latest on
-    the parent makes each beat replace the last).
+    long shard or context build on a healthy worker never expires its
+    lease, while a killed worker stops heartbeating immediately.  The
+    thread starts with the connection's first request and sleeps while
+    the connection is idle; a request only swaps its beat in and out,
+    so no request starts a thread.  A beat is sent under the lock that
+    :meth:`beating` takes on exit, so none follows its request's
+    answer.  While telemetry is on, each beat carries a cumulative
+    snapshot taken as it is sent, so a parent scraped mid-shard shows
+    live fleet counters (keep-latest on the parent makes each beat
+    replace the last).
     """
 
-    def __init__(
-        self, send: Callable[[dict], None], interval: float, header: dict
-    ) -> None:
+    def __init__(self, send: Callable[[dict], None], interval: float) -> None:
         self._send = send
         self._interval = interval
-        self._header = header
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._cond = threading.Condition(threading.Lock())
+        #: The in-flight request's beat (``None`` while idle) and the
+        #: instant its next beat is due.
+        self._beat: Optional[dict] = None
+        self._due = 0.0
+        self._idle = False
+        self._closed = False
+        self._thread: Optional[threading.Thread] = None
+
+    @contextmanager
+    def beating(self, beat: dict) -> Iterator[None]:
+        """Send *beat* every interval while the body runs."""
+        with self._cond:
+            self._beat = beat
+            self._due = time.monotonic() + self._interval
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run, daemon=True)
+                self._thread.start()
+            elif self._idle:
+                self._cond.notify()
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._beat = None
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            beat = dict(self._header)
-            if obs_metrics.metrics_enabled():
-                beat["metrics"] = worker_metrics_snapshot()
-            try:
-                self._send(beat)
-            except OSError:
-                return
+        with self._cond:
+            while not self._closed:
+                if self._beat is None:
+                    self._idle = True
+                    self._cond.wait()
+                    self._idle = False
+                    continue
+                # A request that began during this wait moved the due
+                # instant later, never earlier: waking on the old one
+                # just waits again.
+                wait = self._due - time.monotonic()
+                if wait > 0:
+                    self._cond.wait(wait)
+                    continue
+                beat = dict(self._beat)
+                if obs_metrics.metrics_enabled():
+                    beat["metrics"] = worker_metrics_snapshot()
+                try:
+                    self._send(beat)
+                except OSError:
+                    return
+                self._due = time.monotonic() + self._interval
 
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join()
+class WorkerHost:
+    """The socket worker's protocol side: one :class:`ShardExecutor`
+    behind every coordinator connection it serves.
 
-
-class WorkerServer:
-    """A socket-serving worker multiplexing many coordinator connections.
-
-    Each accepted connection gets its own thread, all sharing one
-    :class:`ShardExecutor` — so a single ``ocqa worker`` process serves
-    several coordinators/campaigns concurrently, with warm contexts
-    shared across connections by content id.
+    :class:`WorkerServer` adds the TCP listener and a thread per
+    accepted connection; a local pool worker serves the one connection
+    it was forked with.
     """
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = 0,
         *,
-        name: Optional[str] = None,
+        name: str,
         heartbeat_interval: float = 2.0,
         context_limit: int = DEFAULT_CONTEXT_LIMIT,
         max_inflight: int = 0,
-        drain_timeout: float = 30.0,
     ) -> None:
+        self.name = name
         self.executor = ShardExecutor(context_limit)
         self.heartbeat_interval = heartbeat_interval
         #: At most this many shards compute at once (0 = unbounded).
@@ -491,78 +530,17 @@ class WorkerServer:
         #: ``WorkerBusy`` error instead of queueing without bound —
         #: backpressure the coordinator turns into a short back-off.
         self.max_inflight = max(0, int(max_inflight))
-        #: How long a graceful drain waits for in-flight shards before
-        #: giving up and shutting down anyway.
-        self.drain_timeout = drain_timeout
         self._shutdown = threading.Event()
         self._draining = threading.Event()
         self._drain_started: Optional[float] = None
         self._active_cond = threading.Condition()
         self._active_shards = 0
         self._conn_lock = threading.Lock()
-        self._connections: List[socket.socket] = []
         #: Malformed/undecodable frames observed, by kind — also counted
         #: in the process-wide ``ocqa_faults_total`` (``cache_report``'s
         #: ``faults`` section) so a worker silently shedding connections
         #: is visible.
         self.fault_counts: Dict[str, int] = {}
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
-        self.host, self.port = self._sock.getsockname()[:2]
-        self.name = name or f"worker@{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------
-    # Serving
-    # ------------------------------------------------------------------
-    def serve_forever(self) -> None:
-        """Accept coordinator connections until a ``shutdown`` frame.
-
-        Connections are served concurrently, one daemon thread each;
-        ``shutdown`` (from any coordinator) stops the accept loop, closes
-        every open connection, and drains the threads.  A *drain*
-        (SIGTERM, SIGINT, or a ``drain`` frame — see
-        :meth:`request_drain`) instead stops accepting, finishes the
-        shards already in flight, answers new runs with a retriable
-        ``draining`` error so the coordinator re-leases them elsewhere,
-        and then shuts down cleanly.
-        """
-        self._sock.settimeout(0.5)
-        threads: List[threading.Thread] = []
-        try:
-            while not self._shutdown.is_set() and not self._draining.is_set():
-                try:
-                    conn, _addr = self._sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                with self._conn_lock:
-                    self._connections.append(conn)
-                thread = threading.Thread(
-                    target=self._connection_main, args=(conn,), daemon=True
-                )
-                thread.start()
-                # Prune finished connection threads so a long-lived
-                # worker's bookkeeping stays bounded by *live* connections.
-                threads = [t for t in threads if t.is_alive()]
-                threads.append(thread)
-        finally:
-            self._sock.close()
-            if self._draining.is_set() and not self._shutdown.is_set():
-                self._await_drain()
-                self._shutdown.set()
-            self._close_connections()
-            for thread in threads:
-                thread.join(timeout=2.0)
-            self.executor.close()
-
-    def start(self) -> threading.Thread:
-        """Serve on a daemon thread (for tests and embedded workers)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
     def shutdown(self) -> None:
         self._shutdown.set()
@@ -581,26 +559,6 @@ class WorkerServer:
     @property
     def draining(self) -> bool:
         return self._draining.is_set()
-
-    def _await_drain(self) -> None:
-        """Wait (bounded) for in-flight shards, then record the drain."""
-        give_up = time.monotonic() + self.drain_timeout
-        with self._active_cond:
-            while self._active_shards and time.monotonic() < give_up:
-                self._active_cond.wait(0.2)
-            abandoned = self._active_shards
-        duration = time.monotonic() - (self._drain_started or time.monotonic())
-        record_drain(duration)
-        if abandoned:
-            log.warning(
-                "%s: drain timed out after %.1fs with %d shard(s) still "
-                "in flight",
-                self.name,
-                duration,
-                abandoned,
-            )
-        else:
-            log.info("%s: drained in %.3fs", self.name, duration)
 
     def _begin_shard(self) -> bool:
         """Claim an in-flight slot; ``False`` means shed (worker busy)."""
@@ -622,27 +580,6 @@ class WorkerServer:
             self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
         FAULTS.inc(kind=kind)
         obs_trace.span("worker_fault", worker=self.name, kind=kind)
-
-    def _close_connections(self) -> None:
-        with self._conn_lock:
-            connections, self._connections = self._connections, []
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _connection_main(self, conn: socket.socket) -> None:
-        try:
-            self._serve_connection(conn)
-        finally:
-            with self._conn_lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _recv_request(self, conn: socket.socket):
         """One request frame, polling for shutdown while the line is idle.
@@ -679,6 +616,7 @@ class WorkerServer:
                 conn.settimeout(None)
                 send_message(conn, header, payload)
 
+        heartbeat = _Heartbeat(send, self.heartbeat_interval)
         frames_served = 0
         try:
             while not self._shutdown.is_set():
@@ -713,7 +651,7 @@ class WorkerServer:
                     return
                 frames_served += 1
                 try:
-                    if not self._handle(header, payload, send, owner):
+                    if not self._handle(header, payload, send, owner, heartbeat):
                         return
                 except FailpointError as exc:
                     # Injected crash (e.g. after-result-before-ack): die
@@ -742,6 +680,7 @@ class WorkerServer:
                     )
                     return
         finally:
+            heartbeat.close()
             self.executor.unpin(owner)
 
     def _handle(
@@ -750,7 +689,14 @@ class WorkerServer:
         payload: Any,
         send: Callable[..., None],
         owner: str = "",
+        heartbeat: Optional[_Heartbeat] = None,
     ) -> bool:
+        if heartbeat is None:  # called off a connection: beat for this request
+            heartbeat = _Heartbeat(send, self.heartbeat_interval)
+            try:
+                return self._handle(header, payload, send, owner, heartbeat)
+            finally:
+                heartbeat.close()
         kind = header["type"]
         #: Echoed on every frame answering a campaign-tagged request, so
         #: the coordinator can attribute heartbeats/results per campaign.
@@ -795,7 +741,9 @@ class WorkerServer:
             return True
         if kind == "context":
             try:
-                self.executor.ensure_context(payload)
+                beat = tagged({"type": "heartbeat", "context": payload.context_id})
+                with heartbeat.beating(beat):
+                    self.executor.ensure_context(payload)
                 if owner:
                     self.executor.pin(owner, payload.context_id)
                 send(tagged({"type": "context_ok", "context": payload.context_id}))
@@ -863,8 +811,8 @@ class WorkerServer:
                 )
                 return True
             try:
-                heartbeat = tagged({"type": "heartbeat", "shard": shard_id})
-                with _Heartbeat(send, self.heartbeat_interval, heartbeat):
+                beat = tagged({"type": "heartbeat", "shard": shard_id})
+                with heartbeat.beating(beat):
                     try:
                         tally = self.executor.run_shard(
                             context_id, start, count, deadline=deadline
@@ -946,6 +894,135 @@ class WorkerServer:
         return True
 
 
+class WorkerServer(WorkerHost):
+    """A socket-serving worker multiplexing many coordinator connections.
+
+    Each accepted connection gets its own thread, all sharing one
+    :class:`ShardExecutor` — so a single ``ocqa worker`` process serves
+    several coordinators/campaigns concurrently, with warm contexts
+    shared across connections by content id.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        name: Optional[str] = None,
+        heartbeat_interval: float = 2.0,
+        context_limit: int = DEFAULT_CONTEXT_LIMIT,
+        max_inflight: int = 0,
+        drain_timeout: float = 30.0,
+    ) -> None:
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind((host, port))
+        self._sock.listen(16)
+        self.host, self.port = self._sock.getsockname()[:2]
+        super().__init__(
+            name=name or f"worker@{self.host}:{self.port}",
+            heartbeat_interval=heartbeat_interval,
+            context_limit=context_limit,
+            max_inflight=max_inflight,
+        )
+        #: How long a graceful drain waits for in-flight shards before
+        #: giving up and shutting down anyway.
+        self.drain_timeout = drain_timeout
+        self._connections: List[socket.socket] = []
+
+    # ------------------------------------------------------------------
+    # Serving
+    # ------------------------------------------------------------------
+    def serve_forever(self) -> None:
+        """Accept coordinator connections until a ``shutdown`` frame.
+
+        Connections are served concurrently, one daemon thread each;
+        ``shutdown`` (from any coordinator) stops the accept loop, closes
+        every open connection, and drains the threads.  A *drain*
+        (SIGTERM, SIGINT, or a ``drain`` frame — see
+        :meth:`request_drain`) instead stops accepting, finishes the
+        shards already in flight, answers new runs with a retriable
+        ``draining`` error so the coordinator re-leases them elsewhere,
+        and then shuts down cleanly.
+        """
+        self._sock.settimeout(0.5)
+        threads: List[threading.Thread] = []
+        try:
+            while not self._shutdown.is_set() and not self._draining.is_set():
+                try:
+                    conn, _addr = self._sock.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+                with self._conn_lock:
+                    self._connections.append(conn)
+                thread = threading.Thread(
+                    target=self._connection_main, args=(conn,), daemon=True
+                )
+                thread.start()
+                # Prune finished connection threads so a long-lived
+                # worker's bookkeeping stays bounded by *live* connections.
+                threads = [t for t in threads if t.is_alive()]
+                threads.append(thread)
+        finally:
+            self._sock.close()
+            if self._draining.is_set() and not self._shutdown.is_set():
+                self._await_drain()
+                self._shutdown.set()
+            self._close_connections()
+            for thread in threads:
+                thread.join(timeout=2.0)
+            self.executor.close()
+
+    def start(self) -> threading.Thread:
+        """Serve on a daemon thread (for tests and embedded workers)."""
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread.start()
+        return thread
+
+    def _await_drain(self) -> None:
+        """Wait (bounded) for in-flight shards, then record the drain."""
+        give_up = time.monotonic() + self.drain_timeout
+        with self._active_cond:
+            while self._active_shards and time.monotonic() < give_up:
+                self._active_cond.wait(0.2)
+            abandoned = self._active_shards
+        duration = time.monotonic() - (self._drain_started or time.monotonic())
+        record_drain(duration)
+        if abandoned:
+            log.warning(
+                "%s: drain timed out after %.1fs with %d shard(s) still "
+                "in flight",
+                self.name,
+                duration,
+                abandoned,
+            )
+        else:
+            log.info("%s: drained in %.3fs", self.name, duration)
+
+    def _close_connections(self) -> None:
+        with self._conn_lock:
+            connections, self._connections = self._connections, []
+        for conn in connections:
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def _connection_main(self, conn: socket.socket) -> None:
+        try:
+            self._serve_connection(conn)
+        finally:
+            with self._conn_lock:
+                if conn in self._connections:
+                    self._connections.remove(conn)
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+
 def serve(
     host: str,
     port: int,
@@ -1016,82 +1093,3 @@ def serve(
             sidecar.close()
     if announce and server.draining:
         print(f"repro worker {server.name} drained", flush=True)
-
-
-def pool_worker_main(conn) -> None:
-    """Serve shard requests over a :mod:`multiprocessing` pipe.
-
-    The persistent local-pool counterpart of the socket server: one
-    message in, one message out, same :class:`ShardExecutor` underneath.
-    Messages are ``(kind, data)`` tuples; see
-    :class:`repro.distributed.pool.LocalPoolTransport` for the sender.
-    """
-    executor = ShardExecutor()
-    try:
-        while True:
-            try:
-                kind, data = conn.recv()
-            except (EOFError, OSError):
-                return
-            if kind == "shutdown":
-                conn.send(("bye", None))
-                return
-            try:
-                if kind == "context":
-                    executor.ensure_context(data)
-                    conn.send(("context_ok", data.context_id))
-                elif kind == "run":
-                    if not executor.has_context(data["context"]):
-                        # LRU-evicted context: request a re-ship rather
-                        # than failing the shard.
-                        conn.send(("need_context", data["context"]))
-                        continue
-                    budget = data.get("deadline")
-                    deadline = None
-                    if budget is not None:
-                        deadline = (
-                            Deadline.after(budget)
-                            if budget > 0
-                            else Deadline(0.0)
-                        )
-                    tally = executor.run_shard(
-                        data["context"],
-                        data["start"],
-                        data["count"],
-                        deadline=deadline,
-                    )
-                    result = {"shard": data["shard"], "tally": tally}
-                    if obs_metrics.metrics_enabled():
-                        result["metrics"] = worker_metrics_snapshot()
-                    conn.send(("result", result))
-                elif kind == "ping":
-                    conn.send(("pong", None))
-                else:
-                    conn.send(
-                        ("error", {"message": f"unknown request {kind!r}", "fatal": True})
-                    )
-            except DeadlineExpired as exc:
-                conn.send(
-                    (
-                        "error",
-                        {
-                            "message": str(exc),
-                            "exception": "DeadlineExpired",
-                            "fatal": False,
-                            "deadline_expired": True,
-                        },
-                    )
-                )
-            except Exception as exc:
-                conn.send(
-                    (
-                        "error",
-                        {
-                            "message": f"{type(exc).__name__}: {exc}",
-                            "exception": type(exc).__name__,
-                            "fatal": isinstance(exc, FATAL_EXCEPTIONS),
-                        },
-                    )
-                )
-    finally:
-        executor.close()

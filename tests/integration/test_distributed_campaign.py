@@ -269,6 +269,81 @@ class TestWorkerDeath:
         assert survivors == 0
 
 
+def _gone(pid):
+    """Whether process *pid* has exited; a zombie awaiting its reaper
+    has exited too."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestPoolWorkerLifetime:
+    def test_dead_pool_workers_are_abandoned_at_once(self, serial_report):
+        """A pool worker never reconnects, so losing both skips the
+        reconnect ladder's backoff (about 13 s) and finishes inline."""
+        pool = LocalPoolTransport.spawn(2)
+        coordinator = Coordinator(pool, shard_size=10, lease_timeout=10)
+        backend, sampler = _sampler(coordinator=coordinator)
+        for transport in pool:
+            os.kill(transport.pid, signal.SIGKILL)
+        time.sleep(0.1)
+        started = time.monotonic()
+        try:
+            report = sampler.run(QUERY, runs=90)
+            elapsed = time.monotonic() - started
+            lost = dict(coordinator._lost)
+            degradation = coordinator.degradation_report()
+        finally:
+            coordinator.close()
+            backend.close()
+        assert report.frequencies == serial_report.frequencies
+        assert elapsed < 5.0
+        assert lost == {}  # no later range re-drives a dead pool worker
+        assert degradation["reconnects"] == 0
+        assert degradation["inline_shards"] > 0
+        abandoned = [e for e in degradation["events"] if "abandoned" in e]
+        assert len(abandoned) == 2
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states from /proc"
+    )
+    def test_pool_workers_exit_with_their_parent(self):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        script = (
+            "import time\n"
+            "from repro.distributed import LocalPoolTransport\n"
+            "pool = LocalPoolTransport.spawn(2)\n"
+            "print(' '.join(str(t.pid) for t in pool), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+        assert len(pids) == 2
+        give_up = time.monotonic() + 5.0
+        while not all(_gone(pid) for pid in pids) and time.monotonic() < give_up:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if not _gone(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
+
 class _SlowInline(InlineTransport):
     """An induced straggler: correct results, configurable per-shard lag."""
 

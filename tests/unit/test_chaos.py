@@ -482,37 +482,58 @@ class TestFailpointsInWorkerPaths:
         assert outcomes == serial
 
 
-class TestTransportTimeouts:
-    def test_context_timeout_derives_from_lease_timeout(self):
-        from repro.distributed.transport import SocketTransport
+class TestOneLivenessRule:
+    """Silence past the lease timeout is the only way a worker is lost:
+    pool and socket workers heartbeat through slow shards and slow
+    context builds alike."""
 
-        observed = {}
+    def test_slow_pool_shards_keep_their_leases(self):
+        from repro.distributed import LocalPoolTransport
 
-        class _FakeSock:
-            def settimeout(self, value):
-                observed["timeout"] = value
+        context = _chain_context(seed=5)
+        serial = InlineTransport().run_shard(context, 0, 0, 40)
+        # Armed before the fork, so each pool worker sleeps through its
+        # first shard.
+        set_failpoint("worker.mid_shard", action="sleep5")
+        try:
+            coordinator = Coordinator(
+                LocalPoolTransport.spawn(2), shard_size=20, lease_timeout=2.5
+            )
+        finally:
+            clear_failpoints()
+        try:
+            outcomes = coordinator.run_range(context, 0, 40)
+            report = coordinator.degradation_report()
+        finally:
+            coordinator.close()
+        assert outcomes == serial
+        assert report["releases"] == 0
+        assert report["inline_shards"] == 0
+        assert all(worker["alive"] for worker in report["workers"])
 
-            def sendall(self, data):
-                pass
-
-            def recv(self, count):
-                raise OSError("probe only")
-
-        class _Probe(SocketTransport):
-            def _connection(self):
-                return _FakeSock()
-
-        probe = _Probe("127.0.0.1", 1)
-        with pytest.raises(WorkerUnavailable):
-            probe.ensure_context(_chain_context(), timeout=2.5)
-        assert observed["timeout"] == 2.5
-
-        probe_explicit = _Probe("127.0.0.1", 1, context_timeout=40.0)
-        with pytest.raises(WorkerUnavailable):
-            probe_explicit.ensure_context(_chain_context(), timeout=2.5)
-        assert observed["timeout"] == 40.0
-
-        probe_legacy = _Probe("127.0.0.1", 1, connect_timeout=10.0)
-        with pytest.raises(WorkerUnavailable):
-            probe_legacy.ensure_context(_chain_context())
-        assert observed["timeout"] == 60.0
+    def test_slow_context_build_keeps_its_lease(self):
+        context = _chain_context(seed=6)
+        serial = InlineTransport().run_shard(context, 0, 0, 40)
+        server = WorkerServer()
+        thread = server.start()
+        set_failpoint("worker.context_build", action="sleep5")
+        try:
+            coordinator = Coordinator.from_options(
+                worker_addresses=[f"127.0.0.1:{server.port}"],
+                shard_size=10,
+                lease_timeout=2.5,
+            )
+            try:
+                outcomes = coordinator.run_range(context, 0, 40)
+                report = coordinator.degradation_report()
+            finally:
+                coordinator.close()
+            assert failpoint_fired("worker.context_build")
+        finally:
+            clear_failpoints()
+            server.shutdown()
+            thread.join(timeout=5)
+        assert outcomes == serial
+        assert report["releases"] == 0
+        assert report["reconnects"] == 0
+        assert report["inline_shards"] == 0

@@ -349,6 +349,8 @@ class TestParser:
             ("sample", "--max-states"),
             ("sql-sample", "--max-states"),
             ("sql-sample", "--preference-relation"),
+            ("sample", "--context-timeout"),
+            ("sql-sample", "--context-timeout"),
         ],
     )
     def test_command_refuses_flags_it_does_not_read(
@@ -365,8 +367,8 @@ class TestParser:
 
 
 class TestTimingFlagValidation:
-    """Satellite: bad --lease-timeout/--context-timeout/--deadline values
-    must die with a clear error instead of a downstream hang."""
+    """Satellite: bad --lease-timeout/--deadline values must die with a
+    clear error instead of a downstream hang."""
 
     def _sql_sample(self, key_files, *extra):
         db, sigma = key_files
@@ -376,9 +378,7 @@ class TestTimingFlagValidation:
             *extra,
         ]
 
-    @pytest.mark.parametrize(
-        "flag", ["--lease-timeout", "--context-timeout", "--deadline"]
-    )
+    @pytest.mark.parametrize("flag", ["--lease-timeout", "--deadline"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_rejected(self, key_files, flag, value):
         with pytest.raises(SystemExit, match="positive seconds"):
