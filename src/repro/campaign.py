@@ -103,10 +103,10 @@ _CHECKPOINT_SAVES = obs_metrics.REGISTRY.counter(
 
 #: One block's counter: the draw index and the block number.
 _COUNTER = struct.Struct("<QQ")
-#: A 64-byte blake2b block read as sixteen 32-bit words.
+#: A 64-byte blake2b block read as sixteen little-endian 32-bit words.
+#: A walk on a table with byte shifts skips this unpack (~0.3 us of
+#: ``block_words``' ~0.85 us) and reads word w's top byte, byte 4w + 3.
 _BLOCK = struct.Struct("<16I")
-#: Words per block: a walk that needs more reads block 1, 2, ...
-BLOCK_WORDS = 16
 
 
 def stream_hasher(seed: Any, key: Any) -> hashlib.blake2b:

@@ -7,11 +7,11 @@ provides the columnar counterpart, in pure Python:
 into successor tables.  Every draw of the SQL samplers
 (:mod:`repro.sql.sampler`) reads its component's table, which a sampler
 compiles once per chain shape and shares among the components of that
-shape.  A draw on a table whose states are all uniform reads the first
-64-byte block of its counter-based stream
-(:func:`repro.campaign.block_words`) straight into the walk; any other
-draw replays the table with its own :class:`~repro.campaign.DrawStream`
-(:func:`replay_walk`).
+shape.  A draw on a table with :attr:`WalkTable.shifts` reads each
+choice off the top byte of a word of the first 64-byte block of its
+counter-based stream (:func:`repro.campaign.block_words`), straight off
+the keyed digest; any other draw replays the table with its own
+:class:`~repro.campaign.DrawStream` (:func:`replay_walk`).
 
 Everything here is an *accelerator*, never a semantic fork: each
 consumer keeps the object path as the reference implementation, reached
@@ -88,8 +88,9 @@ class WalkTable:
     :class:`~repro.campaign.DrawStream` consumes exactly the words the
     object path would — that is the byte-identity invariant everything
     above relies on.  A complete table (:meth:`finish`) whose states are
-    all uniform also carries ``shifts``, so a draw can apply
-    ``randrange``'s rejection rule to raw 32-bit words.
+    all uniform, each over fewer than 256 successors, also carries
+    ``shifts``, so a draw can apply ``randrange``'s rejection rule to
+    the top bytes of raw 32-bit words.
     """
 
     __slots__ = (
@@ -111,10 +112,12 @@ class WalkTable:
         self.cumulative: List[Tuple[int, ...]] = []
         self.successors: List[Tuple[int, ...]] = []
         self.payload: List[Any] = []
-        #: Per state, the shift that turns a 32-bit word into
-        #: ``randrange(counts[s])``'s candidate (it reads
-        #: ``getrandbits(counts[s].bit_length())``); ``None`` when a
-        #: state is weighted or the table is not finished.
+        #: Per state, the shift that turns a word's top byte into
+        #: ``randrange(counts[s])``'s candidate ``word >> (32 - k)``,
+        #: ``k = counts[s].bit_length() <= 8``: one byte read and one
+        #: shift per word, ~0.7 us a walk with its blake2b block (~0.46
+        #: us).  ``None`` when a state is weighted or 256-way or wider,
+        #: or the table is not finished.
         self.shifts: Optional[List[int]] = None
 
     def __len__(self) -> int:
@@ -123,8 +126,8 @@ class WalkTable:
     def finish(self) -> "WalkTable":
         """Set :attr:`shifts` once every state is appended."""
         self.shifts = (
-            [32 - count.bit_length() for count in self.counts]
-            if all(self.uniform)
+            [8 - count.bit_length() for count in self.counts]
+            if all(self.uniform) and max(self.counts, default=0) < 256
             else None
         )
         return self

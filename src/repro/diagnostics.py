@@ -141,9 +141,10 @@ class CacheReport:
     #: Columnar-core counters (``ocqa_columnar_events_total``): how much
     #: work ran on the columnar paths (plans compiled, or gated by a
     #: ``plan_gated_*`` reason, walk tables compiled or shared by a
-    #: component of the same chain shape, draws read off walk tables or
-    #: walked on overflowed chains) versus the object fallbacks — the
-    #: observability for ``REPRO_COLUMNAR``.
+    #: component of the same chain shape, draws read off walk tables
+    #: (and how many of those replayed their stream instead of reading
+    #: the block directly) or walked on overflowed chains) versus the
+    #: object fallbacks — the observability for ``REPRO_COLUMNAR``.
     columnar: Dict[str, int] = field(default_factory=dict)
     #: Query-service result-cache counters (``ocqa_cache_*_total``),
     #: summed over every cache this process ran: hits, misses,
@@ -196,7 +197,8 @@ class CacheReport:
                 f"{gated} gated, "
                 f"{self.columnar.get('walk_tables_compiled', 0)} walk table(s) "
                 f"compiled / {self.columnar.get('walk_tables_shared', 0)} shared, "
-                f"{self.columnar.get('draws_table', 0)} draw(s) from tables / "
+                f"{self.columnar.get('draws_table', 0)} draw(s) from tables "
+                f"({self.columnar.get('draws_table_replayed', 0)} replayed) / "
                 f"{self.columnar.get('draws_walked', 0)} walked"
             )
         if self.result_cache:

@@ -265,6 +265,7 @@ class SocketTransport(WorkerTransport):
     def _connection(self) -> socket.socket:
         if self._sock is not None:
             return self._sock
+        sock = None
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout
@@ -282,6 +283,8 @@ class SocketTransport(WorkerTransport):
                     f"{header.get('type')!r}"
                 )
         except (OSError, ProtocolError) as exc:
+            if sock is not None:
+                sock.close()
             self._drop()
             raise WorkerUnavailable(
                 f"cannot reach worker {self.name}: {exc}"

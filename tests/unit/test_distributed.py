@@ -365,6 +365,39 @@ class TestVersionRefusal:
             listener.close()
         assert not thread.is_alive()
 
+    def test_refused_handshake_closes_its_socket(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        after_refusal = []
+
+        def version_2_worker():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)  # the hello
+                conn.sendall(_raw_frame({"type": "welcome"}, magic=b"RPW2"))
+                conn.settimeout(5)
+                try:
+                    closed = conn.recv(1) == b""
+                except ConnectionResetError:  # closed with the frame unread
+                    closed = True
+                except socket.timeout:
+                    closed = False
+                after_refusal.append(closed)
+
+        thread = threading.Thread(target=version_2_worker, daemon=True)
+        thread.start()
+        transport = SocketTransport(*listener.getsockname())
+        try:
+            # The raised error (its traceback holds the handshake's
+            # frame) stays referenced while the worker reads on.
+            with pytest.raises(WorkerUnavailable) as refused:
+                transport.ensure_context(ShardContext.create("chain", {}))
+            thread.join(timeout=10)
+            assert after_refusal == [True], f"{refused.value!r} left its socket open"
+        finally:
+            transport.close()
+            thread.join(timeout=5)
+            listener.close()
+
 
 class TestTransportCounters:
     def test_registry_sums_closed_campaigns(self):
